@@ -31,7 +31,6 @@ from .hierarchy import (
 from .joint import (
     FeatureMatrix,
     JointModel,
-    LinearMap,
     classify_instance,
     embed_instance,
     reconstruct_labels,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -59,15 +58,6 @@ def _load_hierarchy(args) -> hierarchy.Hierarchy:
     return hierarchy.load_hierarchy(args.nodes, args.edges)
 
 
-def _threads(args) -> int:
-    # Compute is vectorized in-process; the cap is recorded for parity with
-    # the environment variable but cannot change results.
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("HIEREMBED_THREADS")
-    return int(env) if env else 0
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -106,7 +96,7 @@ def _train_config(args, **overrides) -> training.TrainConfig:
 def cmd_train_labels(args) -> None:
     out = _out_dir(args.out)
     h = _load_hierarchy(args)
-    split = hierarchy.load_split(args.split_dir, seed=args.seed)
+    split = hierarchy.load_split(args.split_dir)
     optimizer = args.optimizer
     if optimizer is None:
         optimizer = "rsgd" if args.geometry == "hc" else "adam"
@@ -215,7 +205,7 @@ def cmd_train_joint(args) -> None:
         "feature_dim": int(features.features.shape[1]),
     }
     storage.save_joint_model(
-        out / "model.bin", model.labels.node_ids, model.labels.coords, model.lmap.w, header
+        out / "model.bin", model.labels.node_ids, model.labels.coords, model.w, header
     )
     _write_csv(out / "train_log.csv", ["epoch", "loss", "val_f1"], history)
     snapshot = dict(vars(args))
@@ -227,10 +217,7 @@ def _load_joint(path) -> tuple[joint.JointModel, dict]:
     node_ids, coords, w, header = storage.load_joint_model(path)
     params = geometry.ConeParams(kind=header["geometry"], k=header["k"])
     table = training.EmbeddingTable(node_ids, coords, params)
-    model = joint.JointModel(
-        table, joint.LinearMap(w), params, header["lr_labels"], header["lr_instances"]
-    )
-    return model, header
+    return joint.JointModel(table, w, params), header
 
 
 def cmd_classify(args) -> None:
@@ -470,8 +457,9 @@ def cmd_rerun(args) -> None:
         raise CliError("snapshot carries no command name")
     argv = [command]
     for key, value in sorted(payload.items()):
-        if key == "chosen_margin" or value is None:
-            continue  # derived bookkeeping, not a flag
+        # derived bookkeeping, or a flag of older versions (``threads``)
+        if key in ("chosen_margin", "threads") or value is None:
+            continue
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if value:
@@ -506,7 +494,6 @@ def cmd_gen_features(args) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None, help="worker cap (results unchanged)")
     p.add_argument("--out", required=True)
 
 
@@ -635,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _threads(args)
         args.func(args)
     except Exception as exc:  # surface one machine-readable line
         sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")

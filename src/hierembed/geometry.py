@@ -13,10 +13,12 @@ Three embedding flavors share a single energy interface:
   angle ``Xi``.
 
 Scalar functions validate their inputs and raise :class:`GeometryError`
-on domain violations. The batch kernels (``energies``,
-``energies_and_gradients``, ``project_rows``, ``exp_map_rows``) clamp
-instead of raising; they are the hot path used by the trainers, which
-keep all points inside the cone domain by projection.
+on domain violations, then evaluate the batch kernels on one row, so each
+formula is written once. The batch kernels (``energies``,
+``energies_and_gradients``, ``project_rows``, ``exp_map_rows``,
+``riemannian_rescale_rows``) clamp instead of raising; they are the hot
+path used by the trainers, which keep all points inside the cone domain
+by projection.
 """
 
 from __future__ import annotations
@@ -95,8 +97,28 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Scalar operations
+# Scalar operations: domain checks, then the batch kernels on one row
 # ---------------------------------------------------------------------------
+
+def _check_axis(xv: np.ndarray, yv: np.ndarray, kind: str) -> None:
+    """Axis-angle domain: apex off the origin, ``y != x``, on the ball both inside."""
+    if kind == "hc" and max(float(np.dot(xv, xv)), float(np.dot(yv, yv))) >= 1.0:
+        raise GeometryError("points must lie strictly inside the unit ball")
+    if float(np.linalg.norm(xv)) < _TINY:
+        raise GeometryError("cone axis undefined at the origin")
+    if float(np.linalg.norm(xv - yv)) < _TINY:
+        raise GeometryError("axis angle undefined for y == x")
+
+
+def _check_aperture(xv: np.ndarray, p: ConeParams) -> np.ndarray:
+    """The apex's row norm, checked against the aperture's domain."""
+    nx = _safe(np.linalg.norm(xv[None, :], axis=1))
+    if p.kind == "hc" and nx[0] >= 1.0:
+        raise GeometryError("point not inside the unit ball")
+    if nx[0] < p.epsilon - (1e-12 if p.kind == "hc" else 0.0):
+        raise GeometryError(f"norm {nx[0]:.6g} below aperture domain floor {p.epsilon:.6g}")
+    return nx
+
 
 def oe_energy(x, y, squared: bool = False) -> float:
     """Order-violation energy ``||max(0, x - y)||``.
@@ -105,44 +127,26 @@ def oe_energy(x, y, squared: bool = False) -> float:
     coordinate of ``x``. ``squared`` switches to the squared norm.
     """
     xv, yv = _pair(x, y)
-    d = np.maximum(xv - yv, 0.0)
-    sq = float(np.dot(d, d))
-    return sq if squared else math.sqrt(sq)
+    return float(energies(xv, yv, ConeParams("oe", oe_squared=squared))[0])
 
 
 def euclid_xi(x, y) -> float:
     """Angle at ``x`` between the cone axis (direction of ``x``) and ``y``."""
     xv, yv = _pair(x, y)
-    nx = float(np.linalg.norm(xv))
-    dxy = float(np.linalg.norm(xv - yv))
-    if nx < _TINY:
-        raise GeometryError("cone axis undefined at the origin")
-    if dxy < _TINY:
-        raise GeometryError("axis angle undefined for y == x")
-    b = float(np.dot(yv, yv))
-    a = nx * nx
-    arg = (b - a - dxy * dxy) / (2.0 * nx * dxy)
-    return float(math.acos(min(1.0, max(-1.0, arg))))
+    _check_axis(xv, yv, "ec")
+    return float(_euclid_xi_batch(xv[None, :], yv[None, :])[0][0])
 
 
 def euclid_aperture(x, p: ConeParams) -> float:
     """Cone half-angle ``arcsin(K / ||x||)``; requires ``||x|| >= K``."""
-    nx = float(np.linalg.norm(_as_vector(x, "x")))
-    if nx < p.k:
-        raise GeometryError(f"norm {nx:.6g} below aperture domain floor {p.k:.6g}")
-    return float(math.asin(min(1.0, p.k / nx)))
+    q = ConeParams("ec", p.k)
+    return float(_aperture(_check_aperture(_as_vector(x, "x"), q), q)[0][0])
 
 
 def hyper_aperture(x, p: ConeParams) -> float:
     """Cone half-angle ``arcsin(K (1 - ||x||^2) / ||x||)`` on the ball."""
-    nx = float(np.linalg.norm(_as_vector(x, "x")))
-    if nx >= 1.0:
-        raise GeometryError("point not inside the unit ball")
-    eps = p.epsilon
-    if nx < eps - 1e-12:
-        raise GeometryError(f"norm {nx:.6g} below aperture domain floor {eps:.6g}")
-    arg = p.k * (1.0 - nx * nx) / nx
-    return float(math.asin(min(1.0, arg)))
+    q = ConeParams("hc", p.k)
+    return float(_aperture(_check_aperture(_as_vector(x, "x"), q), q)[0][0])
 
 
 def poincare_distance(x, y) -> float:
@@ -160,21 +164,8 @@ def poincare_distance(x, y) -> float:
 def hyper_xi(x, y) -> float:
     """Angle at ``x`` between the hyperbolic cone axis and the geodesic to ``y``."""
     xv, yv = _pair(x, y)
-    a = float(np.dot(xv, xv))
-    b = float(np.dot(yv, yv))
-    if a >= 1.0 or b >= 1.0:
-        raise GeometryError("points must lie strictly inside the unit ball")
-    nx = math.sqrt(a)
-    dxy = float(np.linalg.norm(xv - yv))
-    if nx < _TINY:
-        raise GeometryError("cone axis undefined at the origin")
-    if dxy < _TINY:
-        raise GeometryError("axis angle undefined for y == x")
-    s = float(np.dot(xv, yv))
-    num = s * (1.0 + a) - a * (1.0 + b)
-    den = nx * dxy * math.sqrt(max(1.0 + a * b - 2.0 * s, _TINY))
-    arg = num / max(den, _TINY)
-    return float(math.acos(min(1.0, max(-1.0, arg))))
+    _check_axis(xv, yv, "hc")
+    return float(_hyper_xi_batch(xv[None, :], yv[None, :])[0][0])
 
 
 def cone_energy(x, y, p: ConeParams) -> float:
@@ -183,11 +174,11 @@ def cone_energy(x, y, p: ConeParams) -> float:
     Dispatches the axis angle and aperture by geometry; ``oe`` falls back
     to the order-embedding hinge so that all flavors share one entry point.
     """
-    if p.kind == "oe":
-        return oe_energy(x, y, squared=p.oe_squared)
-    if p.kind == "ec":
-        return max(0.0, euclid_xi(x, y) - euclid_aperture(x, p))
-    return max(0.0, hyper_xi(x, y) - hyper_aperture(x, p))
+    xv, yv = _pair(x, y)
+    if p.kind != "oe":
+        _check_axis(xv, yv, p.kind)
+        _check_aperture(xv, p)
+    return float(energies(xv, yv, p)[0])
 
 
 def exp_map(x, v) -> np.ndarray:
@@ -197,22 +188,11 @@ def exp_map(x, v) -> np.ndarray:
     always strictly inside the ball; ``v = 0`` returns ``x`` exactly.
     """
     xv, vv = _pair(x, v)
-    nx2 = float(np.dot(xv, xv))
-    if nx2 >= 1.0:
+    if float(np.dot(xv, xv)) >= 1.0:
         raise GeometryError("base point must lie strictly inside the unit ball")
-    nv = float(np.linalg.norm(vv))
-    if nv == 0.0:
-        return xv.copy()
-    lam = 2.0 / (1.0 - nx2)
-    # sinh/cosh overflow around 710; the point saturates at the boundary
-    # long before that, so cap the argument.
-    t = min(lam * nv, 300.0)
-    s = math.sinh(t)
-    c = math.cosh(t)
-    vh = vv / nv
-    xdv = float(np.dot(xv, vh))
-    q = 1.0 + (lam - 1.0) * c + lam * s * xdv
-    out = (xv * (lam * (c + s * xdv)) + vh * s) / q
+    out = exp_map_rows(xv, vv)[0]
+    # the rows' clamp reads an axis-1 norm, which can sit one ulp below the
+    # 1-D norm of the same row
     n = float(np.linalg.norm(out))
     if n >= 1.0:
         out *= (1.0 - 1e-12) / n
@@ -226,10 +206,9 @@ def riemannian_rescale(u, g) -> np.ndarray:
     of the conformal metric factor squared.
     """
     uv, gv = _pair(u, g)
-    nu2 = float(np.dot(uv, uv))
-    if nu2 >= 1.0:
+    if float(np.dot(uv, uv)) >= 1.0:
         raise GeometryError("point must lie strictly inside the unit ball")
-    return gv * ((1.0 - nu2) / 2.0) ** 2
+    return riemannian_rescale_rows(uv, gv)[0]
 
 
 def project_to_domain(x, p: ConeParams, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -240,24 +219,7 @@ def project_to_domain(x, p: ConeParams, rng: np.random.Generator | None = None) 
     or a fixed-seed generator) at the lower bound. Order embeddings are
     unconstrained and pass through unchanged.
     """
-    xv = _as_vector(x, "x")
-    if p.kind == "oe":
-        return xv.copy()
-    lo = p.epsilon + DOMAIN_PAD
-    hi = p.norm_max - DOMAIN_PAD
-    n = float(np.linalg.norm(xv))
-    if n < _TINY:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        d = rng.standard_normal(xv.shape[0])
-        while float(np.linalg.norm(d)) < _TINY:
-            d = rng.standard_normal(xv.shape[0])
-        return d * (lo / float(np.linalg.norm(d)))
-    if n < lo:
-        return xv * (lo / n)
-    if n > hi:
-        return xv * (hi / n)
-    return xv.copy()
+    return project_rows(_as_vector(x, "x"), p, rng)[0]
 
 
 def energy_gradients(x, y, p: ConeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -289,18 +251,26 @@ def energies(X, Y, p: ConeParams) -> np.ndarray:
         d = np.maximum(X - Y, 0.0)
         sq = np.einsum("ij,ij->i", d, d)
         return sq if p.oe_squared else np.sqrt(sq)
-    if p.kind == "ec":
-        xi, _ = _euclid_xi_batch(X, Y)
-        psi = np.arcsin(np.clip(p.k / _safe(np.linalg.norm(X, axis=1)), -1.0, 1.0))
-        return np.maximum(0.0, xi - psi)
-    xi, _ = _hyper_xi_batch(X, Y)
-    nx = _safe(np.linalg.norm(X, axis=1))
-    psi = np.arcsin(np.clip(p.k * (1.0 - nx * nx) / nx, -1.0, 1.0))
+    xi, _ = (_euclid_xi_batch if p.kind == "ec" else _hyper_xi_batch)(X, Y)
+    psi, _ = _aperture(_safe(np.linalg.norm(X, axis=1)), p)
     return np.maximum(0.0, xi - psi)
 
 
 def _safe(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, _TINY)
+
+
+def _aperture(nx: np.ndarray, p: ConeParams, sq: np.ndarray | None = None):
+    """Cone half-angles and their clipped arcsin arguments from apex norms.
+
+    ``sq`` is the squared norm of hyperbolic apexes; it defaults to
+    ``nx * nx``, and a kernel that already holds ``||x||^2`` passes it.
+    """
+    if p.kind == "ec":
+        h = np.clip(p.k / nx, -1.0, 1.0)
+    else:
+        h = np.clip(p.k * (1.0 - (nx * nx if sq is None else sq)) / nx, -1.0, 1.0)
+    return np.arcsin(h), h
 
 
 def _clip_rows(g: np.ndarray) -> np.ndarray:
@@ -361,7 +331,7 @@ def energies_and_gradients(X, Y, p: ConeParams):
 
     if p.kind == "ec":
         xi, (diff, a, nx, dxy, u, v, c) = _euclid_xi_batch(X, Y)
-        psi = np.arcsin(np.clip(p.k / nx, -1.0, 1.0))
+        psi, _ = _aperture(nx, p)
         e = np.maximum(0.0, xi - psi)
         active = (e > 0.0)[:, None]
         # d(arccos(c)) = -dc / sqrt(1 - c^2)
@@ -385,8 +355,7 @@ def energies_and_gradients(X, Y, p: ConeParams):
 
     xi, (a, b, s, m, g, num, P, D, c) = _hyper_xi_batch(X, Y)
     nx = _safe(np.sqrt(a))
-    h = np.clip(p.k * (1.0 - a) / nx, -1.0, 1.0)
-    psi = np.arcsin(h)
+    psi, h = _aperture(nx, p, a)
     e = np.maximum(0.0, xi - psi)
     active = (e > 0.0)[:, None]
     inv_sin = 1.0 / _safe(np.sqrt(1.0 - c * c))
@@ -439,12 +408,21 @@ def project_rows(X, p: ConeParams, rng: np.random.Generator | None = None) -> np
     return X * scale[:, None]
 
 
+def riemannian_rescale_rows(U, G) -> np.ndarray:
+    """Row-wise :func:`riemannian_rescale`: ``G`` times ``((1 - ||u||^2) / 2)^2``."""
+    U, G = _rows(U), _rows(G)
+    nu2 = np.einsum("ij,ij->i", U, U)
+    return G * (((1.0 - nu2) / 2.0) ** 2)[:, None]
+
+
 def exp_map_rows(X, V) -> np.ndarray:
     """Row-wise exponential map; rows with a zero tangent stay fixed."""
     X, V = _rows(X), _rows(V)
     nx2 = np.einsum("ij,ij->i", X, X)
     nv = np.linalg.norm(V, axis=1)
     lam = 2.0 / _safe(1.0 - nx2)
+    # sinh/cosh overflow around 710; the point saturates at the boundary
+    # long before that, so cap the argument.
     t = np.minimum(lam * nv, 300.0)
     s = np.sinh(t)
     c = np.cosh(t)

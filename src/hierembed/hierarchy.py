@@ -8,7 +8,7 @@ families) are plain forests here; no virtual root node is materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -76,7 +76,6 @@ class SplitResult:
     test_negatives: EdgeSet
     val_negative_refs: tuple[int, ...]
     test_negative_refs: tuple[int, ...]
-    seed: int
 
 
 class Hierarchy:
@@ -241,7 +240,6 @@ def split_edges(h: Hierarchy, nonbasic_train_fraction: float, seed: int) -> Spli
         test_negatives=empty,
         val_negative_refs=(),
         test_negative_refs=(),
-        seed=seed,
     )
 
 
@@ -311,15 +309,12 @@ def augment_eval_negatives(split: SplitResult, closure: EdgeSet, seed: int) -> S
 
     val_pairs, val_refs = build(split.val)
     test_pairs, test_refs = build(split.test)
-    return SplitResult(
-        train=split.train,
-        val=split.val,
-        test=split.test,
+    return replace(
+        split,
         val_negatives=EdgeSet(val_pairs, polarity="negative"),
         test_negatives=EdgeSet(test_pairs, polarity="negative"),
         val_negative_refs=val_refs,
         test_negative_refs=test_refs,
-        seed=split.seed,
     )
 
 
@@ -436,7 +431,7 @@ def save_split(split: SplitResult, out_dir) -> None:
             f.write(f"test\t{u}\t{v}\t{ref}\n")
 
 
-def load_split(split_dir, seed: int = 0) -> SplitResult:
+def load_split(split_dir) -> SplitResult:
     out = Path(split_dir)
     train = load_edge_tsv(out / "train_edges.tsv")
     val = load_edge_tsv(out / "val_edges.tsv")
@@ -464,5 +459,4 @@ def load_split(split_dir, seed: int = 0) -> SplitResult:
         test_negatives=EdgeSet(tuple(test_pairs), polarity="negative"),
         val_negative_refs=tuple(val_refs),
         test_negative_refs=tuple(test_refs),
-        seed=seed,
     )

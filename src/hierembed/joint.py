@@ -54,33 +54,25 @@ class FeatureMatrix:
 
 
 @dataclass
-class LinearMap:
-    """Feature-to-embedding matrix, shape (D, N); no bias, no nonlinearity."""
+class JointModel:
+    """Label points plus the linear feature map ``w`` (D, N); no bias, no nonlinearity."""
 
+    labels: EmbeddingTable
     w: np.ndarray
+    params: ConeParams
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.w)):
             raise ValueError("linear map must be finite")
 
 
-@dataclass
-class JointModel:
-    labels: EmbeddingTable
-    lmap: LinearMap
-    params: ConeParams
-    lr_labels: float
-    lr_instances: float
-
-
 def embed_instance(features_row: np.ndarray, w: np.ndarray, kind: str) -> np.ndarray:
     """Map one feature row into the embedding space."""
-    z = np.asarray(features_row, dtype=float) @ w
-    if not np.all(np.isfinite(z)):
+    point = embed_instances(np.asarray(features_row, dtype=float)[None, :], w, kind)[0]
+    # exp_0 maps finite rows to finite points, so this checks the map's output
+    if not np.all(np.isfinite(point)):
         raise ValueError("non-finite instance embedding")
-    if kind == "hc":
-        return geometry.exp_map_zero(z[None, :])[0]
-    return z
+    return point
 
 
 def embed_instances(features: np.ndarray, w: np.ndarray, kind: str) -> np.ndarray:
@@ -157,7 +149,7 @@ def train_joint(
         if truth_by_level is None:
             return {"val_f1": ""}
         table = EmbeddingTable(label_ids, coords, params)
-        model = JointModel(table, LinearMap(w), params, config.lr, config.lr_instances)
+        model = JointModel(table, w, params)
         preds, _ = classify_levels(model, h, features.features[np.asarray(val_idx, dtype=int)])
         return {"val_f1": _overall_micro_f1(preds, truth_by_level)}
 
@@ -171,14 +163,7 @@ def train_joint(
     )
     if w is None:  # no training instances: the map was never exercised
         w = np.zeros((features.features.shape[1], config.dim))
-    model = JointModel(
-        EmbeddingTable(label_ids, coords, params),
-        LinearMap(w),
-        params,
-        config.lr,
-        config.lr_instances,
-    )
-    return model, history
+    return JointModel(EmbeddingTable(label_ids, coords, params), w, params), history
 
 
 def _level_truth(h: Hierarchy, features: FeatureMatrix, idx: Sequence[int]) -> list[list[str]]:
@@ -220,7 +205,7 @@ def classify_instance(model: JointModel, h: Hierarchy, features_row: np.ndarray,
     """Label at ``level`` with minimum violation energy; ties pick lowest id."""
     if not 1 <= level <= h.level_count:
         raise ValueError(f"level must be in 1..{h.level_count}")
-    point = embed_instance(features_row, model.lmap.w, model.params.kind)
+    point = embed_instance(features_row, model.w, model.params.kind)
     members, e = level_energies(model, h, point[None, :], level)
     return members[int(np.argmin(e[0]))]
 
@@ -233,7 +218,7 @@ def classify_levels(
     Returns an (n, L) array of label ids and an (n, L) array of the
     winning energies.
     """
-    points = embed_instances(features, model.lmap.w, model.params.kind)
+    points = embed_instances(features, model.w, model.params.kind)
     n = points.shape[0]
     preds = np.empty((n, h.level_count), dtype=object)
     best = np.empty((n, h.level_count))
@@ -249,7 +234,7 @@ def rank_levels(
     model: JointModel, h: Hierarchy, features: np.ndarray
 ) -> list[list[list[str]]]:
     """Energy-sorted label rankings per instance per level (best first)."""
-    points = embed_instances(features, model.lmap.w, model.params.kind)
+    points = embed_instances(features, model.w, model.params.kind)
     out: list[list[list[str]]] = []
     per_level = []
     for level in range(1, h.level_count + 1):

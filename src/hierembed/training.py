@@ -159,8 +159,7 @@ def adam_step(
 
 def rsgd_step(points: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
     """Riemannian SGD on the ball: rescale, then exponential-map the step."""
-    nu2 = np.einsum("ij,ij->i", points, points)
-    riem = grad * (((1.0 - nu2) / 2.0) ** 2)[:, None]
+    riem = geometry.riemannian_rescale_rows(points, grad)
     return geometry.exp_map_rows(points, -lr * riem)
 
 
@@ -188,6 +187,23 @@ def optimizer_step(
 # Loss
 # ---------------------------------------------------------------------------
 
+def hinge_loss(
+    X: np.ndarray, Y: np.ndarray, params: ConeParams, margin: float | None = None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss and gradient rows ``(loss, dX, dY)`` of row-aligned pairs.
+
+    Positives (``margin`` None) score ``sum E``; negatives score
+    ``sum max(0, margin - E)``, with a zero gradient where the hinge is
+    flat (``E >= margin``).
+    """
+    e, gx, gy = geometry.energies_and_gradients(X, Y, params)
+    if margin is None:
+        return float(e.sum()), gx, gy
+    active = (e < margin)[:, None]
+    loss = float(np.maximum(0.0, margin - e).sum())
+    return loss, np.where(active, -gx, 0.0), np.where(active, -gy, 0.0)
+
+
 def max_margin_loss(
     positives: Sequence[tuple[str, str]],
     negatives: Sequence[tuple[str, str]],
@@ -197,26 +213,14 @@ def max_margin_loss(
     """Hinge loss over edge sets with gradients accumulated per node row."""
     grad = np.zeros_like(emb.coords)
     loss = 0.0
-    if len(positives):
-        iu = np.array([emb.row(u) for u, _ in positives])
-        iv = np.array([emb.row(v) for _, v in positives])
-        e, gx, gy = geometry.energies_and_gradients(
-            emb.coords[iu], emb.coords[iv], emb.params
-        )
-        loss += float(e.sum())
-        np.add.at(grad, iu, gx)
-        np.add.at(grad, iv, gy)
-    if len(negatives):
-        iu = np.array([emb.row(u) for u, _ in negatives])
-        iv = np.array([emb.row(v) for _, v in negatives])
-        e, gx, gy = geometry.energies_and_gradients(
-            emb.coords[iu], emb.coords[iv], emb.params
-        )
-        hinge = np.maximum(0.0, margin - e)
-        loss += float(hinge.sum())
-        active = (e < margin)[:, None]
-        np.add.at(grad, iu, np.where(active, -gx, 0.0))
-        np.add.at(grad, iv, np.where(active, -gy, 0.0))
+    for pairs, m in ((positives, None), (negatives, margin)):
+        if len(pairs):
+            iu = np.array([emb.row(u) for u, _ in pairs])
+            iv = np.array([emb.row(v) for _, v in pairs])
+            part, gx, gy = hinge_loss(emb.coords[iu], emb.coords[iv], emb.params, m)
+            loss += part
+            np.add.at(grad, iu, gx)
+            np.add.at(grad, iv, gy)
     return loss, grad
 
 
@@ -471,24 +475,16 @@ def train_graph_embedding(
             coords_grad = np.zeros_like(coords)
             w_grad = np.zeros_like(w) if w is not None else None
 
-            pu, pv = batch[:, 0], batch[:, 1]
-            xs, zx = embed(pu)
-            ys, zy = embed(pv)
-            e, gx, gy = geometry.energies_and_gradients(xs, ys, params)
-            epoch_loss += float(e.sum())
-            accumulate(pu, gx, zx, coords_grad, w_grad)
-            accumulate(pv, gy, zy, coords_grad, w_grad)
-
+            terms = [(batch, None)]
             if negs:
-                na = np.array(negs, dtype=np.int64)
-                nu, nv = na[:, 0], na[:, 1]
-                xs, zx = embed(nu)
-                ys, zy = embed(nv)
-                e, gx, gy = geometry.energies_and_gradients(xs, ys, params)
-                epoch_loss += float(np.maximum(0.0, config.margin - e).sum())
-                active = (e < config.margin)[:, None]
-                accumulate(nu, np.where(active, -gx, 0.0), zx, coords_grad, w_grad)
-                accumulate(nv, np.where(active, -gy, 0.0), zy, coords_grad, w_grad)
+                terms.append((np.array(negs, dtype=np.int64), config.margin))
+            for pairs, margin in terms:
+                xs, zx = embed(pairs[:, 0])
+                ys, zy = embed(pairs[:, 1])
+                loss, gx, gy = hinge_loss(xs, ys, params, margin)
+                epoch_loss += loss
+                accumulate(pairs[:, 0], gx, zx, coords_grad, w_grad)
+                accumulate(pairs[:, 1], gy, zy, coords_grad, w_grad)
 
             coords = optimizer_step(coords, coords_grad, adam_labels, config, rng)
             if w is not None:

@@ -291,6 +291,21 @@ class TestRerun:
         run(["rerun", "--config", str(split / "split.config.json")])
         assert before == dir_bytes(split)
 
+    def test_snapshot_with_threads_key_replays(self, tmp_path):
+        # older snapshots carry a ``threads`` key that no option reads any more
+        tree = tmp_path / "tree"
+        run(["gen-tree", "--levels", "3", "--branching", "2", "--out", str(tree)])
+        split = tmp_path / "split"
+        run(["split", "--nodes", str(tree / "nodes.tsv"), "--edges", str(tree / "edges.tsv"),
+             "--fraction", "0.5", "--seed", "3", "--out", str(split)])
+        snapshot = split / "split.config.json"
+        fresh = json.loads(snapshot.read_text())
+        assert "threads" not in fresh
+        before = dir_bytes(split)
+        snapshot.write_text(json.dumps({**fresh, "threads": 4}, sort_keys=True, indent=2) + "\n")
+        run(["rerun", "--config", str(snapshot)])
+        assert before == dir_bytes(split)
+
     def test_rerun_training_snapshot(self, pipeline):
         _, _, _, _, emb = pipeline
         before = dir_bytes(emb)

@@ -26,7 +26,7 @@ from hierembed.geometry import (
     project_to_domain,
     riemannian_rescale,
 )
-from hierembed.training import random_coords
+from hierembed.training import random_coords, rsgd_step
 
 EC = ConeParams("ec", 0.1)
 HC = ConeParams("hc", 0.1)
@@ -319,3 +319,123 @@ def test_angles_stay_in_range(kind):
         y = random_coords(1, 2, p, rng)[0]
         v = xi(x, y)
         assert np.isfinite(v) and 0.0 <= v <= math.pi
+
+
+def _in_domain_pairs(kind, n=60, dim=4, seed=17):
+    p = ConeParams(kind, 0.1)
+    rng = np.random.default_rng(seed)
+    return p, random_coords(n, dim, p, rng), random_coords(n, dim, p, rng)
+
+
+class TestScalarsAreBatchRows:
+    """Each scalar function returns exactly the batch kernel's row."""
+
+    @pytest.mark.parametrize("kind, squared", [("oe", False), ("oe", True), ("ec", False),
+                                               ("hc", False)])
+    def test_cone_energy(self, kind, squared):
+        _, X, Y = _in_domain_pairs(kind)
+        p = ConeParams(kind, 0.1, oe_squared=squared)
+        rows = geometry.energies(X, Y, p)
+        for i in range(len(X)):
+            assert cone_energy(X[i], Y[i], p) == rows[i]
+            assert cone_energy(X[i], Y[i], p) == geometry.energies(X[i][None], Y[i][None], p)[0]
+        if kind == "oe":
+            assert [oe_energy(x, y, squared) for x, y in zip(X, Y)] == list(rows)
+
+    @pytest.mark.parametrize("kind", ["ec", "hc"])
+    def test_axis_angles(self, kind):
+        p, X, Y = _in_domain_pairs(kind)
+        xi, batch = (euclid_xi, geometry._euclid_xi_batch) if kind == "ec" else (
+            hyper_xi, geometry._hyper_xi_batch)
+        angles, _ = batch(X, Y)
+        assert [xi(x, y) for x, y in zip(X, Y)] == list(angles)
+
+    def test_exp_map(self):
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((80, 4))
+        X *= (rng.uniform(0, 0.95, 80) / np.linalg.norm(X, axis=1))[:, None]
+        V = rng.standard_normal((80, 4)) * rng.uniform(0, 3, 80)[:, None]
+        V[::10] = 0.0
+        rows = geometry.exp_map_rows(X, V)
+        inside = np.linalg.norm(rows, axis=1) < 1.0
+        assert inside.sum() > 60
+        for i in np.flatnonzero(inside):
+            assert np.array_equal(exp_map(X[i], V[i]), rows[i])
+
+    def test_exp_map_stays_inside_where_row_norm_reads_one(self):
+        # criterion 3, seed 5, draw 8: the axis-1 norm of the kernel's row
+        # reads just under 1 while the 1-D norm reads exactly 1.0
+        x = [0.17719737418443512, -0.3453678549267017, -0.09305511274067578,
+             -0.0019513692712228971]
+        v = [-13.968001500452255, -16.341250327567014, 6.057816668950311,
+             -15.173495332961528]
+        assert np.linalg.norm(exp_map(x, v)) < 1.0
+
+    def test_riemannian_rescale_is_the_rsgd_rescale(self):
+        rng = np.random.default_rng(29)
+        U = rng.standard_normal((40, 3))
+        U *= (rng.uniform(0, 0.99, 40) / np.linalg.norm(U, axis=1))[:, None]
+        G = rng.standard_normal((40, 3)) * 5
+        riem = np.array([riemannian_rescale(u, g) for u, g in zip(U, G)])
+        assert np.array_equal(riem, geometry.riemannian_rescale_rows(U, G))
+        assert np.array_equal(rsgd_step(U, G, 0.3), geometry.exp_map_rows(U, -0.3 * riem))
+
+    @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
+    def test_project_to_domain(self, kind):
+        p = ConeParams(kind, 0.1)
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((50, 3)) * rng.uniform(0, 2, 50)[:, None]
+        rows = geometry.project_rows(X, p)
+        for i in range(len(X)):
+            assert np.array_equal(project_to_domain(X[i], p), rows[i])
+
+
+_FLOOR = [0.05, 0.0]  # below both aperture floors at K = 0.1
+_RAISES = [
+    # (function, arguments, violation)
+    (oe_energy, ([1, 2], [1, 2, 3]), "shape"),
+    (euclid_xi, ([0, 0], [1, 1]), "origin apex"),
+    (euclid_xi, ([1, 0], [1, 0]), "y == x"),
+    (euclid_xi, ([1, 0], [1, 0, 0]), "shape"),
+    (hyper_xi, ([0, 0], [0.5, 0.5]), "origin apex"),
+    (hyper_xi, ([0.5, 0], [0.5, 0]), "y == x"),
+    (hyper_xi, ([1.0, 0], [0.5, 0]), "on the ball"),
+    (hyper_xi, ([0.5, 0], [0, 1.5]), "outside the ball"),
+    (hyper_xi, ([0.5, 0], [0.5]), "shape"),
+    (euclid_aperture, (_FLOOR, EC), "below the floor"),
+    (euclid_aperture, ([[1, 0]], EC), "shape"),
+    (hyper_aperture, (_FLOOR, HC), "below the floor"),
+    (hyper_aperture, ([1.0, 0], HC), "on the ball"),
+    (hyper_aperture, ([0, 1.5], HC), "outside the ball"),
+    (hyper_aperture, ([[0.5, 0]], HC), "shape"),
+    (cone_energy, ([1, 2], [1, 2, 3], OE), "oe shape"),
+    (cone_energy, ([0, 0], [1, 1], EC), "ec origin apex"),
+    (cone_energy, ([1, 0], [1, 0], EC), "ec y == x"),
+    (cone_energy, (_FLOOR, [1, 1], EC), "ec below the floor"),
+    (cone_energy, ([1, 0], [1, 0, 0], EC), "ec shape"),
+    (cone_energy, ([0, 0], [0.5, 0.5], HC), "hc origin apex"),
+    (cone_energy, ([0.5, 0], [0.5, 0], HC), "hc y == x"),
+    (cone_energy, (_FLOOR, [0.5, 0.5], HC), "hc below the floor"),
+    (cone_energy, ([1.0, 0], [0.5, 0], HC), "hc on the ball"),
+    (cone_energy, ([0.5, 0], [0, 1.5], HC), "hc outside the ball"),
+    (cone_energy, ([0.5, 0], [0.5], HC), "hc shape"),
+    (poincare_distance, ([1.0, 0], [0, 0]), "on the ball"),
+    (poincare_distance, ([0, 0], [0, 1.5]), "outside the ball"),
+    (poincare_distance, ([0, 0], [0]), "shape"),
+    (exp_map, ([1.0, 0], [0.1, 0]), "on the ball"),
+    (exp_map, ([0, 1.5], [0.1, 0]), "outside the ball"),
+    (exp_map, ([0, 0], [0.1]), "shape"),
+    (riemannian_rescale, ([1.0, 0], [1, 1]), "on the ball"),
+    (riemannian_rescale, ([0, 1.5], [1, 1]), "outside the ball"),
+    (riemannian_rescale, ([0, 0], [1]), "shape"),
+    (project_to_domain, ([[0.5, 0]], EC), "shape"),
+    (energy_gradients, ([1, 0], [1, 0, 0], EC), "shape"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, violation", _RAISES, ids=[f"{f.__name__}-{v}" for f, _, v in _RAISES]
+)
+def test_domain_violations_raise(fn, args, violation):
+    with pytest.raises(GeometryError):
+        fn(*args)

@@ -228,7 +228,7 @@ class TestRoundTrip:
         h = generate_synthetic_tree(4, 3)
         split = augment_eval_negatives(split_edges(h, 0.25, 2), h.closure(), 2)
         save_split(split, tmp_path)
-        loaded = load_split(tmp_path, seed=2)
+        loaded = load_split(tmp_path)
         assert loaded.train.pairs == split.train.pairs
         assert loaded.val.pairs == split.val.pairs
         assert loaded.test.pairs == split.test.pairs

@@ -11,7 +11,6 @@ from hierembed.hierarchy import generate_synthetic_tree
 from hierembed.joint import (
     FeatureMatrix,
     JointModel,
-    LinearMap,
     classification_report,
     classify_instance,
     classify_levels,
@@ -60,6 +59,16 @@ class TestEmbedInstance:
         feats = rng.standard_normal((50, 8)) * 100
         out = embed_instances(feats, w, "hc")
         assert np.all(np.linalg.norm(out, axis=1) < 1.0)
+
+    @pytest.mark.parametrize("kind", ["ec", "hc"])
+    def test_non_finite_rejected(self, kind):
+        with pytest.raises(ValueError):
+            embed_instance(np.array([np.nan, 1.0]), np.eye(2), kind)
+
+    def test_model_rejects_non_finite_map(self, tree):
+        params = ConeParams("ec", 0.25)
+        with pytest.raises(ValueError):
+            JointModel(radial_layout(tree, params), np.array([[np.nan, 0.0]]), params)
 
 
 class TestSplitInstances:
@@ -157,7 +166,7 @@ class TestOverfitSingleInstance:
             val_idx=np.array([], dtype=int),
         )
         np.testing.assert_allclose(model.labels.coords, label_table.coords, atol=1e-12)
-        point = embed_instance(features.features[0], model.lmap.w, "ec")
+        point = embed_instance(features.features[0], model.w, "ec")
         leaf = features.leaf_labels[0]
         for anc in (leaf, *tree.ancestors(leaf)):
             e = geometry.cone_energy(model.labels.point(anc), point, model.params)
@@ -192,7 +201,7 @@ class TestClassification:
         leaf = tree.level_members(3)[2]
         point = table.point(leaf) * 1.15  # beyond the leaf on its axis
         w = np.eye(2)
-        model = JointModel(table, LinearMap(w), params, 0.01, 0.001)
+        model = JointModel(table, w, params)
         assert classify_instance(model, tree, point, 3) == leaf
         assert classify_instance(model, tree, point, 2) == tree.parent(leaf)
         assert classify_instance(model, tree, point, 1) == "r"
@@ -200,7 +209,7 @@ class TestClassification:
     def test_levels_shape(self, tree):
         params = ConeParams("ec", 0.25)
         table = radial_layout(tree, params)
-        model = JointModel(table, LinearMap(np.eye(2)), params, 0.01, 0.001)
+        model = JointModel(table, np.eye(2), params)
         feats = np.array([[0.5, 0.1], [0.1, -0.4], [0.9, 0.0]])
         preds, energies = classify_levels(model, tree, feats)
         assert preds.shape == (3, tree.level_count)
@@ -208,7 +217,7 @@ class TestClassification:
 
     def test_invalid_level(self, tree):
         params = ConeParams("ec", 0.25)
-        model = JointModel(radial_layout(tree, params), LinearMap(np.eye(2)), params, 0.01, 0.001)
+        model = JointModel(radial_layout(tree, params), np.eye(2), params)
         with pytest.raises(ValueError):
             classify_instance(model, tree, np.array([0.5, 0.1]), 9)
 
@@ -217,7 +226,7 @@ class TestClassification:
         ids = tuple(sorted(n.node_id for n in tree.nodes))
         coords = np.full((len(ids), 2), 0.4)  # every label identical
         table = EmbeddingTable(ids, coords, params)
-        model = JointModel(table, LinearMap(np.eye(2)), params, 0.01, 0.001)
+        model = JointModel(table, np.eye(2), params)
         pred = classify_instance(model, tree, np.array([0.9, 0.9]), 3)
         assert pred == tree.level_members(3)[0]
 
@@ -226,7 +235,7 @@ class TestClassification:
         # of the energies cannot change the argmin
         params = ConeParams("ec", 0.25)
         table = radial_layout(tree, params)
-        model = JointModel(table, LinearMap(np.eye(2)), params, 0.01, 0.001)
+        model = JointModel(table, np.eye(2), params)
         from hierembed.joint import level_energies
 
         feats = np.array([[0.5, 0.1], [0.2, -0.6]])
@@ -264,7 +273,7 @@ class TestReport:
     def test_report_fields(self, tree):
         params = ConeParams("ec", 0.25)
         table = radial_layout(tree, params)
-        model = JointModel(table, LinearMap(np.eye(2) * 1.1), params, 0.01, 0.001)
+        model = JointModel(table, np.eye(2) * 1.1, params)
         feats = FeatureMatrix(
             ("a", "b"),
             np.array([table.point(tree.level_members(3)[0]), table.point(tree.level_members(3)[3])]),
