@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ethec, geometry, heads, hierarchy, joint, storage, synth, training
+from .metrics import level_accuracy, micro_f1
 
 DEFAULT_JOINT = {
     "ec": {"epochs": 200, "lr_labels": 1e-2},
@@ -235,7 +236,7 @@ def cmd_classify(args) -> None:
         "all": np.arange(n),
     }[args.subset]
 
-    preds, energies = joint.classify_levels(model, h, features.features[subset])
+    preds, energies, report = joint.classify_and_report(model, h, features, subset)
     with open(out / "predictions.tsv", "w", encoding="utf-8", newline="\n") as f:
         for row, i in enumerate(subset):
             for lvl in range(h.level_count):
@@ -243,7 +244,6 @@ def cmd_classify(args) -> None:
                     f"{features.instance_ids[i]}\t{lvl + 1}\t{preds[row, lvl]}\t"
                     f"{_fmt(energies[row, lvl])}\n"
                 )
-    report = joint.classification_report(model, h, features, subset)
     fields = (
         ["m-F1"]
         + [f"L{i + 1}" for i in range(h.level_count)]
@@ -296,10 +296,7 @@ def _instance_level_labels(
                 raise CliError(f"instance {iid!r} missing from {labels_path}")
             rows.append(by_id[iid])
         return np.array(rows, dtype=object)
-    rows = []
-    for leaf in features.leaf_labels:
-        rows.append(list(reversed(h.ancestors(leaf))) + [leaf])
-    return np.array(rows, dtype=object)
+    return joint.level_truth(h, features, range(len(features.instance_ids)))
 
 
 def cmd_train_classifier(args) -> None:
@@ -364,12 +361,9 @@ def classifier_metrics(
     plus predicted-label count statistics.
     """
     index = clf.index
-    L = index.level_count
     if clf.head == "hab":
         truth = index.multi_hot(labels)
         pred = heads.predict_sets(clf, X)
-        from .metrics import micro_f1
-
         rows = []
         per_level = {}
         for i, (off, size) in enumerate(zip(index.level_offsets, index.level_sizes)):
@@ -394,15 +388,10 @@ def classifier_metrics(
             }
         )
         return rows
-    pred = heads.predict_levels(clf, X)
-    per_level = {}
-    correct_total = 0
-    for i in range(L):
-        correct = sum(1 for s in range(len(labels)) if pred[s, i] == labels[s][i])
-        per_level[f"L{i + 1}"] = correct / len(labels) if len(labels) else 0.0
-        correct_total += correct
-    overall = correct_total / (len(labels) * L) if len(labels) else 0.0
-    return [{"aggregation": "per-level", "m-F1": overall, **per_level}]
+    per_level, overall = level_accuracy(heads.predict_levels(clf, X), labels)
+    row = {"aggregation": "per-level", "m-F1": overall}
+    row.update({f"L{i + 1}": acc for i, acc in enumerate(per_level)})
+    return [row]
 
 
 def cmd_export_2d(args) -> None:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .hierarchy import Hierarchy
-from .metrics import micro_f1
+from .metrics import level_accuracy, micro_f1
 
 
 class HeadError(ValueError):
@@ -416,15 +416,9 @@ def _best_f1_threshold(scores: np.ndarray, truth: np.ndarray) -> float:
     tp = np.cumsum(y)
     k = np.arange(1, len(s) + 1)
     f1 = 2.0 * tp / (k + total_pos) if total_pos else np.zeros(len(s))
-    boundary = np.ones(len(s), dtype=bool)
-    boundary[:-1] = s[:-1] != s[1:]
-    best_t = float(s[0] + 1.0)  # predict nothing
-    best_f1 = 0.0
-    for i in np.flatnonzero(boundary):
-        if f1[i] > best_f1:
-            best_f1 = float(f1[i])
-            best_t = float(s[i])
-    return best_t
+    boundary = np.flatnonzero(np.append(s[:-1] != s[1:], True))
+    best = boundary[np.argmax(f1[boundary])]
+    return float(s[best]) if f1[best] > 0 else float(s[0] + 1.0)  # else predict nothing
 
 
 def select_thresholds(scores, targets, mode: str) -> np.ndarray:
@@ -649,13 +643,8 @@ def train_linear_classifier(
                         pred[:, off : off + size], val_mh[:, off : off + size]
                     )
             else:
-                pred = predict_levels(clf, val_features)
-                for i in range(index.level_count):
-                    correct = np.fromiter(
-                        (pred[s, i] == val_labels[s][i] for s in range(len(val_labels))),
-                        dtype=bool,
-                    )
-                    row[f"val_f1_L{i + 1}"] = float(np.mean(correct))
+                per_level, _ = level_accuracy(predict_levels(clf, val_features), val_labels)
+                row.update({f"val_f1_L{i + 1}": acc for i, acc in enumerate(per_level)})
         history.append(row)
 
     clf = LinearClassifier(w, b, config.head, index)

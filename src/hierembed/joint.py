@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry
 from .geometry import ConeParams
 from .hierarchy import Hierarchy
-from .metrics import hit_at_k
+from .metrics import level_accuracy
 from .training import (
     EmbeddingTable,
     InstanceNodes,
@@ -141,47 +141,47 @@ def train_joint(
 
     positives = list(h.closure()) + instance_positive_edges(h, features, train_idx)
 
-    truth_by_level = None
+    # no training instances: the engine returns no map and the zero map
+    # stands in for it, in the epoch hook and in the model
+    zero_w = np.zeros((features.features.shape[1], config.dim))
+    hook = None
     if val_idx is not None and len(val_idx):
-        truth_by_level = _level_truth(h, features, val_idx)
+        val_idx = np.asarray(val_idx, dtype=int)
+        truth = level_truth(h, features, val_idx)
 
-    def hook(coords: np.ndarray, w: np.ndarray | None) -> dict:
-        if truth_by_level is None:
-            return {"val_f1": ""}
-        table = EmbeddingTable(label_ids, coords, params)
-        model = JointModel(table, w, params)
-        preds, _ = classify_levels(model, h, features.features[np.asarray(val_idx, dtype=int)])
-        return {"val_f1": _overall_micro_f1(preds, truth_by_level)}
+        def hook(coords: np.ndarray, w: np.ndarray | None) -> dict:
+            table = EmbeddingTable(label_ids, coords, params)
+            model = JointModel(table, zero_w if w is None else w, params)
+            preds, _ = classify_levels(model, h, features.features[val_idx])
+            return {"val_f1": level_accuracy(preds, truth)[1]}
 
     coords, w, history = train_graph_embedding(
-        h,
-        positives,
-        config,
-        instances=instances,
-        init_coords=init_coords,
-        epoch_hook=hook if truth_by_level is not None else None,
+        h, positives, config, instances=instances, init_coords=init_coords, epoch_hook=hook
     )
-    if w is None:  # no training instances: the map was never exercised
-        w = np.zeros((features.features.shape[1], config.dim))
-    return JointModel(EmbeddingTable(label_ids, coords, params), w, params), history
+    model = JointModel(EmbeddingTable(label_ids, coords, params), zero_w if w is None else w, params)
+    return model, history
 
 
-def _level_truth(h: Hierarchy, features: FeatureMatrix, idx: Sequence[int]) -> list[list[str]]:
-    """Per-level ground-truth label ids for the given instance rows."""
-    out: list[list[str]] = []
-    for i in idx:
+def level_truth(h: Hierarchy, features: FeatureMatrix, idx: Sequence[int]) -> np.ndarray:
+    """Root-to-leaf label ids (n, L) of the given instance rows."""
+    out = np.empty((len(idx), h.level_count), dtype=object)
+    for row, i in enumerate(idx):
         leaf = features.leaf_labels[i]
-        path = list(reversed(h.ancestors(leaf))) + [leaf]
-        out.append(path)
+        out[row] = [*reversed(h.ancestors(leaf)), leaf]
     return out
 
 
-def _overall_micro_f1(preds: np.ndarray, truth: list[list[str]]) -> float:
-    correct = sum(
-        1 for row, t in zip(preds, truth) for lvl, p in enumerate(row) if p == t[lvl]
-    )
-    total = sum(len(t) for t in truth)
-    return correct / total if total else 0.0
+# Pairs per ``geometry.energies`` call when scoring all pairs of two point sets.
+PAIR_CHUNK = 1 << 16
+
+
+def _pairwise_energies(X: np.ndarray, Y: np.ndarray, params: ConeParams) -> np.ndarray:
+    """Energies ``E[i, j]`` of every pair (X[i], Y[j]), PAIR_CHUNK pairs per call."""
+    out = np.empty(len(X) * len(Y))
+    for start in range(0, out.size, PAIR_CHUNK):
+        i, j = np.divmod(np.arange(start, min(start + PAIR_CHUNK, out.size)), len(Y))
+        out[start : start + len(i)] = geometry.energies(X[i], Y[j], params)
+    return out.reshape(len(X), len(Y))
 
 
 def level_energies(
@@ -192,13 +192,8 @@ def level_energies(
     Returns the id-sorted member tuple and an (n, N_level) energy matrix.
     """
     members = h.level_members(level)
-    rows = np.array([model.labels.row(m) for m in members])
-    n = points.shape[0]
-    out = np.empty((n, len(members)))
-    for j, r in enumerate(rows):
-        apex = np.broadcast_to(model.labels.coords[r], points.shape)
-        out[:, j] = geometry.energies(apex, points, model.params)
-    return members, out
+    rows = [model.labels.row(m) for m in members]
+    return members, _pairwise_energies(model.labels.coords[rows], points, model.params).T
 
 
 def classify_instance(model: JointModel, h: Hierarchy, features_row: np.ndarray, level: int) -> str:
@@ -218,16 +213,37 @@ def classify_levels(
     Returns an (n, L) array of label ids and an (n, L) array of the
     winning energies.
     """
-    points = embed_instances(features, model.w, model.params.kind)
-    n = points.shape[0]
-    preds = np.empty((n, h.level_count), dtype=object)
-    best = np.empty((n, h.level_count))
-    for level in range(1, h.level_count + 1):
-        members, e = level_energies(model, h, points, level)
-        arg = np.argmin(e, axis=1)
-        preds[:, level - 1] = [members[a] for a in arg]
-        best[:, level - 1] = e[np.arange(n), arg]
+    preds, best, _ = _classify(model, h, features)
     return preds, best
+
+
+def _classify(
+    model: JointModel, h: Hierarchy, features: np.ndarray, truth: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``classify_levels`` plus, given true label ids (n, L), their ranks (n, L).
+
+    A rank is the 0-based position in the stable energy sort of the level:
+    the labels with lower energy plus those with equal energy and a lower
+    id. Each level's energies are computed once.
+    """
+    points = embed_instances(features, model.w, model.params.kind)
+    n, levels = points.shape[0], h.level_count
+    preds = np.empty((n, levels), dtype=object)
+    best = np.empty((n, levels))
+    ranks = None if truth is None else np.empty((n, levels), dtype=np.int64)
+    rows = np.arange(n)
+    for lvl in range(levels):
+        members, e = level_energies(model, h, points, lvl + 1)
+        arg = np.argmin(e, axis=1)
+        preds[:, lvl] = [members[a] for a in arg]
+        best[:, lvl] = e[rows, arg]
+        if ranks is not None:
+            pos = {m: j for j, m in enumerate(members)}
+            col = np.array([pos[t] for t in truth[:, lvl]], dtype=np.int64)
+            et = e[rows, col][:, None]
+            before = (e < et) | ((e == et) & (np.arange(len(members)) < col[:, None]))
+            ranks[:, lvl] = np.count_nonzero(before, axis=1)
+    return preds, best, ranks
 
 
 def rank_levels(
@@ -235,18 +251,14 @@ def rank_levels(
 ) -> list[list[list[str]]]:
     """Energy-sorted label rankings per instance per level (best first)."""
     points = embed_instances(features, model.w, model.params.kind)
-    out: list[list[list[str]]] = []
     per_level = []
     for level in range(1, h.level_count + 1):
         members, e = level_energies(model, h, points, level)
-        order = np.argsort(e, axis=1, kind="stable")
-        per_level.append((members, order))
-    for i in range(points.shape[0]):
-        rankings = []
-        for members, order in per_level:
-            rankings.append([members[j] for j in order[i]])
-        out.append(rankings)
-    return out
+        per_level.append((members, np.argsort(e, axis=1, kind="stable")))
+    return [
+        [[members[j] for j in order[i]] for members, order in per_level]
+        for i in range(points.shape[0])
+    ]
 
 
 @dataclass(frozen=True)
@@ -259,37 +271,35 @@ class ClassificationReport:
     hit5_level_avg: float
 
 
+def classify_and_report(
+    model: JointModel, h: Hierarchy, features: FeatureMatrix, idx: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, ClassificationReport]:
+    """``classify_levels`` of the selected rows and their report, from one pass."""
+    idx = np.asarray(idx, dtype=int)
+    truth = level_truth(h, features, idx)
+    preds, best, ranks = _classify(model, h, features.features[idx], truth)
+    level_f1, overall = level_accuracy(preds, truth)
+    n, levels = ranks.shape
+
+    def hit(k: int, lvl: int) -> float:
+        return int(np.count_nonzero(ranks[:, lvl] < k)) / n if n else 0.0
+
+    report = ClassificationReport(
+        overall_f1=overall,
+        level_f1=level_f1,
+        hit3_final=hit(3, levels - 1),
+        hit5_final=hit(5, levels - 1),
+        hit3_level_avg=float(np.mean([hit(3, lvl) for lvl in range(levels)])),
+        hit5_level_avg=float(np.mean([hit(5, lvl) for lvl in range(levels)])),
+    )
+    return preds, best, report
+
+
 def classification_report(
     model: JointModel, h: Hierarchy, features: FeatureMatrix, idx: Sequence[int]
 ) -> ClassificationReport:
     """Per-level micro-F1 plus hit@k on the selected instance rows."""
-    idx = np.asarray(idx, dtype=int)
-    truth = _level_truth(h, features, idx)
-    preds, _ = classify_levels(model, h, features.features[idx])
-    level_f1 = []
-    for lvl in range(h.level_count):
-        correct = sum(1 for row, t in zip(preds, truth) if row[lvl] == t[lvl])
-        level_f1.append(correct / len(truth) if truth else 0.0)
-    rankings = rank_levels(model, h, features.features[idx])
-    final = h.level_count - 1
-    truth_final = [t[final] for t in truth]
-    hit3_final = hit_at_k([r[final] for r in rankings], truth_final, 3)
-    hit5_final = hit_at_k([r[final] for r in rankings], truth_final, 5)
-    hit3_levels = []
-    hit5_levels = []
-    for lvl in range(h.level_count):
-        t = [x[lvl] for x in truth]
-        r = [x[lvl] for x in rankings]
-        hit3_levels.append(hit_at_k(r, t, 3))
-        hit5_levels.append(hit_at_k(r, t, 5))
-    return ClassificationReport(
-        overall_f1=_overall_micro_f1(preds, truth),
-        level_f1=tuple(level_f1),
-        hit3_final=hit3_final,
-        hit5_final=hit5_final,
-        hit3_level_avg=float(np.mean(hit3_levels)),
-        hit5_level_avg=float(np.mean(hit5_levels)),
-    )
+    return classify_and_report(model, h, features, idx)[2]
 
 
 @dataclass(frozen=True)
@@ -307,23 +317,14 @@ def reconstruct_labels(table: EmbeddingTable, h: Hierarchy) -> ReconstructionRes
     self-pairs) a negative; the threshold is the best-F1 sweep over the
     pooled energies. No instance-sided pairs are involved.
     """
-    ids = table.node_ids
-    n = len(ids)
-    closure = h.closure_set()
-    X = np.repeat(table.coords, n, axis=0)
-    Y = np.tile(table.coords, (n, 1))
-    e = geometry.energies(X, Y, table.params).reshape(n, n)
-    pos_e, neg_e = [], []
-    for i, u in enumerate(ids):
-        for j, v in enumerate(ids):
-            if i == j:
-                continue
-            (pos_e if (u, v) in closure else neg_e).append(e[i, j])
-    pos_e = np.asarray(pos_e)
-    neg_e = np.asarray(neg_e)
+    n = len(table.node_ids)
+    rows = np.array([(table.row(u), table.row(v)) for u, v in h.closure()], dtype=np.int64)
+    rows = rows.reshape(-1, 2)  # no closure pairs in a flat hierarchy
+    closure = np.zeros((n, n), dtype=bool)
+    closure[rows[:, 0], rows[:, 1]] = True
+    off_diagonal = ~np.eye(n, dtype=bool)
+    e = _pairwise_energies(table.coords, table.coords, table.params)
+    pos_e, neg_e = e[closure & off_diagonal], e[~closure & off_diagonal]
     best = _best_threshold(pos_e, neg_e)
-    pred_pos = pos_e <= best.threshold
-    pred_neg = neg_e <= best.threshold
-    tpr = float(np.mean(pred_pos)) if len(pos_e) else 0.0
-    tnr = float(np.mean(~pred_neg)) if len(neg_e) else 0.0
-    return ReconstructionResult(tpr=tpr, tnr=tnr, f1=best.f1, threshold=best.threshold)
+    tnr = float(np.mean(~(neg_e <= best.threshold))) if len(neg_e) else 0.0
+    return ReconstructionResult(tpr=best.recall, tnr=tnr, f1=best.f1, threshold=best.threshold)

@@ -64,6 +64,18 @@ def hit_at_k(rankings: Sequence[Sequence], truth: Sequence, k: int) -> float:
     return hits / len(rankings)
 
 
+def level_accuracy(pred: np.ndarray, truth: np.ndarray) -> tuple[tuple[float, ...], float]:
+    """Share of correct labels in (n, L) prediction/target arrays: per level, overall.
+
+    Each share is one division of integer counts; no rows give 0.0.
+    """
+    hits = np.asarray(pred) == np.asarray(truth)
+    n, levels = hits.shape
+    correct = np.count_nonzero(hits, axis=0)
+    per_level = tuple(int(c) / n if n else 0.0 for c in correct)
+    return per_level, (int(correct.sum()) / (n * levels) if n else 0.0)
+
+
 def aggregate(
     counts: Sequence[ConfusionCounts],
     mode: str,

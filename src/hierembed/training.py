@@ -550,30 +550,37 @@ class EdgePredictionResult:
 
 
 def _best_threshold(pos_e: np.ndarray, neg_e: np.ndarray) -> EdgePredictionResult:
-    energies = np.concatenate([pos_e, neg_e])
-    labels = np.concatenate([np.ones(len(pos_e), bool), np.zeros(len(neg_e), bool)])
-    uniq = np.unique(energies)
-    candidates = [uniq[0] - 1.0]
-    candidates.extend(0.5 * (uniq[:-1] + uniq[1:]))
-    candidates.append(uniq[-1])
-    best: EdgePredictionResult | None = None
-    for t in candidates:
-        res = _metrics_at(energies, labels, float(t))
-        if best is None or res.f1 > best.f1:
-            best = res
-    return best
+    """Metrics at the first best-F1 threshold of ``_sweep``; F1 as ``_metrics_at`` computes it."""
+    candidates, p, r = _sweep(pos_e, neg_e)
+    den = p + r
+    f1 = np.divide(2 * p * r, den, out=np.zeros(len(den)), where=den > 0)
+    return _metrics_at(pos_e, neg_e, float(candidates[np.argmax(f1)]))
 
 
-def _metrics_at(energies: np.ndarray, labels: np.ndarray, t: float) -> EdgePredictionResult:
-    pred = energies <= t
-    tp = int(np.sum(pred & labels))
-    fp = int(np.sum(pred & ~labels))
-    fn = int(np.sum(~pred & labels))
-    tn = int(np.sum(~pred & ~labels))
+def _sweep(pos_e: np.ndarray, neg_e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate thresholds (min - 1, the midpoints of adjacent distinct energies,
+    the max) and the precision and recall of ``E <= t`` at each, from one sort."""
+    ordered = np.sort(np.concatenate([pos_e, neg_e]))
+    t = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    t = np.concatenate([[t[0] - 1.0], 0.5 * (t[:-1] + t[1:]), [t[-1]]])
+    # a midpoint of adjacent doubles can round to the upper one: count at t itself
+    k = np.searchsorted(ordered, t, side="right")
+    tp = np.searchsorted(np.sort(pos_e), t, side="right")
+    p = np.divide(tp, k, out=np.zeros(len(t)), where=k > 0)
+    r = tp / len(pos_e) if len(pos_e) else np.zeros(len(t))
+    return t, p, r
+
+
+def _metrics_at(pos_e: np.ndarray, neg_e: np.ndarray, t: float) -> EdgePredictionResult:
+    """Metrics of classifying ``E <= t`` as positive."""
+    tp = int(np.count_nonzero(pos_e <= t))
+    fp = int(np.count_nonzero(neg_e <= t))
+    fn, tn = len(pos_e) - tp, len(neg_e) - fp
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
-    acc = (tp + tn) / len(labels) if len(labels) else 0.0
+    total = tp + fp + fn + tn
+    acc = (tp + tn) / total if total else 0.0
     return EdgePredictionResult(t, p, r, f1, acc)
 
 
@@ -594,8 +601,6 @@ def edge_prediction_at_threshold(
     """Metrics of a fixed, externally chosen threshold (e.g. from val)."""
     if not len(positives) or not len(negatives):
         raise ValueError("edge prediction needs non-empty positive and negative sets")
-    pos_e = pair_energies(emb, tuple(positives))
-    neg_e = pair_energies(emb, tuple(negatives))
-    energies = np.concatenate([pos_e, neg_e])
-    labels = np.concatenate([np.ones(len(pos_e), bool), np.zeros(len(neg_e), bool)])
-    return _metrics_at(energies, labels, threshold)
+    return _metrics_at(
+        pair_energies(emb, tuple(positives)), pair_energies(emb, tuple(negatives)), threshold
+    )

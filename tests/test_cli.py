@@ -203,6 +203,25 @@ class TestJointPipeline:
         run(args)
         assert before == dir_bytes(out)
 
+    def test_classify_scores_each_level_once(self, joint_run, tmp_path, monkeypatch):
+        from hierembed import joint
+
+        root, nodes, edges, feats, model = joint_run
+        calls = {"level_energies": 0, "embed_instances": 0}
+        for name in calls:
+            original = getattr(joint, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(joint, name, counted)
+        run(["classify", "--nodes", str(nodes), "--edges", str(edges),
+             "--model", str(model / "model.bin"),
+             "--features", str(feats / "features.feat"),
+             "--subset", "all", "--out", str(tmp_path / "cls")])
+        assert calls == {"level_energies": 3, "embed_instances": 1}
+
     def test_reconstruct_from_joint_model(self, joint_run, tmp_path):
         root, nodes, edges, _, model = joint_run
         out = tmp_path / "rec"

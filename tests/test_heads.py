@@ -392,6 +392,64 @@ class TestThresholds:
             assert micro_f1(scores >= cand, targets) <= best + 1e-12
 
 
+def loop_best_f1_threshold(scores, truth):
+    """Reference: the tie-boundary loop the argmax replaced."""
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = truth[order].astype(np.int64)
+    total_pos = int(y.sum())
+    tp = np.cumsum(y)
+    k = np.arange(1, len(s) + 1)
+    f1 = 2.0 * tp / (k + total_pos) if total_pos else np.zeros(len(s))
+    boundary = np.ones(len(s), dtype=bool)
+    boundary[:-1] = s[:-1] != s[1:]
+    best_t = float(s[0] + 1.0)  # predict nothing
+    best_f1 = 0.0
+    for i in np.flatnonzero(boundary):
+        if f1[i] > best_f1:
+            best_f1 = float(f1[i])
+            best_t = float(s[i])
+    return best_t
+
+
+def loop_select_thresholds(scores, targets, mode):
+    if mode == "ofadb":
+        return np.array([loop_best_f1_threshold(scores.ravel(), targets.ravel())])
+    return np.array(
+        [loop_best_f1_threshold(scores[:, j], targets[:, j]) for j in range(scores.shape[1])]
+    )
+
+
+class TestThresholdsMatchLoop:
+    @pytest.mark.parametrize("mode", ["ofadb", "pcdb"])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_bit_identical(self, mode, seed, tied):
+        rng = np.random.default_rng(seed)
+        scores = rng.random((40, 7))
+        if tied:  # few distinct values: long runs of equal scores
+            scores = np.round(scores * 3) / 3
+        targets = rng.random((40, 7)) < [0.0, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0]
+        got = select_thresholds(scores, targets, mode)
+        assert got.tobytes() == loop_select_thresholds(scores, targets, mode).tobytes()
+
+    def test_equal_f1_picks_the_largest_threshold(self):
+        scores = np.array([0.9, 0.8, 0.7, 0.6])
+        truth = np.array([True, False, False, True])  # F1 2/3 at 0.9 and at 0.6
+        got = select_thresholds(scores[:, None], truth[:, None], "pcdb")
+        assert got.tobytes() == loop_select_thresholds(scores[:, None], truth[:, None], "pcdb").tobytes()
+        assert got[0] == 0.9
+
+    @pytest.mark.parametrize("mode", ["ofadb", "pcdb"])
+    def test_single_value_and_no_positives(self, mode):
+        scores = np.full((5, 3), 0.5)
+        for targets in (np.zeros((5, 3), bool), np.ones((5, 3), bool)):
+            got = select_thresholds(scores, targets, mode)
+            assert got.tobytes() == loop_select_thresholds(scores, targets, mode).tobytes()
+        # no positives: predict nothing, above every score
+        assert np.all(select_thresholds(scores, np.zeros((5, 3), bool), mode) == 1.5)
+
+
 class TestImbalance:
     def test_uniform_equals_baseline(self):
         labels = ["a", "b", "c", "a", "b", "c"]

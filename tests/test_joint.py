@@ -1,31 +1,40 @@
 """Joint instance+label embedding: mapping, training, classification."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hierembed import geometry
+from hierembed import geometry, joint
 from hierembed.geometry import ConeParams
-from hierembed.hierarchy import generate_synthetic_tree
+from hierembed.hierarchy import Hierarchy, Node, generate_synthetic_tree
 from hierembed.joint import (
+    ClassificationReport,
     FeatureMatrix,
     JointModel,
+    ReconstructionResult,
     classification_report,
+    classify_and_report,
     classify_instance,
     classify_levels,
     embed_instance,
     embed_instances,
     instance_positive_edges,
+    level_energies,
     reconstruct_labels,
     split_instances,
     train_joint,
 )
+from hierembed.metrics import hit_at_k
 from hierembed.synth import gaussian_cluster_features
 from hierembed.training import (
     EmbeddingTable,
     InstanceNodes,
     TrainConfig,
+    _best_threshold,
+    random_coords,
     train_graph_embedding,
     train_label_embeddings,
 )
@@ -283,3 +292,233 @@ class TestReport:
         assert rep.overall_f1 == 1.0
         assert rep.level_f1 == (1.0, 1.0, 1.0)
         assert rep.hit3_final == 1.0
+
+
+class TestNoTrainingInstances:
+    def test_validation_hook_uses_the_zero_map(self, tree):
+        leaves = tree.level_members(3)
+        features = FeatureMatrix(("a", "b"), np.ones((2, 4)), (leaves[0], leaves[1]))
+        model, history = train_joint(
+            tree,
+            features,
+            TrainConfig(kind="ec", dim=2, epochs=1),
+            train_idx=np.array([], dtype=int),
+            val_idx=np.array([0, 1]),
+        )
+        np.testing.assert_array_equal(model.w, np.zeros((4, 2)))
+        assert len(history) == 1 and 0.0 <= history[0]["val_f1"] <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations the one-pass evaluation replaced
+# ---------------------------------------------------------------------------
+
+def loop_reconstruct_labels(table, h):
+    """Reconstruction through n^2 x d coordinate copies and a loop over label pairs."""
+    ids = table.node_ids
+    n = len(ids)
+    closure = h.closure_set()
+    X = np.repeat(table.coords, n, axis=0)
+    Y = np.tile(table.coords, (n, 1))
+    e = geometry.energies(X, Y, table.params).reshape(n, n)
+    pos_e, neg_e = [], []
+    for i, u in enumerate(ids):
+        for j, v in enumerate(ids):
+            if i == j:
+                continue
+            (pos_e if (u, v) in closure else neg_e).append(e[i, j])
+    pos_e = np.asarray(pos_e)
+    neg_e = np.asarray(neg_e)
+    best = _best_threshold(pos_e, neg_e)
+    pred_pos = pos_e <= best.threshold
+    pred_neg = neg_e <= best.threshold
+    tpr = float(np.mean(pred_pos)) if len(pos_e) else 0.0
+    tnr = float(np.mean(~pred_neg)) if len(neg_e) else 0.0
+    return ReconstructionResult(tpr=tpr, tnr=tnr, f1=best.f1, threshold=best.threshold)
+
+
+def column_level_energies(model, h, points, level):
+    """Level energies with one kernel call per label column."""
+    members = h.level_members(level)
+    rows = np.array([model.labels.row(m) for m in members])
+    out = np.empty((points.shape[0], len(members)))
+    for j, r in enumerate(rows):
+        apex = np.broadcast_to(model.labels.coords[r], points.shape)
+        out[:, j] = geometry.energies(apex, points, model.params)
+    return members, out
+
+
+def three_pass_classify(model, h, features, idx):
+    """Predictions, winning energies and report as ``hierembed classify`` made
+    them: classify_levels, then rank_levels, each scoring every level again."""
+
+    def classify_levels(feats):
+        points = embed_instances(feats, model.w, model.params.kind)
+        n = points.shape[0]
+        preds = np.empty((n, h.level_count), dtype=object)
+        best = np.empty((n, h.level_count))
+        for level in range(1, h.level_count + 1):
+            members, e = column_level_energies(model, h, points, level)
+            arg = np.argmin(e, axis=1)
+            preds[:, level - 1] = [members[a] for a in arg]
+            best[:, level - 1] = e[np.arange(n), arg]
+        return preds, best
+
+    def rank_levels(feats):
+        points = embed_instances(feats, model.w, model.params.kind)
+        per_level = []
+        for level in range(1, h.level_count + 1):
+            members, e = column_level_energies(model, h, points, level)
+            per_level.append((members, np.argsort(e, axis=1, kind="stable")))
+        return [[[m[j] for j in order[i]] for m, order in per_level] for i in range(len(points))]
+
+    idx = np.asarray(idx, dtype=int)
+    preds, best = classify_levels(features.features[idx])
+    truth = []
+    for i in idx:
+        leaf = features.leaf_labels[i]
+        truth.append(list(reversed(h.ancestors(leaf))) + [leaf])
+    level_f1 = []
+    for lvl in range(h.level_count):
+        correct = sum(1 for row, t in zip(preds, truth) if row[lvl] == t[lvl])
+        level_f1.append(correct / len(truth) if truth else 0.0)
+    correct = sum(1 for row, t in zip(preds, truth) for lvl, p in enumerate(row) if p == t[lvl])
+    total = sum(len(t) for t in truth)
+    rankings = rank_levels(features.features[idx])
+    final = h.level_count - 1
+    hits = {k: [hit_at_k([r[lvl] for r in rankings], [t[lvl] for t in truth], k)
+                for lvl in range(h.level_count)] for k in (3, 5)}
+    report = ClassificationReport(
+        overall_f1=correct / total if total else 0.0,
+        level_f1=tuple(level_f1),
+        hit3_final=hits[3][final],
+        hit5_final=hits[5][final],
+        hit3_level_avg=float(np.mean(hits[3])),
+        hit5_level_avg=float(np.mean(hits[5])),
+    )
+    return preds, best, report
+
+
+def random_model(h, kind, seed, k=0.1, norm_hi=None, d=3, feature_dim=5):
+    params = ConeParams(kind, k)
+    rng = np.random.default_rng(seed)
+    ids = tuple(sorted(n.node_id for n in h.nodes))
+    coords = random_coords(len(ids), d, params, rng, norm_hi)
+    return JointModel(EmbeddingTable(ids, coords, params), rng.standard_normal((feature_dim, d)), params)
+
+
+@pytest.fixture(scope="module")
+def wide_tree():
+    return generate_synthetic_tree(3, 4)  # 1 + 4 + 16 labels
+
+
+@pytest.fixture(scope="module")
+def wide_features(wide_tree):
+    return gaussian_cluster_features(wide_tree, 6, 5, seed=7)
+
+
+class TestOnePassMatchesThreePasses:
+    def assert_same(self, model, h, features, idx):
+        preds, best, report = classify_and_report(model, h, features, idx)
+        want_preds, want_best, want_report = three_pass_classify(model, h, features, idx)
+        assert preds.tolist() == want_preds.tolist()
+        assert best.tobytes() == want_best.tobytes()
+        assert report == want_report
+        assert classification_report(model, h, features, idx) == want_report
+
+    @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_models(self, wide_tree, wide_features, kind, seed):
+        model = random_model(wide_tree, kind, seed)
+        idx = np.random.default_rng(seed).permutation(len(wide_features.instance_ids))[:50]
+        self.assert_same(model, wide_tree, wide_features, idx)
+
+    @pytest.mark.parametrize("kind", ["ec", "hc"])
+    def test_wide_cones_tie_at_zero(self, wide_tree, wide_features, kind):
+        # apexes just above the domain floor under a large K: wide cones,
+        # many energies exactly 0
+        k = 0.4
+        model = random_model(wide_tree, kind, 3, k=k, norm_hi=ConeParams(kind, k).epsilon + 0.01)
+        points = embed_instances(wide_features.features, model.w, kind)
+        assert np.mean(level_energies(model, wide_tree, points, 3)[1] == 0.0) > 0.1
+        self.assert_same(model, wide_tree, wide_features, range(96))
+
+    def test_identical_labels_tie_to_lowest_id(self, wide_tree, wide_features):
+        params = ConeParams("ec", 0.1)
+        ids = tuple(sorted(n.node_id for n in wide_tree.nodes))
+        table = EmbeddingTable(ids, np.full((len(ids), 3), 0.4), params)
+        model = JointModel(table, np.random.default_rng(0).standard_normal((5, 3)), params)
+        preds, _, _ = classify_and_report(model, wide_tree, wide_features, range(96))
+        assert set(preds[:, 2]) == {wide_tree.level_members(3)[0]}
+        self.assert_same(model, wide_tree, wide_features, range(96))
+
+    def test_empty_subset(self, wide_tree, wide_features):
+        self.assert_same(random_model(wide_tree, "ec", 0), wide_tree, wide_features, [])
+
+    @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
+    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    def test_level_energies_match_columns(self, wide_tree, wide_features, kind, chunk, monkeypatch):
+        monkeypatch.setattr(joint, "PAIR_CHUNK", chunk)
+        model = random_model(wide_tree, kind, 1)
+        points = embed_instances(wide_features.features, model.w, kind)
+        for level in range(1, wide_tree.level_count + 1):
+            members, e = level_energies(model, wide_tree, points, level)
+            want_members, want = column_level_energies(model, wide_tree, points, level)
+            assert members == want_members
+            assert np.ascontiguousarray(e).tobytes() == want.tobytes()
+
+
+class TestReconstructionMatchesPairLoop:
+    @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    def test_random_coords(self, wide_tree, kind, seed, chunk, monkeypatch):
+        monkeypatch.setattr(joint, "PAIR_CHUNK", chunk)
+        table = random_model(wide_tree, kind, seed, d=4).labels
+        assert reconstruct_labels(table, wide_tree) == loop_reconstruct_labels(table, wide_tree)
+
+    @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
+    def test_tied_energies(self, wide_tree, kind):
+        # three distinct points shared by all labels: most energies tie
+        params = ConeParams(kind, 0.1)
+        ids = tuple(sorted(n.node_id for n in wide_tree.nodes))
+        pool = np.array([[0.3, 0.1], [0.5, 0.2], [0.2, 0.6]])
+        coords = pool[np.random.default_rng(0).integers(3, size=len(ids))]
+        table = EmbeddingTable(ids, coords, params)
+        assert reconstruct_labels(table, wide_tree) == loop_reconstruct_labels(table, wide_tree)
+
+    def test_identical_layout_and_perfect_layout(self, tree):
+        params = ConeParams("ec", 0.25)
+        ids = tuple(sorted(n.node_id for n in tree.nodes))
+        for table in (EmbeddingTable(ids, np.full((len(ids), 2), 0.4), params),
+                      radial_layout(tree, params)):
+            assert reconstruct_labels(table, tree) == loop_reconstruct_labels(table, tree)
+
+    def test_flat_hierarchy_has_no_positives(self):
+        h = Hierarchy([Node(i, 1, i) for i in ("a", "b", "c")], [])
+        params = ConeParams("ec", 0.1)
+        coords = random_coords(3, 2, params, np.random.default_rng(0))
+        table = EmbeddingTable(("a", "b", "c"), coords, params)
+        res = reconstruct_labels(table, h)
+        assert res == loop_reconstruct_labels(table, h)
+        assert res.tpr == 0.0 and res.f1 == 0.0
+
+    def test_781_labels_in_bounded_time_and_memory(self):
+        h = generate_synthetic_tree(5, 5)
+        params = ConeParams("ec", 0.1)
+        ids = tuple(sorted(n.node_id for n in h.nodes))
+        n, d = len(ids), 10
+        table = EmbeddingTable(ids, random_coords(n, d, params, np.random.default_rng(0)), params)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            res = reconstruct_labels(table, h)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n == 781
+        assert elapsed < 30.0
+        # one n^2 x d float copy of the coordinates is already more than this
+        assert peak < n * n * d * 8
+        assert 0.0 <= res.f1 <= 1.0

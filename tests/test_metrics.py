@@ -9,6 +9,7 @@ from hierembed.metrics import (
     aggregate,
     f1_score,
     hit_at_k,
+    level_accuracy,
     micro_f1,
     multilabel_counts,
     precision_recall_f1,
@@ -72,6 +73,27 @@ class TestHitAtK:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             hit_at_k([["a"]], ["a"], 0)
+
+
+class TestLevelAccuracy:
+    def test_counts_per_level_and_overall(self):
+        pred = np.array([["a", "b", "c"], ["a", "x", "c"], ["y", "x", "z"]], dtype=object)
+        truth = np.array([["a", "b", "c"], ["a", "b", "c"], ["a", "b", "c"]], dtype=object)
+        assert level_accuracy(pred, truth) == ((2 / 3, 1 / 3, 2 / 3), 5 / 9)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 10, 49, 1000])
+    def test_equals_mean_of_hits(self, n):
+        rng = np.random.default_rng(n)
+        pred = rng.integers(3, size=(n, 4)).astype(str).astype(object)
+        truth = rng.integers(3, size=(n, 4)).astype(str).astype(object)
+        per_level, overall = level_accuracy(pred, truth)
+        hits = pred == truth
+        assert per_level == tuple(float(np.mean(hits[:, i])) for i in range(4))
+        assert overall == float(np.mean(hits))
+
+    def test_no_rows(self):
+        empty = np.empty((0, 3), dtype=object)
+        assert level_accuracy(empty, empty) == ((0.0, 0.0, 0.0), 0.0)
 
 
 class TestAggregate:

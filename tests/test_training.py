@@ -1,7 +1,11 @@
 """Max-margin loss, optimizer steps, trainer determinism, edge prediction."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierembed import geometry
 from hierembed.geometry import ConeParams
@@ -22,6 +26,7 @@ from hierembed.training import (
     InstanceNodes,
     TrainConfig,
     TrainingError,
+    _best_threshold,
     _Graph,
     _sample_negatives_for,
     adam_step,
@@ -230,6 +235,80 @@ class TestEdgePrediction:
         assert prior_f1 == pytest.approx(1 / 6)
         assert np.mean(f1s) < prior_f1 + 0.15
         assert max(f1s) < 0.5
+
+
+def scan_best_threshold(pos_e, neg_e):
+    """Reference sweep: one pass over the pooled energies per candidate."""
+    energies = np.concatenate([pos_e, neg_e])
+    labels = np.concatenate([np.ones(len(pos_e), bool), np.zeros(len(neg_e), bool)])
+    uniq = np.unique(energies)
+    candidates = [uniq[0] - 1.0]
+    candidates.extend(0.5 * (uniq[:-1] + uniq[1:]))
+    candidates.append(uniq[-1])
+    best = None
+    for t in candidates:
+        pred = energies <= t
+        tp = int(np.sum(pred & labels))
+        fp = int(np.sum(pred & ~labels))
+        fn = int(np.sum(~pred & labels))
+        tn = int(np.sum(~pred & ~labels))
+        p = tp / (tp + fp) if tp + fp else 0.0
+        r = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * p * r / (p + r) if p + r else 0.0
+        acc = (tp + tn) / len(labels) if len(labels) else 0.0
+        if best is None or f1 > best[3]:
+            best = (float(t), p, r, f1, acc)
+    return best
+
+
+def assert_sweep_matches_scan(pos_e, neg_e):
+    pos_e, neg_e = np.asarray(pos_e, dtype=float), np.asarray(neg_e, dtype=float)
+    got = astuple(_best_threshold(pos_e, neg_e))
+    want = scan_best_threshold(pos_e, neg_e)
+    assert got == want  # exact: same threshold and the same floats
+
+
+# energies from a small pool (many exact ties, zeros above all) or anywhere
+TIED = st.one_of(st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0, 3.5]), st.floats(0.0, 10.0))
+
+
+class TestSweepMatchesScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TIED, max_size=40), st.lists(TIED, max_size=40))
+    def test_tied_float_lists(self, pos_e, neg_e):
+        if pos_e or neg_e:
+            assert_sweep_matches_scan(pos_e, neg_e)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_energies(self, seed):
+        rng = np.random.default_rng(seed)
+        assert_sweep_matches_scan(rng.gamma(2.0, size=300), rng.gamma(3.0, size=3000))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mostly_zero_energies(self, seed):
+        rng = np.random.default_rng(seed)
+        pos = np.where(rng.random(200) < 0.8, 0.0, rng.random(200))
+        neg = np.where(rng.random(2000) < 0.5, 0.0, np.round(rng.random(2000), 2))
+        assert_sweep_matches_scan(pos, neg)
+
+    def test_single_distinct_value(self):
+        assert_sweep_matches_scan([0.7, 0.7], [0.7, 0.7, 0.7])
+        assert_sweep_matches_scan([0.0], [])
+        assert_sweep_matches_scan([], [2.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "x, rounds_up",
+        [(1.0, False), (np.nextafter(1.0, 2.0), True), (3.0, False), (np.nextafter(7.25, 8.0), True)],
+    )
+    def test_adjacent_doubles(self, x, rounds_up):
+        y = np.nextafter(x, np.inf)
+        # the midpoint candidate is x or y itself, depending on x's last bit
+        assert (0.5 * (x + y) == y) == rounds_up
+        cases = [([x], [y]), ([y], [x]), ([x, y], [y]), ([y, y], [x, 0.0])]
+        # counted at x, the x|y candidate would wrongly beat the true best, x + 4
+        cases.append(([x, x + 4.0], [y, y, y, y]))
+        for pos, neg in cases:
+            assert_sweep_matches_scan(pos, neg)
 
 
 class TestNegativeSamplingModes:
