@@ -192,7 +192,7 @@ def level_energies(
     Returns the id-sorted member tuple and an (n, N_level) energy matrix.
     """
     members = h.level_members(level)
-    rows = [model.labels.row(m) for m in members]
+    rows = model.labels.rows(members)
     return members, _pairwise_energies(model.labels.coords[rows], points, model.params).T
 
 
@@ -318,8 +318,7 @@ def reconstruct_labels(table: EmbeddingTable, h: Hierarchy) -> ReconstructionRes
     pooled energies. No instance-sided pairs are involved.
     """
     n = len(table.node_ids)
-    rows = np.array([(table.row(u), table.row(v)) for u, v in h.closure()], dtype=np.int64)
-    rows = rows.reshape(-1, 2)  # no closure pairs in a flat hierarchy
+    rows = table.rows([nid for pair in h.closure() for nid in pair]).reshape(-1, 2)
     closure = np.zeros((n, n), dtype=bool)
     closure[rows[:, 0], rows[:, 1]] = True
     off_diagonal = ~np.eye(n, dtype=bool)

@@ -89,6 +89,18 @@ class EmbeddingTable:
     def row(self, node_id: str) -> int:
         return self._row[node_id]
 
+    def rows(self, node_ids: Sequence[str]) -> np.ndarray:
+        """Rows of many labels; a ``ValueError`` names the labels the table lacks."""
+        missing = sorted(set(node_ids) - self._row.keys())
+        if missing:
+            shown = ", ".join(repr(m) for m in missing[:5])
+            more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+            raise ValueError(
+                f"model lacks {len(missing)} of the {len(set(node_ids))} hierarchy labels "
+                f"being scored: {shown}{more}"
+            )
+        return np.array([self._row[nid] for nid in node_ids], dtype=np.int64)
+
     def point(self, node_id: str) -> np.ndarray:
         return self.coords[self._row[node_id]]
 

@@ -229,6 +229,35 @@ class TestJointPipeline:
              "--model", str(model / "model.bin"), "--out", str(out)])
         assert (out / "reconstruction.csv").exists()
 
+    def test_classify_names_labels_the_model_lacks(self, joint_run, tmp_path, capsys):
+        # the model covers a 3x2 tree; level 2 of a 3x3 tree adds r.2
+        _, _, _, feats, model = joint_run
+        nodes, edges, _ = tree_files(tmp_path, 3, 3)
+        code = main(["classify", "--nodes", str(nodes), "--edges", str(edges),
+                     "--model", str(model / "model.bin"),
+                     "--features", str(feats / "features.feat"), "--out", str(tmp_path / "c")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "model lacks 1 of the 3 hierarchy labels being scored: 'r.2'"
+
+    def test_reconstruct_names_labels_the_model_lacks(self, tmp_path, capsys):
+        from hierembed import storage
+        from hierembed.hierarchy import generate_synthetic_tree
+
+        small = generate_synthetic_tree(3, 2)
+        ids = [n.node_id for n in small.nodes]
+        rng = np.random.default_rng(0)
+        storage.save_embeddings(tmp_path / "m.emb", ids, 0.3 + 0.1 * rng.random((len(ids), 2)), "ec")
+        nodes, edges, _ = tree_files(tmp_path, 3, 3)
+        code = main(["reconstruct", "--nodes", str(nodes), "--edges", str(edges),
+                     "--model", str(tmp_path / "m.emb"), "--out", str(tmp_path / "rec")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == (
+            "model lacks 6 of the 13 hierarchy labels being scored: "
+            "'r.0.2', 'r.1.2', 'r.2', 'r.2.0', 'r.2.1' and 1 more"
+        )
+
     def test_init_labels_missing_file(self, joint_run, tmp_path):
         root, nodes, edges, feats, _ = joint_run
         code = main(["train-joint", "--nodes", str(nodes), "--edges", str(edges),

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierembed.heads import (
     ClassifierConfig,
@@ -17,8 +19,15 @@ from hierembed.heads import (
     HierarchyIndex,
     ImbalancePolicy,
     LinearClassifier,
+    _batchify,
+    _label_ids,
+    _logsumexp,
+    _per_sample_ce,
     _sigmoid,
+    _softmax,
+    _softplus,
     hab_loss,
+    head_loss,
     head_width,
     hs_loss,
     hs_predict,
@@ -258,6 +267,13 @@ class TestMaskedPerLevel:
     def test_predict_tie_lowest_index(self, index):
         pred = mplc_predict(np.zeros(index.n_total), index)
         assert list(pred) == ["r", "r.0", "r.0.0"]
+
+    def test_predicted_parent_without_children_rejected(self):
+        nodes = [Node("a", 1, "a"), Node("b", 1, "b"), Node("a.0", 2, "a.0"), Node("a.1", 2, "a.1")]
+        idx = HierarchyIndex(Hierarchy(nodes, [("a", "a.0"), ("a", "a.1")]))
+        x = np.array([[2.0, 0.0, 0.5, 0.2], [0.0, 1.0, 0.5, 0.2]])  # row 2 picks b
+        with pytest.raises(HeadError, match="predicted 'b' has no children at level 2"):
+            mplc_predict(x, idx)
 
 
 class TestHierarchicalSoftmax:
@@ -538,3 +554,356 @@ class TestMoreShiftInvariance:
         base = [np.argmax(p) for p in mc_probabilities(x, index)]
         shifted = [np.argmax(p) for p in mc_probabilities(x + 3.3, index)]
         assert base == shifted
+
+
+# ---------------------------------------------------------------------------
+# References: the per-sample loops the batched heads replaced
+# ---------------------------------------------------------------------------
+
+def ref_children_pos(index, i, j):
+    """Sorted level-(i+2) positions of the children of node j at level i+1."""
+    kids = index.h.children(index.levels[i][j])
+    return np.array(sorted(index.pos_in_level[c] for c in kids), dtype=np.int64)
+
+
+def ref_check_path(index, tau_row):
+    for i in range(1, index.level_count):
+        parent = index.levels[i - 1][tau_row[i - 1]]
+        child = index.levels[i][tau_row[i]]
+        if index.h.parent(child) != parent:
+            raise HeadError(f"{child!r} is not a child of {parent!r}")
+
+
+def ref_hab_loss(x, y):
+    x, single = _batchify(x)
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        y = y[None, :]
+    n, width = x.shape
+    loss = float(np.sum(y * _softplus(-x) + (1.0 - y) * _softplus(x))) / (n * width)
+    grad = (_sigmoid(x) - y) / (n * width)
+    return loss, (grad[0] if single else grad)
+
+
+def ref_plc_loss(x, tau, index):
+    x, single = _batchify(x)
+    tau = np.atleast_2d(tau)
+    n = x.shape[0]
+    grad = np.zeros_like(x)
+    total = 0.0
+    for i, (off, size) in enumerate(zip(index.level_offsets, index.level_sizes)):
+        losses, g = _per_sample_ce(x[:, off : off + size], tau[:, i])
+        total += float(losses.sum())
+        grad[:, off : off + size] = g
+    grad /= n
+    return total / n, (grad[0] if single else grad)
+
+
+def ref_mc_loss(x, tau, index):
+    x, single = _batchify(x)
+    tau = np.atleast_2d(tau)
+    n = x.shape[0]
+    logp = x - _logsumexp(x, axis=1)[:, None]
+    p = np.exp(logp)
+    total = 0.0
+    grad = np.zeros_like(x)
+    for i in range(index.level_count):
+        leaf_mask = np.zeros((index.level_sizes[i], index.level_sizes[-1]), dtype=bool)
+        for j, nid in enumerate(index.levels[i]):
+            for leaf in index.h.leaf_descendants(nid):
+                leaf_mask[j, index.pos_in_level[leaf]] = True
+        mask = leaf_mask[tau[:, i]]
+        log_ps = _logsumexp(np.where(mask, logp, -np.inf), axis=1)
+        total += float(-log_ps.sum())
+        grad += p - np.where(mask, np.exp(logp - log_ps[:, None]), 0.0)
+    grad /= n
+    return total / n, (grad[0] if single else grad)
+
+
+def ref_mplc_loss(x, tau, index):
+    x, single = _batchify(x)
+    tau = np.atleast_2d(tau)
+    n = x.shape[0]
+    grad = np.zeros_like(x)
+    total = 0.0
+    for i, (off, size) in enumerate(zip(index.level_offsets, index.level_sizes)):
+        seg = x[:, off : off + size]
+        if i == 0:
+            losses, g = _per_sample_ce(seg, tau[:, 0])
+            total += float(losses.sum())
+            grad[:, off : off + size] = g
+            continue
+        mask = np.zeros((n, size), dtype=bool)
+        for s in range(n):
+            kids = ref_children_pos(index, i - 1, tau[s, i - 1])
+            if tau[s, i] not in kids:
+                child = index.levels[i][tau[s, i]]
+                parent = index.levels[i - 1][tau[s, i - 1]]
+                raise HeadError(f"target {child!r} is not a child of {parent!r}")
+            mask[s, kids] = True
+        logz = _logsumexp(np.where(mask, seg, -np.inf), axis=1)
+        total += float((logz - seg[np.arange(n), tau[:, i]]).sum())
+        sm = np.where(mask, np.exp(seg - logz[:, None]), 0.0)
+        sm[np.arange(n), tau[:, i]] -= 1.0
+        grad[:, off : off + size] = sm
+    grad /= n
+    return total / n, (grad[0] if single else grad)
+
+
+def ref_hs_probabilities(x, index):
+    x, single = _batchify(x)
+    conds = []
+    log_cond = np.empty_like(x)
+    for g in index.groups:
+        seg = x[:, g.offset : g.offset + len(g.member_ids)]
+        lz = _logsumexp(seg, axis=1)
+        log_cond[:, g.offset : g.offset + len(g.member_ids)] = seg - lz[:, None]
+        conds.append(np.exp(seg - lz[:, None]))
+    joint_log = np.zeros((x.shape[0], index.level_sizes[-1]))
+    for pos, leaf in enumerate(index.levels[-1]):
+        nid = leaf
+        while nid is not None:
+            gi, gp = index.group_of[nid]
+            joint_log[:, pos] += log_cond[:, index.groups[gi].offset + gp]
+            nid = index.h.parent(nid)
+    joint = np.exp(joint_log)
+    if single:
+        return [c[0] for c in conds], joint[0]
+    return conds, joint
+
+
+def ref_hs_loss(x, tau, index):
+    x, single = _batchify(x)
+    tau = np.atleast_2d(tau)
+    n = x.shape[0]
+    grad = np.zeros_like(x)
+    total = 0.0
+    for s in range(n):
+        ref_check_path(index, tau[s])
+        for i in range(index.level_count):
+            gi, gp = index.group_of[index.levels[i][tau[s, i]]]
+            g = index.groups[gi]
+            seg = x[s, g.offset : g.offset + len(g.member_ids)]
+            lz = _logsumexp(seg[None, :], axis=1)[0]
+            total += float(lz - seg[gp])
+            sm = np.exp(seg - lz)
+            sm[gp] -= 1.0
+            grad[s, g.offset : g.offset + len(g.member_ids)] += sm
+    grad /= n
+    return total / n, (grad[0] if single else grad)
+
+
+def ref_head_loss(head, logits, tau, mh, index):
+    if head == "hab":
+        return ref_hab_loss(logits, mh)
+    return {"plc": ref_plc_loss, "mc": ref_mc_loss, "mplc": ref_mplc_loss,
+            "hs": ref_hs_loss}[head](logits, tau, index)
+
+
+def ref_weighted_head_loss(head, logits, tau, mh, index, weights):
+    """The per-sample loop class weighting used: one head call per sample."""
+    total = 0.0
+    grad = np.zeros_like(logits)
+    for s in range(logits.shape[0]):
+        l, g = ref_head_loss(
+            head, logits[s], None if tau is None else tau[s : s + 1],
+            None if mh is None else mh[s], index,
+        )
+        total += weights[s] * l
+        grad[s] = weights[s] * g
+    n = logits.shape[0]
+    return total / n, grad / n
+
+
+def ref_mplc_predict(x, index):
+    x, single = _batchify(x)
+    n = x.shape[0]
+    out = np.empty((n, index.level_count), dtype=object)
+    prev = np.argmax(x[:, : index.level_sizes[0]], axis=1)
+    out[:, 0] = [index.levels[0][j] for j in prev]
+    for i in range(1, index.level_count):
+        off = index.level_offsets[i]
+        seg = x[:, off : off + index.level_sizes[i]]
+        cur = np.empty(n, dtype=np.int64)
+        for s in range(n):
+            kids = ref_children_pos(index, i - 1, prev[s])
+            cur[s] = kids[int(np.argmax(seg[s, kids]))]
+        out[:, i] = [index.levels[i][j] for j in cur]
+        prev = cur
+    return out[0] if single else out
+
+
+def ref_hs_predict(x, index):
+    x, single = _batchify(x)
+    _, joint = ref_hs_probabilities(x, index)
+    out = np.empty((x.shape[0], index.level_count), dtype=object)
+    for s, leaf_pos in enumerate(np.argmax(joint, axis=1)):
+        nid = index.levels[-1][leaf_pos]
+        path = [nid]
+        while index.h.parent(nid) is not None:
+            nid = index.h.parent(nid)
+            path.append(nid)
+        out[s] = list(reversed(path))
+    return out[0] if single else out
+
+
+def ref_predict_levels(head, x, index):
+    if head == "mplc":
+        return ref_mplc_predict(x, index)
+    if head == "hs":
+        return ref_hs_predict(x, index)
+    out = np.empty((x.shape[0], index.level_count), dtype=object)
+    if head == "plc":
+        for i, (off, size) in enumerate(zip(index.level_offsets, index.level_sizes)):
+            out[:, i] = [index.levels[i][j] for j in np.argmax(x[:, off : off + size], axis=1)]
+        return out
+    probs = [None] * index.level_count  # mc: leaf softmax, then children sums
+    probs[-1] = _softmax(x)
+    for i in range(index.level_count - 2, -1, -1):
+        probs[i] = np.zeros((x.shape[0], index.level_sizes[i]))
+        for j in range(index.level_sizes[i]):
+            probs[i][:, j] = probs[i + 1][:, ref_children_pos(index, i, j)].sum(axis=1)
+    for i, p in enumerate(probs):
+        out[:, i] = [index.levels[i][j] for j in np.argmax(p, axis=1)]
+    return out
+
+
+def uneven_tree(rng, levels, roots, max_branching):
+    """A leveled forest with 1..max_branching children per node; within-level
+    ids are shuffled so that id order differs from parent order."""
+    nodes, edges, parents = [], [], [None] * roots
+    for level in range(1, levels + 1):
+        names = [f"L{level}.{j:03d}" for j in rng.permutation(len(parents))]
+        nodes += [Node(nid, level, nid) for nid in names]
+        edges += [(p, nid) for p, nid in zip(parents, names) if p is not None]
+        parents = [nid for nid in names for _ in range(int(rng.integers(1, max_branching + 1)))]
+    return Hierarchy(nodes, edges)
+
+
+def head_batch(index, rng, n, tied):
+    """Random logits of every head's width, leaf-path targets and weights."""
+    leaves = rng.integers(index.level_sizes[-1], size=n)
+    tau = index.leaf_path[leaves]
+    logits = {}
+    for head in HEADS:
+        shape = (n, head_width(head, index))
+        logits[head] = (rng.integers(-1, 2, size=shape) * 0.5 if tied
+                        else rng.standard_normal(shape) * 3)
+    return logits, tau, index.multi_hot(_label_ids(index, tau)), rng.random(n) * 4 + 0.05
+
+
+HEADS = ("hab", "plc", "mc", "mplc", "hs")
+
+
+def as_bytes(loss, grad):
+    return np.float64(loss).tobytes(), grad.tobytes()
+
+
+def assert_heads_match_references(h, seed, n, tied):
+    index = HierarchyIndex(h)
+    rng = np.random.default_rng(seed)
+    logits, tau, mh, weights = head_batch(index, rng, n, tied)
+    for head in HEADS:
+        x = logits[head]
+        args = (head, x, tau, mh if head == "hab" else None, index)
+        got = head_loss(*args, weights)
+        assert as_bytes(*got) == as_bytes(*ref_weighted_head_loss(*args, weights)), head
+        rows = [ref_head_loss(head, x[s], tau[s : s + 1], mh[s], index) for s in range(n)]
+        losses = np.array([l for l, _ in rows])
+        expected = (float(losses.sum()) / n, np.stack([g for _, g in rows]) / n)
+        assert as_bytes(*head_loss(*args)) == as_bytes(*expected), head
+        if head != "hab":
+            clf = LinearClassifier(np.eye(x.shape[1]), np.zeros(x.shape[1]), head, index)
+            got_pred = predict_levels(clf, x)
+            assert got_pred.tolist() == ref_predict_levels(head, x, index).tolist(), head
+
+
+class TestHeadsMatchPerSampleLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(1, 3), st.integers(1, 4),
+        st.integers(1, 20), st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    def test_uneven_trees(self, levels, roots, branching, n, tied, seed):
+        h = uneven_tree(np.random.default_rng(seed), levels, roots, branching)
+        assert_heads_match_references(h, seed, n, tied)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3), (2, 1), (1, 5)])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_complete_trees_large_batch(self, shape, tied):
+        # 64 samples: a pairwise sum of the weighted losses rounds differently
+        assert_heads_match_references(generate_synthetic_tree(*shape), 7, 64, tied)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_top_down_predictions_take_the_lowest_index(self, seed):
+        h = uneven_tree(np.random.default_rng(seed), 4, 2, 4)
+        index = HierarchyIndex(h)
+        x = np.zeros((3, index.n_total))
+        x[1] = np.random.default_rng(seed).integers(0, 2, size=index.n_total)
+        assert mplc_predict(x, index).tolist() == ref_mplc_predict(x, index).tolist()
+        g = np.zeros((2, index.group_width))
+        assert hs_predict(g, index).tolist() == ref_hs_predict(g, index).tolist()
+
+    def test_unweighted_gradients_equal_the_old_batch_code(self, tree423):
+        # only the loss sum's order moved; hab also divides in another order
+        index = HierarchyIndex(tree423)
+        logits, tau, mh, _ = head_batch(index, np.random.default_rng(3), 37, False)
+        for head in HEADS:
+            args = (head, logits[head], tau, mh, index)
+            (loss, grad), (ref_loss, ref_grad) = head_loss(*args), ref_head_loss(*args)
+            assert loss == pytest.approx(ref_loss, rel=1e-14)
+            if head == "hab":
+                np.testing.assert_array_max_ulp(grad, ref_grad, maxulp=1)
+            else:
+                assert grad.tobytes() == ref_grad.tobytes(), head
+
+    @pytest.mark.parametrize("head", ["mplc", "hs"])
+    def test_bad_path_names_the_first_bad_child_and_parent(self, index, head):
+        tau = np.array([[0, 0, 0], [0, 0, index.pos_in_level["r.1.0"]],
+                        [0, 1, index.pos_in_level["r.0.1"]]])
+        x = np.zeros((3, head_width(head, index)))
+        with pytest.raises(HeadError, match=r"'r\.1\.0' is not a child of 'r\.0'"):
+            head_loss(head, x, tau, None, index)
+
+
+class TestTrainerMatchesPerSampleLoop:
+    @pytest.mark.parametrize("head", HEADS)
+    def test_class_weights_run(self, head, monkeypatch):
+        from hierembed import heads
+        from hierembed.synth import gaussian_cluster_features
+
+        h = generate_synthetic_tree(3, 3)
+        features = gaussian_cluster_features(h, 5, 6, seed=2)
+        labels = np.array(
+            [list(reversed(h.ancestors(l))) + [l] for l in features.leaf_labels], dtype=object
+        )
+        order = np.random.default_rng(1).permutation(len(labels))
+        keep = order[np.concatenate([[0], np.flatnonzero(order % 3)])]  # uneven counts
+        tr, va = keep[:-12], keep[-12:]
+        policy = ImbalancePolicy.from_labels("class-weights", [l[-1] for l in labels[tr]])
+        cfg = ClassifierConfig(head=head, lr=0.05, epochs=3, batch_size=10, seed=4)
+
+        def run():
+            return train_linear_classifier(
+                features.features[tr], labels[tr], features.features[va], labels[va],
+                h, policy, cfg,
+            )
+
+        clf, history = run()
+        monkeypatch.setattr(
+            heads, "head_loss",
+            lambda head, logits, tau, mh, index, weights: ref_weighted_head_loss(
+                head, logits, tau, mh, index, weights
+            ),
+        )
+        ref_clf, ref_history = run()
+        assert clf.w.tobytes() == ref_clf.w.tobytes()
+        assert clf.b.tobytes() == ref_clf.b.tobytes()
+        assert history == ref_history
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_unit_weights_give_the_unweighted_gradient(self, head, tree423):
+        index = HierarchyIndex(tree423)
+        logits, tau, mh, _ = head_batch(index, np.random.default_rng(5), 29, False)
+        args = (head, logits[head], tau, mh, index)
+        assert head_loss(*args, np.ones(29))[1].tobytes() == head_loss(*args)[1].tobytes()
