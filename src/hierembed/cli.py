@@ -124,7 +124,12 @@ def cmd_train_labels(args) -> None:
     _, chosen_margin, table, history = best
 
     storage.save_embeddings(
-        out / "embeddings.emb", table.node_ids, table.coords, table.params.kind
+        out / "embeddings.emb",
+        table.node_ids,
+        table.coords,
+        table.params.kind,
+        k=args.aperture_k,
+        squared=args.squared,
     )
     _write_csv(out / "train_log.csv", ["epoch", "loss", "val_f1", "threshold"], history)
     if len(split.val) and len(split.test):
@@ -156,11 +161,35 @@ def _load_feature_matrix(path) -> joint.FeatureMatrix:
     return joint.FeatureMatrix(ids, feats, leaves)
 
 
+def _stored_k(header: dict, given: float | None, path) -> float:
+    """The cone constant stored in ``path``, else ``--aperture-k`` or 0.1.
+
+    An ``--aperture-k`` that disagrees with a stored one is an error.
+    """
+    stored = header.get("k")
+    if stored is None:
+        return 0.1 if given is None else given
+    if given is not None and given != stored:
+        raise CliError(f"--aperture-k {given!r} conflicts with k={stored!r} stored in {path}")
+    return stored
+
+
 def cmd_train_joint(args) -> None:
     out = _out_dir(args.out)
     h = _load_hierarchy(args)
     features = _load_feature_matrix(args.features)
     defaults = DEFAULT_JOINT[args.geometry]
+    init, stored = None, {}
+    if args.init_labels:
+        if not Path(args.init_labels).exists():
+            raise CliError(f"label initialization file not found: {args.init_labels}")
+        node_ids, coords, kind, stored = storage.load_embeddings_with_header(args.init_labels)
+        if kind != args.geometry:
+            raise CliError(
+                f"initialization geometry {kind!r} does not match --geometry {args.geometry!r}"
+            )
+        init = (node_ids, coords)
+    k = _stored_k(stored, args.aperture_k, args.init_labels)
     epochs = args.epochs if args.epochs is not None else defaults["epochs"]
     lr_labels = args.lr_labels if args.lr_labels is not None else defaults["lr_labels"]
     config = training.TrainConfig(
@@ -171,20 +200,13 @@ def cmd_train_joint(args) -> None:
         lr_instances=args.lr_im,
         epochs=epochs,
         batch_size=args.batch,
-        aperture_k=args.aperture_k,
+        aperture_k=k,
         seed=args.seed,
         rebalance_images=args.rebalance_images,
     )
     init_labels = None
-    if args.init_labels:
-        if not Path(args.init_labels).exists():
-            raise CliError(f"label initialization file not found: {args.init_labels}")
-        node_ids, coords, kind = storage.load_embeddings(args.init_labels)
-        if kind != args.geometry:
-            raise CliError(
-                f"initialization geometry {kind!r} does not match --geometry {args.geometry!r}"
-            )
-        init_labels = training.EmbeddingTable(node_ids, coords, config.cone_params())
+    if init is not None:
+        init_labels = training.EmbeddingTable(*init, config.cone_params())
     split_seed = args.split_seed if args.split_seed is not None else args.seed
     train_idx, val_idx, _ = joint.split_instances(len(features.instance_ids), split_seed)
     model, history = joint.train_joint(
@@ -197,7 +219,7 @@ def cmd_train_joint(args) -> None:
     )
     header = {
         "geometry": args.geometry,
-        "k": args.aperture_k,
+        "k": k,
         "margin": args.margin,
         "dim": args.dim,
         "lr_labels": lr_labels,
@@ -210,7 +232,9 @@ def cmd_train_joint(args) -> None:
     )
     _write_csv(out / "train_log.csv", ["epoch", "loss", "val_f1"], history)
     snapshot = dict(vars(args))
-    snapshot.update({"epochs": epochs, "lr_labels": lr_labels, "split_seed": split_seed})
+    snapshot.update(
+        {"epochs": epochs, "lr_labels": lr_labels, "split_seed": split_seed, "aperture_k": k}
+    )
     _write_snapshot(out, "train-joint", snapshot)
 
 
@@ -266,23 +290,42 @@ def cmd_classify(args) -> None:
     _write_snapshot(out, "classify", snapshot)
 
 
+def _load_labels(args) -> training.EmbeddingTable:
+    """The label table of a joint model or a label file, with the cone it was trained with.
+
+    A joint model's stored ``k`` is used and ``--aperture-k`` is ignored, as
+    older snapshots carry the option's default. Label files written by
+    ``train-labels`` store ``k`` and ``squared``; older ones take
+    ``--aperture-k`` (default 0.1) and the unsquared energy.
+    """
+    try:
+        model, _ = _load_joint(args.model)
+        return model.labels
+    except storage.FormatError:
+        pass
+    node_ids, coords, kind, header = storage.load_embeddings_with_header(args.model)
+    params = geometry.ConeParams(
+        kind=kind,
+        k=_stored_k(header, getattr(args, "aperture_k", None), args.model),
+        oe_squared=header.get("squared", False),
+    )
+    return training.EmbeddingTable(node_ids, coords, params)
+
+
 def cmd_reconstruct(args) -> None:
     out = _out_dir(args.out)
     h = _load_hierarchy(args)
-    try:
-        model, _ = _load_joint(args.model)
-        table = model.labels
-    except storage.FormatError:
-        node_ids, coords, kind = storage.load_embeddings(args.model)
-        params = geometry.ConeParams(kind=kind, k=args.aperture_k)
-        table = training.EmbeddingTable(node_ids, coords, params)
+    table = _load_labels(args)
     res = joint.reconstruct_labels(table, h)
     _write_csv(
         out / "reconstruction.csv",
         ["TPR", "TNR", "full-F1", "threshold"],
         [{"TPR": res.tpr, "TNR": res.tnr, "full-F1": res.f1, "threshold": res.threshold}],
     )
-    _write_snapshot(out, "reconstruct", vars(args))
+    # the resolved cone, so that ``rerun`` scores the same way
+    snapshot = dict(vars(args))
+    snapshot["aperture_k"] = table.params.k
+    _write_snapshot(out, "reconstruct", snapshot)
 
 
 def _instance_level_labels(
@@ -400,11 +443,8 @@ def cmd_export_2d(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_path / "coords.tsv" if out_path.suffix == "" else out_path
     h = _load_hierarchy(args)
-    try:
-        model, _ = _load_joint(args.model)
-        node_ids, coords = model.labels.node_ids, model.labels.coords
-    except storage.FormatError:
-        node_ids, coords, _ = storage.load_embeddings(args.model)
+    table = _load_labels(args)
+    node_ids, coords = table.node_ids, table.coords
     if not len(node_ids):
         raise CliError("model has no embedded nodes")
     if args.method == "raw2d":
@@ -536,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--geometry", choices=("oe", "ec", "hc"), default="ec")
     p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--aperture-k", type=float, default=0.1)
+    p.add_argument("--aperture-k", type=float, default=None,
+                   help="default: the K stored in --init-labels, else 0.1; must match a stored K")
     p.add_argument("--margin", type=float, default=1.0)
     p.add_argument("--epochs", type=int, default=None, help="default: ec 200, hc 100")
     p.add_argument("--lr-labels", type=float, default=None, help="default: ec 1e-2, hc 1e-4")
@@ -544,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--init-labels", default=None, help="label-only embeddings file")
     p.add_argument("--rebalance-images", action="store_true",
-                   help="draw corruption nodes 50/50 image:label")
+                   help="propose each corruption from the instance pool with probability 1/2, "
+                   "else from a uniformly chosen label level; keep only valid negatives")
     p.add_argument("--split-seed", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_train_joint)
@@ -562,8 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="label-hierarchy reconstruction quality")
     _add_hierarchy_inputs(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--aperture-k", type=float, default=0.1,
-                   help="cone constant for label-only embedding files")
+    p.add_argument("--aperture-k", type=float, default=None,
+                   help="cone constant of label files that do not store one (default 0.1); "
+                   "must match a stored one; joint models use their own")
     _add_common(p)
     p.set_defaults(func=cmd_reconstruct)
 
@@ -613,7 +656,8 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except Exception as exc:  # surface one machine-readable line
-        sys.stderr.write(json.dumps({"error": str(exc), "command": args.command}) + "\n")
+        payload = {"error": str(exc), "command": args.command, "type": type(exc).__name__}
+        sys.stderr.write(json.dumps(payload) + "\n")
         return 1
     return 0
 

@@ -2,7 +2,8 @@
 
 - ``EMB1``: embedding table. Magic, little-endian u32 node count, u32
   dimension, u8 geometry tag, then f64 coordinates row-major. A sidecar
-  TSV ``<path>.nodes.tsv`` maps ``node_id`` to row.
+  TSV ``<path>.nodes.tsv`` maps ``node_id`` to row. A label file may end
+  in an ``HDR1`` trailer with the cone constant ``k`` and ``squared``.
 - ``FEAT``: instance features. Magic, u32 n, u32 D, f32 row-major, with a
   sidecar ``instances.tsv`` (``instance_id  row  leaf_label_id``).
 - ``LMAP``: a dense real matrix (the learnable linear map). Magic, u32
@@ -108,19 +109,43 @@ def _read_sidecar(path, n: int) -> tuple[str, ...]:
     return tuple(ids)
 
 
-def save_embeddings(path, node_ids: Sequence[str], coords: np.ndarray, kind: str) -> None:
+def save_embeddings(
+    path,
+    node_ids: Sequence[str],
+    coords: np.ndarray,
+    kind: str,
+    *,
+    k: float | None = None,
+    squared: bool | None = None,
+) -> None:
+    """Write a label file; ``k`` and ``squared``, when given, go into an HDR1 trailer."""
     if len(node_ids) != coords.shape[0]:
         raise FormatError("node id count does not match coordinate rows")
+    stored = {key: val for key, val in (("k", k), ("squared", squared)) if val is not None}
     with open(path, "wb") as f:
         _write_emb_block(f, coords, kind)
+        if stored:
+            _write_header_block(f, {"geometry": kind, **stored})
     _write_sidecar(path, node_ids)
 
 
 def load_embeddings(path) -> tuple[tuple[str, ...], np.ndarray, str]:
+    return load_embeddings_with_header(path)[:3]
+
+
+def load_embeddings_with_header(path) -> tuple[tuple[str, ...], np.ndarray, str, dict]:
+    """Label file and its trailer; ``{}`` when the EMB1 block is not followed by one."""
     with open(path, "rb") as f:
         coords, kind = _read_emb_block(f)
+        end = f.tell()
+        header = {}
+        if f.read(4) == b"HDR1":
+            f.seek(end)
+            header = _read_header_block(f)
+    if header.get("geometry", kind) != kind:
+        raise FormatError("header geometry disagrees with the embedding block")
     node_ids = _read_sidecar(path, coords.shape[0])
-    return node_ids, coords, kind
+    return node_ids, coords, kind, header
 
 
 def save_features(

@@ -14,6 +14,7 @@ corrupt-v), skipping corruptions that are true pairs.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -23,9 +24,10 @@ from . import geometry
 from .geometry import ConeParams
 from .hierarchy import EdgeSet, Hierarchy, SplitResult
 
-# Draws per (side, pool) sampler slot before the slot gives up. A slot in
-# which no candidate is valid (``_Graph.empty``) still consumes RETRY_CAP
-# draws, in one batched call, so that seeded runs replay byte for byte.
+# Draws per (side, pool) slot of the plain sampler (``_sample_negatives_for``)
+# before the slot gives up. A slot in which no candidate is valid
+# (``_Graph.empty``) still consumes RETRY_CAP draws, in one batched call, so
+# that seeded runs replay byte for byte.
 RETRY_CAP = 100
 
 
@@ -185,7 +187,7 @@ def optimizer_step(
     """One update of an embedding table, projected back into the domain."""
     if not np.all(np.isfinite(grads)):
         bad = int(np.count_nonzero(~np.isfinite(grads)))
-        raise TrainingError(f"non-finite gradient ({bad} entries); aborting")
+        raise TrainingError(f"non-finite gradient ({bad} entries)")
     if config.optimizer == "rsgd":
         updated = rsgd_step(params, grads, config.lr)
     else:
@@ -286,40 +288,69 @@ class _Graph:
             forbidden |= {(index[u], index[v]) for u, v in forbidden_extra}
         forbidden |= {(int(u), int(v)) for u, v in self.positives}
         self.forbidden = forbidden
+        self._banned_tables()
         # Candidate pools of ``_sample_negatives_for``, keyed by pick_per_level:
         # one pool per level, or every level's slot drawing from all nodes.
-        everyone = [np.concatenate(self.levels)] if self.levels else []
+        # ``empty[side, p, node]``: no candidate in ``pools[p]`` is a valid
+        # negative. The levels partition the nodes, so the all-nodes pool's
+        # valid count is the sum over levels.
+        everyone = [self.order] if self.levels else []
         self.pools = {True: self.levels, False: everyone * len(self.levels)}
-        self.empty = {ppl: self._empty_slots(pools) for ppl, pools in self.pools.items()}
+        none_valid = self.valid.sum(axis=1, keepdims=True) == 0
+        self.empty = {
+            True: self.valid == 0,
+            False: np.repeat(none_valid, len(self.levels), axis=1),
+        }
 
-    def _empty_slots(self, pools: list[np.ndarray]) -> np.ndarray:
-        """``empty[side, p, node]``: no candidate in ``pools[p]`` is a valid negative.
+    def _banned_tables(self) -> None:
+        """Valid counts and banned positions per (side, node), from the banned pairs.
 
         Side 0 corrupts u, so ``node`` is the positive's child v; side 1
-        corrupts v, so ``node`` is its parent u. A candidate is invalid if it
+        corrupts v, so ``node`` is its parent u. A candidate is banned if it
         forms a forbidden pair or a self-pair with ``node``, or if both are
-        instances. Counts run over the banned pairs as arrays, one
-        ``bincount`` per side and pool.
+        instances. The levels, concatenated, give every node a position
+        (``order[pos]`` is the node).
+
+        - ``valid[side, p, node]``: valid candidates in ``levels[p]``.
+        - ``banned_ptr[side]``/``banned_gap[side]``: a CSR over nodes of the
+          banned positions, ascending, each stored as the number of
+          non-banned positions before it. Instance-instance pairs are banned
+          by rule, not listed: the instance level comes last, so they never
+          shift the positions of label candidates.
         """
         n = self.n_total
+        self.order = np.concatenate(self.levels) if self.levels else np.zeros(0, np.int64)
+        pos = np.empty(n, dtype=np.int64)
+        pos[self.order] = np.arange(n)
+        sizes = np.array([len(pool) for pool in self.levels], dtype=np.int64)
+        level_at = np.repeat(np.arange(len(sizes)), sizes)  # level of each position
         keys = np.fromiter(
             (a * n + b for a, b in self.forbidden), dtype=np.int64, count=len(self.forbidden)
         )
         keys = np.unique(np.concatenate([keys, np.arange(n, dtype=np.int64) * (n + 1)]))
         a, b = np.divmod(keys, n)
-        # instance-instance pairs are counted by the rule below, not per pair
         keep = (a < self.n_labels) | (b < self.n_labels)
         a, b = a[keep], b[keep]
+        inst_per_level = np.array(
+            [np.count_nonzero(pool >= self.n_labels) for pool in self.levels], dtype=np.int64
+        )
         is_instance = np.arange(n) >= self.n_labels
-        out = np.zeros((2, len(pools), n), dtype=bool)
-        for p, pool in enumerate(pools):
-            in_pool = np.zeros(n, dtype=bool)
-            in_pool[pool] = True
-            size = np.count_nonzero(in_pool)
-            inst_bad = is_instance * np.count_nonzero(in_pool[self.n_labels :])
-            out[0, p] = np.bincount(b[in_pool[a]], minlength=n) + inst_bad == size
-            out[1, p] = np.bincount(a[in_pool[b]], minlength=n) + inst_bad == size
-        return out
+        self.valid = np.empty((2, len(sizes), n), dtype=np.int64)
+        self.banned_ptr, self.banned_gap = [], []
+        for side, (node, cand) in enumerate(((b, a), (a, b))):
+            ordered = np.sort(node * n + pos[cand])
+            node, cand_pos = np.divmod(ordered, n)
+            counts = np.bincount(node, minlength=n)
+            ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(counts, out=ptr[1:])
+            self.banned_ptr.append(ptr)
+            self.banned_gap.append(cand_pos - (np.arange(len(node)) - ptr[node]))
+            banned = np.bincount(
+                level_at[cand_pos] * n + node, minlength=len(sizes) * n
+            ).reshape(len(sizes), n)
+            self.valid[side] = (
+                sizes[:, None] - banned - inst_per_level[:, None] * is_instance[None, :]
+            )
 
     def is_instance(self, node: int) -> bool:
         return node >= self.n_labels
@@ -365,28 +396,49 @@ def _sample_negatives_rebalanced(
     rng: np.random.Generator,
     config: TrainConfig,
 ) -> list[tuple[int, int]]:
-    """Corruptions drawn 50/50 from the instance pool vs a random label level."""
-    label_levels = [l for l in graph.levels[: -1]] or graph.levels
-    inst_pool = graph.levels[-1]
+    """Corruptions drawn 50/50 from the instance pool vs a random label level.
+
+    The proposal picks the instance pool (the last level) with probability
+    1/2, else one of the L label levels with 1/(2L), then a uniform member.
+    Each slot takes one draw from what a rejection loop over that proposal
+    accepts: a level with weight (proposal probability / level size) x its
+    valid candidates not yet drawn for this positive, then a uniform one of
+    those, found by index arithmetic over the banned positions. A side stops
+    once no valid candidate is left.
+    """
+    levels = graph.levels
+    props = [0.5 / (len(levels) - 1)] * (len(levels) - 1) + [0.5] if len(levels) > 1 else [1.0]
+    unit = [prop / len(pool) for prop, pool in zip(props, levels)]
+    slots = len(levels) * config.neg_passes
+    draws = rng.random(2 * slots).tolist()
     out: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    draws = 2 * len(graph.levels) * config.neg_passes
-    for k in range(draws):
-        corrupt_u = k % 2 == 0
-        for _ in range(RETRY_CAP):
-            if rng.random() < 0.5:
-                pool = inst_pool
-            else:
-                pool = label_levels[int(rng.integers(len(label_levels)))]
-            cand = int(pool[int(rng.integers(len(pool)))])
-            pair = (cand, v) if corrupt_u else (u, cand)
-            if pair[0] == pair[1] or pair in graph.forbidden or pair in seen:
-                continue
-            if graph.is_instance(pair[0]) and graph.is_instance(pair[1]):
-                continue
-            out.append(pair)
-            seen.add(pair)
-            break
+    for side, fixed in enumerate((v, u)):
+        counts = graph.valid[side, :, fixed].tolist()
+        ptr = graph.banned_ptr[side]
+        gaps = graph.banned_gap[side][ptr[fixed] : ptr[fixed + 1]]
+        seen: list[int] = []  # drawn valid indices, ascending
+        for r in draws[side * slots : (side + 1) * slots]:
+            masses = [c * w for c, w in zip(counts, unit)]
+            total = sum(masses)
+            if total <= 0.0:
+                break
+            x = r * total
+            for p, m in enumerate(masses):
+                if x < m:
+                    break
+                x -= m
+            else:  # rounding carried x past the last mass: take the last candidate
+                p = max(q for q, m in enumerate(masses) if m)
+                x = masses[p]
+            k = sum(counts[:p]) + min(int(x / unit[p]), counts[p] - 1)
+            for s in seen:
+                if s > k:
+                    break
+                k += 1
+            bisect.insort(seen, k)
+            counts[p] -= 1
+            cand = int(graph.order[k + int(np.searchsorted(gaps, k, side="right"))])
+            out.append((cand, v) if side == 0 else (u, cand))
     return out
 
 
@@ -479,7 +531,7 @@ def train_graph_embedding(
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_pos) if n_pos else np.array([], dtype=np.int64)
         epoch_loss = 0.0
-        for start in range(0, n_pos, config.batch_size):
+        for b, start in enumerate(range(0, n_pos, config.batch_size), 1):
             batch = graph.positives[order[start : start + config.batch_size]]
             negs: list[tuple[int, int]] = []
             for u, v in batch:
@@ -498,13 +550,17 @@ def train_graph_embedding(
                 accumulate(pairs[:, 0], gx, zx, coords_grad, w_grad)
                 accumulate(pairs[:, 1], gy, zy, coords_grad, w_grad)
 
-            coords = optimizer_step(coords, coords_grad, adam_labels, config, rng)
+            where = f"epoch {epoch}, batch {b}"
+            if not np.isfinite(epoch_loss):
+                raise TrainingError(f"loss diverged at {where}")
+            try:
+                coords = optimizer_step(coords, coords_grad, adam_labels, config, rng)
+            except TrainingError as exc:
+                raise TrainingError(f"{exc} at {where}") from None
             if w is not None:
                 if not np.all(np.isfinite(w_grad)):
-                    raise TrainingError("non-finite gradient for the linear map")
+                    raise TrainingError(f"non-finite gradient for the linear map at {where}")
                 w = adam_step(w, w_grad, adam_w, config.lr_instances)
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"loss diverged at epoch {epoch}")
         row = {"epoch": epoch, "loss": epoch_loss}
         if epoch_hook is not None:
             row.update(epoch_hook(coords, w))

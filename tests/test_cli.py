@@ -325,7 +325,30 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         payload = json.loads(err)
         assert payload["command"] == "split"
+        assert payload["type"] == "FileNotFoundError"
         assert "error" in payload
+
+    def test_training_error_line_names_type_epoch_and_batch(self, pipeline, capsys, monkeypatch):
+        from hierembed import geometry
+
+        root, nodes, edges, split, _ = pipeline
+        real = geometry.energies_and_gradients
+        calls = []
+
+        def poisoned(X, Y, params):
+            e, gx, gy = real(X, Y, params)
+            calls.append(1)
+            return e, (np.full_like(gx, np.nan) if len(calls) == 3 else gx), gy  # batch 2
+
+        monkeypatch.setattr(geometry, "energies_and_gradients", poisoned)
+        code = main(["train-labels", "--nodes", str(nodes), "--edges", str(edges),
+                     "--split-dir", str(split), "--epochs", "1", "--seed", "1",
+                     "--out", str(root / "poisoned")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["type"] == "TrainingError"
+        assert payload["command"] == "train-labels"
+        assert payload["error"].endswith(" at epoch 1, batch 2")
 
 
 class TestRerun:
@@ -359,3 +382,147 @@ class TestRerun:
         before = dir_bytes(emb)
         run(["rerun", "--config", str(emb / "train-labels.config.json")])
         assert before == dir_bytes(emb)
+
+
+class TestLabelFileCone:
+    """Label files keep the cone constant and energy they were trained with."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cone")
+        nodes, edges, _ = tree_files(root, 3, 3)
+        split = root / "split"
+        run(["split", "--nodes", str(nodes), "--edges", str(edges),
+             "--fraction", "0.5", "--seed", "7", "--out", str(split)])
+        base = ["train-labels", "--nodes", str(nodes), "--edges", str(edges),
+                "--split-dir", str(split), "--epochs", "30", "--seed", "1"]
+        run(base + ["--geometry", "ec", "--aperture-k", "0.3", "--out", str(root / "k03")])
+        run(base + ["--geometry", "oe", "--squared", "--out", str(root / "sq")])
+        run(["gen-features", "--nodes", str(nodes), "--edges", str(edges), "--per-leaf", "3",
+             "--dim", "8", "--seed", "3", "--out", str(root / "feats")])
+        # a joint model that takes K=0.3 from its label initialisation
+        run(["train-joint", "--nodes", str(nodes), "--edges", str(edges),
+             "--features", str(root / "feats" / "features.feat"), "--geometry", "ec",
+             "--dim", "2", "--epochs", "3", "--seed", "2",
+             "--init-labels", str(root / "k03" / "embeddings.emb"), "--out", str(root / "j03")])
+        return root, nodes, edges
+
+    @staticmethod
+    def reconstruct(root, nodes, edges, model, out, *extra):
+        return main(["reconstruct", "--nodes", str(nodes), "--edges", str(edges),
+                     "--model", str(model), "--out", str(root / out), *extra])
+
+    @staticmethod
+    def expected(model, nodes, edges, params):
+        from hierembed import joint, storage
+        from hierembed.geometry import ConeParams
+        from hierembed.hierarchy import load_hierarchy
+        from hierembed.training import EmbeddingTable
+
+        ids, coords, kind = storage.load_embeddings(model)
+        table = EmbeddingTable(ids, coords, ConeParams(kind, *params))
+        res = joint.reconstruct_labels(table, load_hierarchy(nodes, edges))
+        return [res.tpr, res.tnr, res.f1, res.threshold]
+
+    @staticmethod
+    def row(path):
+        return [float(x) for x in path.read_text().splitlines()[1].split(",")]
+
+    def test_reconstruct_uses_stored_k(self, trained):
+        root, nodes, edges = trained
+        model = root / "k03" / "embeddings.emb"
+        assert self.reconstruct(root, nodes, edges, model, "rec03") == 0
+        got = self.row(root / "rec03" / "reconstruction.csv")
+        assert got == self.expected(model, nodes, edges, (0.3, False))
+        assert got != self.expected(model, nodes, edges, (0.1, False))
+        snap = json.loads((root / "rec03" / "reconstruct.config.json").read_text())
+        assert snap["aperture_k"] == 0.3 and "squared" not in snap
+        # the same K given explicitly agrees with the file, and rerun replays
+        before = dir_bytes(root / "rec03")
+        assert self.reconstruct(root, nodes, edges, model, "rec03", "--aperture-k", "0.3") == 0
+        run(["rerun", "--config", str(root / "rec03" / "reconstruct.config.json")])
+        assert dir_bytes(root / "rec03") == before
+
+    def test_reconstruct_uses_stored_squared(self, trained):
+        root, nodes, edges = trained
+        model = root / "sq" / "embeddings.emb"
+        assert self.reconstruct(root, nodes, edges, model, "recsq") == 0
+        got = self.row(root / "recsq" / "reconstruction.csv")
+        assert got == self.expected(model, nodes, edges, (0.1, True))
+        assert got[3] != self.expected(model, nodes, edges, (0.1, False))[3]
+        snap = json.loads((root / "recsq" / "reconstruct.config.json").read_text())
+        assert "squared" not in snap
+        before = dir_bytes(root / "recsq")
+        run(["rerun", "--config", str(root / "recsq" / "reconstruct.config.json")])
+        assert dir_bytes(root / "recsq") == before
+
+    def test_conflicting_option_rejected(self, trained, capsys):
+        root, nodes, edges = trained
+        path = root / "k03" / "embeddings.emb"
+        assert self.reconstruct(root, nodes, edges, path, "bad", "--aperture-k", "0.1") == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == f"--aperture-k 0.1 conflicts with k=0.3 stored in {path}"
+        assert payload["type"] == "CliError"
+
+    def test_joint_run_takes_k_of_its_init_labels(self, trained, capsys):
+        from hierembed import storage
+
+        root, nodes, edges = trained
+        assert storage.load_joint_model(root / "j03" / "model.bin")[3]["k"] == 0.3
+        snap = json.loads((root / "j03" / "train-joint.config.json").read_text())
+        assert snap["aperture_k"] == 0.3
+        init = root / "k03" / "embeddings.emb"
+        code = main(["train-joint", "--nodes", str(nodes), "--edges", str(edges),
+                     "--features", str(root / "feats" / "features.feat"), "--dim", "2",
+                     "--epochs", "1", "--init-labels", str(init), "--aperture-k", "0.1",
+                     "--out", str(root / "jbad")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == f"--aperture-k 0.1 conflicts with k=0.3 stored in {init}"
+
+    def test_joint_model_keeps_its_k_under_older_snapshots(self, trained):
+        from hierembed import joint, storage
+        from hierembed.geometry import ConeParams
+        from hierembed.hierarchy import load_hierarchy
+        from hierembed.training import EmbeddingTable
+
+        root, nodes, edges = trained
+        model = root / "j03" / "model.bin"
+        assert self.reconstruct(root, nodes, edges, model, "recj") == 0
+        ids, coords, _, header = storage.load_joint_model(model)
+        assert header["k"] == 0.3
+        rows = {}
+        for k in (0.3, 0.1):
+            table = EmbeddingTable(ids, coords, ConeParams("ec", k))
+            res = joint.reconstruct_labels(table, load_hierarchy(nodes, edges))
+            rows[k] = [res.tpr, res.tnr, res.f1, res.threshold]
+        assert self.row(root / "recj" / "reconstruction.csv") == rows[0.3] != rows[0.1]
+        # older snapshots carry the option's default, 0.1; the model's own K still holds
+        path = root / "recj" / "reconstruct.config.json"
+        snap = json.loads(path.read_text())
+        assert snap["aperture_k"] == 0.3
+        before = dir_bytes(root / "recj")
+        path.write_text(json.dumps({**snap, "aperture_k": 0.1}, indent=2, sort_keys=True))
+        run(["rerun", "--config", str(path)])
+        assert dir_bytes(root / "recj") == before
+
+    def test_file_without_trailer_takes_the_option(self, trained, tmp_path):
+        from hierembed import storage
+
+        root, nodes, edges = trained
+        ids, coords, kind = storage.load_embeddings(root / "k03" / "embeddings.emb")
+        legacy = tmp_path / "legacy.emb"
+        storage.save_embeddings(legacy, ids, coords, kind)
+        assert self.reconstruct(tmp_path, nodes, edges, legacy, "r", "--aperture-k", "0.3") == 0
+        got = self.row(tmp_path / "r" / "reconstruction.csv")
+        assert got == self.expected(legacy, nodes, edges, (0.3, False))
+        assert self.reconstruct(tmp_path, nodes, edges, legacy, "d") == 0
+        assert self.row(tmp_path / "d" / "reconstruction.csv") == self.expected(
+            legacy, nodes, edges, (0.1, False)
+        )
+
+    def test_export_reads_files_with_trailer(self, trained):
+        root, nodes, edges = trained
+        run(["export-2d", "--nodes", str(nodes), "--edges", str(edges),
+             "--model", str(root / "k03" / "embeddings.emb"), "--out", str(root / "viz")])
+        assert len((root / "viz" / "coords.tsv").read_text().splitlines()) == 14

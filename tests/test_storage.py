@@ -6,6 +6,7 @@ import pytest
 from hierembed.storage import (
     FormatError,
     load_embeddings,
+    load_embeddings_with_header,
     load_features,
     load_joint_model,
     load_linear_classifier,
@@ -27,6 +28,37 @@ def test_embeddings_round_trip(tmp_path):
     assert kind == "hc"
     np.testing.assert_array_equal(coords2, coords)
     assert sidecar_path(path).exists()
+
+
+def test_embeddings_trailer_keeps_k_and_squared(tmp_path):
+    path = tmp_path / "table.emb"
+    coords = np.arange(6, dtype=float).reshape(3, 2) / 10
+    save_embeddings(path, ("a", "b", "c"), coords, "oe", k=0.3, squared=True)
+    ids, loaded, kind, header = load_embeddings_with_header(path)
+    assert (ids, kind, header) == (("a", "b", "c"), "oe", {"geometry": "oe", "k": 0.3, "squared": True})
+    np.testing.assert_array_equal(loaded, coords)
+    assert load_embeddings(path)[2] == "oe"
+
+
+def test_embeddings_without_trailer_load_as_before(tmp_path):
+    path = tmp_path / "table.emb"
+    save_embeddings(path, ("a",), np.zeros((1, 2)), "ec")
+    # magic, counts, tag and coordinates only: the layout of older files
+    assert path.stat().st_size == 4 + 9 + 16
+    assert load_embeddings_with_header(path)[3] == {}
+    # a joint model's LMAP block after EMB1 is not a trailer
+    model = tmp_path / "model.bin"
+    save_joint_model(model, ("a",), np.zeros((1, 2)), np.ones((3, 2)), {"geometry": "ec", "k": 0.2})
+    assert load_embeddings_with_header(model)[3] == {}
+
+
+def test_embeddings_trailer_geometry_checked(tmp_path):
+    path = tmp_path / "table.emb"
+    save_embeddings(path, ("a",), np.zeros((1, 2)), "ec", k=0.1)
+    data = path.read_bytes().replace(b'"geometry": "ec"', b'"geometry": "hc"')
+    path.write_bytes(data)
+    with pytest.raises(FormatError):
+        load_embeddings_with_header(path)
 
 
 def test_embeddings_magic_enforced(tmp_path):

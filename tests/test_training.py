@@ -29,6 +29,7 @@ from hierembed.training import (
     _best_threshold,
     _Graph,
     _sample_negatives_for,
+    _sample_negatives_rebalanced,
     adam_step,
     evaluate_edge_prediction,
     max_margin_loss,
@@ -118,6 +119,25 @@ class TestOptimizers:
         bad = np.array([[np.nan, 0.0]])
         with pytest.raises(TrainingError):
             optimizer_step(params, bad, AdamState.like(params), cfg)
+
+    def test_engine_error_names_epoch_and_batch(self, trainer_setup, monkeypatch):
+        h, split = trainer_setup
+        real = geometry.energies_and_gradients
+        calls = []
+
+        def poisoned(X, Y, params):
+            # positives, then negatives, per batch: 16 edges in batches of 5 make
+            # 8 calls an epoch, so call 13 is epoch 2, batch 3's positives
+            e, gx, gy = real(X, Y, params)
+            calls.append(1)
+            return e, (np.full_like(gx, np.nan) if len(calls) == 13 else gx), gy
+
+        monkeypatch.setattr(geometry, "energies_and_gradients", poisoned)
+        cfg = TrainConfig(kind="ec", dim=2, epochs=2, batch_size=5, seed=0)
+        assert len(split.train) == 16
+        match = r"^non-finite gradient \(\d+ entries\) at epoch 2, batch 3$"
+        with pytest.raises(TrainingError, match=match):
+            train_label_embeddings(h, split, cfg)
 
     def test_projection_applied(self):
         cfg = TrainConfig(kind="ec", dim=2, epochs=1, lr=0.5, seed=0)
@@ -460,3 +480,213 @@ class TestEmptySlots:
         scalar = [ref.integers(n) for _ in range(RETRY_CAP)]
         np.testing.assert_array_equal(batched, scalar)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def ref_sample_negatives_rebalanced(graph, u, v, rng, config):
+    """The rebalanced sampler as a rejection loop with RETRY_CAP draws per slot."""
+    label_levels = [l for l in graph.levels[: -1]] or graph.levels
+    inst_pool = graph.levels[-1]
+    out = []
+    seen = set()
+    draws = 2 * len(graph.levels) * config.neg_passes
+    for k in range(draws):
+        corrupt_u = k % 2 == 0
+        for _ in range(RETRY_CAP):
+            if rng.random() < 0.5:
+                pool = inst_pool
+            else:
+                pool = label_levels[int(rng.integers(len(label_levels)))]
+            cand = int(pool[int(rng.integers(len(pool)))])
+            pair = (cand, v) if corrupt_u else (u, cand)
+            if pair[0] == pair[1] or pair in graph.forbidden or pair in seen:
+                continue
+            if graph.is_instance(pair[0]) and graph.is_instance(pair[1]):
+                continue
+            out.append(pair)
+            seen.add(pair)
+            break
+    return out
+
+
+def valid_candidates(graph, side, node):
+    """Brute force: candidates forming a valid negative with ``node`` (side 0 corrupts u)."""
+    out = []
+    for c in range(graph.n_total):
+        a, b = (c, node) if side == 0 else (node, c)
+        if a == b or (a, b) in graph.forbidden:
+            continue
+        if graph.is_instance(a) and graph.is_instance(b):
+            continue
+        out.append(c)
+    return out
+
+
+def proposal_mass(graph):
+    """Per node: the rebalanced proposal's probability of drawing it."""
+    levels = graph.levels
+    mass = np.zeros(graph.n_total)
+    for i, pool in enumerate(levels):
+        prop = 0.5 if i == len(levels) - 1 else 0.5 / (len(levels) - 1)
+        mass[pool] += (prop if len(levels) > 1 else 1.0) / len(pool)
+    return mass
+
+
+def split_sides(pairs, u, v):
+    side0 = [a for a, b in pairs if b == v and a != u]
+    side1 = [b for a, b in pairs if a == u and b != v]
+    assert len(side0) + len(side1) == len(pairs)
+    return side0, side1
+
+
+@st.composite
+def forests_with_instances(draw):
+    """An uneven forest (1-4 levels), instances under its leaves, positives, extras."""
+    levels = [[f"n{i}" for i in range(draw(st.integers(1, 3)))]]
+    edges = []
+    for _ in range(draw(st.integers(0, 3))):
+        below = []
+        for j, parent in enumerate(levels[-1]):
+            for c in range(draw(st.integers(1 if j == 0 else 0, 3))):
+                below.append(f"{parent}.{c}")
+                edges.append((parent, below[-1]))
+        levels.append(below)
+    forest = Hierarchy(
+        [Node(nid, depth + 1, nid) for depth, ids in enumerate(levels) for nid in ids], edges
+    )
+    n_inst = draw(st.integers(1, 8))
+    leaves = [draw(st.sampled_from(levels[-1])) for _ in range(n_inst)]
+    inst_ids = [f"i{k}" for k in range(n_inst)]
+    closure = sorted(forest.closure_set())
+    keep = draw(st.lists(st.booleans(), min_size=len(closure), max_size=len(closure)))
+    positives = [e for e, k in zip(closure, keep) if k]
+    positives += [
+        (anc, iid) for iid, leaf in zip(inst_ids, leaves) for anc in (leaf, *forest.ancestors(leaf))
+    ]
+    ids = [nid for level in levels for nid in level] + inst_ids
+    extra = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=12))
+    instances = InstanceNodes(tuple(inst_ids), np.zeros((n_inst, 1)))
+    return _Graph(forest, positives, instances, {(a, b) for a, b in extra if a != b})
+
+
+def _wide_instance_graph():
+    """3 levels, branching 4, two instances per leaf, most of them training nodes."""
+    tree = generate_synthetic_tree(3, 4)
+    features = gaussian_cluster_features(tree, 2, 4, seed=1)
+    train_idx, _, _ = split_instances(len(features.instance_ids), 0)
+    positives = list(tree.closure()) + instance_positive_edges(tree, features, train_idx)
+    instances = InstanceNodes(
+        tuple(features.instance_ids[i] for i in train_idx), features.features[train_idx]
+    )
+    return _Graph(tree, positives, instances, {("r.0", "r.1.1"), ("r.2.3", "r")})
+
+
+def chi2_two_sample(ref, got):
+    """Two-sample chi-square statistic of two frequency samples, and its degrees of freedom."""
+    cats = sorted(set(ref) | set(got))
+    r = np.array([ref.count(c) for c in cats], dtype=float)
+    g = np.array([got.count(c) for c in cats], dtype=float)
+    k1, k2 = np.sqrt(g.sum() / r.sum()), np.sqrt(r.sum() / g.sum())
+    return float(np.sum((k1 * r - k2 * g) ** 2 / (r + g))), len(cats) - 1
+
+
+def chi2_upper(df, z=4.0):
+    """Wilson-Hilferty upper quantile of chi-square(df) at normal deviate ``z``."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * np.sqrt(c)) ** 3
+
+
+class TestRebalancedSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(forests_with_instances(), st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def test_pairs_valid_distinct_and_slots_filled(self, graph, neg_passes, seed):
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes)
+        slots = len(graph.levels) * neg_passes
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for u, v in graph.positives.tolist():
+            valid = [set(valid_candidates(graph, 0, v)), set(valid_candidates(graph, 1, u))]
+            for sampler, r in ((_sample_negatives_rebalanced, rng),
+                               (ref_sample_negatives_rebalanced, ref_rng)):
+                pairs = sampler(graph, u, v, r, cfg)
+                assert len(set(pairs)) == len(pairs)
+                for side, cands in enumerate(split_sides(pairs, u, v)):
+                    assert set(cands) <= valid[side]
+                    if sampler is _sample_negatives_rebalanced:
+                        # a slot is skipped only when no valid candidate is left
+                        assert len(cands) == min(slots, len(valid[side]))
+                    else:
+                        assert len(cands) <= min(slots, len(valid[side]))
+
+    def test_valid_counts_and_banned_positions_match_brute_force(self):
+        for graph in (*(make() for make in GRAPHS.values()), _wide_instance_graph()):
+            pos = {int(node): i for i, node in enumerate(graph.order)}
+            for side in (0, 1):
+                for node in range(graph.n_total):
+                    valid = set(valid_candidates(graph, side, node))
+                    for p, pool in enumerate(graph.levels):
+                        assert graph.valid[side, p, node] == len(valid & set(pool.tolist()))
+                    ptr = graph.banned_ptr[side]
+                    gaps = graph.banned_gap[side][ptr[node] : ptr[node + 1]]
+                    # the k-th valid position, by the sampler's arithmetic; an instance
+                    # node's valid candidates are labels, which come before the instances
+                    expected = sorted(pos[c] for c in valid)
+                    got = [k + int(np.searchsorted(gaps, k, side="right")) for k in range(len(valid))]
+                    assert got == expected
+
+    def test_candidate_frequencies_match_rejection_loop(self):
+        graph = _wide_instance_graph()
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
+        slots = len(graph.levels)
+        mass = proposal_mass(graph)
+        root = graph.index["r"]
+        picks = np.random.default_rng(2).permutation(len(graph.positives))
+        chosen = [tuple(graph.positives[i].tolist()) for i in picks if graph.positives[i, 0] != root]
+        # four label-label and four label-instance positives
+        label = [p for p in chosen if not graph.is_instance(p[1])][:4]
+        inst = [p for p in chosen if graph.is_instance(p[1])][:4]
+        checked = 0
+        for u, v in label + inst:
+            for side, node in ((0, v), (1, u)):
+                m = np.sort(mass[valid_candidates(graph, side, node)])
+                # the loop gives up on a slot with probability below 1e-6 here, so
+                # the two draw the same candidate multiset per call
+                assert (1.0 - (m.sum() - m[len(m) - slots + 1 :].sum())) ** RETRY_CAP < 1e-6
+            rng, ref_rng = np.random.default_rng(7), np.random.default_rng(8)
+            got, ref = ([], []), ([], [])
+            for _ in range(2000):
+                for out, pairs in (
+                    (got, _sample_negatives_rebalanced(graph, u, v, rng, cfg)),
+                    (ref, ref_sample_negatives_rebalanced(graph, u, v, ref_rng, cfg)),
+                ):
+                    for side, cands in enumerate(split_sides(pairs, u, v)):
+                        out[side].extend(cands)
+            for side in (0, 1):
+                assert len(got[side]) == 2000 * slots
+                stat, df = chi2_two_sample(ref[side], got[side])
+                assert stat < chi2_upper(df), (u, v, side, stat, df)
+                checked += 1
+        assert checked == 16
+
+    def test_corrupt_parent_mix_is_half_instances(self):
+        graph = _wide_instance_graph()
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
+        mass = proposal_mass(graph)
+        leaves = {graph.index[n] for n in ("r.0.0", "r.1.2", "r.3.3")}
+        positives = [(u, v) for u, v in graph.positives.tolist() if u in leaves]
+        # the first corrupt-v draw's chance of an instance, from the valid masses
+        expected = []
+        for u, _ in positives:
+            valid = np.array(valid_candidates(graph, 1, u))
+            expected.append(mass[valid[valid >= graph.n_labels]].sum() / mass[valid].sum())
+        exp = np.mean(expected)
+        for sampler, seed in ((_sample_negatives_rebalanced, 3), (ref_sample_negatives_rebalanced, 4)):
+            rng = np.random.default_rng(seed)
+            first, every = [], []
+            for _ in range(300):
+                for u, v in positives:
+                    side1 = split_sides(sampler(graph, u, v, rng, cfg), u, v)[1]
+                    first.append(graph.is_instance(side1[0]))
+                    every.extend(graph.is_instance(c) for c in side1)
+            share = np.mean(first)
+            assert abs(share - exp) < 4 * np.sqrt(exp * (1 - exp) / len(first))
+            assert abs(np.mean(every) - 0.5) < 0.05
+            assert 0.45 < exp < 0.55
