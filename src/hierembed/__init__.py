@@ -24,7 +24,6 @@ from .hierarchy import (
     SplitResult,
     augment_eval_negatives,
     generate_synthetic_tree,
-    sample_negative_pick_per_level,
     split_edges,
     transitive_closure,
 )

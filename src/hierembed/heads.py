@@ -86,25 +86,22 @@ class HierarchyIndex:
             int(x) for x in np.concatenate([[0], np.cumsum(self.level_sizes)[:-1]])
         )
         self.n_total = int(sum(self.level_sizes))
-        self.pos_in_level = {
-            nid: pos for members in self.levels for pos, nid in enumerate(members)
-        }
-        self.level_sets = [set(m) for m in self.levels]
+        # row_pos[r]: within-level position of hierarchy row r
+        self.row_pos = np.empty(len(h.ids), dtype=np.int64)
+        for lvl, size in enumerate(self.level_sizes, 1):
+            self.row_pos[h.level_of == lvl] = np.arange(size)
+        self.pos_in_level = dict(zip(h.ids, self.row_pos.tolist()))
         # parent_pos[i][c]: level-(i+1) position of the parent of the c-th
         # node at level i+2 (0-based level index i).
         self.parent_pos = [
-            np.array([self.pos_in_level[h.parent(c)] for c in members], dtype=np.int64)
-            for members in self.levels[1:]
+            self.row_pos[h.anc[h.level_of == i + 2, i]] for i in range(self.level_count - 1)
         ]
         # leaf_path[k, i]: level-(i+1) position of the k-th leaf's ancestor.
-        path = [np.arange(self.level_sizes[-1])]
-        for pp in reversed(self.parent_pos):
-            path.insert(0, pp[path[0]])
-        self.leaf_path = np.stack(path, axis=1)
+        self.leaf_path = self.row_pos[h.anc[h.level_of == self.level_count]]
         # Sibling groups: root group first, then by parent node id.
         groups = [SiblingGroup(None, 1, tuple(self.levels[0]), 0)]
         offset = len(self.levels[0])
-        for pid in sorted(n.node_id for n in h.nodes if h.children(n.node_id)):
+        for pid in (nid for nid in h.ids if h.children(nid)):
             members = h.children(pid)
             groups.append(SiblingGroup(pid, h.node(members[0]).level, members, offset))
             offset += len(members)
@@ -134,14 +131,14 @@ class HierarchyIndex:
             raise HeadError(
                 f"expected {self.level_count} per-level labels, got {labels.shape[1]}"
             )
-        out = np.empty(labels.shape, dtype=np.int64)
-        for s in range(labels.shape[0]):
-            for i in range(self.level_count):
-                nid = labels[s, i]
-                if nid not in self.level_sets[i]:
-                    raise HeadError(f"label {nid!r} is not at level {i + 1}")
-                out[s, i] = self.pos_in_level[nid]
-        return out
+        rows = np.array(
+            [self.h.row_of.get(nid, -1) for nid in labels.ravel()], dtype=np.int64
+        ).reshape(labels.shape)
+        bad = (rows < 0) | (self.h.level_of[rows] != np.arange(1, self.level_count + 1))
+        if bad.any():
+            s, i = np.argwhere(bad)[0]
+            raise HeadError(f"label {labels[s, i]!r} is not at level {i + 1}")
+        return self.row_pos[rows]
 
     def multi_hot(self, labels: np.ndarray) -> np.ndarray:
         """Boolean (n, N_t) targets with one label per level set true."""
@@ -406,6 +403,14 @@ def _best_f1_threshold(scores: np.ndarray, truth: np.ndarray) -> float:
     return float(s[best]) if f1[best] > 0 else float(s[0] + 1.0)  # else predict nothing
 
 
+def level_micro_f1(index: HierarchyIndex, pred: np.ndarray, truth: np.ndarray) -> list[float]:
+    """Micro-F1 of multi-hot decisions (n, N_t) within each level's columns."""
+    return [
+        micro_f1(pred[:, off : off + size], truth[:, off : off + size])
+        for off, size in zip(index.level_offsets, index.level_sizes)
+    ]
+
+
 def select_thresholds(scores, targets, mode: str) -> np.ndarray:
     """Decision boundaries for multi-label sigmoid scores.
 
@@ -568,7 +573,7 @@ def train_linear_classifier(
 
     Logs per-level micro-F1 on the validation split each epoch. For the
     one-vs-rest head the decision thresholds are calibrated on the
-    validation split after training.
+    validation split each epoch; the model keeps the last epoch's.
     """
     index = HierarchyIndex(h)
     width = head_width(config.head, index)
@@ -589,8 +594,18 @@ def train_linear_classifier(
     st_w = AdamState.like(w)
     st_b = AdamState.like(b)
     history: list[dict] = []
-    val_tau = index.tau_from_labels(val_labels) if len(val_labels) else None
-    val_mh = index.multi_hot(val_labels) if len(val_labels) and config.head == "hab" else None
+    has_val = len(val_labels) > 0
+    if has_val:
+        index.tau_from_labels(val_labels)  # checks the labels
+    val_mh = index.multi_hot(val_labels) if has_val and config.head == "hab" else None
+
+    def calibrate(clf: LinearClassifier) -> np.ndarray:
+        if not has_val:
+            raise HeadError("hab threshold calibration needs a validation split")
+        scores = _sigmoid(clf.logits(val_features))
+        return select_thresholds(scores, val_mh, config.threshold_mode)
+
+    thresholds = None
 
     for epoch in range(1, config.epochs + 1):
         stream = _epoch_stream(n, policy, leaf_ids, rng)
@@ -609,25 +624,17 @@ def train_linear_classifier(
             w = adam_step(w, gw, st_w, config.lr)
             b = adam_step(b, gb, st_b, config.lr)
         row = {"epoch": epoch, "loss": epoch_loss / n}
-        if val_tau is not None and len(val_tau):
+        if has_val:
             clf = LinearClassifier(w, b, config.head, index)
             if config.head == "hab":
-                scores = _sigmoid(clf.logits(val_features))
-                clf.thresholds = select_thresholds(scores, val_mh, config.threshold_mode)
-                pred = predict_sets(clf, val_features)
-                for i, (off, size) in enumerate(zip(index.level_offsets, index.level_sizes)):
-                    row[f"val_f1_L{i + 1}"] = micro_f1(
-                        pred[:, off : off + size], val_mh[:, off : off + size]
-                    )
+                thresholds = clf.thresholds = calibrate(clf)
+                per_level = level_micro_f1(index, predict_sets(clf, val_features), val_mh)
             else:
                 per_level, _ = level_accuracy(predict_levels(clf, val_features), val_labels)
-                row.update({f"val_f1_L{i + 1}": acc for i, acc in enumerate(per_level)})
+            row.update({f"val_f1_L{i + 1}": f1 for i, f1 in enumerate(per_level)})
         history.append(row)
 
-    clf = LinearClassifier(w, b, config.head, index)
-    if config.head == "hab":
-        if val_tau is None or not len(val_tau):
-            raise HeadError("hab threshold calibration needs a validation split")
-        scores = _sigmoid(clf.logits(val_features))
-        clf.thresholds = select_thresholds(scores, val_mh, config.threshold_mode)
+    clf = LinearClassifier(w, b, config.head, index, thresholds)
+    if config.head == "hab" and thresholds is None:  # no epoch ran
+        clf.thresholds = calibrate(clf)
     return clf, history

@@ -4,6 +4,13 @@ A hierarchy is a forest of labels arranged in levels ``1..L``; edges only
 connect a level-``i`` parent to a level-``i+1`` child and every non-root
 node has exactly one parent. Multi-root datasets (several top-level
 families) are plain forests here; no virtual root node is materialized.
+
+``Hierarchy`` also holds the tree in integer form, built once. Row ``r``
+is the node ``ids[r]``, the ids in sorted order, which is the row order
+of every label table. ``level_of[r]`` is the row's level and
+``anc[r, i]`` the row of its ancestor at level ``i + 1``: a node is its
+own entry at its own level, and ``-1`` fills the levels below it. The
+closure, label paths and within-level positions are read from these.
 """
 
 from __future__ import annotations
@@ -97,10 +104,6 @@ class Hierarchy:
         if levels != list(range(1, len(levels) + 1)):
             raise HierarchyError(f"levels must be contiguous from 1, got {levels}")
         self._level_count = levels[-1]
-        self._level_members = {
-            lvl: tuple(sorted(n.node_id for n in self._nodes if n.level == lvl))
-            for lvl in levels
-        }
         self._children: dict[str, list[str]] = {n.node_id: [] for n in self._nodes}
         self._parent: dict[str, str] = {}
         for u, v in self._edges:
@@ -119,6 +122,22 @@ class Hierarchy:
         for n in self._nodes:
             if n.level > 1 and n.node_id not in self._parent:
                 raise HierarchyError(f"non-root node {n.node_id!r} has no parent")
+        self.ids = tuple(sorted(self._by_id))
+        self.row_of = {nid: r for r, nid in enumerate(self.ids)}
+        self.level_of = np.array([self._by_id[nid].level for nid in self.ids], dtype=np.int64)
+        parent_row = np.array([self.row_of.get(self._parent.get(nid), -1) for nid in self.ids])
+        rows = np.arange(len(self.ids))
+        self.anc = np.full((len(self.ids), self._level_count), -1, dtype=np.int64)
+        self.anc[rows, self.level_of - 1] = rows
+        for i in range(self._level_count - 1, 0, -1):  # each parent column from the one below
+            below = self.anc[:, i] >= 0
+            self.anc[below, i - 1] = parent_row[self.anc[below, i]]
+        self.level_of.setflags(write=False)
+        self.anc.setflags(write=False)
+        self._level_members = {
+            lvl: tuple(self.ids[r] for r in np.flatnonzero(self.level_of == lvl).tolist())
+            for lvl in levels
+        }
         self._closure: EdgeSet | None = None
         self._closure_set: frozenset[tuple[str, str]] | None = None
 
@@ -162,26 +181,14 @@ class Hierarchy:
 
     def ancestors(self, node_id: str) -> tuple[str, ...]:
         """Strict ancestors ordered parent first, root last."""
-        out = []
-        cur = self._parent.get(node_id)
-        while cur is not None:
-            out.append(cur)
-            cur = self._parent.get(cur)
-        return tuple(out)
+        r = self.row_of[node_id]
+        return tuple(self.ids[a] for a in self.anc[r, : self.level_of[r] - 1][::-1])
 
     def leaf_descendants(self, node_id: str) -> tuple[str, ...]:
         """Deepest-level descendants of ``node_id`` (itself if at level L)."""
-        if self._by_id[node_id].level == self._level_count:
-            return (node_id,)
-        out: list[str] = []
-        stack = list(self._children[node_id])
-        while stack:
-            cur = stack.pop()
-            if self._by_id[cur].level == self._level_count:
-                out.append(cur)
-            else:
-                stack.extend(self._children[cur])
-        return tuple(sorted(out))
+        r = self.row_of[node_id]
+        under = (self.anc[:, self.level_of[r] - 1] == r) & (self.level_of == self._level_count)
+        return tuple(self.ids[d] for d in np.flatnonzero(under))
 
     def closure(self) -> EdgeSet:
         if self._closure is None:
@@ -195,19 +202,12 @@ class Hierarchy:
 
 
 def transitive_closure(h: Hierarchy) -> EdgeSet:
-    """All (ancestor, descendant) pairs, basic edges included."""
-    pairs: list[tuple[str, str]] = []
-    for n in sorted(h.nodes, key=lambda x: x.node_id):
-        stack = list(h.children(n.node_id))
-        seen = set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                raise HierarchyError(f"cycle detected at node {cur!r}")
-            seen.add(cur)
-            stack.extend(h.children(cur))
-        pairs.extend((n.node_id, d) for d in sorted(seen))
-    return EdgeSet(tuple(pairs))
+    """All (ancestor, descendant) pairs, basic edges included, sorted by id."""
+    strict = (h.anc >= 0) & (h.anc != np.arange(len(h.ids))[:, None])
+    desc, anc = np.nonzero(strict)[0], h.anc[strict]
+    order = np.lexsort((desc, anc))
+    pairs = zip(anc[order].tolist(), desc[order].tolist())
+    return EdgeSet(tuple((h.ids[a], h.ids[d]) for a, d in pairs))
 
 
 def split_edges(h: Hierarchy, nonbasic_train_fraction: float, seed: int) -> SplitResult:
@@ -316,37 +316,6 @@ def augment_eval_negatives(split: SplitResult, closure: EdgeSet, seed: int) -> S
         val_negative_refs=val_refs,
         test_negative_refs=test_refs,
     )
-
-
-def sample_negative_pick_per_level(
-    edge: tuple[str, str],
-    side: str,
-    h: Hierarchy,
-    rng: np.random.Generator,
-) -> EdgeSet:
-    """One corrupted edge per hierarchy level, never a closure member.
-
-    ``side`` is ``"corrupt-u"`` or ``"corrupt-v"``. The corrupting node is
-    drawn uniformly from its level; levels with no valid candidate after
-    the retry budget are skipped.
-    """
-    if side not in ("corrupt-u", "corrupt-v"):
-        raise ValueError(f"side must be corrupt-u or corrupt-v, got {side!r}")
-    closure = h.closure_set()
-    u, v = edge
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for level in range(1, h.level_count + 1):
-        members = h.level_members(level)
-        for _ in range(RETRY_CAP):
-            cand = members[int(rng.integers(len(members)))]
-            pair = (cand, v) if side == "corrupt-u" else (u, cand)
-            if pair[0] == pair[1] or pair in closure or pair in seen:
-                continue
-            pairs.append(pair)
-            seen.add(pair)
-            break
-    return EdgeSet(tuple(pairs), polarity="negative")
 
 
 def generate_synthetic_tree(levels: int, branching: int) -> Hierarchy:

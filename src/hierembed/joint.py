@@ -43,14 +43,21 @@ class FeatureMatrix:
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
 
+    def leaf_rows(self, h: Hierarchy, idx: Sequence[int] | None = None) -> np.ndarray:
+        """Hierarchy rows of the leaf labels of instance rows ``idx`` (default: all).
+
+        A leaf label that is not a deepest-level label is a ``ValueError``.
+        """
+        leaves = self.leaf_labels if idx is None else [self.leaf_labels[i] for i in idx]
+        rows = np.fromiter((h.row_of.get(leaf, -1) for leaf in leaves), np.int64, len(leaves))
+        bad = np.flatnonzero((rows < 0) | (h.level_of[rows] != h.level_count))
+        if len(bad):
+            where = "not in the hierarchy" if rows[bad[0]] < 0 else "is not at the deepest level"
+            raise ValueError(f"leaf label {leaves[bad[0]]!r} {where}")
+        return rows
+
     def validate_against(self, h: Hierarchy) -> None:
-        known = {node.node_id for node in h.nodes}
-        deepest = set(h.level_members(h.level_count))
-        for leaf in self.leaf_labels:
-            if leaf not in known:
-                raise ValueError(f"leaf label {leaf!r} not in the hierarchy")
-            if leaf not in deepest:
-                raise ValueError(f"leaf label {leaf!r} is not at the deepest level")
+        self.leaf_rows(h)
 
 
 @dataclass
@@ -97,14 +104,9 @@ def split_instances(
 def instance_positive_edges(
     h: Hierarchy, features: FeatureMatrix, idx: Sequence[int]
 ) -> list[tuple[str, str]]:
-    """Edges from every ancestor label (leaf included) to each instance."""
-    out: list[tuple[str, str]] = []
-    for i in idx:
-        leaf = features.leaf_labels[i]
-        iid = features.instance_ids[i]
-        for anc in (leaf, *h.ancestors(leaf)):
-            out.append((anc, iid))
-    return out
+    """Edges from every ancestor label (leaf first, root last) to each instance."""
+    paths = level_truth(h, features, idx)
+    return [(anc, features.instance_ids[i]) for i, path in zip(idx, paths) for anc in path[::-1]]
 
 
 def train_joint(
@@ -127,7 +129,7 @@ def train_joint(
     if train_idx is None:
         train_idx, val_idx, _ = split_instances(len(features.instance_ids), config.seed)
     params = config.cone_params()
-    label_ids = tuple(sorted(n.node_id for n in h.nodes))
+    label_ids = h.ids
 
     init_coords = None
     if init_labels is not None:
@@ -164,11 +166,7 @@ def train_joint(
 
 def level_truth(h: Hierarchy, features: FeatureMatrix, idx: Sequence[int]) -> np.ndarray:
     """Root-to-leaf label ids (n, L) of the given instance rows."""
-    out = np.empty((len(idx), h.level_count), dtype=object)
-    for row, i in enumerate(idx):
-        leaf = features.leaf_labels[i]
-        out[row] = [*reversed(h.ancestors(leaf)), leaf]
-    return out
+    return np.asarray(h.ids, dtype=object)[h.anc[features.leaf_rows(h, idx)]]
 
 
 # Pairs per ``geometry.energies`` call when scoring all pairs of two point sets.
@@ -220,7 +218,8 @@ def classify_levels(
 def _classify(
     model: JointModel, h: Hierarchy, features: np.ndarray, truth: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``classify_levels`` plus, given true label ids (n, L), their ranks (n, L).
+    """``classify_levels`` plus, given the hierarchy rows (n, L) of the true
+    labels, their ranks (n, L).
 
     A rank is the 0-based position in the stable energy sort of the level:
     the labels with lower energy plus those with equal energy and a lower
@@ -238,8 +237,7 @@ def _classify(
         preds[:, lvl] = [members[a] for a in arg]
         best[:, lvl] = e[rows, arg]
         if ranks is not None:
-            pos = {m: j for j, m in enumerate(members)}
-            col = np.array([pos[t] for t in truth[:, lvl]], dtype=np.int64)
+            col = np.searchsorted(np.flatnonzero(h.level_of == lvl + 1), truth[:, lvl])
             et = e[rows, col][:, None]
             before = (e < et) | ((e == et) & (np.arange(len(members)) < col[:, None]))
             ranks[:, lvl] = np.count_nonzero(before, axis=1)
@@ -276,9 +274,9 @@ def classify_and_report(
 ) -> tuple[np.ndarray, np.ndarray, ClassificationReport]:
     """``classify_levels`` of the selected rows and their report, from one pass."""
     idx = np.asarray(idx, dtype=int)
-    truth = level_truth(h, features, idx)
-    preds, best, ranks = _classify(model, h, features.features[idx], truth)
-    level_f1, overall = level_accuracy(preds, truth)
+    paths = h.anc[features.leaf_rows(h, idx)]
+    preds, best, ranks = _classify(model, h, features.features[idx], paths)
+    level_f1, overall = level_accuracy(preds, np.asarray(h.ids, dtype=object)[paths])
     n, levels = ranks.shape
 
     def hit(k: int, lvl: int) -> float:

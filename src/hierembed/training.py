@@ -22,13 +22,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import ConeParams
-from .hierarchy import EdgeSet, Hierarchy, SplitResult
-
-# Draws per (side, pool) slot of the plain sampler (``_sample_negatives_for``)
-# before the slot gives up. A slot in which no candidate is valid
-# (``_Graph.empty``) still consumes RETRY_CAP draws, in one batched call, so
-# that seeded runs replay byte for byte.
-RETRY_CAP = 100
+from .hierarchy import RETRY_CAP, EdgeSet, Hierarchy, SplitResult
 
 
 class TrainingError(RuntimeError):
@@ -260,9 +254,9 @@ class _Graph:
         instances: InstanceNodes | None,
         forbidden_extra: set[tuple[str, str]] | None = None,
     ):
-        self.label_ids = tuple(sorted(n.node_id for n in h.nodes))
+        self.label_ids = h.ids
         self.n_labels = len(self.label_ids)
-        index = {nid: i for i, nid in enumerate(self.label_ids)}
+        index = dict(h.row_of)
         if instances is not None:
             for k, iid in enumerate(instances.instance_ids):
                 if iid in index:
@@ -275,10 +269,7 @@ class _Graph:
         ).reshape(-1, 2)
         # Levels available to the corruption sampler: label levels, then the
         # instance level (lowest) when present.
-        self.levels = [
-            np.array([index[m] for m in h.level_members(l)], dtype=np.int64)
-            for l in range(1, h.level_count + 1)
-        ]
+        self.levels = [np.flatnonzero(h.level_of == l) for l in range(1, h.level_count + 1)]
         if instances is not None and len(instances.instance_ids):
             self.levels.append(
                 np.arange(self.n_labels, self.n_total, dtype=np.int64)
@@ -363,6 +354,11 @@ def _sample_negatives_for(
     rng: np.random.Generator,
     config: TrainConfig,
 ) -> list[tuple[int, int]]:
+    """One corruption per (pass, side, pool) slot, each slot giving up after RETRY_CAP draws.
+
+    A slot in which no candidate is valid (``_Graph.empty``) still consumes
+    RETRY_CAP draws, in one batched call, so that seeded runs replay byte for byte.
+    """
     out: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     pools = graph.pools[config.pick_per_level]
@@ -589,15 +585,14 @@ def train_label_embeddings(
     def hook(coords: np.ndarray, _w) -> dict:
         if not can_eval:
             return {"val_f1": "", "threshold": ""}
-        table = EmbeddingTable(label_ids, coords, params)
+        table = EmbeddingTable(h.ids, coords, params)
         res = evaluate_edge_prediction(table, split.val, split.val_negatives)
         return {"val_f1": res.f1, "threshold": res.threshold}
 
-    label_ids = tuple(sorted(n.node_id for n in h.nodes))
     coords, _, history = train_graph_embedding(
         h, tuple(split.train), config, init_coords=init_coords, epoch_hook=hook
     )
-    return EmbeddingTable(label_ids, coords, params), history
+    return EmbeddingTable(h.ids, coords, params), history
 
 
 def pair_energies(emb: EmbeddingTable, pairs: Sequence[tuple[str, str]]) -> np.ndarray:

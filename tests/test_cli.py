@@ -258,6 +258,28 @@ class TestJointPipeline:
             "'r.0.2', 'r.1.2', 'r.2', 'r.2.0', 'r.2.1' and 1 more"
         )
 
+    @pytest.mark.parametrize(
+        "leaf, message",
+        [("zz", "leaf label 'zz' not in the hierarchy"),
+         ("r.1", "leaf label 'r.1' is not at the deepest level")],
+    )
+    @pytest.mark.parametrize("command", ["classify", "train-classifier"])
+    def test_names_a_feature_leaf_off_the_deepest_level(
+        self, joint_run, tmp_path, capsys, command, leaf, message
+    ):
+        from hierembed import storage
+
+        _, nodes, edges, feats, model = joint_run
+        ids, x, leaves = storage.load_features(feats / "features.feat")
+        storage.save_features(tmp_path / "bad.feat", ids, x, (*leaves[:-1], leaf))
+        args = [command, "--nodes", str(nodes), "--edges", str(edges),
+                "--features", str(tmp_path / "bad.feat"), "--out", str(tmp_path / "out")]
+        if command == "classify":
+            args += ["--model", str(model / "model.bin"), "--subset", "all"]
+        assert main(args) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (payload["error"], payload["type"]) == (message, "ValueError")
+
     def test_init_labels_missing_file(self, joint_run, tmp_path):
         root, nodes, edges, feats, _ = joint_run
         code = main(["train-joint", "--nodes", str(nodes), "--edges", str(edges),

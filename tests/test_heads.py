@@ -538,6 +538,47 @@ class TestThresholdModeComparison:
         assert scores["ofadb"] > scores["pcdb"]
 
 
+class TestHabCalibration:
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_thresholds_calibrated_once_per_epoch(self, monkeypatch, epochs):
+        from hierembed import heads, joint
+        from hierembed.synth import gaussian_cluster_features
+
+        h = generate_synthetic_tree(3, 2)
+        features = gaussian_cluster_features(h, 4, 6, seed=2)
+        labels = joint.level_truth(h, features, range(len(features.leaf_labels)))
+        calls = []
+        real = heads.select_thresholds
+
+        def counted(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(heads, "select_thresholds", counted)
+        cfg = ClassifierConfig(head="hab", lr=0.05, epochs=epochs, batch_size=8, seed=1)
+        policy = ImbalancePolicy.from_labels("none", [])
+        clf, history = train_linear_classifier(
+            features.features[8:], labels[8:], features.features[:8], labels[:8], h, policy, cfg
+        )
+        assert len(history) == epochs
+        assert len(calls) == max(epochs, 1)
+        assert clf.thresholds is calls[-1]
+        scores = heads._sigmoid(clf.logits(features.features[:8]))
+        np.testing.assert_array_equal(
+            clf.thresholds, real(scores, clf.index.multi_hot(labels[:8]), "ofadb")
+        )
+
+    def test_no_validation_split_rejected(self):
+        h = generate_synthetic_tree(2, 2)
+        x = np.zeros((2, 3))
+        labels = np.array([["r", "r.0"], ["r", "r.1"]], dtype=object)
+        cfg = ClassifierConfig(head="hab", epochs=1)
+        with pytest.raises(HeadError, match="needs a validation split"):
+            train_linear_classifier(
+                x, labels, x[:0], labels[:0], h, ImbalancePolicy.from_labels("none", []), cfg
+            )
+
+
 class TestMoreShiftInvariance:
     def test_plc_level_argmax(self, index):
         rng = np.random.default_rng(20)

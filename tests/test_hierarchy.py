@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hierembed.heads import HierarchyIndex
 from hierembed.hierarchy import (
     EdgeSet,
     Hierarchy,
@@ -12,12 +15,13 @@ from hierembed.hierarchy import (
     generate_synthetic_tree,
     load_hierarchy,
     load_split,
-    sample_negative_pick_per_level,
     save_hierarchy,
     save_split,
     split_edges,
     transitive_closure,
 )
+from hierembed.joint import FeatureMatrix, instance_positive_edges, level_truth
+from hierembed.training import _Graph
 
 
 def brute_force_closure(h: Hierarchy) -> set:
@@ -181,41 +185,6 @@ class TestEvalNegatives:
         assert a.test_negatives.pairs == b.test_negatives.pairs
 
 
-class TestPickPerLevel:
-    def test_one_per_level(self):
-        h = generate_synthetic_tree(4, 3)
-        rng = np.random.default_rng(0)
-        negs = sample_negative_pick_per_level(("r.0", "r.0.1.2"), "corrupt-u", h, rng)
-        # corrupting u: one u' per level; all absent from the closure
-        levels = [h.node(u).level for u, _ in negs]
-        assert len(levels) == len(set(levels))
-        assert len(negs) >= h.level_count - 1
-        closure = h.closure_set()
-        for pair in negs:
-            assert pair not in closure
-
-    def test_corrupt_v_side(self):
-        h = generate_synthetic_tree(4, 3)
-        rng = np.random.default_rng(0)
-        negs = sample_negative_pick_per_level(("r.0", "r.0.1.2"), "corrupt-v", h, rng)
-        assert all(u == "r.0" for u, _ in negs)
-        closure = h.closure_set()
-        for pair in negs:
-            assert pair not in closure
-
-    def test_degenerate_single_level(self):
-        nodes = [Node("a", 1, "a"), Node("b", 1, "b"), Node("c", 1, "c")]
-        h = Hierarchy(nodes, [])
-        rng = np.random.default_rng(0)
-        negs = sample_negative_pick_per_level(("a", "b"), "corrupt-u", h, rng)
-        assert len(negs) <= 1
-
-    def test_bad_side_rejected(self):
-        h = generate_synthetic_tree(2, 2)
-        with pytest.raises(ValueError):
-            sample_negative_pick_per_level(("r", "r.0"), "corrupt-w", h, np.random.default_rng(0))
-
-
 class TestRoundTrip:
     def test_hierarchy_tsv(self, tmp_path):
         h = generate_synthetic_tree(3, 4)
@@ -235,3 +204,175 @@ class TestRoundTrip:
         assert loaded.val_negatives.pairs == split.val_negatives.pairs
         assert loaded.val_negative_refs == split.val_negative_refs
         assert loaded.test_negatives.pairs == split.test_negatives.pairs
+
+
+# ---------------------------------------------------------------------------
+# The integer tree table against the string walks it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_transitive_closure(h: Hierarchy) -> tuple:
+    """Per-node DFS over the children, nodes and descendants in id order."""
+    pairs = []
+    for n in sorted(h.nodes, key=lambda x: x.node_id):
+        stack = list(h.children(n.node_id))
+        seen = set()
+        while stack:
+            cur = stack.pop()
+            seen.add(cur)
+            stack.extend(h.children(cur))
+        pairs.extend((n.node_id, d) for d in sorted(seen))
+    return tuple(pairs)
+
+
+def ref_ancestors(h: Hierarchy, node_id: str) -> tuple:
+    out = []
+    cur = h.parent(node_id)
+    while cur is not None:
+        out.append(cur)
+        cur = h.parent(cur)
+    return tuple(out)
+
+
+def ref_leaf_descendants(h: Hierarchy, node_id: str) -> tuple:
+    if h.node(node_id).level == h.level_count:
+        return (node_id,)
+    out = []
+    stack = list(h.children(node_id))
+    while stack:
+        cur = stack.pop()
+        if h.node(cur).level == h.level_count:
+            out.append(cur)
+        else:
+            stack.extend(h.children(cur))
+    return tuple(sorted(out))
+
+
+def ref_level_truth(h: Hierarchy, features, idx) -> np.ndarray:
+    out = np.empty((len(idx), h.level_count), dtype=object)
+    for row, i in enumerate(idx):
+        leaf = features.leaf_labels[i]
+        out[row] = [*reversed(ref_ancestors(h, leaf)), leaf]
+    return out
+
+
+def ref_instance_positive_edges(h: Hierarchy, features, idx) -> list:
+    out = []
+    for i in idx:
+        leaf = features.leaf_labels[i]
+        for anc in (leaf, *ref_ancestors(h, leaf)):
+            out.append((anc, features.instance_ids[i]))
+    return out
+
+
+def ref_index_chain(h: Hierarchy):
+    """``HierarchyIndex``'s position, parent and leaf-path tables by parent lookups."""
+    levels = [
+        tuple(sorted(n.node_id for n in h.nodes if n.level == lvl))
+        for lvl in range(1, h.level_count + 1)
+    ]
+    pos_in_level = {nid: pos for members in levels for pos, nid in enumerate(members)}
+    parent_pos = [
+        np.array([pos_in_level[h.parent(c)] for c in members], dtype=np.int64)
+        for members in levels[1:]
+    ]
+    path = [np.arange(len(levels[-1]))]
+    for pp in reversed(parent_pos):
+        path.insert(0, pp[path[0]])
+    return levels, pos_in_level, parent_pos, np.stack(path, axis=1)
+
+
+@st.composite
+def uneven_forests(draw):
+    """1-4 levels, 1-3 roots, childless nodes above the deepest level, and
+    ids (unpadded, so string and numeric order differ) shuffled against level order."""
+    levels = [list(range(draw(st.integers(1, 3))))]
+    parent = {}
+    for _ in range(draw(st.integers(0, 3))):
+        below = []
+        for j, p in enumerate(levels[-1]):
+            for _ in range(draw(st.integers(1 if j == 0 else 0, 3))):
+                child = len(levels[0]) + len(parent)
+                parent[child] = p
+                below.append(child)
+        levels.append(below)
+    count = sum(len(level) for level in levels)
+    name = draw(st.permutations([f"n{k}" for k in range(count)]))
+    nodes = [Node(name[k], depth + 1, name[k]) for depth, ks in enumerate(levels) for k in ks]
+    edges = [(name[p], name[c]) for c, p in parent.items()]
+    return Hierarchy(draw(st.permutations(nodes)), draw(st.permutations(edges)))
+
+
+class TestTreeTable:
+    @settings(max_examples=150, deadline=None)
+    @given(uneven_forests(), st.data())
+    def test_views_match_string_walks(self, h, data):
+        ids = tuple(sorted(n.node_id for n in h.nodes))
+        assert h.ids == ids
+        assert transitive_closure(h).pairs == ref_transitive_closure(h)
+        for r, nid in enumerate(ids):
+            path = (*reversed(ref_ancestors(h, nid)), nid)
+            assert h.level_of[r] == h.node(nid).level == len(path)
+            assert h.anc[r].tolist() == [ids.index(a) for a in path] + [-1] * (
+                h.level_count - len(path)
+            )
+            assert h.ancestors(nid) == ref_ancestors(h, nid)
+            assert h.leaf_descendants(nid) == ref_leaf_descendants(h, nid)
+
+        levels, pos_in_level, parent_pos, leaf_path = ref_index_chain(h)
+        for lvl, members in enumerate(levels, 1):
+            assert h.level_members(lvl) == members
+        index = HierarchyIndex(h)
+        assert index.pos_in_level == pos_in_level
+        assert len(index.parent_pos) == len(parent_pos)
+        for got, want in zip(index.parent_pos, parent_pos):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        np.testing.assert_array_equal(index.leaf_path, leaf_path)
+        assert index.leaf_path.dtype == leaf_path.dtype
+
+        graph = _Graph(h, list(h.closure()), None)
+        assert graph.label_ids == ids
+        row = {nid: r for r, nid in enumerate(ids)}
+        assert len(graph.levels) == len(levels)
+        for got, members in zip(graph.levels, levels):
+            want = np.array([row[m] for m in members], dtype=np.int64)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+
+        leaves = data.draw(st.lists(st.sampled_from(levels[-1]), min_size=1, max_size=6))
+        features = FeatureMatrix(
+            tuple(f"i{k}" for k in range(len(leaves))), np.zeros((len(leaves), 1)), tuple(leaves)
+        )
+        idx = data.draw(st.lists(st.integers(0, len(leaves) - 1), max_size=8))
+        truth = level_truth(h, features, idx)
+        want = ref_level_truth(h, features, idx)
+        assert truth.dtype == object and truth.shape == want.shape
+        assert truth.tolist() == want.tolist()
+        assert instance_positive_edges(h, features, idx) == ref_instance_positive_edges(
+            h, features, idx
+        )
+        if len(idx):
+            np.testing.assert_array_equal(
+                index.tau_from_labels(truth), [[pos_in_level[t] for t in row] for row in want]
+            )
+
+    def test_ancestors_of_unknown_id_raises(self):
+        with pytest.raises(KeyError):
+            generate_synthetic_tree(2, 2).ancestors("zz")
+
+    @pytest.mark.parametrize(
+        "leaf, message",
+        [("zz", "leaf label 'zz' not in the hierarchy"),
+         ("r.1", "leaf label 'r.1' is not at the deepest level")],
+    )
+    def test_level_truth_names_a_leaf_off_the_deepest_level(self, leaf, message):
+        h = generate_synthetic_tree(3, 2)
+        features = FeatureMatrix(("a", "b"), np.zeros((2, 1)), ("r.0.0", leaf))
+        np.testing.assert_array_equal(level_truth(h, features, [0]), [["r", "r.0", "r.0.0"]])
+        for call in (level_truth, instance_positive_edges):
+            with pytest.raises(ValueError) as err:
+                call(h, features, [0, 1])
+            assert str(err.value) == message
+        with pytest.raises(ValueError, match=message):
+            features.validate_against(h)

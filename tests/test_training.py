@@ -365,6 +365,46 @@ class TestNegativeSamplingModes:
         assert len(corrupt_u_levels) == len(set(corrupt_u_levels))
 
 
+def pick_per_level_sides(h, positives, u, v, seed=0):
+    """``_sample_negatives_for`` of label ids (u, v), as corrupt-u and corrupt-v pairs."""
+    graph = _Graph(h, positives, None)
+    cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
+    rng = np.random.default_rng(seed)
+    negs = _sample_negatives_for(graph, graph.index[u], graph.index[v], rng, cfg)
+    pairs = [(graph.label_ids[a], graph.label_ids[b]) for a, b in negs]
+    corrupt_u = [(a, b) for a, b in pairs if b == v]
+    corrupt_v = [(a, b) for a, b in pairs if b != v]
+    return corrupt_u, corrupt_v
+
+
+class TestPickPerLevel:
+    def test_one_per_level(self):
+        h = generate_synthetic_tree(4, 3)
+        closure = h.closure_set()
+        for seed in range(3):
+            corrupt_u, corrupt_v = pick_per_level_sides(
+                h, list(h.closure()), "r.0", "r.0.1.2", seed
+            )
+            # the root level has no corrupt-u candidate: the root entails r.0.1.2
+            assert len(corrupt_u) == h.level_count - 1
+            assert len(corrupt_v) == h.level_count
+            for side, corrupted in ((corrupt_u, 0), (corrupt_v, 1)):
+                levels = [h.node(pair[corrupted]).level for pair in side]
+                assert len(levels) == len(set(levels))
+                assert not set(side) & closure
+
+    def test_corrupt_v_side(self):
+        h = generate_synthetic_tree(4, 3)
+        _, corrupt_v = pick_per_level_sides(h, list(h.closure()), "r.0", "r.0.1.2")
+        assert corrupt_v and all(a == "r.0" for a, _ in corrupt_v)
+
+    def test_degenerate_single_level(self):
+        h = Hierarchy([Node("a", 1, "a"), Node("b", 1, "b"), Node("c", 1, "c")], [])
+        corrupt_u, corrupt_v = pick_per_level_sides(h, [("a", "b")], "a", "b")
+        assert corrupt_u == [("c", "b")]
+        assert corrupt_v == [("a", "c")]
+
+
 def _instance_graph(forbidden_extra=None):
     tree = generate_synthetic_tree(3, 2)
     features = gaussian_cluster_features(tree, 3, 4, seed=1)
