@@ -337,6 +337,11 @@ def _instance_level_labels(
         for iid in features.instance_ids:
             if iid not in by_id:
                 raise CliError(f"instance {iid!r} missing from {labels_path}")
+            if len(by_id[iid]) != h.level_count:
+                raise CliError(
+                    f"instance {iid!r} has {len(by_id[iid])} level labels in {labels_path}, "
+                    f"expected {h.level_count}"
+                )
             rows.append(by_id[iid])
         return np.array(rows, dtype=object)
     return joint.level_truth(h, features, range(len(features.instance_ids)))
@@ -436,6 +441,12 @@ def cmd_export_2d(args) -> None:
     node_ids, coords = table.node_ids, table.coords
     if not len(node_ids):
         raise CliError("model has no embedded nodes")
+    unknown = sorted(set(node_ids) - h.row_of.keys())
+    if unknown:
+        raise CliError(
+            f"hierarchy lacks {len(unknown)} of the {len(node_ids)} model labels "
+            f"being exported: {training.name_some(unknown)}"
+        )
     if args.method == "raw2d":
         if coords.shape[1] != 2:
             raise CliError(f"raw2d export needs a 2-D model, got {coords.shape[1]}-D")

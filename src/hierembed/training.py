@@ -9,12 +9,14 @@ joint path reduces to label-only training exactly, batch for batch.
 The loss over a batch is ``sum_pos E + sum_neg max(0, margin - E)``.
 Negatives come from pick-per-level corruption by default: for each
 positive, one corrupted edge per level and per side (corrupt-u,
-corrupt-v), skipping corruptions that are true pairs.
+corrupt-v), skipping corruptions that are true pairs. The engine calls the
+sampler once per batch, with the batch's parent and child rows; it returns
+the pairs the per-positive draws would give, in the same order and from
+the same random stream.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -68,6 +70,12 @@ class TrainConfig:
         return ConeParams(kind=self.kind, k=self.aperture_k, oe_squared=self.oe_squared)
 
 
+def name_some(names: Sequence[str], shown: int = 5) -> str:
+    """The first ``shown`` names, quoted, and how many more there are."""
+    more = f" and {len(names) - shown} more" if len(names) > shown else ""
+    return ", ".join(repr(name) for name in names[:shown]) + more
+
+
 @dataclass
 class EmbeddingTable:
     """One point per label, rows in sorted node-id order."""
@@ -89,11 +97,9 @@ class EmbeddingTable:
         """Rows of many labels; a ``ValueError`` names the labels the table lacks."""
         missing = sorted(set(node_ids) - self._row.keys())
         if missing:
-            shown = ", ".join(repr(m) for m in missing[:5])
-            more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
             raise ValueError(
                 f"model lacks {len(missing)} of the {len(set(node_ids))} hierarchy labels "
-                f"being scored: {shown}{more}"
+                f"being scored: {name_some(missing)}"
             )
         return np.array([self._row[nid] for nid in node_ids], dtype=np.int64)
 
@@ -303,11 +309,13 @@ class _Graph:
         (``order[pos]`` is the node).
 
         - ``valid[side, p, node]``: valid candidates in ``levels[p]``.
-        - ``banned_ptr[side]``/``banned_gap[side]``: a CSR over nodes of the
-          banned positions, ascending, each stored as the number of
-          non-banned positions before it. Instance-instance pairs are banned
-          by rule, not listed: the instance level comes last, so they never
-          shift the positions of label candidates.
+        - ``banned_ptr``/``banned_key``: a CSR over the slots ``side * n + node``
+          of the banned positions, ascending, each stored as the key
+          ``slot * (n + 1) + gap`` with ``gap`` the number of non-banned
+          positions before it, so that one ``searchsorted`` over all keys
+          finds the banned positions below a valid index. Instance-instance
+          pairs are banned by rule, not listed: the instance level comes
+          last, so they never shift the positions of label candidates.
         """
         n = self.n_total
         self.order = np.concatenate(self.levels) if self.levels else np.zeros(0, np.int64)
@@ -327,21 +335,20 @@ class _Graph:
         )
         is_instance = np.arange(n) >= self.n_labels
         self.valid = np.empty((2, len(sizes), n), dtype=np.int64)
-        self.banned_ptr, self.banned_gap = [], []
         for side, (node, cand) in enumerate(((b, a), (a, b))):
-            ordered = np.sort(node * n + pos[cand])
-            node, cand_pos = np.divmod(ordered, n)
-            counts = np.bincount(node, minlength=n)
-            ptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=ptr[1:])
-            self.banned_ptr.append(ptr)
-            self.banned_gap.append(cand_pos - (np.arange(len(node)) - ptr[node]))
             banned = np.bincount(
-                level_at[cand_pos] * n + node, minlength=len(sizes) * n
+                level_at[pos[cand]] * n + node, minlength=len(sizes) * n
             ).reshape(len(sizes), n)
             self.valid[side] = (
                 sizes[:, None] - banned - inst_per_level[:, None] * is_instance[None, :]
             )
+        # (side * n + node) * n + position of the banned candidate
+        slot_pos = np.concatenate([b * n + pos[a], (n + a) * n + pos[b]])
+        slot, cand_pos = np.divmod(np.sort(slot_pos), n)
+        self.banned_ptr = np.zeros(2 * n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slot, minlength=2 * n), out=self.banned_ptr[1:])
+        gap = cand_pos - (np.arange(len(slot)) - self.banned_ptr[slot])
+        self.banned_key = slot * (n + 1) + gap
 
     def is_instance(self, node: int) -> bool:
         return node >= self.n_labels
@@ -349,50 +356,66 @@ class _Graph:
 
 def _sample_negatives_for(
     graph: _Graph,
-    u: int,
-    v: int,
+    u: np.ndarray,
+    v: np.ndarray,
     rng: np.random.Generator,
     config: TrainConfig,
-) -> list[tuple[int, int]]:
-    """One corruption per (pass, side, pool) slot, each slot giving up after RETRY_CAP draws.
+) -> np.ndarray:
+    """Corruptions ``(k, 2)`` of the positives ``(u[i], v[i])``, listed per positive.
 
-    A slot in which no candidate is valid (``_Graph.empty``) still consumes
-    RETRY_CAP draws, in one batched call, so that seeded runs replay byte for byte.
+    Per positive: one corruption per (pass, side, pool) slot, each slot
+    giving up after RETRY_CAP scalar draws. A slot in which no candidate is
+    valid (``_Graph.empty``) still owes its RETRY_CAP draws, so that seeded
+    runs replay byte for byte; they are queued and each run of such slots
+    is spent in one ``rng.integers`` call with per-draw bounds, the same
+    stream as scalar draws. A one-member pool's draws consume no stream.
     """
-    out: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     pools = graph.pools[config.pick_per_level]
+    sizes = [len(pool) for pool in pools]
     empty = graph.empty[config.pick_per_level]
-    for _ in range(config.neg_passes):
-        for side, corrupt_u in enumerate((True, False)):
-            fixed = v if corrupt_u else u
-            for p, pool in enumerate(pools):
-                if empty[side, p, fixed]:
-                    # every draw would be rejected; this is the same stream
-                    # as RETRY_CAP scalar draws
-                    rng.integers(len(pool), size=RETRY_CAP)
-                    continue
-                for _ in range(RETRY_CAP):
-                    cand = int(pool[int(rng.integers(len(pool)))])
-                    pair = (cand, v) if corrupt_u else (u, cand)
-                    if pair[0] == pair[1] or pair in graph.forbidden or pair in seen:
+    # [positive][side][pool]: the slot holds no valid negative
+    slot_empty = np.stack([empty[0][:, v], empty[1][:, u]]).transpose(2, 0, 1).tolist()
+    owed: list[int] = []  # pool sizes of the queued empty slots
+
+    def spend() -> None:
+        rng.integers(0, np.repeat(owed, RETRY_CAP))
+        owed.clear()
+
+    out: list[tuple[int, int]] = []
+    for pu, pv, skip in zip(u.tolist(), v.tolist(), slot_empty):
+        seen: set[tuple[int, int]] = set()
+        for _ in range(config.neg_passes):
+            for side, corrupt_u in enumerate((True, False)):
+                for p, pool in enumerate(pools):
+                    if skip[side][p]:
+                        if sizes[p] > 1:
+                            owed.append(sizes[p])
                         continue
-                    if graph.is_instance(pair[0]) and graph.is_instance(pair[1]):
-                        continue
-                    out.append(pair)
-                    seen.add(pair)
-                    break
-    return out
+                    if owed:
+                        spend()
+                    for _ in range(RETRY_CAP):
+                        cand = int(pool[int(rng.integers(sizes[p]))])
+                        pair = (cand, pv) if corrupt_u else (pu, cand)
+                        if pair[0] == pair[1] or pair in graph.forbidden or pair in seen:
+                            continue
+                        if graph.is_instance(pair[0]) and graph.is_instance(pair[1]):
+                            continue
+                        out.append(pair)
+                        seen.add(pair)
+                        break
+    if owed:
+        spend()
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
 def _sample_negatives_rebalanced(
     graph: _Graph,
-    u: int,
-    v: int,
+    u: np.ndarray,
+    v: np.ndarray,
     rng: np.random.Generator,
     config: TrainConfig,
-) -> list[tuple[int, int]]:
-    """Corruptions drawn 50/50 from the instance pool vs a random label level.
+) -> np.ndarray:
+    """Corruptions ``(k, 2)`` drawn 50/50 from the instance pool vs a random label level.
 
     The proposal picks the instance pool (the last level) with probability
     1/2, else one of the L label levels with 1/(2L), then a uniform member.
@@ -401,41 +424,59 @@ def _sample_negatives_rebalanced(
     valid candidates not yet drawn for this positive, then a uniform one of
     those, found by index arithmetic over the banned positions. A side stops
     once no valid candidate is left.
+
+    Rows are the (positive, side) pairs, each slot one step over all of
+    them with the arithmetic of a per-positive loop: the total mass is a
+    left-to-right ``cumsum`` (as Python 3.11's ``sum``), the level a
+    subtract-and-compare chain. Pairs are listed per positive, side 0 first.
     """
     levels = graph.levels
     props = [0.5 / (len(levels) - 1)] * (len(levels) - 1) + [0.5] if len(levels) > 1 else [1.0]
-    unit = [prop / len(pool) for prop, pool in zip(props, levels)]
+    unit = np.array([prop / len(pool) for prop, pool in zip(props, levels)])
     slots = len(levels) * config.neg_passes
-    draws = rng.random(2 * slots).tolist()
-    out: list[tuple[int, int]] = []
-    for side, fixed in enumerate((v, u)):
-        counts = graph.valid[side, :, fixed].tolist()
-        ptr = graph.banned_ptr[side]
-        gaps = graph.banned_gap[side][ptr[fixed] : ptr[fixed + 1]]
-        seen: list[int] = []  # drawn valid indices, ascending
-        for r in draws[side * slots : (side + 1) * slots]:
-            masses = [c * w for c, w in zip(counts, unit)]
-            total = sum(masses)
-            if total <= 0.0:
-                break
-            x = r * total
-            for p, m in enumerate(masses):
-                if x < m:
-                    break
-                x -= m
-            else:  # rounding carried x past the last mass: take the last candidate
-                p = max(q for q, m in enumerate(masses) if m)
-                x = masses[p]
-            k = sum(counts[:p]) + min(int(x / unit[p]), counts[p] - 1)
-            for s in seen:
-                if s > k:
-                    break
-                k += 1
-            bisect.insort(seen, k)
-            counts[p] -= 1
-            cand = int(graph.order[k + int(np.searchsorted(gaps, k, side="right"))])
-            out.append((cand, v) if side == 0 else (u, cand))
-    return out
+    n = graph.n_total
+    side = np.tile([0, 1], len(u))
+    fixed = np.stack([v, u], axis=1).ravel()  # side 0 corrupts u, so it is keyed by v
+    draws = rng.random(2 * slots * len(u)).reshape(-1, slots)
+    counts = graph.valid[side, :, fixed]
+    slot_of = side * n + fixed
+    seen = np.empty((len(side), slots), dtype=np.int64)  # drawn valid indices, ascending
+    drawn = np.full((len(side), slots), -1, dtype=np.int64)
+    live = np.arange(len(side))  # rows with a valid candidate left
+    for t in range(slots):
+        masses = counts * unit
+        total = np.cumsum(masses, axis=1)[:, -1]
+        if not np.all(total > 0.0):
+            keep = total > 0.0
+            live, counts, seen, draws, slot_of, masses, total = (
+                a[keep] for a in (live, counts, seen, draws, slot_of, masses, total)
+            )
+        x = draws[:, t] * total
+        p = np.full(len(live), -1)
+        for level in range(len(levels)):
+            p[(p < 0) & (x < masses[:, level])] = level
+            x = np.where(p < 0, x - masses[:, level], x)
+        row = np.arange(len(live))
+        over = p < 0  # rounding carried x past the last mass: take the last candidate
+        if over.any():
+            p[over] = len(levels) - 1 - np.argmax(masses[over, ::-1] != 0, axis=1)
+            x[over] = masses[row[over], p[over]]
+        k = (np.cumsum(counts, axis=1) - counts)[row, p] + np.minimum(
+            (x / unit[p]).astype(np.int64), counts[row, p] - 1
+        )
+        for j in range(t):  # the k-th valid index not yet drawn
+            k += seen[:, j] <= k
+        seen[:, t] = k
+        seen[:, : t + 1].sort(axis=1)
+        counts[row, p] -= 1
+        key = slot_of * (n + 1) + k
+        below = np.searchsorted(graph.banned_key, key, side="right") - graph.banned_ptr[slot_of]
+        drawn[live, t] = graph.order[k + below]
+    got = drawn >= 0
+    corrupt_u = (side == 0)[:, None]
+    first = np.where(corrupt_u, drawn, fixed[:, None])[got]
+    second = np.where(corrupt_u, fixed[:, None], drawn)[got]
+    return np.stack([first, second], axis=1)
 
 
 def train_graph_embedding(
@@ -529,15 +570,13 @@ def train_graph_embedding(
         epoch_loss = 0.0
         for b, start in enumerate(range(0, n_pos, config.batch_size), 1):
             batch = graph.positives[order[start : start + config.batch_size]]
-            negs: list[tuple[int, int]] = []
-            for u, v in batch:
-                negs.extend(sampler(graph, int(u), int(v), rng, config))
+            negs = sampler(graph, batch[:, 0], batch[:, 1], rng, config)
             coords_grad = np.zeros_like(coords)
             w_grad = np.zeros_like(w) if w is not None else None
 
             terms = [(batch, None)]
-            if negs:
-                terms.append((np.array(negs, dtype=np.int64), config.margin))
+            if len(negs):
+                terms.append((negs, config.margin))
             for pairs, margin in terms:
                 xs, zx = embed(pairs[:, 0])
                 ys, zy = embed(pairs[:, 1])

@@ -147,6 +147,26 @@ class TestExport2d:
                      "--out", str(tmp_path / "viz")])
         assert code == 1
 
+    def test_names_model_labels_the_hierarchy_lacks(self, tmp_path, capsys):
+        from hierembed import storage
+        from hierembed.hierarchy import generate_synthetic_tree
+
+        big = generate_synthetic_tree(3, 3)
+        ids = sorted(n.node_id for n in big.nodes)
+        storage.save_embeddings(tmp_path / "m.emb", ids, np.full((len(ids), 2), 0.3), "ec")
+        nodes, edges, _ = tree_files(tmp_path, 3, 2)
+        out = tmp_path / "viz"
+        code = main(["export-2d", "--nodes", str(nodes), "--edges", str(edges),
+                     "--model", str(tmp_path / "m.emb"), "--method", "raw2d", "--out", str(out)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (payload["error"], payload["type"]) == (
+            "hierarchy lacks 6 of the 13 model labels being exported: "
+            "'r.0.2', 'r.1.2', 'r.2', 'r.2.0', 'r.2.1' and 1 more",
+            "CliError",
+        )
+        assert not (out / "coords.tsv").exists()
+
 
 @pytest.fixture(scope="module")
 def joint_run(tmp_path_factory):
@@ -321,6 +341,23 @@ class TestClassifierPipeline:
         assert lines[0].endswith("pred_min,pred_max,pred_mean,pred_std")
         assert lines[1].startswith("joint,")
         assert lines[2].startswith("per-level,")
+
+    def test_labels_file_names_a_short_row(self, tmp_path, capsys):
+        nodes, edges, _ = tree_files(tmp_path, 3, 2)
+        feats = tmp_path / "feats"
+        run(["gen-features", "--nodes", str(nodes), "--edges", str(edges),
+             "--per-leaf", "5", "--dim", "8", "--seed", "3", "--out", str(feats)])
+        rows = (feats / "instances-levels.tsv").read_text().splitlines()
+        iid = rows[3].split("\t")[0]
+        rows[3] = rows[3].rsplit("\t", 1)[0]  # drop the last level's label
+        bad = tmp_path / "short.tsv"
+        bad.write_text("\n".join(rows) + "\n")
+        code = main(["train-classifier", "--nodes", str(nodes), "--edges", str(edges),
+                     "--features", str(feats / "features.feat"), "--labels", str(bad),
+                     "--head", "mc", "--epochs", "1", "--out", str(tmp_path / "clf")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == f"instance {iid!r} has 2 level labels in {bad}, expected 3"
 
 
 class TestConvertEthec:

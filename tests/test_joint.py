@@ -119,10 +119,10 @@ class TestNegativeSamplerConstraints:
         inst_pairs = 0
         label_level_count = tree.level_count
         for u, v in graph.positives[:50]:
-            for pair in _sample_negatives_for(graph, int(u), int(v), rng, cfg):
+            for pair in _sample_negatives_for(graph, u[None], v[None], rng, cfg).tolist():
                 if graph.is_instance(pair[0]) and graph.is_instance(pair[1]):
                     inst_pairs += 1
-                assert pair not in graph.forbidden
+                assert tuple(pair) not in graph.forbidden
         assert inst_pairs == 0
 
     def test_instances_form_a_sampling_level(self, tree):

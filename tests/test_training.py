@@ -1,5 +1,6 @@
 """Max-margin loss, optimizer steps, trainer determinism, edge prediction."""
 
+import bisect
 from dataclasses import astuple
 
 import numpy as np
@@ -39,6 +40,13 @@ from hierembed.training import (
     rsgd_step,
     train_label_embeddings,
 )
+
+
+def one_positive(sampler, graph, u, v, rng, config):
+    """A batch sampler called with the single positive (u, v), as a list of pairs."""
+    pairs = sampler(graph, np.array([u]), np.array([v]), rng, config)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
+    return [tuple(p) for p in pairs.tolist()]
 
 
 def table_of(coords, kind="ec"):
@@ -341,8 +349,8 @@ class TestNegativeSamplingModes:
         cfg_ppl = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, pick_per_level=True)
         cfg_uni = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, pick_per_level=False)
         u, v = map(int, graph.positives[0])
-        ppl = _sample_negatives_for(graph, u, v, rng, cfg_ppl)
-        uni = _sample_negatives_for(graph, u, v, np.random.default_rng(0), cfg_uni)
+        ppl = one_positive(_sample_negatives_for, graph, u, v, rng, cfg_ppl)
+        uni = one_positive(_sample_negatives_for, graph, u, v, np.random.default_rng(0), cfg_uni)
         # both corrupt each side once per level slot; uniform draws ignore levels
         assert len(uni) <= 2 * h.level_count
         assert len(ppl) <= 2 * h.level_count
@@ -359,7 +367,7 @@ class TestNegativeSamplingModes:
         cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
         rng = np.random.default_rng(1)
         u, v = map(int, graph.positives[3])
-        negs = _sample_negatives_for(graph, u, v, rng, cfg)
+        negs = one_positive(_sample_negatives_for, graph, u, v, rng, cfg)
         ids = graph.label_ids
         corrupt_u_levels = [h.node(ids[a]).level for a, b in negs if b == v]
         assert len(corrupt_u_levels) == len(set(corrupt_u_levels))
@@ -370,7 +378,7 @@ def pick_per_level_sides(h, positives, u, v, seed=0):
     graph = _Graph(h, positives, None)
     cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
     rng = np.random.default_rng(seed)
-    negs = _sample_negatives_for(graph, graph.index[u], graph.index[v], rng, cfg)
+    negs = one_positive(_sample_negatives_for, graph, graph.index[u], graph.index[v], rng, cfg)
     pairs = [(graph.label_ids[a], graph.label_ids[b]) for a, b in negs]
     corrupt_u = [(a, b) for a, b in pairs if b == v]
     corrupt_v = [(a, b) for a, b in pairs if b != v]
@@ -463,6 +471,54 @@ def _seed_sample_negatives_for(graph, u, v, rng, config):
     return out
 
 
+def _per_positive_sample_negatives_rebalanced(graph, u, v, rng, config):
+    """The rejection-free rebalanced sampler as it stood with one call per positive.
+
+    Only the banned-position lookup reads the current table (``banned_key``,
+    one CSR over ``side * n + node``), and the total mass is summed left to
+    right as Python 3.11's ``sum`` does (3.12's compensates); the arithmetic
+    is otherwise unchanged.
+    """
+    levels = graph.levels
+    props = [0.5 / (len(levels) - 1)] * (len(levels) - 1) + [0.5] if len(levels) > 1 else [1.0]
+    unit = [prop / len(pool) for prop, pool in zip(props, levels)]
+    slots = len(levels) * config.neg_passes
+    draws = rng.random(2 * slots).tolist()
+    n = graph.n_total
+    out = []
+    for side, fixed in enumerate((v, u)):
+        counts = graph.valid[side, :, fixed].tolist()
+        slot = side * n + fixed
+        ptr = graph.banned_ptr
+        gaps = graph.banned_key[ptr[slot] : ptr[slot + 1]] - slot * (n + 1)
+        seen = []  # drawn valid indices, ascending
+        for r in draws[side * slots : (side + 1) * slots]:
+            masses = [c * w for c, w in zip(counts, unit)]
+            total = 0.0
+            for m in masses:
+                total += m
+            if total <= 0.0:
+                break
+            x = r * total
+            for p, m in enumerate(masses):
+                if x < m:
+                    break
+                x -= m
+            else:  # rounding carried x past the last mass: take the last candidate
+                p = max(q for q, m in enumerate(masses) if m)
+                x = masses[p]
+            k = sum(counts[:p]) + min(int(x / unit[p]), counts[p] - 1)
+            for s in seen:
+                if s > k:
+                    break
+                k += 1
+            bisect.insort(seen, k)
+            counts[p] -= 1
+            cand = int(graph.order[k + int(np.searchsorted(gaps, k, side="right"))])
+            out.append((cand, v) if side == 0 else (u, cand))
+    return out
+
+
 class TestEmptySlots:
     @pytest.mark.parametrize("pick_per_level", [True, False])
     @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -507,18 +563,34 @@ class TestEmptySlots:
         order = np.random.default_rng(3).permutation(len(graph.positives))
         rng, ref = np.random.default_rng(11), np.random.default_rng(11)
         for u, v in graph.positives[order]:
-            got = _sample_negatives_for(graph, int(u), int(v), rng, cfg)
+            got = one_positive(_sample_negatives_for, graph, int(u), int(v), rng, cfg)
             assert got == _seed_sample_negatives_for(graph, int(u), int(v), ref, cfg)
             assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**33])
     def test_batched_draws_equal_scalar_draws(self, n):
-        # the empty-slot shortcut rests on this NumPy behaviour
+        # the samplers' byte-identical batching rests on these NumPy stream facts
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         rng.random(), ref.random()  # start away from a fresh state
         batched = rng.integers(n, size=RETRY_CAP)
         scalar = [ref.integers(n) for _ in range(RETRY_CAP)]
         np.testing.assert_array_equal(batched, scalar)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # per-element bounds: the same stream as scalar draws with those bounds
+        bounds = np.repeat(np.array([n, 3, 1, n, 2**32 + 1, 7], dtype=np.int64), 11)
+        np.testing.assert_array_equal(
+            rng.integers(0, bounds), [ref.integers(int(b)) for b in bounds]
+        )
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # a one-member pool's draws consume no stream
+        state = rng.bit_generator.state
+        np.testing.assert_array_equal(rng.integers(1, size=RETRY_CAP), 0)
+        assert rng.bit_generator.state == state
+        # one uniform call for m positives is m calls for one positive each
+        k = min(n, 24)
+        np.testing.assert_array_equal(
+            rng.random(5 * k), np.concatenate([ref.random(k) for _ in range(5)])
+        )
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -644,13 +716,13 @@ class TestRebalancedSampler:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for u, v in graph.positives.tolist():
             valid = [set(valid_candidates(graph, 0, v)), set(valid_candidates(graph, 1, u))]
-            for sampler, r in ((_sample_negatives_rebalanced, rng),
-                               (ref_sample_negatives_rebalanced, ref_rng)):
-                pairs = sampler(graph, u, v, r, cfg)
+            got = one_positive(_sample_negatives_rebalanced, graph, u, v, rng, cfg)
+            ref = ref_sample_negatives_rebalanced(graph, u, v, ref_rng, cfg)
+            for pairs, exact in ((got, True), (ref, False)):
                 assert len(set(pairs)) == len(pairs)
                 for side, cands in enumerate(split_sides(pairs, u, v)):
                     assert set(cands) <= valid[side]
-                    if sampler is _sample_negatives_rebalanced:
+                    if exact:
                         # a slot is skipped only when no valid candidate is left
                         assert len(cands) == min(slots, len(valid[side]))
                     else:
@@ -664,13 +736,16 @@ class TestRebalancedSampler:
                     valid = set(valid_candidates(graph, side, node))
                     for p, pool in enumerate(graph.levels):
                         assert graph.valid[side, p, node] == len(valid & set(pool.tolist()))
-                    ptr = graph.banned_ptr[side]
-                    gaps = graph.banned_gap[side][ptr[node] : ptr[node + 1]]
+                    slot = side * graph.n_total + node
+                    ptr = graph.banned_ptr[slot]
+                    keys = graph.banned_key[ptr : graph.banned_ptr[slot + 1]]
+                    assert (keys // (graph.n_total + 1) == slot).all()
                     # the k-th valid position, by the sampler's arithmetic; an instance
                     # node's valid candidates are labels, which come before the instances
                     expected = sorted(pos[c] for c in valid)
-                    got = [k + int(np.searchsorted(gaps, k, side="right")) for k in range(len(valid))]
-                    assert got == expected
+                    queries = slot * (graph.n_total + 1) + np.arange(len(valid))
+                    below = np.searchsorted(graph.banned_key, queries, side="right") - ptr
+                    assert (np.arange(len(valid)) + below).tolist() == expected
 
     def test_candidate_frequencies_match_rejection_loop(self):
         graph = _wide_instance_graph()
@@ -692,13 +767,16 @@ class TestRebalancedSampler:
                 assert (1.0 - (m.sum() - m[len(m) - slots + 1 :].sum())) ** RETRY_CAP < 1e-6
             rng, ref_rng = np.random.default_rng(7), np.random.default_rng(8)
             got, ref = ([], []), ([], [])
+            # one batch of 2000 copies: the same draws as 2000 one-positive calls
+            pairs = _sample_negatives_rebalanced(
+                graph, np.full(2000, u), np.full(2000, v), rng, cfg
+            )
+            for side, cands in enumerate(split_sides(pairs.tolist(), u, v)):
+                got[side].extend(cands)
             for _ in range(2000):
-                for out, pairs in (
-                    (got, _sample_negatives_rebalanced(graph, u, v, rng, cfg)),
-                    (ref, ref_sample_negatives_rebalanced(graph, u, v, ref_rng, cfg)),
-                ):
-                    for side, cands in enumerate(split_sides(pairs, u, v)):
-                        out[side].extend(cands)
+                pairs = ref_sample_negatives_rebalanced(graph, u, v, ref_rng, cfg)
+                for side, cands in enumerate(split_sides(pairs, u, v)):
+                    ref[side].extend(cands)
             for side in (0, 1):
                 assert len(got[side]) == 2000 * slots
                 stat, df = chi2_two_sample(ref[side], got[side])
@@ -718,15 +796,74 @@ class TestRebalancedSampler:
             valid = np.array(valid_candidates(graph, 1, u))
             expected.append(mass[valid[valid >= graph.n_labels]].sum() / mass[valid].sum())
         exp = np.mean(expected)
-        for sampler, seed in ((_sample_negatives_rebalanced, 3), (ref_sample_negatives_rebalanced, 4)):
-            rng = np.random.default_rng(seed)
+        batch = np.array(positives * 300)
+        rng = np.random.default_rng(3)
+        got = _sample_negatives_rebalanced(graph, batch[:, 0], batch[:, 1], rng, cfg)
+        slots = 2 * len(graph.levels)
+        assert len(got) == len(batch) * slots  # every slot holds a valid candidate
+        per_positive = got.reshape(len(batch), slots, 2).tolist()
+        ref_rng = np.random.default_rng(4)
+        ref = [ref_sample_negatives_rebalanced(graph, u, v, ref_rng, cfg) for u, v in batch.tolist()]
+        for calls in (per_positive, ref):
             first, every = [], []
-            for _ in range(300):
-                for u, v in positives:
-                    side1 = split_sides(sampler(graph, u, v, rng, cfg), u, v)[1]
-                    first.append(graph.is_instance(side1[0]))
-                    every.extend(graph.is_instance(c) for c in side1)
+            for (u, v), pairs in zip(batch.tolist(), calls):
+                side1 = split_sides(pairs, u, v)[1]
+                first.append(graph.is_instance(side1[0]))
+                every.extend(graph.is_instance(c) for c in side1)
             share = np.mean(first)
             assert abs(share - exp) < 4 * np.sqrt(exp * (1 - exp) / len(first))
             assert abs(np.mean(every) - 0.5) < 0.05
             assert 0.45 < exp < 0.55
+
+
+class TestBatchSamplersMatchPerPositiveCalls:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        forests_with_instances(),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_same_pairs_and_stream(self, graph, neg_passes, pick_per_level, seed, data):
+        cfg = TrainConfig(
+            kind="ec", dim=2, epochs=1, seed=0,
+            neg_passes=neg_passes, pick_per_level=pick_per_level,
+        )
+        n_pos = len(graph.positives)
+        batch_size = data.draw(st.integers(1, n_pos + 1), label="batch_size")
+        order = np.random.default_rng(seed).permutation(n_pos)
+        for batched, per_positive in (
+            (_sample_negatives_for, _seed_sample_negatives_for),
+            (_sample_negatives_rebalanced, _per_positive_sample_negatives_rebalanced),
+        ):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for start in range(0, n_pos, batch_size):
+                batch = graph.positives[order[start : start + batch_size]]
+                got = batched(graph, batch[:, 0], batch[:, 1], rng, cfg)
+                expected = [
+                    pair for u, v in batch.tolist() for pair in per_positive(graph, u, v, ref, cfg)
+                ]
+                assert got.dtype == np.int64 and got.shape == (len(expected), 2)
+                assert [tuple(p) for p in got.tolist()] == expected
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("neg_passes", [1, 3])
+    @pytest.mark.parametrize("make", [_instance_graph, _wide_instance_graph])
+    def test_rounding_past_the_last_mass(self, make, neg_passes):
+        class TopDraws:
+            """Every uniform is the largest double below 1, so x often rounds past the end."""
+
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        graph = make()
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes)
+        u, v = graph.positives[:, 0], graph.positives[:, 1]
+        got = _sample_negatives_rebalanced(graph, u, v, TopDraws(), cfg)
+        expected = [
+            pair
+            for a, b in graph.positives.tolist()
+            for pair in _per_positive_sample_negatives_rebalanced(graph, a, b, TopDraws(), cfg)
+        ]
+        assert [tuple(p) for p in got.tolist()] == expected
