@@ -15,7 +15,7 @@ closure, label paths and within-level positions are read from these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -45,6 +45,7 @@ class EdgeSet:
 
     pairs: tuple[tuple[str, str], ...]
     polarity: str = "positive"
+    _set: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen = set()
@@ -54,6 +55,7 @@ class EdgeSet:
             if (u, v) in seen:
                 raise HierarchyError(f"duplicate edge ({u!r}, {v!r})")
             seen.add((u, v))
+        object.__setattr__(self, "_set", frozenset(seen))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -62,10 +64,10 @@ class EdgeSet:
         return iter(self.pairs)
 
     def __contains__(self, pair) -> bool:
-        return tuple(pair) in set(self.pairs)
+        return tuple(pair) in self._set
 
     def to_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.pairs)
+        return self._set
 
 
 @dataclass(frozen=True)

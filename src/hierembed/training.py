@@ -17,6 +17,7 @@ the same random stream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -285,7 +286,13 @@ class _Graph:
             forbidden |= {(index[u], index[v]) for u, v in forbidden_extra}
         forbidden |= {(int(u), int(v)) for u, v in self.positives}
         self.forbidden = forbidden
-        self._banned_tables()
+        n = self.n_total
+        keys = np.fromiter((a * n + b for a, b in forbidden), dtype=np.int64, count=len(forbidden))
+        # the banned pairs: forbidden ones and self-pairs, in key order
+        keys = np.unique(np.concatenate([keys, np.arange(n, dtype=np.int64) * (n + 1)]))
+        a, b = np.divmod(keys, n)
+        self._banned_tables(a, b)
+        self._ancestor_table(h, a, b)
         # Candidate pools of ``_sample_negatives_for``, keyed by pick_per_level:
         # one pool per level, or every level's slot drawing from all nodes.
         # ``empty[side, p, node]``: no candidate in ``pools[p]`` is a valid
@@ -299,7 +306,7 @@ class _Graph:
             False: np.repeat(none_valid, len(self.levels), axis=1),
         }
 
-    def _banned_tables(self) -> None:
+    def _banned_tables(self, a: np.ndarray, b: np.ndarray) -> None:
         """Valid counts and banned positions per (side, node), from the banned pairs.
 
         Side 0 corrupts u, so ``node`` is the positive's child v; side 1
@@ -323,11 +330,6 @@ class _Graph:
         pos[self.order] = np.arange(n)
         sizes = np.array([len(pool) for pool in self.levels], dtype=np.int64)
         level_at = np.repeat(np.arange(len(sizes)), sizes)  # level of each position
-        keys = np.fromiter(
-            (a * n + b for a, b in self.forbidden), dtype=np.int64, count=len(self.forbidden)
-        )
-        keys = np.unique(np.concatenate([keys, np.arange(n, dtype=np.int64) * (n + 1)]))
-        a, b = np.divmod(keys, n)
         keep = (a < self.n_labels) | (b < self.n_labels)
         a, b = a[keep], b[keep]
         inst_per_level = np.array(
@@ -350,8 +352,294 @@ class _Graph:
         gap = cand_pos - (np.arange(len(slot)) - self.banned_ptr[slot])
         self.banned_key = slot * (n + 1) + gap
 
+    def _ancestor_table(self, h: Hierarchy, a: np.ndarray, b: np.ndarray) -> None:
+        """Banned pairs ``(a, b)`` as one lookup: ``anc[b, col[a]] == a``.
+
+        ``col[x]`` is x's level less one, and ``h.level_count`` for
+        instances. A label's row is its ``Hierarchy.anc`` row, so a label is
+        banned with itself and its descendants. An instance's row holds
+        itself in the instance column and, in each label column, a label it
+        is forbidden with. Instance-instance pairs are banned by rule. The
+        banned pairs the table cannot hold (a second label of one level for
+        an instance, extra label-label pairs, pairs with an instance first)
+        are the sorted keys ``a * n_total + b`` of ``extra_keys``.
+        """
+        n_levels, n_labels = h.level_count, self.n_labels
+        self.col = np.full(self.n_total, n_levels, dtype=np.int64)
+        self.col[:n_labels] = h.level_of - 1
+        anc = np.full((self.n_total, n_levels + 1), -1, dtype=np.int64)
+        anc[:n_labels, :n_levels] = h.anc
+        anc[n_labels:, n_levels] = np.arange(n_labels, self.n_total)
+        to_instance = (a < n_labels) & (b >= n_labels)
+        cell = b[to_instance] * (n_levels + 1) + self.col[a[to_instance]]
+        cell, first = np.unique(cell, return_index=True)  # the lowest key of each cell
+        anc.ravel()[cell] = a[to_instance][first]
+        held = (anc[b, self.col[a]] == a) | ((a >= n_labels) & (b >= n_labels))
+        self.anc = anc
+        self.extra_keys = a[~held] * self.n_total + b[~held]
+
     def is_instance(self, node: int) -> bool:
         return node >= self.n_labels
+
+
+WORD = 2**32  # ``rng.integers(n)`` reads 32-bit generator words for any n <= 2**32
+# Drawing slots are judged in chunks of CHUNK_ROWS (all the batch has left,
+# when that is under twice as many), each against a window of WINDOW words.
+CHUNK_ROWS = 64
+WINDOW = 16
+_COLS = np.arange(WINDOW)
+_ROWS = np.arange(2 * CHUNK_ROWS)[:, None]
+_SPAN = np.arange(RETRY_CAP)
+
+
+def _lemire(words: np.ndarray, n: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What ``rng.integers(n)`` makes of each 32-bit word: ``(index, thrown_away)``.
+
+    NumPy's Lemire step maps a word ``w`` to ``(w * n) >> 32``; it throws
+    the word away and reads the next one when ``(w * n) mod 2**32`` falls
+    below ``(2**32 - n) mod n``. ``n`` broadcasts against ``words``.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    m = np.asarray(words, dtype=np.uint64) * n
+    return (m >> np.uint64(32)).view(np.int64), (m & np.uint64(WORD - 1)) < (WORD - n) % n
+
+
+def _scan(ok: np.ndarray, thrown: np.ndarray) -> tuple[int, int] | None:
+    """``(index, words used)`` of the first accepted word within RETRY_CAP draws.
+
+    The index is -1 when the draws run out first, and the result None when
+    the words do. Thrown-away words are read but are no draws.
+    """
+    draws = np.cumsum(~thrown)
+    hit = np.flatnonzero(ok & (draws <= RETRY_CAP))
+    if hit.size:
+        return int(hit[0]), int(hit[0]) + 1
+    if draws[-1] >= RETRY_CAP:
+        return -1, int(np.searchsorted(draws, RETRY_CAP)) + 1
+    return None
+
+
+class _Words:
+    """The generator's next 32-bit words, read ahead and then handed back unread.
+
+    ``rng.integers(0, 2**32, size=m, dtype=np.uint32)`` reads exactly the
+    words that ``m`` scalar draws read (PCG64 hands out the low half of an
+    output, then the high half, which waits in its state). So restoring the
+    saved state and re-reading the words used leaves the generator where
+    the scalar draws would. The block is held as uint64.
+    """
+
+    def __init__(self, rng: np.random.Generator, ahead: int):
+        self.rng = rng
+        self.state = rng.bit_generator.state
+        self.block = self.read(ahead)
+
+    def read(self, m: int) -> np.ndarray:
+        return self.rng.integers(0, WORD, size=m, dtype=np.uint32).astype(np.uint64)
+
+    def upto(self, end: int) -> np.ndarray:
+        """The block, read on to at least ``end`` words."""
+        if end > len(self.block):
+            more = max(end - len(self.block), len(self.block))
+            self.block = np.concatenate([self.block, self.read(more)])
+        return self.block
+
+    def close(self, used: int) -> None:
+        self.rng.bit_generator.state = self.state
+        self.rng.integers(0, WORD, size=used, dtype=np.uint32)
+
+
+class _PlainWalk:
+    """The draws of ``_sample_negatives_for``'s scalar loop, computed from one block of words.
+
+    Drawing rows are the slots with a valid candidate in a pool of two or
+    more; each reads words until one gives a valid candidate, for at most
+    RETRY_CAP draws. Empty slots (pool of two or more, nothing valid) read
+    RETRY_CAP draws. Row ``r`` starts at word ``nominal[r] + drift``, where
+    ``nominal`` counts one word per earlier row and RETRY_CAP per earlier
+    empty slot, and ``drift`` counts the words read beyond that; it never
+    decreases. A chunk of rows is judged against a window of ``WINDOW``
+    drifts at once, so while rows accept at once they walk one diagonal of
+    that matrix; the Python loop only steps through rejections.
+
+    An empty slot reads more than RETRY_CAP words only when the Lemire step
+    throws some away. That is checked once the walk is done; if it
+    happened, the walk is redone from that slot on, which now adds them.
+    """
+
+    def __init__(
+        self, graph: _Graph, words: _Words, rows: dict, spent: dict, total: int, dup: bool
+    ):
+        self.graph = graph
+        self.words = words
+        self.row = rows  # n, start, fixed, corrupt_u, nominal, group
+        self.spent = spent  # n, nominal, before: drawing rows ahead of each empty slot
+        self.total = total  # words read if every row accepts its first draw
+        self.after = np.zeros(len(rows["n"]) + 1, dtype=np.int64)  # drift once row r - 1 is done
+        self.extra: dict[int, int] = {}  # empty slot -> thrown-away words it reads
+        self.got = np.full(len(rows["n"]), -1, dtype=np.int64)
+        self.taken: dict[int, set[int]] | None = {} if dup else None
+
+    def judge(self, rows: slice, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Candidates of ``rows`` from their words ``w``, which are valid, which thrown away."""
+        g, row = self.graph, self.row
+        idx, thrown = _lemire(w, row["n"][rows, None])
+        cand = g.order[row["start"][rows, None] + idx]
+        fixed, corrupt_u = row["fixed"][rows, None], row["corrupt_u"][rows, None]
+        a = np.where(corrupt_u, cand, fixed)
+        b = np.where(corrupt_u, fixed, cand)
+        bad = thrown | (g.anc[b, g.col[a]] == a)
+        if g.n_total > g.n_labels:
+            bad |= (a >= g.n_labels) & (b >= g.n_labels)
+        if len(g.extra_keys):
+            key = a * g.n_total + b
+            at = np.minimum(np.searchsorted(g.extra_keys, key), len(g.extra_keys) - 1)
+            bad |= g.extra_keys[at] == key
+        return cand, ~bad, thrown
+
+    def alone(self, r: int, start: int) -> int:
+        """Resolve row ``r`` from word ``start`` draw by draw; the words it reads."""
+        taken = None
+        if self.taken is not None:
+            taken = self.taken.setdefault(int(self.row["group"][r]), set())
+        m = RETRY_CAP + WINDOW
+        while True:
+            w = self.words.upto(start + m)[None, start : start + m]
+            cand, ok, thrown = (x[0] for x in self.judge(slice(r, r + 1), w))
+            if taken:
+                ok &= ~np.isin(cand, list(taken))
+            found = _scan(ok, thrown)
+            if found is not None:
+                t, used = found
+                if t >= 0:
+                    self.got[r] = cand[t]
+                    if taken is not None:
+                        taken.add(int(cand[t]))
+                return used
+            m *= 2
+
+    def spend_words(self, e: int, start: int) -> int:
+        """Words empty slot ``e`` reads from word ``start``, thrown-away ones included."""
+        n, m = int(self.spent["n"][e]), RETRY_CAP + WINDOW
+        while True:
+            _, thrown = _lemire(self.words.upto(start + m)[start : start + m], n)
+            found = _scan(np.zeros(m, dtype=bool), thrown)
+            if found is not None:
+                return found[1]
+            m *= 2
+
+    def chunk(self, r: int, stop: int, drift: int) -> tuple[int, int, bool]:
+        """Walk rows from ``r`` (before ``stop``) while they accept inside the window.
+
+        Returns the next row, its drift, and whether that row is to be
+        resolved alone: it accepted nothing in a full window.
+        """
+        k = stop - r if stop - r < 2 * CHUNK_ROWS else CHUNK_ROWS
+        rows = slice(r, r + k)
+        offs = self.row["nominal"][rows, None] + (drift + _COLS)
+        w = self.words.upto(int(offs[-1, -1]) + 1)[offs]
+        cand, ok, _ = self.judge(rows, w)
+        # next accepting column of each row, next rejecting row of each column
+        nacc = np.minimum.accumulate(np.where(ok, _COLS, WINDOW)[:, ::-1], axis=1)[:, ::-1]
+        nrej = np.minimum.accumulate(np.where(ok, k, _ROWS[:k])[::-1], axis=0)[::-1]
+        col = [0] * k  # each row's accepting column
+        groups = None if self.taken is None else self.row["group"][rows].tolist()
+        i = d = 0
+        full = False
+        while i < k:
+            j = int(nrej[i, d])  # rows i..j-1 accept at column d
+            if groups:
+                j = i + self.fresh(groups[i:j], cand[i:j, d].tolist())
+            col[i:j] = [d] * (j - i)
+            i = j
+            if i == k:
+                break
+            # row i, which starts at column d, rejects it: its next valid
+            # column whose candidate is not a repeat
+            d2 = int(nacc[i, d])
+            if groups:
+                while d2 < WINDOW and not self.fresh(groups[i : i + 1], [int(cand[i, d2])]):
+                    d2 = int(nacc[i, d2 + 1]) if d2 + 1 < WINDOW else WINDOW
+            if d2 == WINDOW:
+                full = d == 0
+                break
+            col[i] = d = d2
+            i += 1
+        self.got[r : r + i] = cand[_ROWS[:i, 0], col[:i]]
+        self.after[r + 1 : r + i + 1] = np.add(col[:i], drift)
+        return r + i, drift + (col[i - 1] if i else 0), full
+
+    def fresh(self, groups: list[int], picked: list[int]) -> int:
+        """The number of leading candidates in ``picked`` not yet drawn for their
+        positive and side (``groups``), which are marked drawn; the first
+        repeat stops the count."""
+        for q, (g, c) in enumerate(zip(groups, picked)):
+            seen = self.taken.setdefault(g, set())
+            if c in seen:
+                return q
+            seen.add(c)
+        return len(picked)
+
+    def walk(self, r: int, drift: int) -> int:
+        """Walk from row ``r`` at ``drift`` to the end; the final drift."""
+        n_rows = len(self.row["n"])
+        before = self.spent["before"]
+        bumps: dict[int, int] = {}  # row -> thrown-away words of the empty slots just before it
+        for e, extra in self.extra.items():
+            bumps[int(before[e])] = bumps.get(int(before[e]), 0) + extra
+        while True:
+            self.after[r] = drift
+            drift += bumps.get(r, 0)
+            if r == n_rows:
+                return drift
+            stop = min((b for b in bumps if b > r), default=n_rows)
+            while r < stop:
+                r, drift, full = self.chunk(r, stop, drift)
+                if full:
+                    drift += self.alone(r, int(self.row["nominal"][r]) + drift) - 1
+                    r += 1
+                    self.after[r] = drift
+
+    def run(self) -> int:
+        """Fill ``got`` and return the words read in all."""
+        spent = self.spent
+        r = drift = checked = 0
+        while True:
+            drift = self.walk(r, drift)
+            # first word of each empty slot: the drift after the row before it,
+            # plus the thrown-away words of empty slots between that row and it
+            at = spent["nominal"] + self.after[spent["before"]]
+            for e, extra in self.extra.items():
+                at[e + 1 :][spent["before"][e + 1 :] == spent["before"][e]] += extra
+            unknown = np.arange(checked, len(at))
+            if self.extra:
+                unknown = unknown[[e not in self.extra for e in unknown.tolist()]]
+            words = self.words.upto(int(at.max(initial=0)) + RETRY_CAP)
+            _, thrown = _lemire(words[at[unknown, None] + _SPAN], spent["n"][unknown, None])
+            hit = np.flatnonzero(thrown.any(axis=1))
+            if not hit.size:
+                return self.total + drift
+            e = int(unknown[hit[0]])
+            self.extra = {s: x for s, x in self.extra.items() if s < e}
+            self.extra[e] = self.spend_words(e, int(at[e])) - RETRY_CAP
+            checked = e + 1
+            r = int(spent["before"][e])
+            drift = int(self.after[r])
+            self.got[r:] = -1
+            if self.taken is not None:
+                self.taken = {}
+                drawn = self.got[:r] >= 0
+                self.fresh(self.row["group"][:r][drawn].tolist(), self.got[:r][drawn].tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_pattern(n_pools: int, passes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Side, pool and first-pass flag of one positive's slots, in loop order (pass, side, pool)."""
+    t, side, p = np.indices((passes, 2, n_pools)).reshape(3, -1)
+    first = t == 0
+    for a in (side, p, first):
+        a.setflags(write=False)
+    return side, p, first
 
 
 def _sample_negatives_for(
@@ -363,49 +651,65 @@ def _sample_negatives_for(
 ) -> np.ndarray:
     """Corruptions ``(k, 2)`` of the positives ``(u[i], v[i])``, listed per positive.
 
-    Per positive: one corruption per (pass, side, pool) slot, each slot
-    giving up after RETRY_CAP scalar draws. A slot in which no candidate is
-    valid (``_Graph.empty``) still owes its RETRY_CAP draws, so that seeded
-    runs replay byte for byte; they are queued and each run of such slots
-    is spent in one ``rng.integers`` call with per-draw bounds, the same
-    stream as scalar draws. A one-member pool's draws consume no stream.
+    Per positive: one corruption per (pass, side, pool) slot, the first
+    valid candidate (not banned, not drawn before for this positive) of up
+    to RETRY_CAP scalar draws ``rng.integers(len(pool))``; the slot gives
+    up when none of them is. A slot in which no candidate is valid
+    (``_Graph.empty``) still reads its RETRY_CAP draws, so that seeded runs
+    replay byte for byte; a one-member pool's draws read no words. The
+    draws are computed from one block of generator words per batch
+    (``_PlainWalk``), validity from the ancestor table, and the generator
+    is left where the scalar loop would leave it.
     """
-    pools = graph.pools[config.pick_per_level]
-    sizes = [len(pool) for pool in pools]
-    empty = graph.empty[config.pick_per_level]
-    # [positive][side][pool]: the slot holds no valid negative
-    slot_empty = np.stack([empty[0][:, v], empty[1][:, u]]).transpose(2, 0, 1).tolist()
-    owed: list[int] = []  # pool sizes of the queued empty slots
-
-    def spend() -> None:
-        rng.integers(0, np.repeat(owed, RETRY_CAP))
-        owed.clear()
-
-    out: list[tuple[int, int]] = []
-    for pu, pv, skip in zip(u.tolist(), v.tolist(), slot_empty):
-        seen: set[tuple[int, int]] = set()
-        for _ in range(config.neg_passes):
-            for side, corrupt_u in enumerate((True, False)):
-                for p, pool in enumerate(pools):
-                    if skip[side][p]:
-                        if sizes[p] > 1:
-                            owed.append(sizes[p])
-                        continue
-                    if owed:
-                        spend()
-                    for _ in range(RETRY_CAP):
-                        cand = int(pool[int(rng.integers(sizes[p]))])
-                        pair = (cand, pv) if corrupt_u else (pu, cand)
-                        if pair[0] == pair[1] or pair in graph.forbidden or pair in seen:
-                            continue
-                        if graph.is_instance(pair[0]) and graph.is_instance(pair[1]):
-                            continue
-                        out.append(pair)
-                        seen.add(pair)
-                        break
-    if owed:
-        spend()
-    return np.array(out, dtype=np.int64).reshape(-1, 2)
+    ppl = config.pick_per_level
+    pools = graph.pools[ppl]
+    if not len(u) or not pools:
+        return np.zeros((0, 2), dtype=np.int64)
+    sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes if ppl else np.zeros_like(sizes)
+    sizes_u = sizes.astype(np.uint64)
+    side, p, first = _slot_pattern(len(pools), config.neg_passes)
+    # (positive, slot) arrays, positives in batch order
+    fixed = np.where(side == 0, v[:, None], u[:, None])
+    empty = graph.empty[ppl][side, p, fixed]
+    size = sizes[p]
+    drawing = ~empty & (size > 1)
+    spent = empty & (size > 1)
+    # a one-member pool's valid member, taken in the first pass; later ones repeat it
+    got = np.where(~empty & (size == 1) & first, graph.order[starts[p]], -1)
+    reads = np.where(spent, RETRY_CAP, drawing).ravel()
+    total = int(reads.sum())
+    if total:
+        nominal = np.cumsum(reads) - reads
+        rows, gaps = np.flatnonzero(drawing), np.flatnonzero(spent)
+        pos, slot = np.divmod(rows, len(side))
+        words = _Words(rng, total + len(rows) // 2 + WINDOW)
+        walk = _PlainWalk(
+            graph,
+            words,
+            {
+                "n": sizes_u[p[slot]],
+                "start": starts[p[slot]],
+                "fixed": fixed.ravel()[rows],
+                "corrupt_u": side[slot] == 0,
+                "nominal": nominal[rows],
+                "group": 2 * pos + side[slot],
+            },
+            {
+                "n": sizes_u[p[gaps % len(side)]],
+                "nominal": nominal[gaps],
+                "before": np.searchsorted(rows, gaps),
+            },
+            total,
+            dup=config.neg_passes > 1 or not ppl,
+        )
+        words.close(walk.run())
+        got[pos, slot] = walk.got
+    keep = got >= 0
+    corrupt_u = side == 0
+    return np.stack(
+        [np.where(corrupt_u, got, fixed)[keep], np.where(corrupt_u, fixed, got)[keep]], axis=1
+    )
 
 
 def _sample_negatives_rebalanced(

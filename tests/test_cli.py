@@ -87,6 +87,24 @@ class TestTrainLabels:
         for name in before:
             assert before[name] == after[name], name
 
+    def test_names_split_labels_the_hierarchy_lacks(self, tmp_path, capsys):
+        big_nodes, big_edges, _ = tree_files(tmp_path / "big", 3, 3)
+        split = tmp_path / "split"
+        run(["split", "--nodes", str(big_nodes), "--edges", str(big_edges),
+             "--fraction", "0.5", "--seed", "7", "--out", str(split)])
+        nodes, edges, _ = tree_files(tmp_path, 3, 2)
+        out = tmp_path / "emb"
+        code = main(["train-labels", "--nodes", str(nodes), "--edges", str(edges),
+                     "--split-dir", str(split), "--epochs", "1", "--out", str(out)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (payload["error"], payload["type"]) == (
+            "hierarchy lacks 6 of the 13 labels in the split: "
+            "'r.0.2', 'r.1.2', 'r.2', 'r.2.0', 'r.2.1' and 1 more",
+            "CliError",
+        )
+        assert not (out / "embeddings.emb").exists()
+
 
 class TestReconstruct:
     def test_from_label_embeddings(self, pipeline, tmp_path):

@@ -70,6 +70,18 @@ class TestStructure:
         with pytest.raises(HierarchyError):
             EdgeSet((("a", "a"),))
 
+    def test_edge_set_membership_is_built_once(self):
+        edges = EdgeSet((("a", "b"), ("a", "c"), ("b", "d")))
+        first = edges.to_set()
+        assert first == {("a", "b"), ("a", "c"), ("b", "d")}
+        for _ in range(2):
+            assert ("a", "b") in edges and ["b", "d"] in edges
+            assert ("b", "a") not in edges and ("a", "d") not in edges
+            assert edges.to_set() is first
+        assert edges == EdgeSet((("a", "b"), ("a", "c"), ("b", "d")))
+        assert hash(edges) == hash(EdgeSet((("a", "b"), ("a", "c"), ("b", "d"))))
+        assert "_set" not in repr(edges)
+
     def test_leaf_descendants(self):
         h = generate_synthetic_tree(3, 2)
         assert len(h.leaf_descendants("r")) == 4

@@ -28,7 +28,9 @@ from hierembed.training import (
     TrainConfig,
     TrainingError,
     _best_threshold,
+    _Words,
     _Graph,
+    _lemire,
     _sample_negatives_for,
     _sample_negatives_rebalanced,
     adam_step,
@@ -519,6 +521,41 @@ def _per_positive_sample_negatives_rebalanced(graph, u, v, rng, config):
     return out
 
 
+def draws_from_words(rng, n, count):
+    """``count`` draws of ``rng.integers(n)``, computed from the generator's 32-bit words.
+
+    The generator is left where the scalar draws leave it: the words are read
+    ahead, then handed back and only the ones used are read again.
+    """
+    words = _Words(rng, 4 * count + 64)
+    idx, thrown = _lemire(words.block, n)
+    kept = np.flatnonzero(~thrown)[:count]
+    assert len(kept) == count
+    words.close(int(kept[-1]) + 1)
+    return idx[kept]
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def zero_words_at(rng, at):
+    """Set ``rng`` so that its 32-bit words ``at`` and ``at + 1`` (``at`` even) are 0.
+
+    Steps PCG64's LCG back from the all-zero state, whose output is 0, so
+    that the ``at // 2 + 1``-th 64-bit output comes from it.
+    """
+    state = rng.bit_generator.state
+    inc, mul_inv = state["state"]["inc"], pow(PCG64_MULTIPLIER, -1, 2**128)
+    s = 0
+    for _ in range(at // 2 + 1):
+        s = (s - inc) * mul_inv % 2**128
+    rng.bit_generator.state = {**state, "state": {"state": s, "inc": inc}, "has_uint32": 0}
+    probe = np.random.default_rng()
+    probe.bit_generator.state = rng.bit_generator.state
+    words = probe.integers(0, 2**32, size=at + 2, dtype=np.uint32)
+    assert words[at] == words[at + 1] == 0 and words[:at].all()
+
+
 class TestEmptySlots:
     @pytest.mark.parametrize("pick_per_level", [True, False])
     @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -567,7 +604,9 @@ class TestEmptySlots:
             assert got == _seed_sample_negatives_for(graph, int(u), int(v), ref, cfg)
             assert rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**33])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 7, 27, 81, 100, 1000, 2**31 - 1, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**33]
+    )
     def test_batched_draws_equal_scalar_draws(self, n):
         # the samplers' byte-identical batching rests on these NumPy stream facts
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
@@ -592,6 +631,26 @@ class TestEmptySlots:
             rng.random(5 * k), np.concatenate([ref.random(k) for _ in range(5)])
         )
         assert rng.bit_generator.state == ref.bit_generator.state
+        if not 2 <= n <= 2**32:
+            return
+        # the plain sampler computes draws from a block of 32-bit words: Lemire's
+        # step, thrown-away words, PCG64's pending high half, then a re-read
+        for pending in (False, True):
+            for forced in (False, True):
+                rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+                if pending:
+                    rng.integers(0, 2**32, dtype=np.uint32), ref.integers(0, 2**32, dtype=np.uint32)
+                    assert rng.bit_generator.state["has_uint32"] == 1
+                if forced:  # the next word is 0, which the Lemire step throws away
+                    for g in (rng, ref):
+                        g.bit_generator.state = {
+                            **g.bit_generator.state, "has_uint32": 1, "uinteger": 0
+                        }
+                    assert _lemire(np.zeros(1, np.uint32), n)[1][0] == bool(n & (n - 1))
+                np.testing.assert_array_equal(
+                    draws_from_words(rng, n, RETRY_CAP), [ref.integers(n) for _ in range(RETRY_CAP)]
+                )
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def ref_sample_negatives_rebalanced(graph, u, v, rng, config):
@@ -867,3 +926,115 @@ class TestBatchSamplersMatchPerPositiveCalls:
             for pair in _per_positive_sample_negatives_rebalanced(graph, a, b, TopDraws(), cfg)
         ]
         assert [tuple(p) for p in got.tolist()] == expected
+
+    # the plain sampler's word walk against the scalar retry loop, at its corner cases
+    @staticmethod
+    def assert_matches_scalar_loop(graph, batch, rng, cfg):
+        ref = np.random.default_rng()
+        ref.bit_generator.state = rng.bit_generator.state
+        got = _sample_negatives_for(graph, batch[:, 0], batch[:, 1], rng, cfg)
+        expected = [
+            pair for u, v in batch.tolist() for pair in _seed_sample_negatives_for(graph, u, v, ref, cfg)
+        ]
+        assert [tuple(p) for p in got.tolist()] == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+        return expected
+
+    @pytest.mark.parametrize("neg_passes", [1, 2, 3])
+    @pytest.mark.parametrize("pick_per_level", [True, False])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_every_graph_and_batch_size(self, name, pick_per_level, neg_passes):
+        graph = GRAPHS[name]()
+        cfg = TrainConfig(
+            kind="ec", dim=2, epochs=1, seed=0,
+            pick_per_level=pick_per_level, neg_passes=neg_passes,
+        )
+        n_pos = len(graph.positives)
+        order = np.random.default_rng(2).permutation(n_pos)
+        for batch_size in sorted({1, 2, 5, 64, n_pos, n_pos + 1}):
+            rng = np.random.default_rng(batch_size)
+            for start in range(0, n_pos, batch_size):
+                batch = graph.positives[order[start : start + batch_size]]
+                self.assert_matches_scalar_loop(graph, batch, rng, cfg)
+
+    def test_thrown_word_before_a_drawing_slot(self):
+        graph = _label_graph()
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
+        batch = np.array([[graph.index["r.1"], graph.index["r.1.0"]]] * 3)
+        # the first slot reading words is corrupt-u at level 2, a pool of 3,
+        # whose member 0 (what word 0 would give) is a valid candidate
+        assert graph.empty[True][0, 0, batch[0, 1]] and len(graph.levels[0]) == 1
+        assert not graph.empty[True][0, 1, batch[0, 1]] and len(graph.levels[1]) == 3
+        assert (int(graph.levels[1][0]), int(batch[0, 1])) not in graph.forbidden
+        assert _lemire(np.zeros(1, np.uint32), 3)[1][0]
+        rng = np.random.default_rng(3)
+        rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": 0}
+        self.assert_matches_scalar_loop(graph, batch, rng, cfg)
+
+    @pytest.mark.parametrize("neg_passes", [1, 3])
+    @pytest.mark.parametrize("at", [0, 50, 98, 150])
+    def test_thrown_words_inside_an_empty_slot(self, at, neg_passes):
+        nodes = [Node(i, len(i), i) for i in ("a", "b", "c", "ax", "bx", "cx")]
+        forest = Hierarchy(nodes, [("a", "ax"), ("b", "bx"), ("c", "cx")])
+        positives = [("a", "ax"), ("b", "bx"), ("c", "cx")]
+        graph = _Graph(forest, positives, None, {("a", "bx"), ("c", "bx")})
+        b, bx = graph.index["b"], graph.index["bx"]
+        # corrupt-u at level 1 for bx: a and c are banned, b entails it; 3 is no power of 2
+        assert graph.empty[True][0, 0, bx] and len(graph.levels[0]) == 3
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes)
+        batch = np.array([[b, bx], [graph.index["a"], graph.index["ax"]]])
+        rng = np.random.default_rng(4)
+        zero_words_at(rng, at)
+        self.assert_matches_scalar_loop(graph, batch, rng, cfg)
+
+    def test_one_valid_candidate_in_a_large_pool_gives_up(self):
+        ids = [f"n{i:03d}" for i in range(300)]
+        flat = Hierarchy([Node(i, 1, i) for i in ids], [])
+        graph = _Graph(flat, [("n000", "n001")], None, {("n000", i) for i in ids[2:-1]})
+        u, v = graph.index["n000"], graph.index["n001"]
+        assert graph.valid[1, 0, u] == 1  # corrupt-v: only n299
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
+        gave_up = found = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            pairs = self.assert_matches_scalar_loop(graph, np.array([[u, v]] * 2), rng, cfg)
+            gave_up += sum(a == u and b != v for a, b in pairs) < 2
+            found += (u, graph.index["n299"]) in pairs
+        assert gave_up and found
+
+    @pytest.mark.parametrize("neg_passes", [1, 2, 3])
+    def test_one_member_pools(self, neg_passes):
+        graph = _label_graph()
+        root = graph.index["r"]
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes)
+        batch = graph.positives[graph.positives[:, 0] != root][:6]
+        for seed in range(3):
+            pairs = self.assert_matches_scalar_loop(graph, batch, np.random.default_rng(seed), cfg)
+            # corrupt-v at the root level: the one member, once per positive
+            assert sum(b == root for _, b in pairs) == len(batch)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_ancestor_table_and_extra_keys_are_the_banned_pairs(self, name):
+        graph = GRAPHS[name]()
+        assert_banned_pairs(graph)
+        # the table holds every pair but the extra forbidden ones that no row can
+        expected = {"single-root": 0, "instances": 0, "instances-extra": 3, "forest-extra": 2}
+        assert len(graph.extra_keys) == expected[name]
+
+    @settings(max_examples=50, deadline=None)
+    @given(forests_with_instances())
+    def test_ancestor_table_on_random_forests(self, graph):
+        assert_banned_pairs(graph)
+
+
+def assert_banned_pairs(graph):
+    """``anc``/``extra_keys`` ban exactly the forbidden pairs and self-pairs, bar instance pairs."""
+    n = graph.n_total
+    keys = graph.extra_keys
+    assert np.all(np.diff(keys) > 0)
+    a, b = np.divmod(np.arange(n * n), n)
+    by_table = (graph.anc[b, graph.col[a]] == a) | np.isin(a * n + b, keys)
+    expected = np.array([x == y or (x, y) in graph.forbidden for x, y in zip(a.tolist(), b.tolist())])
+    labels = (a < graph.n_labels) | (b < graph.n_labels)
+    np.testing.assert_array_equal(by_table[labels], expected[labels])
+    assert not np.isin(keys, a[~labels] * n + b[~labels]).any()
