@@ -316,7 +316,7 @@ def reconstruct_labels(table: EmbeddingTable, h: Hierarchy) -> ReconstructionRes
     pooled energies. No instance-sided pairs are involved.
     """
     n = len(table.node_ids)
-    rows = table.rows([nid for pair in h.closure() for nid in pair]).reshape(-1, 2)
+    rows = table.pair_rows(h.closure())
     closure = np.zeros((n, n), dtype=bool)
     closure[rows[:, 0], rows[:, 1]] = True
     off_diagonal = ~np.eye(n, dtype=bool)

@@ -10,9 +10,12 @@ The loss over a batch is ``sum_pos E + sum_neg max(0, margin - E)``.
 Negatives come from pick-per-level corruption by default: for each
 positive, one corrupted edge per level and per side (corrupt-u,
 corrupt-v), skipping corruptions that are true pairs. The engine calls the
-sampler once per batch, with the batch's parent and child rows; it returns
-the pairs the per-positive draws would give, in the same order and from
-the same random stream.
+sampler once per span (whole consecutive batches holding at least
+``SPAN_POSITIVES`` positives), with the span's parent and child rows; it
+returns the pairs the per-positive draws would give, in the same order and
+from the same random stream, and how many fall to each positive, so the
+engine cuts them into batches. Each batch then takes one kernel call and
+one gradient scatter (``_batch_step``).
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.margin <= 0:
             raise ValueError("margin must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be positive")
         # zero freezes that parameter group; negative rates are invalid
         if self.lr < 0 or self.lr_instances < 0:
             raise ValueError("learning rates must be nonnegative")
@@ -96,13 +101,18 @@ class EmbeddingTable:
 
     def rows(self, node_ids: Sequence[str]) -> np.ndarray:
         """Rows of many labels; a ``ValueError`` names the labels the table lacks."""
-        missing = sorted(set(node_ids) - self._row.keys())
-        if missing:
+        try:
+            return np.array([self._row[nid] for nid in node_ids], dtype=np.int64)
+        except KeyError:
+            missing = sorted(set(node_ids) - self._row.keys())
             raise ValueError(
                 f"model lacks {len(missing)} of the {len(set(node_ids))} hierarchy labels "
                 f"being scored: {name_some(missing)}"
-            )
-        return np.array([self._row[nid] for nid in node_ids], dtype=np.int64)
+            ) from None
+
+    def pair_rows(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+        """Rows ``(k, 2)`` of label pairs, by :meth:`rows`."""
+        return self.rows([nid for pair in pairs for nid in pair]).reshape(-1, 2)
 
     def point(self, node_id: str) -> np.ndarray:
         return self.coords[self._row[node_id]]
@@ -183,9 +193,13 @@ def optimizer_step(
     grads: np.ndarray,
     state: AdamState | None,
     config: TrainConfig,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """One update of an embedding table, projected back into the domain."""
+    """One update of an embedding table, projected back into the domain.
+
+    A row that lands within 1e-15 of the origin is given a direction from
+    ``project_rows``'s fixed generator, not from the training stream, so
+    the samplers' draws never depend on the updates.
+    """
     if not np.all(np.isfinite(grads)):
         bad = int(np.count_nonzero(~np.isfinite(grads)))
         raise TrainingError(f"non-finite gradient ({bad} entries)")
@@ -195,28 +209,82 @@ def optimizer_step(
         if state is None:
             raise TrainingError("adam requires moment state")
         updated = adam_step(params, grads, state, config.lr)
-    return geometry.project_rows(updated, config.cone_params(), rng)
+    return geometry.project_rows(updated, config.cone_params())
 
 
 # ---------------------------------------------------------------------------
 # Loss
 # ---------------------------------------------------------------------------
 
-def hinge_loss(
-    X: np.ndarray, Y: np.ndarray, params: ConeParams, margin: float | None = None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and gradient rows ``(loss, dX, dY)`` of row-aligned pairs.
+def _embed_part(
+    nodes: np.ndarray,
+    coords: np.ndarray,
+    feats: np.ndarray | None,
+    w: np.ndarray | None,
+    hc: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Points of graph rows and the pre-map rows ``z`` of the instances among them.
 
-    Positives (``margin`` None) score ``sum E``; negatives score
-    ``sum max(0, margin - E)``, with a zero gradient where the hinge is
-    flat (``E >= margin``).
+    Rows below ``len(coords)`` are labels; an instance row ``r`` is
+    ``z = feats[r - len(coords)] @ w``, wrapped in ``exp_0`` on the ball.
+    ``z`` is None when ``nodes`` holds no instance.
     """
-    e, gx, gy = geometry.energies_and_gradients(X, Y, params)
-    if margin is None:
-        return float(e.sum()), gx, gy
-    active = (e < margin)[:, None]
-    loss = float(np.maximum(0.0, margin - e).sum())
-    return loss, np.where(active, -gx, 0.0), np.where(active, -gy, 0.0)
+    if w is None:
+        return coords[nodes], None
+    inst = nodes >= len(coords)
+    if not inst.any():
+        return coords[nodes], None
+    out = np.empty((len(nodes), coords.shape[1]))
+    out[~inst] = coords[nodes[~inst]]
+    z = feats[nodes[inst] - len(coords)] @ w
+    out[inst] = geometry.exp_map_zero(z) if hc else z
+    return out, z
+
+
+def _batch_step(
+    pos: np.ndarray,
+    negs: np.ndarray,
+    coords: np.ndarray,
+    params: ConeParams,
+    margin: float,
+    feats: np.ndarray | None = None,
+    w: np.ndarray | None = None,
+) -> tuple[float, float, np.ndarray, np.ndarray | None]:
+    """Loss terms and gradients of one batch of graph-row pairs ``(k, 2)``.
+
+    Returns ``(sum_pos E, sum_neg max(0, margin - E), label grad, W grad)``;
+    the hinge's gradient is zero where it is flat (``E >= margin``). One
+    kernel call scores ``[pos; negs]``. Label gradients scatter in one
+    ``np.add.at`` over the parts in the order pos-u, pos-v, neg-u, neg-v;
+    ``W``'s accumulate part by part in that order, each part's instances
+    mapped by a matmul of their own (a matmul over the rows of all parts
+    rounds differently). The W grad is None without instances (``w`` None).
+    """
+    hc = params.kind == "hc"
+    parts = (pos[:, 0], pos[:, 1], negs[:, 0], negs[:, 1])
+    points, zs = zip(*(_embed_part(nodes, coords, feats, w, hc) for nodes in parts))
+    e, gx, gy = geometry.energies_and_gradients(
+        np.concatenate(points[0::2]), np.concatenate(points[1::2]), params
+    )
+    n = len(pos)
+    e_neg = e[n:]
+    active = (e_neg < margin)[:, None]
+    grads = (gx[:n], gy[:n], np.where(active, -gx[n:], 0.0), np.where(active, -gy[n:], 0.0))
+    nodes, g = np.concatenate(parts), np.concatenate(grads)
+    coords_grad = np.zeros_like(coords)
+    w_grad = None
+    if w is None:
+        np.add.at(coords_grad, nodes, g)
+    else:
+        lab = nodes < len(coords)
+        np.add.at(coords_grad, nodes[lab], g[lab])
+        w_grad = np.zeros_like(w)
+        for part, z, part_g in zip(parts, zs, grads):
+            if z is not None:
+                inst = part >= len(coords)
+                dz = geometry.exp_map_zero_backprop(z, part_g[inst]) if hc else part_g[inst]
+                w_grad += feats[part[inst] - len(coords)].T @ dz
+    return float(e[:n].sum()), float(np.maximum(0.0, margin - e_neg).sum()), coords_grad, w_grad
 
 
 def max_margin_loss(
@@ -225,18 +293,11 @@ def max_margin_loss(
     emb: EmbeddingTable,
     margin: float,
 ) -> tuple[float, np.ndarray]:
-    """Hinge loss over edge sets with gradients accumulated per node row."""
-    grad = np.zeros_like(emb.coords)
-    loss = 0.0
-    for pairs, m in ((positives, None), (negatives, margin)):
-        if len(pairs):
-            iu = np.array([emb.row(u) for u, _ in pairs])
-            iv = np.array([emb.row(v) for _, v in pairs])
-            part, gx, gy = hinge_loss(emb.coords[iu], emb.coords[iv], emb.params, m)
-            loss += part
-            np.add.at(grad, iu, gx)
-            np.add.at(grad, iv, gy)
-    return loss, grad
+    """Hinge loss over edge sets with gradients accumulated per node row (one batch step)."""
+    pos_loss, neg_loss, grad, _ = _batch_step(
+        emb.pair_rows(positives), emb.pair_rows(negatives), emb.coords, emb.params, margin
+    )
+    return pos_loss + neg_loss, grad
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +443,9 @@ class _Graph:
         return node >= self.n_labels
 
 
+SPAN_POSITIVES = 64  # the engine samples whole batches holding at least this many positives at once
 WORD = 2**32  # ``rng.integers(n)`` reads 32-bit generator words for any n <= 2**32
-# Drawing slots are judged in chunks of CHUNK_ROWS (all the batch has left,
+# Drawing slots are judged in chunks of CHUNK_ROWS (all the call has left,
 # when that is under twice as many), each against a window of WINDOW words.
 CHUNK_ROWS = 64
 WINDOW = 16
@@ -648,6 +710,8 @@ def _sample_negatives_for(
     v: np.ndarray,
     rng: np.random.Generator,
     config: TrainConfig,
+    *,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Corruptions ``(k, 2)`` of the positives ``(u[i], v[i])``, listed per positive.
 
@@ -657,19 +721,25 @@ def _sample_negatives_for(
     up when none of them is. A slot in which no candidate is valid
     (``_Graph.empty``) still reads its RETRY_CAP draws, so that seeded runs
     replay byte for byte; a one-member pool's draws read no words. The
-    draws are computed from one block of generator words per batch
+    draws are computed from one block of generator words per call
     (``_PlainWalk``), validity from the ancestor table, and the generator
     is left where the scalar loop would leave it.
+
+    Called on the positives of several batches at once, it returns the
+    concatenation of per-batch calls and leaves the same stream.
+    ``counts[i]``, if given, is set to the number of pairs of positive ``i``.
     """
     ppl = config.pick_per_level
     pools = graph.pools[ppl]
     if not len(u) or not pools:
+        if counts is not None:
+            counts[:] = 0
         return np.zeros((0, 2), dtype=np.int64)
     sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes if ppl else np.zeros_like(sizes)
     sizes_u = sizes.astype(np.uint64)
     side, p, first = _slot_pattern(len(pools), config.neg_passes)
-    # (positive, slot) arrays, positives in batch order
+    # (positive, slot) arrays, positives in call order
     fixed = np.where(side == 0, v[:, None], u[:, None])
     empty = graph.empty[ppl][side, p, fixed]
     size = sizes[p]
@@ -706,6 +776,8 @@ def _sample_negatives_for(
         words.close(walk.run())
         got[pos, slot] = walk.got
     keep = got >= 0
+    if counts is not None:
+        counts[:] = keep.sum(axis=1)
     corrupt_u = side == 0
     return np.stack(
         [np.where(corrupt_u, got, fixed)[keep], np.where(corrupt_u, fixed, got)[keep]], axis=1
@@ -718,6 +790,8 @@ def _sample_negatives_rebalanced(
     v: np.ndarray,
     rng: np.random.Generator,
     config: TrainConfig,
+    *,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Corruptions ``(k, 2)`` drawn 50/50 from the instance pool vs a random label level.
 
@@ -732,7 +806,10 @@ def _sample_negatives_rebalanced(
     Rows are the (positive, side) pairs, each slot one step over all of
     them with the arithmetic of a per-positive loop: the total mass is a
     left-to-right ``cumsum`` (as Python 3.11's ``sum``), the level a
-    subtract-and-compare chain. Pairs are listed per positive, side 0 first.
+    subtract-and-compare chain. Pairs are listed per positive, side 0 first,
+    so a call on several batches' positives is the concatenation of
+    per-batch calls. ``counts[i]``, if given, is set to the number of pairs
+    of positive ``i``.
     """
     levels = graph.levels
     props = [0.5 / (len(levels) - 1)] * (len(levels) - 1) + [0.5] if len(levels) > 1 else [1.0]
@@ -742,18 +819,18 @@ def _sample_negatives_rebalanced(
     side = np.tile([0, 1], len(u))
     fixed = np.stack([v, u], axis=1).ravel()  # side 0 corrupts u, so it is keyed by v
     draws = rng.random(2 * slots * len(u)).reshape(-1, slots)
-    counts = graph.valid[side, :, fixed]
+    valid = graph.valid[side, :, fixed]
     slot_of = side * n + fixed
     seen = np.empty((len(side), slots), dtype=np.int64)  # drawn valid indices, ascending
     drawn = np.full((len(side), slots), -1, dtype=np.int64)
     live = np.arange(len(side))  # rows with a valid candidate left
     for t in range(slots):
-        masses = counts * unit
+        masses = valid * unit
         total = np.cumsum(masses, axis=1)[:, -1]
         if not np.all(total > 0.0):
             keep = total > 0.0
-            live, counts, seen, draws, slot_of, masses, total = (
-                a[keep] for a in (live, counts, seen, draws, slot_of, masses, total)
+            live, valid, seen, draws, slot_of, masses, total = (
+                a[keep] for a in (live, valid, seen, draws, slot_of, masses, total)
             )
         x = draws[:, t] * total
         p = np.full(len(live), -1)
@@ -765,18 +842,20 @@ def _sample_negatives_rebalanced(
         if over.any():
             p[over] = len(levels) - 1 - np.argmax(masses[over, ::-1] != 0, axis=1)
             x[over] = masses[row[over], p[over]]
-        k = (np.cumsum(counts, axis=1) - counts)[row, p] + np.minimum(
-            (x / unit[p]).astype(np.int64), counts[row, p] - 1
+        k = (np.cumsum(valid, axis=1) - valid)[row, p] + np.minimum(
+            (x / unit[p]).astype(np.int64), valid[row, p] - 1
         )
         for j in range(t):  # the k-th valid index not yet drawn
             k += seen[:, j] <= k
         seen[:, t] = k
         seen[:, : t + 1].sort(axis=1)
-        counts[row, p] -= 1
+        valid[row, p] -= 1
         key = slot_of * (n + 1) + k
         below = np.searchsorted(graph.banned_key, key, side="right") - graph.banned_ptr[slot_of]
         drawn[live, t] = graph.order[k + below]
     got = drawn >= 0
+    if counts is not None:
+        counts[:] = got.reshape(len(u), 2 * slots).sum(axis=1)
     corrupt_u = (side == 0)[:, None]
     first = np.where(corrupt_u, drawn, fixed[:, None])[got]
     second = np.where(corrupt_u, fixed[:, None], drawn)[got]
@@ -800,6 +879,16 @@ def train_graph_embedding(
     instance embedded as ``feat @ W`` (wrapped in ``exp_0`` on the ball).
     Labels are optimized directly (Adam or RSGD + projection); ``W`` is
     always optimized with Adam at ``config.lr_instances``.
+
+    Each epoch walks a permutation of the positives in batches. The sampler
+    is called once per span, the fewest whole batches holding at least
+    ``SPAN_POSITIVES`` positives (one batch at ``batch_size >= 64``); it
+    fills a per-positive count array, and each batch takes its negatives
+    from that array's cumsum. The negatives do not depend on the updates,
+    and nothing else draws from the generator between batches (the
+    optimizer step projects with a fixed generator), so a span call gives
+    the pairs and the stream of per-batch calls. Each batch is then one
+    ``_batch_step`` and one optimizer step; errors name the batch.
     """
     params = config.cone_params()
     rng = np.random.default_rng(config.seed)
@@ -843,63 +932,39 @@ def train_graph_embedding(
         else _sample_negatives_for
     )
 
-    def embed(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        out = np.empty((len(nodes), config.dim))
-        lab = nodes < graph.n_labels
-        out[lab] = coords[nodes[lab]]
-        z = None
-        if np.any(~lab):
-            z = feats[nodes[~lab] - graph.n_labels] @ w
-            out[~lab] = geometry.exp_map_zero(z) if config.kind == "hc" else z
-        return out, z
-
-    def accumulate(
-        nodes: np.ndarray,
-        grads: np.ndarray,
-        z: np.ndarray | None,
-        coords_grad: np.ndarray,
-        w_grad: np.ndarray | None,
-    ) -> None:
-        lab = nodes < graph.n_labels
-        np.add.at(coords_grad, nodes[lab], grads[lab])
-        if np.any(~lab):
-            g = grads[~lab]
-            dz = geometry.exp_map_zero_backprop(z, g) if config.kind == "hc" else g
-            w_grad += feats[nodes[~lab] - graph.n_labels].T @ dz
-
     history: list[dict] = []
     n_pos = len(graph.positives)
+    size = config.batch_size
+    span = -(-SPAN_POSITIVES // size) * size  # positives per sampler call
+    counts = np.empty(span, dtype=np.int64)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_pos) if n_pos else np.array([], dtype=np.int64)
         epoch_loss = 0.0
-        for b, start in enumerate(range(0, n_pos, config.batch_size), 1):
-            batch = graph.positives[order[start : start + config.batch_size]]
-            negs = sampler(graph, batch[:, 0], batch[:, 1], rng, config)
-            coords_grad = np.zeros_like(coords)
-            w_grad = np.zeros_like(w) if w is not None else None
+        for first in range(0, n_pos, span):
+            pos = graph.positives[order[first : first + span]]
+            k = len(pos)
+            negs = sampler(graph, pos[:, 0], pos[:, 1], rng, config, counts=counts[:k])
+            ends = [0, *np.cumsum(counts[:k]).tolist()]  # negatives of positives [0, i): [0, ends[i])
+            for start in range(0, k, size):
+                stop = min(start + size, k)
+                pos_loss, neg_loss, coords_grad, w_grad = _batch_step(
+                    pos[start:stop], negs[ends[start] : ends[stop]],
+                    coords, params, config.margin, feats, w,
+                )
+                epoch_loss += pos_loss
+                epoch_loss += neg_loss
 
-            terms = [(batch, None)]
-            if len(negs):
-                terms.append((negs, config.margin))
-            for pairs, margin in terms:
-                xs, zx = embed(pairs[:, 0])
-                ys, zy = embed(pairs[:, 1])
-                loss, gx, gy = hinge_loss(xs, ys, params, margin)
-                epoch_loss += loss
-                accumulate(pairs[:, 0], gx, zx, coords_grad, w_grad)
-                accumulate(pairs[:, 1], gy, zy, coords_grad, w_grad)
-
-            where = f"epoch {epoch}, batch {b}"
-            if not np.isfinite(epoch_loss):
-                raise TrainingError(f"loss diverged at {where}")
-            try:
-                coords = optimizer_step(coords, coords_grad, adam_labels, config, rng)
-            except TrainingError as exc:
-                raise TrainingError(f"{exc} at {where}") from None
-            if w is not None:
-                if not np.all(np.isfinite(w_grad)):
-                    raise TrainingError(f"non-finite gradient for the linear map at {where}")
-                w = adam_step(w, w_grad, adam_w, config.lr_instances)
+                where = f"epoch {epoch}, batch {(first + start) // size + 1}"
+                if not np.isfinite(epoch_loss):
+                    raise TrainingError(f"loss diverged at {where}")
+                try:
+                    coords = optimizer_step(coords, coords_grad, adam_labels, config)
+                except TrainingError as exc:
+                    raise TrainingError(f"{exc} at {where}") from None
+                if w is not None:
+                    if not np.all(np.isfinite(w_grad)):
+                        raise TrainingError(f"non-finite gradient for the linear map at {where}")
+                    w = adam_step(w, w_grad, adam_w, config.lr_instances)
         row = {"epoch": epoch, "loss": epoch_loss}
         if epoch_hook is not None:
             row.update(epoch_hook(coords, w))
@@ -941,9 +1006,8 @@ def train_label_embeddings(
 def pair_energies(emb: EmbeddingTable, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
     if not len(pairs):
         return np.zeros(0)
-    iu = np.array([emb.row(u) for u, _ in pairs])
-    iv = np.array([emb.row(v) for _, v in pairs])
-    return geometry.energies(emb.coords[iu], emb.coords[iv], emb.params)
+    rows = emb.pair_rows(pairs)
+    return geometry.energies(emb.coords[rows[:, 0]], emb.coords[rows[:, 1]], emb.params)
 
 
 @dataclass(frozen=True)

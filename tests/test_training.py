@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierembed import geometry
+from hierembed import geometry, training
 from hierembed.geometry import ConeParams
 from hierembed.hierarchy import (
     EdgeSet,
@@ -40,6 +40,7 @@ from hierembed.training import (
     pair_energies,
     random_coords,
     rsgd_step,
+    train_graph_embedding,
     train_label_embeddings,
 )
 
@@ -136,11 +137,11 @@ class TestOptimizers:
         calls = []
 
         def poisoned(X, Y, params):
-            # positives, then negatives, per batch: 16 edges in batches of 5 make
-            # 8 calls an epoch, so call 13 is epoch 2, batch 3's positives
+            # one call per batch: 16 edges in batches of 5 make 4 calls an
+            # epoch, so call 7 is epoch 2, batch 3
             e, gx, gy = real(X, Y, params)
             calls.append(1)
-            return e, (np.full_like(gx, np.nan) if len(calls) == 13 else gx), gy
+            return e, (np.full_like(gx, np.nan) if len(calls) == 7 else gx), gy
 
         monkeypatch.setattr(geometry, "energies_and_gradients", poisoned)
         cfg = TrainConfig(kind="ec", dim=2, epochs=2, batch_size=5, seed=0)
@@ -1038,3 +1039,197 @@ def assert_banned_pairs(graph):
     labels = (a < graph.n_labels) | (b < graph.n_labels)
     np.testing.assert_array_equal(by_table[labels], expected[labels])
     assert not np.isin(keys, a[~labels] * n + b[~labels]).any()
+
+
+# ---------------------------------------------------------------------------
+# The epoch engine in spans against its per-batch loop
+# ---------------------------------------------------------------------------
+
+def _per_batch_train_graph_embedding(h, positives, config, *, instances=None):
+    """The epoch engine as a per-batch loop: one sampler call per batch, and one
+    kernel call and two gradient scatters per pair set (positives, then negatives)."""
+    params = config.cone_params()
+    rng = np.random.default_rng(config.seed)
+    graph = _Graph(h, positives, instances)
+    coords = geometry.project_rows(
+        random_coords(graph.n_labels, config.dim, params, rng, config.init_norm_hi), params, rng
+    )
+    w = feats = None
+    if instances is not None:
+        feats = np.asarray(instances.features, dtype=float)
+        w = rng.standard_normal((feats.shape[1], config.dim)) * 0.01
+    adam_labels = AdamState.like(coords) if config.optimizer == "adam" else None
+    adam_w = AdamState.like(w) if w is not None else None
+    sampler = (
+        _sample_negatives_rebalanced
+        if config.rebalance_images and instances is not None
+        else _sample_negatives_for
+    )
+    hc = config.kind == "hc"
+
+    def embed(nodes):
+        out = np.empty((len(nodes), config.dim))
+        lab = nodes < graph.n_labels
+        out[lab] = coords[nodes[lab]]
+        z = None
+        if np.any(~lab):
+            z = feats[nodes[~lab] - graph.n_labels] @ w
+            out[~lab] = geometry.exp_map_zero(z) if hc else z
+        return out, z
+
+    def accumulate(nodes, grads, z, coords_grad, w_grad):
+        lab = nodes < graph.n_labels
+        np.add.at(coords_grad, nodes[lab], grads[lab])
+        if np.any(~lab):
+            g = grads[~lab]
+            dz = geometry.exp_map_zero_backprop(z, g) if hc else g
+            w_grad += feats[nodes[~lab] - graph.n_labels].T @ dz
+
+    history = []
+    n_pos = len(graph.positives)
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n_pos)
+        epoch_loss = 0.0
+        for start in range(0, n_pos, config.batch_size):
+            batch = graph.positives[order[start : start + config.batch_size]]
+            negs = sampler(graph, batch[:, 0], batch[:, 1], rng, config)
+            coords_grad = np.zeros_like(coords)
+            w_grad = np.zeros_like(w) if w is not None else None
+            terms = [(batch, None)] + ([(negs, config.margin)] if len(negs) else [])
+            for pairs, margin in terms:
+                xs, zx = embed(pairs[:, 0])
+                ys, zy = embed(pairs[:, 1])
+                e, gx, gy = geometry.energies_and_gradients(xs, ys, params)
+                if margin is None:
+                    epoch_loss += float(e.sum())
+                else:
+                    active = (e < margin)[:, None]
+                    epoch_loss += float(np.maximum(0.0, margin - e).sum())
+                    gx, gy = np.where(active, -gx, 0.0), np.where(active, -gy, 0.0)
+                accumulate(pairs[:, 0], gx, zx, coords_grad, w_grad)
+                accumulate(pairs[:, 1], gy, zy, coords_grad, w_grad)
+            coords = optimizer_step(coords, coords_grad, adam_labels, config)
+            if w is not None:
+                w = adam_step(w, w_grad, adam_w, config.lr_instances)
+        history.append({"epoch": epoch, "loss": epoch_loss})
+    return coords, w, history
+
+
+ENGINE_POSITIVES = 201  # a partial last batch and a partial last span at every batch size below
+
+
+@pytest.fixture(scope="module")
+def engine_inputs():
+    labels_only = generate_synthetic_tree(5, 3)
+    tree = generate_synthetic_tree(3, 3)
+    features = gaussian_cluster_features(tree, 9, 4, seed=1)
+    every = np.arange(len(features.instance_ids))
+    with_instances = list(tree.closure()) + instance_positive_edges(tree, features, every)
+    instances = InstanceNodes(features.instance_ids, features.features)
+    return {
+        False: (labels_only, sorted(labels_only.closure())[:ENGINE_POSITIVES], None),
+        True: (tree, with_instances[:ENGINE_POSITIVES], instances),
+    }
+
+
+# kind, optimizer, rebalanced sampler, neg_passes, pick_per_level, instances
+ENGINE_CASES = [
+    ("oe", "adam", False, 1, True, False),
+    ("ec", "adam", False, 2, False, False),
+    ("hc", "rsgd", False, 3, True, False),
+    ("hc", "adam", False, 1, False, True),
+    ("oe", "adam", False, 3, True, True),
+    ("hc", "adam", True, 2, True, True),
+    ("ec", "adam", True, 3, False, True),
+    ("hc", "rsgd", True, 1, True, True),
+]
+
+
+class TestEngineInSpans:
+    @pytest.mark.parametrize("batch_size", [1, 5, 10, 63, 64, 65, 200])
+    @pytest.mark.parametrize("case", ENGINE_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_matches_per_batch_loop(self, engine_inputs, case, batch_size):
+        kind, optimizer, rebalance, passes, ppl, with_instances = case
+        h, positives, instances = engine_inputs[with_instances]
+        assert len(positives) == ENGINE_POSITIVES
+        cfg = TrainConfig(
+            kind=kind, dim=3, lr=0.05, lr_instances=0.01, epochs=2, batch_size=batch_size,
+            optimizer=optimizer, neg_passes=passes, pick_per_level=ppl,
+            rebalance_images=rebalance, seed=7,
+        )
+        coords, w, history = train_graph_embedding(h, positives, cfg, instances=instances)
+        ref_coords, ref_w, ref_history = _per_batch_train_graph_embedding(
+            h, positives, cfg, instances=instances
+        )
+        assert coords.tobytes() == ref_coords.tobytes()
+        assert (w is None) == (ref_w is None)
+        if w is not None:
+            assert w.tobytes() == ref_w.tobytes()
+        assert [(r["epoch"], r["loss"].hex()) for r in history] == [
+            (r["epoch"], r["loss"].hex()) for r in ref_history
+        ]
+
+    @pytest.mark.parametrize("rebalance", [False, True])
+    def test_counts_cut_the_pairs_per_positive(self, rebalance):
+        graph = _instance_graph()
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=2)
+        sampler = _sample_negatives_rebalanced if rebalance else _sample_negatives_for
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        counts = np.full(len(graph.positives), -1, dtype=np.int64)
+        pairs = sampler(graph, graph.positives[:, 0], graph.positives[:, 1], rng, cfg, counts=counts)
+        ends = np.cumsum(counts)
+        assert ends[-1] == len(pairs)
+        for i, (u, v) in enumerate(graph.positives.tolist()):
+            expected = one_positive(sampler, graph, u, v, ref, cfg)
+            assert [tuple(p) for p in pairs[ends[i] - counts[i] : ends[i]].tolist()] == expected
+
+    def test_row_at_the_origin_lands_on_the_floor(self, trainer_setup, monkeypatch):
+        h, split = trainer_setup
+        cfg = TrainConfig(kind="ec", dim=2, epochs=3, batch_size=5, seed=0)
+        lo = cfg.cone_params().epsilon + geometry.DOMAIN_PAD
+        real_adam, real_project, real_sampler = (
+            training.adam_step, geometry.project_rows, training._sample_negatives_for
+        )
+
+        def run(zero_at):
+            steps, projected, negatives = [], {}, []
+
+            def adam(*args, **kwargs):
+                out = real_adam(*args, **kwargs)
+                steps.append(1)
+                if len(steps) == zero_at:  # epoch 2, batch 2: row 3 at the origin
+                    out[3] = 0.0
+                return out
+
+            def project(X, p, rng=None):
+                out = real_project(X, p, rng)
+                projected[len(steps)] = out  # the projection after adam step len(steps)
+                return out
+
+            def sampler(*args, **kwargs):
+                negatives.append(real_sampler(*args, **kwargs))
+                return negatives[-1]
+
+            monkeypatch.setattr(training, "adam_step", adam)
+            monkeypatch.setattr(geometry, "project_rows", project)
+            monkeypatch.setattr(training, "_sample_negatives_for", sampler)
+            table, history = train_label_embeddings(h, split, cfg)
+            return table.coords, history, projected, negatives
+
+        coords, history, projected, negatives = run(zero_at=6)
+        assert np.linalg.norm(projected[6][3]) == pytest.approx(lo, rel=1e-12)
+        assert np.all(np.isfinite(coords)) and len(history) == cfg.epochs
+        again = run(zero_at=6)
+        assert coords.tobytes() == again[0].tobytes() and history == again[1]
+        # the projection draws nothing from the training stream
+        untouched = run(zero_at=0)
+        assert all(np.array_equal(a, b) for a, b in zip(negatives, untouched[3]))
+        assert len(negatives) == len(untouched[3])
+        assert coords.tobytes() != untouched[0].tobytes()
+
+    def test_missing_label_is_named(self):
+        emb = table_of([[0.2, 0.0], [0.5, 0.0]])
+        with pytest.raises(ValueError, match=r"lacks 1 .*'n7'"):
+            max_margin_loss([("n0", "n1")], [("n0", "n7")], emb, 1.0)
+        with pytest.raises(ValueError, match=r"lacks 1 .*'n9'"):
+            pair_energies(emb, [("n9", "n1")])
