@@ -17,8 +17,9 @@ on domain violations, then evaluate the batch kernels on one row, so each
 formula is written once. The batch kernels (``energies``,
 ``energies_and_gradients``, ``project_rows``, ``exp_map_rows``,
 ``riemannian_rescale_rows``) clamp instead of raising; they are the hot
-path used by the trainers, which keep all points inside the cone domain
-by projection.
+path used by the trainers, which keep all points inside the cone domain by
+projection. The batch energy kernel ``energies`` broadcasts over leading axes:
+row-aligned ``(n, d)`` pairs, or all pairs via ``X[:, None]``, ``Y[None]``.
 """
 
 from __future__ import annotations
@@ -238,21 +239,19 @@ def energy_gradients(x, y, p: ConeParams) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _rows(a) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
-    if m.ndim == 1:
-        m = m[None, :]
-    return m
+    return np.atleast_2d(np.asarray(a, dtype=float))
 
 
 def energies(X, Y, p: ConeParams) -> np.ndarray:
-    """Pair energies for row-aligned point batches (n, d) -> (n,)."""
+    """Pair energies over the last axis, broadcast over leading axes: row-aligned
+    (n, d) pairs give (n,), all pairs ``X[:, None]``, ``Y[None]`` give (n, N)."""
     X, Y = _rows(X), _rows(Y)
     if p.kind == "oe":
         d = np.maximum(X - Y, 0.0)
-        sq = np.einsum("ij,ij->i", d, d)
+        sq = np.einsum("...j,...j->...", d, d)
         return sq if p.oe_squared else np.sqrt(sq)
     xi, _ = (_euclid_xi_batch if p.kind == "ec" else _hyper_xi_batch)(X, Y)
-    psi, _ = _aperture(_safe(np.linalg.norm(X, axis=1)), p)
+    psi, _ = _aperture(_safe(np.linalg.norm(X, axis=-1)), p)
     return np.maximum(0.0, xi - psi)
 
 
@@ -285,9 +284,9 @@ def _clip_rows(g: np.ndarray) -> np.ndarray:
 def _euclid_xi_batch(X, Y):
     """Axis angles and intermediates for the Euclidean cone batch."""
     diff = X - Y
-    a = np.einsum("ij,ij->i", X, X)
-    b = np.einsum("ij,ij->i", Y, Y)
-    m = np.einsum("ij,ij->i", diff, diff)
+    a = np.einsum("...j,...j->...", X, X)
+    b = np.einsum("...j,...j->...", Y, Y)
+    m = np.einsum("...j,...j->...", diff, diff)
     nx = _safe(np.sqrt(a))
     dxy = _safe(np.sqrt(m))
     u = 0.5 * (b - a - m)  # equals <x, y> - ||x||^2
@@ -299,9 +298,9 @@ def _euclid_xi_batch(X, Y):
 
 def _hyper_xi_batch(X, Y):
     """Axis angles and intermediates for the hyperbolic cone batch."""
-    a = np.einsum("ij,ij->i", X, X)
-    b = np.einsum("ij,ij->i", Y, Y)
-    s = np.einsum("ij,ij->i", X, Y)
+    a = np.einsum("...j,...j->...", X, X)
+    b = np.einsum("...j,...j->...", Y, Y)
+    s = np.einsum("...j,...j->...", X, Y)
     m = a + b - 2.0 * s
     g = np.maximum(1.0 + a * b - 2.0 * s, _TINY)
     num = s * (1.0 + a) - a * (1.0 + b)

@@ -169,17 +169,18 @@ def level_truth(h: Hierarchy, features: FeatureMatrix, idx: Sequence[int]) -> np
     return np.asarray(h.ids, dtype=object)[h.anc[features.leaf_rows(h, idx)]]
 
 
-# Pairs per ``geometry.energies`` call when scoring all pairs of two point sets.
+# Bound on the pairs per ``geometry.energies`` call when scoring all pairs of two point sets.
 PAIR_CHUNK = 1 << 16
 
 
 def _pairwise_energies(X: np.ndarray, Y: np.ndarray, params: ConeParams) -> np.ndarray:
-    """Energies ``E[i, j]`` of every pair (X[i], Y[j]), PAIR_CHUNK pairs per call."""
-    out = np.empty(len(X) * len(Y))
-    for start in range(0, out.size, PAIR_CHUNK):
-        i, j = np.divmod(np.arange(start, min(start + PAIR_CHUNK, out.size)), len(Y))
-        out[start : start + len(i)] = geometry.energies(X[i], Y[j], params)
-    return out.reshape(len(X), len(Y))
+    """(n, N) ``geometry.energies`` of (n, 1, d) and (1, N, d) points, either way round."""
+    n, N = np.broadcast_shapes(X.shape, Y.shape)[:2]
+    out, step = np.empty((n, N)), max(1, PAIR_CHUNK // N)
+    for s in range(0, n, step):
+        block = [A[s : s + step] if len(A) == n else A for A in (X, Y)]
+        out[s : s + step] = geometry.energies(*block, params)
+    return out
 
 
 def level_energies(
@@ -190,8 +191,8 @@ def level_energies(
     Returns the id-sorted member tuple and an (n, N_level) energy matrix.
     """
     members = h.level_members(level)
-    rows = model.labels.rows(members)
-    return members, _pairwise_energies(model.labels.coords[rows], points, model.params).T
+    labels = model.labels.coords[model.labels.rows(members)]
+    return members, _pairwise_energies(labels[None], points[:, None], model.params)
 
 
 def classify_instance(model: JointModel, h: Hierarchy, features_row: np.ndarray, level: int) -> str:
@@ -230,16 +231,15 @@ def _classify(
     preds = np.empty((n, levels), dtype=object)
     best = np.empty((n, levels))
     ranks = None if truth is None else np.empty((n, levels), dtype=np.int64)
-    rows = np.arange(n)
     for lvl in range(levels):
         members, e = level_energies(model, h, points, lvl + 1)
         arg = np.argmin(e, axis=1)
         preds[:, lvl] = [members[a] for a in arg]
-        best[:, lvl] = e[rows, arg]
+        best[:, lvl] = np.take_along_axis(e, arg[:, None], 1)[:, 0]
         if ranks is not None:
-            col = np.searchsorted(np.flatnonzero(h.level_of == lvl + 1), truth[:, lvl])
-            et = e[rows, col][:, None]
-            before = (e < et) | ((e == et) & (np.arange(len(members)) < col[:, None]))
+            col = np.searchsorted(np.flatnonzero(h.level_of == lvl + 1), truth[:, lvl])[:, None]
+            et = np.take_along_axis(e, col, 1)
+            before = (e < et) | ((e == et) & (np.arange(len(members)) < col))
             ranks[:, lvl] = np.count_nonzero(before, axis=1)
     return preds, best, ranks
 
@@ -317,11 +317,14 @@ def reconstruct_labels(table: EmbeddingTable, h: Hierarchy) -> ReconstructionRes
     """
     n = len(table.node_ids)
     rows = table.pair_rows(h.closure())
+    if n < 2:
+        raise ValueError("reconstruction needs two labels: there is no label pair to score")
     closure = np.zeros((n, n), dtype=bool)
     closure[rows[:, 0], rows[:, 1]] = True
-    off_diagonal = ~np.eye(n, dtype=bool)
-    e = _pairwise_energies(table.coords, table.coords, table.params)
-    pos_e, neg_e = e[closure & off_diagonal], e[~closure & off_diagonal]
+    e = _pairwise_energies(table.coords[:, None], table.coords[None], table.params)
+    pos_e = e[closure]  # the closure holds no self-pair
+    np.fill_diagonal(closure, True)
+    neg_e = e[~closure]
     best = _best_threshold(pos_e, neg_e)
     tnr = float(np.mean(~(neg_e <= best.threshold))) if len(neg_e) else 0.0
     return ReconstructionResult(tpr=best.recall, tnr=tnr, f1=best.f1, threshold=best.threshold)

@@ -296,6 +296,23 @@ class TestJointPipeline:
             "'r.0.2', 'r.1.2', 'r.2', 'r.2.0', 'r.2.1' and 1 more"
         )
 
+    def test_reconstruct_of_a_single_label_names_the_missing_pair(self, tmp_path, capsys):
+        from hierembed import storage
+
+        (tmp_path / "nodes.tsv").write_text("a\t1\ta\n")
+        (tmp_path / "edges.tsv").write_text("")
+        storage.save_embeddings(tmp_path / "m.emb", ["a"], np.array([[0.5, 0.1]]), "ec")
+        code = main(["reconstruct", "--nodes", str(tmp_path / "nodes.tsv"),
+                     "--edges", str(tmp_path / "edges.tsv"), "--model", str(tmp_path / "m.emb"),
+                     "--out", str(tmp_path / "rec")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["command"] == "reconstruct"
+        assert payload["type"] == "ValueError"
+        assert payload["error"] == (
+            "reconstruction needs two labels: there is no label pair to score"
+        )
+
     @pytest.mark.parametrize(
         "leaf, message",
         [("zz", "leaf label 'zz' not in the hierarchy"),

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hierembed import geometry
 from hierembed.geometry import (
@@ -388,6 +390,43 @@ class TestScalarsAreBatchRows:
         rows = geometry.project_rows(X, p)
         for i in range(len(X)):
             assert np.array_equal(project_to_domain(X[i], p), rows[i])
+
+
+_KERNELS = [("oe", False), ("oe", True), ("ec", False), ("hc", False)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kernel=st.sampled_from(_KERNELS),
+    k=st.sampled_from([0.1, 0.4]),
+    d=st.integers(1, 64),
+    n=st.integers(1, 7),
+    m=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    floor=st.booleans(),
+    coincide=st.booleans(),
+    wide=st.booleans(),
+)
+@example(kernel=("ec", False), k=0.4, d=3, n=5, m=6, seed=0, floor=True, coincide=True, wide=True)
+@example(kernel=("hc", False), k=0.4, d=3, n=7, m=7, seed=1, floor=True, coincide=True, wide=True)
+@example(kernel=("oe", True), k=0.1, d=1, n=4, m=4, seed=2, floor=False, coincide=True, wide=False)
+def test_broadcast_energies_equal_gathered_rows(kernel, k, d, n, m, seed, floor, coincide, wide):
+    """All-pairs energies by broadcasting, either way round, are the row-aligned
+    kernel's energies of the gathered rows, bit for bit."""
+    kind, squared = kernel
+    p = ConeParams(kind, k, oe_squared=squared)
+    rng = np.random.default_rng(seed)
+    # wide: apexes just above the floor, so many energies tie at 0
+    hi = p.epsilon + 0.01 if wide and kind != "oe" else None
+    X, Y = random_coords(n, d, p, rng, hi), random_coords(m, d, p, rng, hi)
+    if floor:  # apexes on the domain floor (at the origin for oe)
+        X[::2] *= (p.epsilon / np.linalg.norm(X[::2], axis=1))[:, None]
+    if coincide:  # pairs with y == x
+        Y[: min(n, m)] = X[: min(n, m)]
+    i, j = np.divmod(np.arange(n * m), m)
+    want = geometry.energies(X[i], Y[j], p).reshape(n, m)
+    assert geometry.energies(X[:, None], Y[None], p).tobytes() == want.tobytes()
+    assert geometry.energies(X[None], Y[:, None], p).tobytes() == want.T.copy().tobytes()
 
 
 _FLOOR = [0.05, 0.0]  # below both aperture floors at K = 0.1

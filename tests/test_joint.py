@@ -456,7 +456,7 @@ class TestOnePassMatchesThreePasses:
         self.assert_same(random_model(wide_tree, "ec", 0), wide_tree, wide_features, [])
 
     @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
-    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    @pytest.mark.parametrize("chunk", [7, 200, 1 << 16])
     def test_level_energies_match_columns(self, wide_tree, wide_features, kind, chunk, monkeypatch):
         monkeypatch.setattr(joint, "PAIR_CHUNK", chunk)
         model = random_model(wide_tree, kind, 1)
@@ -468,10 +468,29 @@ class TestOnePassMatchesThreePasses:
             assert np.ascontiguousarray(e).tobytes() == want.tobytes()
 
 
+def test_level_energies_score_in_blocks_of_pairs():
+    # 10 000 points against 64 labels in 16-D: broadcasting all pairs at once
+    # would hold an 82 MB (n, N, d) array
+    h = generate_synthetic_tree(2, 64)
+    n, d = 10_000, 16
+    model = random_model(h, "ec", 0, d=d)
+    points = random_coords(n, d, model.params, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        members, e = level_energies(model, h, points, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e.shape == (n, len(members)) == (n, 64)
+    bound = e.nbytes + 4 * joint.PAIR_CHUNK * d * 8
+    assert peak < bound < n * len(members) * d * 8
+
+
 class TestReconstructionMatchesPairLoop:
     @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    # 200 pairs per call: blocks of 9, 9 and 3 rows over the 21 labels
+    @pytest.mark.parametrize("chunk", [7, 200, 1 << 16])
     def test_random_coords(self, wide_tree, kind, seed, chunk, monkeypatch):
         monkeypatch.setattr(joint, "PAIR_CHUNK", chunk)
         table = random_model(wide_tree, kind, seed, d=4).labels
@@ -502,6 +521,12 @@ class TestReconstructionMatchesPairLoop:
         res = reconstruct_labels(table, h)
         assert res == loop_reconstruct_labels(table, h)
         assert res.tpr == 0.0 and res.f1 == 0.0
+
+    def test_single_label_has_no_pair_to_score(self):
+        h = Hierarchy([Node("a", 1, "a")], [])
+        table = EmbeddingTable(("a",), np.array([[0.5, 0.1]]), ConeParams("ec", 0.1))
+        with pytest.raises(ValueError, match="no label pair to score"):
+            reconstruct_labels(table, h)
 
     def test_781_labels_in_bounded_time_and_memory(self):
         h = generate_synthetic_tree(5, 5)
