@@ -79,19 +79,11 @@ def cmd_split(args) -> None:
     _write_snapshot(out, "split", vars(args))
 
 
-def _train_config(args, **overrides) -> training.TrainConfig:
-    fields = dict(
-        kind=args.geometry,
-        dim=args.dim,
-        margin=args.margin,
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        aperture_k=args.aperture_k,
-        seed=args.seed,
+def _train_config(args, **fields) -> training.TrainConfig:
+    """The ``TrainConfig`` of a training command: its shared options plus ``fields``."""
+    return training.TrainConfig(
+        kind=args.geometry, dim=args.dim, batch_size=args.batch, seed=args.seed, **fields
     )
-    fields.update(overrides)
-    return training.TrainConfig(**fields)
 
 
 def cmd_train_labels(args) -> None:
@@ -122,6 +114,9 @@ def cmd_train_labels(args) -> None:
         config = _train_config(
             args,
             margin=margin,
+            lr=args.lr,
+            epochs=args.epochs,
+            aperture_k=args.aperture_k,
             optimizer=optimizer,
             oe_squared=args.squared,
             pick_per_level=not args.uniform_negatives,
@@ -204,16 +199,13 @@ def cmd_train_joint(args) -> None:
     k = _stored_k(stored, args.aperture_k, args.init_labels)
     epochs = args.epochs if args.epochs is not None else defaults["epochs"]
     lr_labels = args.lr_labels if args.lr_labels is not None else defaults["lr_labels"]
-    config = training.TrainConfig(
-        kind=args.geometry,
-        dim=args.dim,
+    config = _train_config(
+        args,
         margin=args.margin,
         lr=lr_labels,
         lr_instances=args.lr_im,
         epochs=epochs,
-        batch_size=args.batch,
         aperture_k=k,
-        seed=args.seed,
         rebalance_images=args.rebalance_images,
     )
     init_labels = None

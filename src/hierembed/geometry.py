@@ -391,6 +391,8 @@ def project_rows(X, p: ConeParams, rng: np.random.Generator | None = None) -> np
     norms = np.linalg.norm(X, axis=1)
     zero = norms < _TINY
     if np.any(zero):
+        if not X.shape[1]:
+            raise GeometryError("zero-width points have no direction to project along")
         if rng is None:
             rng = np.random.default_rng(0)
         for i in np.flatnonzero(zero):

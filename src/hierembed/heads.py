@@ -493,6 +493,12 @@ class ClassifierConfig:
     seed: int = 0
     threshold_mode: str = "ofadb"
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be positive, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+
 
 @dataclass
 class LinearClassifier:

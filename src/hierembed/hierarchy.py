@@ -10,11 +10,15 @@ is the node ``ids[r]``, the ids in sorted order, which is the row order
 of every label table. ``level_of[r]`` is the row's level and
 ``anc[r, i]`` the row of its ancestor at level ``i + 1``: a node is its
 own entry at its own level, and ``-1`` fills the levels below it. The
-closure, label paths and within-level positions are read from these.
+closure, label paths and within-level positions are read from these: the
+closure once, as ``closure_rows``, a read-only ``(P, 2)`` int64 array of
+(ancestor row, descendant row), sorted. Row order is id order, so its
+string view ``transitive_closure`` is sorted by id.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -141,7 +145,6 @@ class Hierarchy:
             for lvl in levels
         }
         self._closure: EdgeSet | None = None
-        self._closure_set: frozenset[tuple[str, str]] | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -192,24 +195,32 @@ class Hierarchy:
         under = (self.anc[:, self.level_of[r] - 1] == r) & (self.level_of == self._level_count)
         return tuple(self.ids[d] for d in np.flatnonzero(under))
 
+    @functools.cached_property
+    def closure_rows(self) -> np.ndarray:
+        """(ancestor row, descendant row) of every closure pair, basic edges
+        included: read-only, shape ``(P, 2)``, sorted."""
+        strict = (self.anc >= 0) & (self.anc != np.arange(len(self.ids))[:, None])
+        desc, anc = np.nonzero(strict)[0], self.anc[strict]
+        order = np.lexsort((desc, anc))
+        rows = np.stack([anc[order], desc[order]], axis=1)
+        rows.setflags(write=False)
+        return rows
+
     def closure(self) -> EdgeSet:
         if self._closure is None:
             self._closure = transitive_closure(self)
         return self._closure
 
-    def closure_set(self) -> frozenset[tuple[str, str]]:
-        if self._closure_set is None:
-            self._closure_set = self.closure().to_set()
-        return self._closure_set
+
+def _edge_set(h: Hierarchy, rows: np.ndarray) -> EdgeSet:
+    """The id pairs of hierarchy row pairs ``(k, 2)``, in their order."""
+    return EdgeSet(tuple((h.ids[a], h.ids[b]) for a, b in rows.tolist()))
 
 
 def transitive_closure(h: Hierarchy) -> EdgeSet:
-    """All (ancestor, descendant) pairs, basic edges included, sorted by id."""
-    strict = (h.anc >= 0) & (h.anc != np.arange(len(h.ids))[:, None])
-    desc, anc = np.nonzero(strict)[0], h.anc[strict]
-    order = np.lexsort((desc, anc))
-    pairs = zip(anc[order].tolist(), desc[order].tolist())
-    return EdgeSet(tuple((h.ids[a], h.ids[d]) for a, d in pairs))
+    """All (ancestor, descendant) pairs, basic edges included, sorted by id:
+    the string view of ``h.closure_rows``."""
+    return _edge_set(h, h.closure_rows)
 
 
 def split_edges(h: Hierarchy, nonbasic_train_fraction: float, seed: int) -> SplitResult:
@@ -218,26 +229,30 @@ def split_edges(h: Hierarchy, nonbasic_train_fraction: float, seed: int) -> Spli
     After carving out val and test, ``nonbasic_train_fraction`` of the
     remaining non-basic closure edges joins the train set; the rest are
     dropped. Deterministic under ``seed``.
+
+    A closure pair is basic when it spans one level. Each split keeps the
+    sorted order of ``h.closure_rows``.
     """
     if not 0.0 <= nonbasic_train_fraction <= 1.0:
         raise ValueError("nonbasic_train_fraction must lie in [0, 1]")
-    closure = h.closure()
-    basic = set(h.edges)
-    nonbasic = [e for e in closure if e not in basic]
+    rows = h.closure_rows
+    train = h.level_of[rows[:, 1]] - h.level_of[rows[:, 0]] == 1  # the basic pairs, then extras
+    nonbasic = np.flatnonzero(~train)  # closure positions of the non-basic pairs
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(nonbasic))
     n_eval = int(len(nonbasic) * 0.05)
-    val_pairs = sorted(nonbasic[i] for i in order[:n_eval])
-    test_pairs = sorted(nonbasic[i] for i in order[n_eval : 2 * n_eval])
     rest = order[2 * n_eval :]
     n_extra = int(len(rest) * nonbasic_train_fraction)
-    extra = sorted(nonbasic[i] for i in rest[:n_extra])
-    train_pairs = sorted(set(h.edges) | set(extra))
+    train[nonbasic[rest[:n_extra]]] = True
+
+    def pick(i: np.ndarray) -> EdgeSet:
+        return _edge_set(h, rows[np.sort(nonbasic[i])])
+
     empty = EdgeSet((), polarity="negative")
     return SplitResult(
-        train=EdgeSet(tuple(train_pairs)),
-        val=EdgeSet(tuple(val_pairs)),
-        test=EdgeSet(tuple(test_pairs)),
+        train=_edge_set(h, rows[train]),
+        val=pick(order[:n_eval]),
+        test=pick(order[n_eval : 2 * n_eval]),
         val_negatives=empty,
         test_negatives=empty,
         val_negative_refs=(),
@@ -279,8 +294,8 @@ def augment_eval_negatives(split: SplitResult, closure: EdgeSet, seed: int) -> S
     y')`` is always a closure member), the missing draws come from the
     other side so that each positive still gets 10 negatives.
     """
-    closure_set = closure.to_set()
-    nodes = sorted({n for pair in closure_set for n in pair})
+    closed = closure.to_set()
+    nodes = sorted({n for pair in closed for n in pair})
     rng = np.random.default_rng(seed)
 
     def build(positives: EdgeSet) -> tuple[tuple[tuple[str, str], ...], tuple[int, ...]]:
@@ -291,14 +306,14 @@ def augment_eval_negatives(split: SplitResult, closure: EdgeSet, seed: int) -> S
             got: list[tuple[str, str]] = []
             for corrupt_u in (True, False):
                 got.extend(
-                    _corrupt_eval_side(pos, corrupt_u, nodes, closure_set, taken, rng, 5)
+                    _corrupt_eval_side(pos, corrupt_u, nodes, closed, taken, rng, 5)
                 )
             for corrupt_u in (True, False):
                 if len(got) >= 10:
                     break
                 got.extend(
                     _corrupt_eval_side(
-                        pos, corrupt_u, nodes, closure_set, taken, rng, 10 - len(got)
+                        pos, corrupt_u, nodes, closed, taken, rng, 10 - len(got)
                     )
                 )
             if len(got) < 10:

@@ -19,13 +19,7 @@ from . import geometry
 from .geometry import ConeParams
 from .hierarchy import Hierarchy
 from .metrics import level_accuracy
-from .training import (
-    EmbeddingTable,
-    InstanceNodes,
-    TrainConfig,
-    _best_threshold,
-    train_graph_embedding,
-)
+from .training import EmbeddingTable, TrainConfig, _best_threshold, train_graph_embedding
 
 
 @dataclass(frozen=True)
@@ -101,12 +95,13 @@ def split_instances(
     return train, val, test
 
 
-def instance_positive_edges(
-    h: Hierarchy, features: FeatureMatrix, idx: Sequence[int]
-) -> list[tuple[str, str]]:
-    """Edges from every ancestor label (leaf first, root last) to each instance."""
-    paths = level_truth(h, features, idx)
-    return [(anc, features.instance_ids[i]) for i, path in zip(idx, paths) for anc in path[::-1]]
+def instance_positive_rows(h: Hierarchy, features: FeatureMatrix, idx: Sequence[int]) -> np.ndarray:
+    """Graph rows ``(len(idx) * L, 2)`` of the edges from every ancestor label
+    (leaf first, root last) to each instance, the ``i``-th of ``idx`` being
+    row ``len(h.ids) + i``."""
+    paths = h.anc[features.leaf_rows(h, idx)]
+    inst = len(h.ids) + np.arange(len(paths), dtype=np.int64)
+    return np.stack([paths[:, ::-1].ravel(), np.repeat(inst, h.level_count)], axis=1)
 
 
 def train_joint(
@@ -128,6 +123,7 @@ def train_joint(
     features.validate_against(h)
     if train_idx is None:
         train_idx, val_idx, _ = split_instances(len(features.instance_ids), config.seed)
+    train_idx = np.asarray(train_idx, dtype=int)
     params = config.cone_params()
     label_ids = h.ids
 
@@ -137,11 +133,13 @@ def train_joint(
             raise ValueError("label-only initialization does not cover these labels")
         init_coords = init_labels.coords
 
-    train_ids = tuple(features.instance_ids[i] for i in train_idx)
-    train_feats = features.features[np.asarray(train_idx, dtype=int)]
-    instances = InstanceNodes(train_ids, train_feats)
-
-    positives = list(h.closure()) + instance_positive_edges(h, features, train_idx)
+    taken = set(h.row_of)
+    for iid in (features.instance_ids[i] for i in train_idx.tolist()):
+        if iid in taken:
+            what = "a label id" if iid in h.row_of else "another training instance"
+            raise ValueError(f"instance id {iid!r} collides with {what}")
+        taken.add(iid)
+    positives = np.concatenate([h.closure_rows, instance_positive_rows(h, features, train_idx)])
 
     # no training instances: the engine returns no map and the zero map
     # stands in for it, in the epoch hook and in the model
@@ -158,7 +156,8 @@ def train_joint(
             return {"val_f1": level_accuracy(preds, truth)[1]}
 
     coords, w, history = train_graph_embedding(
-        h, positives, config, instances=instances, init_coords=init_coords, epoch_hook=hook
+        h, positives, config, features=features.features[train_idx],
+        init_coords=init_coords, epoch_hook=hook,
     )
     model = JointModel(EmbeddingTable(label_ids, coords, params), zero_w if w is None else w, params)
     return model, history

@@ -6,6 +6,11 @@ nodes whose embeddings are computed from feature rows through a linear
 map (plus the exponential map at zero on the ball). With no instances the
 joint path reduces to label-only training exactly, batch for batch.
 
+The engine works on graph rows: labels are the hierarchy's rows, instance
+``i`` (feature row ``i``) is row ``len(h.ids) + i``, and positives are a
+``(k, 2)`` array of (parent, child) rows. A negative is no closure pair
+(``Hierarchy.closure_rows``), positive or self-pair.
+
 The loss over a batch is ``sum_pos E + sum_neg max(0, margin - E)``.
 Negatives come from pick-per-level corruption by default: for each
 positive, one corrupted edge per level and per side (corrupt-u,
@@ -60,10 +65,16 @@ class TrainConfig:
     rebalance_images: bool = False
 
     def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"embedding dim must be at least 1, got {self.dim}")
         if self.margin <= 0:
             raise ValueError("margin must be positive")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
+        if self.neg_passes < 1:
+            raise ValueError(f"neg_passes must be at least 1, got {self.neg_passes}")
         # zero freezes that parameter group; negative rates are invalid
         if self.lr < 0 or self.lr_instances < 0:
             raise ValueError("learning rates must be nonnegative")
@@ -304,53 +315,25 @@ def max_margin_loss(
 # Epoch engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InstanceNodes:
-    """Feature-mapped nodes appended below the deepest label level."""
-
-    instance_ids: tuple[str, ...]
-    features: np.ndarray  # (n, D)
-
-
 class _Graph:
-    """Integer-encoded training graph: labels first, then instances."""
+    """Integer-encoded training graph: labels first, then ``n_instances`` instances."""
 
-    def __init__(
-        self,
-        h: Hierarchy,
-        positives: Sequence[tuple[str, str]],
-        instances: InstanceNodes | None,
-        forbidden_extra: set[tuple[str, str]] | None = None,
-    ):
-        self.label_ids = h.ids
-        self.n_labels = len(self.label_ids)
-        index = dict(h.row_of)
-        if instances is not None:
-            for k, iid in enumerate(instances.instance_ids):
-                if iid in index:
-                    raise ValueError(f"instance id {iid!r} collides with a label id")
-                index[iid] = self.n_labels + k
-        self.index = index
-        self.n_total = len(index)
-        self.positives = np.array(
-            [(index[u], index[v]) for u, v in positives], dtype=np.int64
-        ).reshape(-1, 2)
+    def __init__(self, h: Hierarchy, positives: np.ndarray, n_instances: int = 0):
+        self.n_labels = len(h.ids)
+        self.n_total = n = self.n_labels + n_instances
+        self.positives = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
+        if len(self.positives) and not (0 <= self.positives.min() <= self.positives.max() < n):
+            raise ValueError(f"positive rows must lie in [0, {n})")
         # Levels available to the corruption sampler: label levels, then the
         # instance level (lowest) when present.
         self.levels = [np.flatnonzero(h.level_of == l) for l in range(1, h.level_count + 1)]
-        if instances is not None and len(instances.instance_ids):
-            self.levels.append(
-                np.arange(self.n_labels, self.n_total, dtype=np.int64)
-            )
-        forbidden = {(index[u], index[v]) for u, v in h.closure_set()}
-        if forbidden_extra:
-            forbidden |= {(index[u], index[v]) for u, v in forbidden_extra}
-        forbidden |= {(int(u), int(v)) for u, v in self.positives}
-        self.forbidden = forbidden
-        n = self.n_total
-        keys = np.fromiter((a * n + b for a, b in forbidden), dtype=np.int64, count=len(forbidden))
-        # the banned pairs: forbidden ones and self-pairs, in key order
-        keys = np.unique(np.concatenate([keys, np.arange(n, dtype=np.int64) * (n + 1)]))
+        if n_instances:
+            self.levels.append(np.arange(self.n_labels, n, dtype=np.int64))
+        # the banned pairs: closure pairs, positives and self-pairs, in key order
+        pairs = np.concatenate([h.closure_rows, self.positives])
+        keys = np.unique(
+            np.concatenate([pairs[:, 0] * n + pairs[:, 1], np.arange(n, dtype=np.int64) * (n + 1)])
+        )
         a, b = np.divmod(keys, n)
         self._banned_tables(a, b)
         self._ancestor_table(h, a, b)
@@ -359,8 +342,7 @@ class _Graph:
         # ``empty[side, p, node]``: no candidate in ``pools[p]`` is a valid
         # negative. The levels partition the nodes, so the all-nodes pool's
         # valid count is the sum over levels.
-        everyone = [self.order] if self.levels else []
-        self.pools = {True: self.levels, False: everyone * len(self.levels)}
+        self.pools = {True: self.levels, False: [self.order] * len(self.levels)}
         none_valid = self.valid.sum(axis=1, keepdims=True) == 0
         self.empty = {
             True: self.valid == 0,
@@ -372,9 +354,9 @@ class _Graph:
 
         Side 0 corrupts u, so ``node`` is the positive's child v; side 1
         corrupts v, so ``node`` is its parent u. A candidate is banned if it
-        forms a forbidden pair or a self-pair with ``node``, or if both are
-        instances. The levels, concatenated, give every node a position
-        (``order[pos]`` is the node).
+        forms a banned pair with ``node``, or if both are instances. The
+        levels, concatenated, give every node a position (``order[pos]`` is
+        the node).
 
         - ``valid[side, p, node]``: valid candidates in ``levels[p]``.
         - ``banned_ptr``/``banned_key``: a CSR over the slots ``side * n + node``
@@ -386,7 +368,7 @@ class _Graph:
           last, so they never shift the positions of label candidates.
         """
         n = self.n_total
-        self.order = np.concatenate(self.levels) if self.levels else np.zeros(0, np.int64)
+        self.order = np.concatenate(self.levels)
         pos = np.empty(n, dtype=np.int64)
         pos[self.order] = np.arange(n)
         sizes = np.array([len(pool) for pool in self.levels], dtype=np.int64)
@@ -420,10 +402,11 @@ class _Graph:
         instances. A label's row is its ``Hierarchy.anc`` row, so a label is
         banned with itself and its descendants. An instance's row holds
         itself in the instance column and, in each label column, a label it
-        is forbidden with. Instance-instance pairs are banned by rule. The
+        is banned with. Instance-instance pairs are banned by rule. The
         banned pairs the table cannot hold (a second label of one level for
-        an instance, extra label-label pairs, pairs with an instance first)
-        are the sorted keys ``a * n_total + b`` of ``extra_keys``.
+        an instance, label-label positives outside the closure, pairs with
+        an instance first) are the sorted keys ``a * n_total + b`` of
+        ``extra_keys``.
         """
         n_levels, n_labels = h.level_count, self.n_labels
         self.col = np.full(self.n_total, n_levels, dtype=np.int64)
@@ -438,9 +421,6 @@ class _Graph:
         held = (anc[b, self.col[a]] == a) | ((a >= n_labels) & (b >= n_labels))
         self.anc = anc
         self.extra_keys = a[~held] * self.n_total + b[~held]
-
-    def is_instance(self, node: int) -> bool:
-        return node >= self.n_labels
 
 
 SPAN_POSITIVES = 64  # the engine samples whole batches holding at least this many positives at once
@@ -864,21 +844,21 @@ def _sample_negatives_rebalanced(
 
 def train_graph_embedding(
     h: Hierarchy,
-    positives: Sequence[tuple[str, str]],
+    positives: np.ndarray,
     config: TrainConfig,
     *,
-    instances: InstanceNodes | None = None,
-    forbidden_extra: set[tuple[str, str]] | None = None,
+    features: np.ndarray | None = None,
     init_coords: np.ndarray | None = None,
     init_w: np.ndarray | None = None,
     epoch_hook: Callable[[np.ndarray, np.ndarray | None], dict] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, list[dict]]:
     """Shared epoch engine; returns (label coords, linear map or None, log).
 
-    The graph holds one point per label plus, optionally, one node per
-    instance embedded as ``feat @ W`` (wrapped in ``exp_0`` on the ball).
-    Labels are optimized directly (Adam or RSGD + projection); ``W`` is
-    always optimized with Adam at ``config.lr_instances``.
+    The graph holds one point per label plus one node per row of
+    ``features``, instance ``i`` embedded as ``features[i] @ W`` (wrapped
+    in ``exp_0`` on the ball); ``positives`` are graph rows. Labels are
+    optimized directly (Adam or RSGD + projection); ``W`` is always
+    optimized with Adam at ``config.lr_instances``.
 
     Each epoch walks a permutation of the positives in batches. The sampler
     is called once per span, the fewest whole batches holding at least
@@ -892,9 +872,9 @@ def train_graph_embedding(
     """
     params = config.cone_params()
     rng = np.random.default_rng(config.seed)
-    if instances is not None and not len(instances.instance_ids):
-        instances = None  # keep the rng stream identical to label-only runs
-    graph = _Graph(h, positives, instances, forbidden_extra)
+    # no instances: no map either, so that the rng stream is the label-only one
+    feats = np.asarray(features, dtype=float) if features is not None and len(features) else None
+    graph = _Graph(h, positives, 0 if feats is None else len(feats))
 
     if init_coords is not None:
         coords = np.array(init_coords, dtype=float)
@@ -911,9 +891,7 @@ def train_graph_embedding(
         )
 
     w: np.ndarray | None = None
-    feats: np.ndarray | None = None
-    if instances is not None:
-        feats = np.asarray(instances.features, dtype=float)
+    if feats is not None:
         if init_w is not None:
             w = np.array(init_w, dtype=float)
             if w.shape != (feats.shape[1], config.dim):
@@ -926,11 +904,8 @@ def train_graph_embedding(
     adam_labels = AdamState.like(coords) if config.optimizer == "adam" else None
     adam_w = AdamState.like(w) if w is not None else None
 
-    sampler = (
-        _sample_negatives_rebalanced
-        if (config.rebalance_images and instances is not None and len(instances.instance_ids))
-        else _sample_negatives_for
-    )
+    rebalance = config.rebalance_images and feats is not None
+    sampler = _sample_negatives_rebalanced if rebalance else _sample_negatives_for
 
     history: list[dict] = []
     n_pos = len(graph.positives)
@@ -997,8 +972,9 @@ def train_label_embeddings(
         res = evaluate_edge_prediction(table, split.val, split.val_negatives)
         return {"val_f1": res.f1, "threshold": res.threshold}
 
+    positives = np.array([(h.row_of[u], h.row_of[v]) for u, v in split.train], dtype=np.int64)
     coords, _, history = train_graph_embedding(
-        h, tuple(split.train), config, init_coords=init_coords, epoch_hook=hook
+        h, positives, config, init_coords=init_coords, epoch_hook=hook
     )
     return EmbeddingTable(h.ids, coords, params), history
 

@@ -1,11 +1,15 @@
 """End-to-end CLI pipelines: outputs, determinism, error behavior."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hierembed
 from hierembed.cli import main
 
 
@@ -443,6 +447,57 @@ class TestErrors:
         assert payload["type"] == "TrainingError"
         assert payload["command"] == "train-labels"
         assert payload["error"].endswith(" at epoch 1, batch 2")
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """Tree, split and features for commands that are to fail on their options."""
+    root = tmp_path_factory.mktemp("bad")
+    nodes, edges, _ = tree_files(root, 3, 2)
+    base = ["--nodes", str(nodes), "--edges", str(edges)]
+    run(["split", *base, "--fraction", "0.5", "--out", str(root / "split")])
+    run(["gen-features", *base, "--per-leaf", "3", "--dim", "4", "--out", str(root / "feats")])
+    feats = str(root / "feats" / "features.feat")
+    inputs = {
+        "train-labels": [*base, "--split-dir", str(root / "split")],
+        "train-joint": [*base, "--features", feats],
+        "train-classifier": [*base, "--features", feats],
+    }
+    return root, inputs
+
+
+BAD_OPTIONS = [
+    ("train-labels", ["--dim", "0"], "embedding dim must be at least 1, got 0"),
+    ("train-joint", ["--dim", "0"], "embedding dim must be at least 1, got 0"),
+    ("train-labels", ["--epochs", "-1"], "epochs must be nonnegative, got -1"),
+    ("train-joint", ["--epochs", "-1"], "epochs must be nonnegative, got -1"),
+    ("train-labels", ["--neg-passes", "0"], "neg_passes must be at least 1, got 0"),
+    ("train-labels", ["--neg-passes", "-1"], "neg_passes must be at least 1, got -1"),
+    ("train-classifier", ["--batch", "0"], "batch size must be positive, got 0"),
+    ("train-classifier", ["--epochs", "-1"], "epochs must be nonnegative, got -1"),
+]
+
+
+class TestBadOptionsFailFast:
+    @pytest.mark.parametrize(
+        "command, flags, message", BAD_OPTIONS, ids=[f"{c}{'='.join(f)}" for c, f, _ in BAD_OPTIONS]
+    )
+    def test_one_error_line(self, small_inputs, command, flags, message):
+        # a subprocess with a timeout, so that a hang (as --dim 0 once was) fails the test
+        root, inputs = small_inputs
+        src = str(Path(hierembed.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = root / f"{command}-{'-'.join(flags)}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hierembed.cli", command, *inputs[command], *flags,
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": message, "command": command, "type": "ValueError"}
+        assert list(out.iterdir()) == []  # no untrained model
 
 
 class TestRerun:

@@ -245,6 +245,14 @@ class TestProjection:
         x = np.array([5.0, -3.0])
         assert np.array_equal(project_to_domain(x, OE), x)
 
+    @pytest.mark.parametrize("p", [EC, HC], ids=["ec", "hc"])
+    def test_zero_width_points_are_rejected(self, p):
+        # an all-zero row gets a random direction; a zero-width one has none to get
+        with pytest.raises(GeometryError, match="zero-width"):
+            project_to_domain(np.zeros(0), p)
+        with pytest.raises(GeometryError, match="zero-width"):
+            geometry.project_rows(np.zeros((3, 0)), p)
+
 
 def _fd_grads(x, y, p, h=1e-5):
     fx = np.zeros_like(x)

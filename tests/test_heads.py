@@ -508,6 +508,22 @@ class TestWidths:
             head_width("svm", index)
 
 
+class TestClassifierConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("batch_size", 0, "batch size must be positive, got 0"),
+         ("batch_size", -3, "batch size must be positive, got -3"),
+         ("epochs", -1, "epochs must be nonnegative, got -1")],
+    )
+    def test_rejects_bad_sizes(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            ClassifierConfig(**{field: value})
+        assert str(err.value) == message
+
+    def test_zero_epochs_is_valid(self):
+        assert ClassifierConfig(epochs=0).epochs == 0
+
+
 class TestThresholdModeComparison:
     def test_ofadb_beats_pcdb_on_tiny_validation(self):
         # per-class boundaries overfit when labels have ~1 validation sample;

@@ -20,7 +20,7 @@ from hierembed.hierarchy import (
     split_edges,
     transitive_closure,
 )
-from hierembed.joint import FeatureMatrix, instance_positive_edges, level_truth
+from hierembed.joint import FeatureMatrix, instance_positive_rows, level_truth
 from hierembed.training import _Graph
 
 
@@ -110,7 +110,7 @@ class TestClosure:
     def test_idempotence(self):
         # closing an already-closed relation adds nothing
         h = generate_synthetic_tree(4, 2)
-        closure = h.closure_set()
+        closure = h.closure().to_set()
         extended = set(closure)
         for u, v in closure:
             for v2, w in closure:
@@ -148,7 +148,7 @@ class TestSplit:
     def test_partition_properties(self):
         h = generate_synthetic_tree(4, 3)
         split = split_edges(h, 1.0, 5)
-        closure = h.closure_set()
+        closure = h.closure().to_set()
         train, val, test = split.train.to_set(), split.val.to_set(), split.test.to_set()
         assert not val & test
         assert not train & val and not train & test
@@ -173,7 +173,7 @@ class TestEvalNegatives:
     def test_absent_from_closure(self):
         h = generate_synthetic_tree(4, 3)
         split = augment_eval_negatives(split_edges(h, 0.0, 1), h.closure(), 1)
-        closure = h.closure_set()
+        closure = h.closure().to_set()
         for pair in split.val_negatives:
             assert pair not in closure
         for pair in split.test_negatives:
@@ -235,6 +235,21 @@ def ref_transitive_closure(h: Hierarchy) -> tuple:
             stack.extend(h.children(cur))
         pairs.extend((n.node_id, d) for d in sorted(seen))
     return tuple(pairs)
+
+
+def ref_split_edges(h: Hierarchy, fraction: float, seed: int) -> tuple:
+    """Train, val and test id pairs of ``split_edges`` as a walk over the string closure."""
+    basic = set(h.edges)
+    nonbasic = [e for e in ref_transitive_closure(h) if e not in basic]
+    order = np.random.default_rng(seed).permutation(len(nonbasic))
+    n_eval = int(len(nonbasic) * 0.05)
+    rest = order[2 * n_eval :]
+    extra = [nonbasic[i] for i in rest[: int(len(rest) * fraction)]]
+    return (
+        tuple(sorted(basic | set(extra))),
+        tuple(sorted(nonbasic[i] for i in order[:n_eval])),
+        tuple(sorted(nonbasic[i] for i in order[n_eval : 2 * n_eval])),
+    )
 
 
 def ref_ancestors(h: Hierarchy, node_id: str) -> tuple:
@@ -343,9 +358,18 @@ class TestTreeTable:
         np.testing.assert_array_equal(index.leaf_path, leaf_path)
         assert index.leaf_path.dtype == leaf_path.dtype
 
-        graph = _Graph(h, list(h.closure()), None)
-        assert graph.label_ids == ids
         row = {nid: r for r, nid in enumerate(ids)}
+        closure = ref_transitive_closure(h)
+        assert h.closure_rows.dtype == np.int64 and h.closure_rows.shape == (len(closure), 2)
+        assert h.closure_rows.tolist() == [[row[u], row[v]] for u, v in closure]
+        assert not h.closure_rows.flags.writeable
+        fraction = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="fraction")
+        seed = data.draw(st.integers(0, 99), label="seed")
+        split = split_edges(h, fraction, seed)
+        got = (split.train.pairs, split.val.pairs, split.test.pairs)
+        assert got == ref_split_edges(h, fraction, seed)
+        graph = _Graph(h, h.closure_rows)
+        assert graph.n_labels == graph.n_total == len(ids)
         assert len(graph.levels) == len(levels)
         for got, members in zip(graph.levels, levels):
             want = np.array([row[m] for m in members], dtype=np.int64)
@@ -361,9 +385,13 @@ class TestTreeTable:
         want = ref_level_truth(h, features, idx)
         assert truth.dtype == object and truth.shape == want.shape
         assert truth.tolist() == want.tolist()
-        assert instance_positive_edges(h, features, idx) == ref_instance_positive_edges(
-            h, features, idx
-        )
+        got = instance_positive_rows(h, features, idx)
+        edges = ref_instance_positive_edges(h, features, idx)
+        assert got.dtype == np.int64 and got.shape == (len(edges), 2)
+        # the k-th instance of ``idx`` is graph row len(ids) + k, h.level_count edges each
+        k = np.arange(len(edges)) // h.level_count
+        assert got.tolist() == [[row[a], len(ids) + j] for (a, _), j in zip(edges, k.tolist())]
+        assert [features.instance_ids[idx[j]] for j in k] == [i for _, i in edges]
         if len(idx):
             np.testing.assert_array_equal(
                 index.tau_from_labels(truth), [[pos_in_level[t] for t in row] for row in want]
@@ -382,7 +410,7 @@ class TestTreeTable:
         h = generate_synthetic_tree(3, 2)
         features = FeatureMatrix(("a", "b"), np.zeros((2, 1)), ("r.0.0", leaf))
         np.testing.assert_array_equal(level_truth(h, features, [0]), [["r", "r.0", "r.0.0"]])
-        for call in (level_truth, instance_positive_edges):
+        for call in (level_truth, instance_positive_rows):
             with pytest.raises(ValueError) as err:
                 call(h, features, [0, 1])
             assert str(err.value) == message

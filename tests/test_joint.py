@@ -21,7 +21,7 @@ from hierembed.joint import (
     classify_levels,
     embed_instance,
     embed_instances,
-    instance_positive_edges,
+    instance_positive_rows,
     level_energies,
     reconstruct_labels,
     split_instances,
@@ -31,7 +31,6 @@ from hierembed.metrics import hit_at_k
 from hierembed.synth import gaussian_cluster_features
 from hierembed.training import (
     EmbeddingTable,
-    InstanceNodes,
     TrainConfig,
     _best_threshold,
     random_coords,
@@ -97,40 +96,61 @@ class TestSplitInstances:
 class TestPositiveEdges:
     def test_all_ancestors_included(self, tree):
         features = gaussian_cluster_features(tree, 1, 4, seed=0)
-        edges = instance_positive_edges(tree, features, [0])
-        iid = features.instance_ids[0]
+        edges = instance_positive_rows(tree, features, [0])
+        inst = len(tree.ids)  # the first instance's graph row
         leaf = features.leaf_labels[0]
-        expected = {(leaf, iid), (tree.parent(leaf), iid), ("r", iid)}
-        assert set(edges) == expected
+        expected = [(leaf, inst), (tree.parent(leaf), inst), ("r", inst)]
+        assert edges.tolist() == [[tree.row_of[a], i] for a, i in expected]
+
+    def test_instance_id_colliding_with_a_label_is_rejected(self, tree):
+        leaf = tree.level_members(3)[0]
+        features = FeatureMatrix(("i0", "r.1"), np.zeros((2, 3)), (leaf, leaf))
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1)
+        with pytest.raises(ValueError, match=r"^instance id 'r\.1' collides with a label id$"):
+            train_joint(tree, features, cfg, train_idx=np.array([0, 1]), val_idx=np.array([]))
+        # only training instances become graph nodes
+        model, _ = train_joint(tree, features, cfg, train_idx=np.array([0]), val_idx=np.array([1]))
+        assert model.w.shape == (3, 2)
+        twice = FeatureMatrix(("i0", "i1", "i0"), np.zeros((3, 3)), (leaf, leaf, leaf))
+        with pytest.raises(
+            ValueError, match=r"^instance id 'i0' collides with another training instance$"
+        ):
+            train_joint(tree, twice, cfg, train_idx=np.array([2, 1, 0]), val_idx=np.array([]))
 
 
 class TestNegativeSamplerConstraints:
     def test_never_instance_instance(self, tree):
         features = gaussian_cluster_features(tree, 3, 4, seed=1)
         idx = list(range(len(features.instance_ids)))
-        positives = list(tree.closure()) + instance_positive_edges(tree, features, idx)
-        instances = InstanceNodes(features.instance_ids, features.features)
+        edges = list(tree.closure()) + [
+            (anc, features.instance_ids[i])
+            for i in idx
+            for anc in (features.leaf_labels[i], *tree.ancestors(features.leaf_labels[i]))
+        ]
+        inst_rows = {iid: len(tree.ids) + k for k, iid in enumerate(features.instance_ids)}
+        row = {**tree.row_of, **inst_rows}
+        forbidden = {(row[a], row[b]) for a, b in edges}
+        positives = np.concatenate([tree.closure_rows, instance_positive_rows(tree, features, idx)])
+        assert {tuple(p) for p in positives.tolist()} == forbidden
         cfg = TrainConfig(kind="ec", dim=2, epochs=1, batch_size=4, seed=0)
 
         from hierembed.training import _Graph, _sample_negatives_for
 
-        graph = _Graph(tree, positives, instances)
+        graph = _Graph(tree, positives, len(idx))
         rng = np.random.default_rng(0)
         inst_pairs = 0
-        label_level_count = tree.level_count
         for u, v in graph.positives[:50]:
             for pair in _sample_negatives_for(graph, u[None], v[None], rng, cfg).tolist():
-                if graph.is_instance(pair[0]) and graph.is_instance(pair[1]):
+                if pair[0] >= graph.n_labels and pair[1] >= graph.n_labels:
                     inst_pairs += 1
-                assert tuple(pair) not in graph.forbidden
+                assert tuple(pair) not in forbidden
         assert inst_pairs == 0
 
     def test_instances_form_a_sampling_level(self, tree):
         features = gaussian_cluster_features(tree, 2, 4, seed=2)
-        instances = InstanceNodes(features.instance_ids, features.features)
         from hierembed.training import _Graph
 
-        graph = _Graph(tree, list(tree.closure()), instances)
+        graph = _Graph(tree, tree.closure_rows, len(features.instance_ids))
         assert len(graph.levels) == tree.level_count + 1
         assert len(graph.levels[-1]) == len(features.instance_ids)
 
@@ -144,8 +164,9 @@ class TestZeroInstanceReduction:
         split = augment_eval_negatives(split_edges(tree, 0.5, 2), tree.closure(), 2)
         cfg = TrainConfig(kind="ec", dim=2, epochs=8, seed=4)
         table, hist_a = train_label_embeddings(tree, split, cfg)
+        positives = np.array([(tree.row_of[u], tree.row_of[v]) for u, v in split.train])
         coords_b, w_b, hist_b = train_graph_embedding(
-            tree, tuple(split.train), cfg, instances=InstanceNodes((), np.zeros((0, 4)))
+            tree, positives, cfg, features=np.zeros((0, 4))
         )
         np.testing.assert_array_equal(table.coords, coords_b)
         assert [r["loss"] for r in hist_a] == [r["loss"] for r in hist_b]
@@ -317,7 +338,7 @@ def loop_reconstruct_labels(table, h):
     """Reconstruction through n^2 x d coordinate copies and a loop over label pairs."""
     ids = table.node_ids
     n = len(ids)
-    closure = h.closure_set()
+    closure = h.closure().to_set()
     X = np.repeat(table.coords, n, axis=0)
     Y = np.tile(table.coords, (n, 1))
     e = geometry.energies(X, Y, table.params).reshape(n, n)

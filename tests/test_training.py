@@ -18,13 +18,12 @@ from hierembed.hierarchy import (
     generate_synthetic_tree,
     split_edges,
 )
-from hierembed.joint import instance_positive_edges, split_instances
+from hierembed.joint import instance_positive_rows, split_instances
 from hierembed.synth import gaussian_cluster_features
 from hierembed.training import (
     RETRY_CAP,
     AdamState,
     EmbeddingTable,
-    InstanceNodes,
     TrainConfig,
     TrainingError,
     _best_threshold,
@@ -43,6 +42,33 @@ from hierembed.training import (
     train_graph_embedding,
     train_label_embeddings,
 )
+
+
+class IdGraph(_Graph):
+    """``_Graph`` of id pairs, with test-side maps: ``ids`` (graph row -> id),
+    ``index`` (id -> graph row) and ``forbidden``, the banned row pairs other
+    than self-pairs, built from the string closure and the positives, not
+    from the graph's own tables."""
+
+    def __init__(self, h, positives, instance_ids=()):
+        self.ids = (*h.ids, *instance_ids)
+        self.index = {nid: r for r, nid in enumerate(self.ids)}
+        rows = np.array([(self.index[u], self.index[v]) for u, v in positives], dtype=np.int64)
+        super().__init__(h, rows, len(instance_ids))
+        pairs = h.closure().to_set() | set(positives)
+        self.forbidden = {(self.index[u], self.index[v]) for u, v in pairs}
+
+    def is_instance(self, node):
+        return node >= self.n_labels
+
+
+def instance_edges(h, features, idx):
+    """Id pairs from every ancestor label (leaf first, root last) to each instance of ``idx``."""
+    return [
+        (anc, features.instance_ids[i])
+        for i in idx
+        for anc in (features.leaf_labels[i], *h.ancestors(features.leaf_labels[i]))
+    ]
 
 
 def one_positive(sampler, graph, u, v, rng, config):
@@ -210,6 +236,25 @@ class TestTrainer:
         with pytest.raises(ValueError):
             TrainConfig(kind="ec", optimizer="rsgd")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("dim", 0, "embedding dim must be at least 1, got 0"),
+         ("dim", -2, "embedding dim must be at least 1, got -2"),
+         ("epochs", -1, "epochs must be nonnegative, got -1"),
+         ("neg_passes", 0, "neg_passes must be at least 1, got 0"),
+         ("neg_passes", -1, "neg_passes must be at least 1, got -1")],
+    )
+    def test_config_rejects_bad_sizes(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            TrainConfig(**{field: value})
+        assert str(err.value) == message
+
+    def test_zero_epochs_train_nothing(self, setup):
+        h, split = setup
+        cfg = TrainConfig(kind="ec", dim=2, epochs=0, seed=1)
+        table, history = train_label_embeddings(h, split, cfg)
+        assert history == [] and table.coords.shape == (len(h.ids), 2)
+
 
 class TestEdgePrediction:
     def test_separated_sets(self):
@@ -344,10 +389,8 @@ class TestSweepMatchesScan:
 
 class TestNegativeSamplingModes:
     def test_uniform_fallback_matches_count(self, trainer_setup):
-        from hierembed.training import InstanceNodes, _Graph, _sample_negatives_for
-
         h, split = trainer_setup
-        graph = _Graph(h, tuple(split.train), None)
+        graph = IdGraph(h, tuple(split.train))
         rng = np.random.default_rng(0)
         cfg_ppl = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, pick_per_level=True)
         cfg_uni = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, pick_per_level=False)
@@ -357,32 +400,30 @@ class TestNegativeSamplingModes:
         # both corrupt each side once per level slot; uniform draws ignore levels
         assert len(uni) <= 2 * h.level_count
         assert len(ppl) <= 2 * h.level_count
-        closure = h.closure_set()
-        ids = graph.label_ids
+        closure = h.closure().to_set()
+        ids = graph.ids
         for a, b in uni:
             assert (ids[a], ids[b]) not in closure
 
     def test_pick_per_level_covers_levels(self, trainer_setup):
-        from hierembed.training import _Graph, _sample_negatives_for
-
         h, split = trainer_setup
-        graph = _Graph(h, tuple(split.train), None)
+        graph = IdGraph(h, tuple(split.train))
         cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
         rng = np.random.default_rng(1)
         u, v = map(int, graph.positives[3])
         negs = one_positive(_sample_negatives_for, graph, u, v, rng, cfg)
-        ids = graph.label_ids
+        ids = graph.ids
         corrupt_u_levels = [h.node(ids[a]).level for a, b in negs if b == v]
         assert len(corrupt_u_levels) == len(set(corrupt_u_levels))
 
 
 def pick_per_level_sides(h, positives, u, v, seed=0):
     """``_sample_negatives_for`` of label ids (u, v), as corrupt-u and corrupt-v pairs."""
-    graph = _Graph(h, positives, None)
+    graph = IdGraph(h, positives)
     cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
     rng = np.random.default_rng(seed)
     negs = one_positive(_sample_negatives_for, graph, graph.index[u], graph.index[v], rng, cfg)
-    pairs = [(graph.label_ids[a], graph.label_ids[b]) for a, b in negs]
+    pairs = [(graph.ids[a], graph.ids[b]) for a, b in negs]
     corrupt_u = [(a, b) for a, b in pairs if b == v]
     corrupt_v = [(a, b) for a, b in pairs if b != v]
     return corrupt_u, corrupt_v
@@ -391,7 +432,7 @@ def pick_per_level_sides(h, positives, u, v, seed=0):
 class TestPickPerLevel:
     def test_one_per_level(self):
         h = generate_synthetic_tree(4, 3)
-        closure = h.closure_set()
+        closure = h.closure().to_set()
         for seed in range(3):
             corrupt_u, corrupt_v = pick_per_level_sides(
                 h, list(h.closure()), "r.0", "r.0.1.2", seed
@@ -416,35 +457,34 @@ class TestPickPerLevel:
         assert corrupt_v == [("a", "c")]
 
 
-def _instance_graph(forbidden_extra=None):
+def _instance_graph(extra=()):
+    """Closure and instance positives, then the ``extra`` ones."""
     tree = generate_synthetic_tree(3, 2)
     features = gaussian_cluster_features(tree, 3, 4, seed=1)
     train_idx, _, _ = split_instances(len(features.instance_ids), 0)
-    positives = list(tree.closure()) + instance_positive_edges(tree, features, train_idx)
-    instances = InstanceNodes(
-        tuple(features.instance_ids[i] for i in train_idx), features.features[train_idx]
-    )
-    return _Graph(tree, positives, instances, forbidden_extra)
+    positives = list(tree.closure()) + instance_edges(tree, features, train_idx)
+    train_ids = tuple(features.instance_ids[i] for i in train_idx)
+    return IdGraph(tree, [*positives, *extra], train_ids)
 
 
 def _forest_graph():
     nodes = [Node(i, len(i), i) for i in ("a", "b", "ax", "ay", "bx", "axz", "ayz", "bxz")]
     edges = [("a", "ax"), ("a", "ay"), ("b", "bx"), ("ax", "axz"), ("ay", "ayz"), ("bx", "bxz")]
     forest = Hierarchy(nodes, edges)
-    # banned extra pairs, one of which empties corrupt-u at level 1 for "bx"
-    return _Graph(forest, [("a", "ax"), ("bx", "bxz")], None, {("a", "bx"), ("ay", "ax")})
+    # positives outside the closure, one of which empties corrupt-u at level 1 for "bx"
+    return IdGraph(forest, [("a", "ax"), ("bx", "bxz"), ("a", "bx"), ("ay", "ax")])
 
 
 def _label_graph():
     tree = generate_synthetic_tree(3, 3)
-    return _Graph(tree, list(tree.closure()), None)
+    return IdGraph(tree, list(tree.closure()))
 
 
 GRAPHS = {
     "single-root": _label_graph,
     "instances": _instance_graph,
     "instances-extra": lambda: _instance_graph(
-        {("r.0", "i_r.1.1_0001"), ("r.1.0", "r.0"), ("i_r.0.0_0000", "r")}
+        [("r.0", "i_r.1.1_0001"), ("r.1.0", "r.0"), ("i_r.0.0_0000", "r")]
     ),
     "forest-extra": _forest_graph,
 }
@@ -728,7 +768,7 @@ def forests_with_instances(draw):
     n_inst = draw(st.integers(1, 8))
     leaves = [draw(st.sampled_from(levels[-1])) for _ in range(n_inst)]
     inst_ids = [f"i{k}" for k in range(n_inst)]
-    closure = sorted(forest.closure_set())
+    closure = sorted(forest.closure().to_set())
     keep = draw(st.lists(st.booleans(), min_size=len(closure), max_size=len(closure)))
     positives = [e for e, k in zip(closure, keep) if k]
     positives += [
@@ -736,8 +776,7 @@ def forests_with_instances(draw):
     ]
     ids = [nid for level in levels for nid in level] + inst_ids
     extra = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=12))
-    instances = InstanceNodes(tuple(inst_ids), np.zeros((n_inst, 1)))
-    return _Graph(forest, positives, instances, {(a, b) for a, b in extra if a != b})
+    return IdGraph(forest, positives + sorted((a, b) for a, b in extra if a != b), tuple(inst_ids))
 
 
 def _wide_instance_graph():
@@ -745,11 +784,9 @@ def _wide_instance_graph():
     tree = generate_synthetic_tree(3, 4)
     features = gaussian_cluster_features(tree, 2, 4, seed=1)
     train_idx, _, _ = split_instances(len(features.instance_ids), 0)
-    positives = list(tree.closure()) + instance_positive_edges(tree, features, train_idx)
-    instances = InstanceNodes(
-        tuple(features.instance_ids[i] for i in train_idx), features.features[train_idx]
-    )
-    return _Graph(tree, positives, instances, {("r.0", "r.1.1"), ("r.2.3", "r")})
+    positives = list(tree.closure()) + instance_edges(tree, features, train_idx)
+    positives += [("r.0", "r.1.1"), ("r.2.3", "r")]
+    return IdGraph(tree, positives, tuple(features.instance_ids[i] for i in train_idx))
 
 
 def chi2_two_sample(ref, got):
@@ -978,7 +1015,7 @@ class TestBatchSamplersMatchPerPositiveCalls:
         nodes = [Node(i, len(i), i) for i in ("a", "b", "c", "ax", "bx", "cx")]
         forest = Hierarchy(nodes, [("a", "ax"), ("b", "bx"), ("c", "cx")])
         positives = [("a", "ax"), ("b", "bx"), ("c", "cx")]
-        graph = _Graph(forest, positives, None, {("a", "bx"), ("c", "bx")})
+        graph = IdGraph(forest, positives + [("a", "bx"), ("c", "bx")])
         b, bx = graph.index["b"], graph.index["bx"]
         # corrupt-u at level 1 for bx: a and c are banned, b entails it; 3 is no power of 2
         assert graph.empty[True][0, 0, bx] and len(graph.levels[0]) == 3
@@ -991,7 +1028,7 @@ class TestBatchSamplersMatchPerPositiveCalls:
     def test_one_valid_candidate_in_a_large_pool_gives_up(self):
         ids = [f"n{i:03d}" for i in range(300)]
         flat = Hierarchy([Node(i, 1, i) for i in ids], [])
-        graph = _Graph(flat, [("n000", "n001")], None, {("n000", i) for i in ids[2:-1]})
+        graph = IdGraph(flat, [("n000", "n001"), *(("n000", i) for i in ids[2:-1])])
         u, v = graph.index["n000"], graph.index["n001"]
         assert graph.valid[1, 0, u] == 1  # corrupt-v: only n299
         cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
@@ -1018,7 +1055,7 @@ class TestBatchSamplersMatchPerPositiveCalls:
     def test_ancestor_table_and_extra_keys_are_the_banned_pairs(self, name):
         graph = GRAPHS[name]()
         assert_banned_pairs(graph)
-        # the table holds every pair but the extra forbidden ones that no row can
+        # the table holds every banned pair but the positives that no row can
         expected = {"single-root": 0, "instances": 0, "instances-extra": 3, "forest-extra": 2}
         assert len(graph.extra_keys) == expected[name]
 
@@ -1026,6 +1063,16 @@ class TestBatchSamplersMatchPerPositiveCalls:
     @given(forests_with_instances())
     def test_ancestor_table_on_random_forests(self, graph):
         assert_banned_pairs(graph)
+
+
+class TestGraphRows:
+    def test_positive_rows_out_of_range_are_rejected(self):
+        tree = generate_synthetic_tree(2, 2)
+        for rows, n_instances in (([[0, 3]], 0), ([[0, 5]], 2), ([[-1, 1]], 0)):
+            with pytest.raises(ValueError, match=r"positive rows must lie in \[0, \d+\)"):
+                _Graph(tree, np.array(rows), n_instances)
+        graph = _Graph(tree, np.array([[0, 4]]), 2)
+        assert graph.n_total == 5 and len(graph.levels) == 3
 
 
 def assert_banned_pairs(graph):
@@ -1045,24 +1092,24 @@ def assert_banned_pairs(graph):
 # The epoch engine in spans against its per-batch loop
 # ---------------------------------------------------------------------------
 
-def _per_batch_train_graph_embedding(h, positives, config, *, instances=None):
+def _per_batch_train_graph_embedding(h, positives, config, *, features=None):
     """The epoch engine as a per-batch loop: one sampler call per batch, and one
     kernel call and two gradient scatters per pair set (positives, then negatives)."""
     params = config.cone_params()
     rng = np.random.default_rng(config.seed)
-    graph = _Graph(h, positives, instances)
+    graph = _Graph(h, positives, 0 if features is None else len(features))
     coords = geometry.project_rows(
         random_coords(graph.n_labels, config.dim, params, rng, config.init_norm_hi), params, rng
     )
     w = feats = None
-    if instances is not None:
-        feats = np.asarray(instances.features, dtype=float)
+    if features is not None:
+        feats = np.asarray(features, dtype=float)
         w = rng.standard_normal((feats.shape[1], config.dim)) * 0.01
     adam_labels = AdamState.like(coords) if config.optimizer == "adam" else None
     adam_w = AdamState.like(w) if w is not None else None
     sampler = (
         _sample_negatives_rebalanced
-        if config.rebalance_images and instances is not None
+        if config.rebalance_images and features is not None
         else _sample_negatives_for
     )
     hc = config.kind == "hc"
@@ -1124,11 +1171,12 @@ def engine_inputs():
     tree = generate_synthetic_tree(3, 3)
     features = gaussian_cluster_features(tree, 9, 4, seed=1)
     every = np.arange(len(features.instance_ids))
-    with_instances = list(tree.closure()) + instance_positive_edges(tree, features, every)
-    instances = InstanceNodes(features.instance_ids, features.features)
+    with_instances = np.concatenate(
+        [tree.closure_rows, instance_positive_rows(tree, features, every)]
+    )
     return {
-        False: (labels_only, sorted(labels_only.closure())[:ENGINE_POSITIVES], None),
-        True: (tree, with_instances[:ENGINE_POSITIVES], instances),
+        False: (labels_only, labels_only.closure_rows[:ENGINE_POSITIVES], None),
+        True: (tree, with_instances[:ENGINE_POSITIVES], features.features),
     }
 
 
@@ -1150,16 +1198,16 @@ class TestEngineInSpans:
     @pytest.mark.parametrize("case", ENGINE_CASES, ids=lambda c: "-".join(map(str, c)))
     def test_matches_per_batch_loop(self, engine_inputs, case, batch_size):
         kind, optimizer, rebalance, passes, ppl, with_instances = case
-        h, positives, instances = engine_inputs[with_instances]
+        h, positives, features = engine_inputs[with_instances]
         assert len(positives) == ENGINE_POSITIVES
         cfg = TrainConfig(
             kind=kind, dim=3, lr=0.05, lr_instances=0.01, epochs=2, batch_size=batch_size,
             optimizer=optimizer, neg_passes=passes, pick_per_level=ppl,
             rebalance_images=rebalance, seed=7,
         )
-        coords, w, history = train_graph_embedding(h, positives, cfg, instances=instances)
+        coords, w, history = train_graph_embedding(h, positives, cfg, features=features)
         ref_coords, ref_w, ref_history = _per_batch_train_graph_embedding(
-            h, positives, cfg, instances=instances
+            h, positives, cfg, features=features
         )
         assert coords.tobytes() == ref_coords.tobytes()
         assert (w is None) == (ref_w is None)
