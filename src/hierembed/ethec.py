@@ -71,8 +71,7 @@ def convert_metadata(path) -> tuple[Hierarchy, list[tuple[str, list[str]]]]:
 def save_instance_levels(rows: list[tuple[str, list[str]]], path) -> None:
     """Write ``instance_id`` plus one label column per level."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for iid, labels in rows:
-            f.write(iid + "\t" + "\t".join(labels) + "\n")
+        f.write("".join([iid + "\t" + "\t".join(labels) + "\n" for iid, labels in rows]))
 
 
 def load_instance_levels(path) -> list[tuple[str, list[str]]]:

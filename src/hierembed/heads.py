@@ -498,6 +498,8 @@ class ClassifierConfig:
             raise ValueError(f"batch size must be positive, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.lr < 0:
+            raise ValueError(f"learning rate must be nonnegative, got {self.lr}")
 
 
 @dataclass

@@ -233,7 +233,7 @@ def _classify(
     for lvl in range(levels):
         members, e = level_energies(model, h, points, lvl + 1)
         arg = np.argmin(e, axis=1)
-        preds[:, lvl] = [members[a] for a in arg]
+        preds[:, lvl] = np.asarray(members, dtype=object)[arg]
         best[:, lvl] = np.take_along_axis(e, arg[:, None], 1)[:, 0]
         if ranks is not None:
             col = np.searchsorted(np.flatnonzero(h.level_of == lvl + 1), truth[:, lvl])[:, None]
@@ -315,7 +315,7 @@ def reconstruct_labels(table: EmbeddingTable, h: Hierarchy) -> ReconstructionRes
     pooled energies. No instance-sided pairs are involved.
     """
     n = len(table.node_ids)
-    rows = table.pair_rows(h.closure())
+    rows = table.rows(h.ids)[h.closure_rows]
     if n < 2:
         raise ValueError("reconstruction needs two labels: there is no label pair to score")
     closure = np.zeros((n, n), dtype=bool)

@@ -161,8 +161,8 @@ def save_features(
         f.write(features.tobytes())
     side = Path(path).with_name("instances.tsv")
     with open(side, "w", encoding="utf-8", newline="\n") as f:
-        for row, (iid, leaf) in enumerate(zip(instance_ids, leaf_labels)):
-            f.write(f"{iid}\t{row}\t{leaf}\n")
+        rows = zip(instance_ids, range(n), leaf_labels)
+        f.write("".join([f"{iid}\t{row}\t{leaf}\n" for iid, row, leaf in rows]))
 
 
 def load_features(path) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:

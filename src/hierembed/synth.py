@@ -24,7 +24,14 @@ def gaussian_cluster_features(
     shrink: float = 0.4,
     noise: float = 0.25,
 ) -> FeatureMatrix:
-    """One Gaussian cluster per deepest-level label, means nested by level."""
+    """One Gaussian cluster per deepest-level label, means nested by level.
+
+    ``per_leaf`` instances per leaf, in leaf-id order, each ``dim`` wide.
+    """
+    if per_leaf < 1:
+        raise ValueError(f"per_leaf must be at least 1, got {per_leaf}")
+    if dim < 1:
+        raise ValueError(f"feature dim must be at least 1, got {dim}")
     rng = np.random.default_rng(seed)
     means: dict[str, np.ndarray] = {}
     for level in range(1, h.level_count + 1):
@@ -33,12 +40,14 @@ def gaussian_cluster_features(
             parent = h.parent(nid)
             base = means[parent] if parent is not None else np.zeros(dim)
             means[nid] = base + rng.standard_normal(dim) * scale
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    leaves: list[str] = []
-    for leaf in h.level_members(h.level_count):
-        for k in range(per_leaf):
-            ids.append(f"i_{leaf}_{k:04d}")
-            rows.append(means[leaf] + rng.standard_normal(dim) * noise)
-            leaves.append(leaf)
-    return FeatureMatrix(tuple(ids), np.array(rows), tuple(leaves))
+    leaves = h.level_members(h.level_count)
+    # the normal draw keeps no state between calls, so one block reads the
+    # stream that one call per instance row would; z * noise + mean has the
+    # bits of mean + z * noise
+    rows = rng.standard_normal((len(leaves) * per_leaf, dim))
+    rows *= noise
+    clusters = rows.reshape(len(leaves), per_leaf, dim)
+    clusters += np.array([means[leaf] for leaf in leaves])[:, None]
+    suffixes = [f"_{k:04d}" for k in range(per_leaf)]
+    ids = tuple([f"i_{leaf}{suffix}" for leaf in leaves for suffix in suffixes])
+    return FeatureMatrix(ids, rows, tuple([leaf for leaf in leaves for _ in suffixes]))

@@ -462,6 +462,7 @@ def small_inputs(tmp_path_factory):
         "train-labels": [*base, "--split-dir", str(root / "split")],
         "train-joint": [*base, "--features", feats],
         "train-classifier": [*base, "--features", feats],
+        "gen-features": base,
     }
     return root, inputs
 
@@ -475,6 +476,9 @@ BAD_OPTIONS = [
     ("train-labels", ["--neg-passes", "-1"], "neg_passes must be at least 1, got -1"),
     ("train-classifier", ["--batch", "0"], "batch size must be positive, got 0"),
     ("train-classifier", ["--epochs", "-1"], "epochs must be nonnegative, got -1"),
+    ("train-classifier", ["--lr", "-1"], "learning rate must be nonnegative, got -1.0"),
+    ("gen-features", ["--per-leaf", "0"], "per_leaf must be at least 1, got 0"),
+    ("gen-features", ["--dim", "0"], "feature dim must be at least 1, got 0"),
 ]
 
 
@@ -675,3 +679,154 @@ class TestLabelFileCone:
         run(["export-2d", "--nodes", str(nodes), "--edges", str(edges),
              "--model", str(root / "k03" / "embeddings.emb"), "--out", str(root / "viz")])
         assert len((root / "viz" / "coords.tsv").read_text().splitlines()) == 14
+
+
+# ---------------------------------------------------------------------------
+# Instance files against the per-row writers they replaced
+# ---------------------------------------------------------------------------
+
+def loop_instances_tsv(instance_ids, leaf_labels) -> bytes:
+    return "".join(
+        f"{iid}\t{row}\t{leaf}\n" for row, (iid, leaf) in enumerate(zip(instance_ids, leaf_labels))
+    ).encode("utf-8")
+
+
+def loop_instance_levels_tsv(rows) -> bytes:
+    return "".join(iid + "\t" + "\t".join(labels) + "\n" for iid, labels in rows).encode("utf-8")
+
+
+def loop_predictions_tsv(instance_ids, subset, preds, energies) -> bytes:
+    """One f-string per instance per level; the energy through ``cli._fmt``."""
+    from hierembed.cli import _fmt
+
+    out = []
+    for row, i in enumerate(subset):
+        for lvl in range(preds.shape[1]):
+            out.append(
+                f"{instance_ids[i]}\t{lvl + 1}\t{preds[row, lvl]}\t{_fmt(energies[row, lvl])}\n"
+            )
+    return "".join(out).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def instance_files(tmp_path_factory):
+    """A 3x3 tree, its gen-features output and an ``oe`` joint model written
+    directly, whose label points in [-3, 0)^3 are dominated by some instance
+    points, so that some winning energies are exactly 0.0."""
+    from hierembed import storage
+
+    root = tmp_path_factory.mktemp("rows")
+    nodes, edges, _ = tree_files(root, 3, 3)
+    base = ["--nodes", str(nodes), "--edges", str(edges)]
+    run(["gen-features", *base, "--per-leaf", "5", "--dim", "6", "--seed", "4",
+         "--out", str(root / "feats")])
+    rng = np.random.default_rng(9)
+    ids = tuple(line.split("\t")[0] for line in nodes.read_text().splitlines())
+    header = {"geometry": "oe", "k": 0.1, "margin": 1.0, "dim": 3, "lr_labels": 0.01,
+              "lr_instances": 0.001, "split_seed": 1, "feature_dim": 6}
+    storage.save_joint_model(root / "model.bin", sorted(ids), rng.random((len(ids), 3)) * 3 - 3,
+                             rng.standard_normal((6, 3)) * 0.2, header)
+    return root, base
+
+
+class TestInstanceFilesMatchRowLoops:
+    def test_gen_features_sidecars(self, instance_files):
+        from hierembed import hierarchy, joint, synth
+
+        root, _ = instance_files
+        h = hierarchy.load_hierarchy(root / "tree" / "nodes.tsv", root / "tree" / "edges.tsv")
+        features = synth.gaussian_cluster_features(h, 5, 6, 4)
+        paths = joint.level_truth(h, features, range(len(features.instance_ids)))
+        feats = root / "feats"
+        assert (feats / "instances.tsv").read_bytes() == loop_instances_tsv(
+            features.instance_ids, features.leaf_labels
+        )
+        assert (feats / "instances-levels.tsv").read_bytes() == loop_instance_levels_tsv(
+            zip(features.instance_ids, paths.tolist())
+        )
+
+    def test_instance_levels_of_ragged_rows(self, tmp_path):
+        from hierembed.ethec import save_instance_levels
+
+        rows = [("a", ["l1", "l2"]), ("b", []), ("c", ["x"]), ("dé", ["ü", "v"])]
+        save_instance_levels(rows, tmp_path / "levels.tsv")
+        assert (tmp_path / "levels.tsv").read_bytes() == loop_instance_levels_tsv(rows)
+        save_instance_levels([], tmp_path / "empty.tsv")
+        assert (tmp_path / "empty.tsv").read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "subset, block",
+        [("all", 4096), ("all", 7), ("all", 45), ("test", 4096), ("val", 2), ("train", 1)],
+    )
+    def test_predictions(self, instance_files, tmp_path, monkeypatch, subset, block):
+        from hierembed import cli, hierarchy, joint
+
+        monkeypatch.setattr(cli, "PREDICTION_BLOCK", block)
+        root, base = instance_files
+        feats = root / "feats" / "features.feat"
+        run(["classify", *base, "--model", str(root / "model.bin"), "--features", str(feats),
+             "--subset", subset, "--out", str(tmp_path / "cls")])
+        h = hierarchy.load_hierarchy(root / "tree" / "nodes.tsv", root / "tree" / "edges.tsv")
+        model, _ = cli._load_joint(root / "model.bin")
+        features = cli._load_feature_matrix(feats)
+        n = len(features.instance_ids)
+        idx = dict(zip(("train", "val", "test"), joint.split_instances(n, 1)), all=np.arange(n))
+        preds, energies, _ = joint.classify_and_report(model, h, features, idx[subset])
+        got = (tmp_path / "cls" / "predictions.tsv").read_bytes()
+        assert got == loop_predictions_tsv(features.instance_ids, idx[subset], preds, energies)
+        assert len(got.splitlines()) == 3 * len(idx[subset])
+        if subset == "all":
+            assert n == 45  # so blocks of 7 end ragged and a block of 45 ends exactly
+            assert b"\t0.0\n" in got
+
+    def test_predictions_of_an_empty_subset(self, tmp_path):
+        # four instances: val and test get int(0.4) == 0 of them
+        nodes, edges, _ = tree_files(tmp_path, 3, 2)
+        base = ["--nodes", str(nodes), "--edges", str(edges)]
+        run(["gen-features", *base, "--per-leaf", "1", "--dim", "3", "--out", str(tmp_path / "f")])
+        run(["train-joint", *base, "--features", str(tmp_path / "f" / "features.feat"),
+             "--dim", "2", "--epochs", "1", "--out", str(tmp_path / "m")])
+        run(["classify", *base, "--model", str(tmp_path / "m" / "model.bin"),
+             "--features", str(tmp_path / "f" / "features.feat"), "--subset", "test",
+             "--out", str(tmp_path / "cls")])
+        assert (tmp_path / "cls" / "predictions.tsv").read_bytes() == b""
+
+
+# sha256 of the instance files of one fixed gen-tree -> gen-features -> classify
+# run. A change to the feature stream or to a file format changes them: such a
+# change has to say so and record the new digests here.
+GOLDEN = {
+    "features.feat": "c623ad4e1b36f522ac51eec4df16aded9cfd765fc62ada11633b4e851fe4213a",
+    "instances.tsv": "ffa763a17d29355aa47b9f4bd8208defe2c2eb0719035c06f1ada20ddbe756ac",
+    "instances-levels.tsv": "32bf00fc93e1758b8237fd01c82aba3bb07ed3d9c86a46bfc466a318a9e3a767",
+    "predictions.tsv": "691ae3ec5f242ea90b620171ae5add71b72c0dc09f7c3326c7dcd350f58c9d5d",
+}
+
+
+def test_golden_instance_file_digests(tmp_path):
+    import hashlib
+
+    from hierembed import storage
+
+    nodes, edges, _ = tree_files(tmp_path, 3, 3)
+    base = ["--nodes", str(nodes), "--edges", str(edges)]
+    feats = tmp_path / "feats"
+    run(["gen-features", *base, "--per-leaf", "6", "--dim", "8", "--seed", "13",
+         "--out", str(feats)])
+    rng = np.random.default_rng(21)
+    ids = sorted(line.split("\t")[0] for line in nodes.read_text().splitlines())
+    directions = rng.standard_normal((len(ids), 4))
+    coords = directions / np.linalg.norm(directions, axis=1, keepdims=True) * rng.uniform(
+        0.3, 0.9, (len(ids), 1)
+    )
+    header = {"geometry": "ec", "k": 0.1, "margin": 1.0, "dim": 4, "lr_labels": 0.01,
+              "lr_instances": 0.001, "split_seed": 2, "feature_dim": 8}
+    storage.save_joint_model(tmp_path / "model.bin", ids, coords,
+                             rng.standard_normal((8, 4)) * 0.1, header)
+    run(["classify", *base, "--model", str(tmp_path / "model.bin"),
+         "--features", str(feats / "features.feat"), "--subset", "all",
+         "--out", str(tmp_path / "cls")])
+    files = {name: (tmp_path / "cls" if name == "predictions.tsv" else feats) / name
+             for name in GOLDEN}
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+    assert got == GOLDEN

@@ -543,6 +543,29 @@ class TestReconstructionMatchesPairLoop:
         assert res == loop_reconstruct_labels(table, h)
         assert res.tpr == 0.0 and res.f1 == 0.0
 
+    @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
+    def test_table_rows_in_another_order(self, wide_tree, kind):
+        # table rows need not follow the hierarchy's id order, and a table may
+        # hold labels the hierarchy lacks (scored as negatives only)
+        table = random_model(wide_tree, kind, 4, d=4).labels
+        order = np.random.default_rng(5).permutation(len(table.node_ids) + 2)
+        ids = np.array([*table.node_ids, "x.a", "x.b"], dtype=object)[order]
+        coords = np.vstack([table.coords, [[0.3, 0.1, 0.2, 0.1], [0.2, 0.4, 0.1, 0.3]]])[order]
+        shuffled = EmbeddingTable(tuple(ids), coords, table.params)
+        assert shuffled.node_ids[:2] != table.node_ids[:2]
+        assert reconstruct_labels(shuffled, wide_tree) == loop_reconstruct_labels(
+            shuffled, wide_tree
+        )
+
+    def test_names_a_childless_root_the_model_lacks(self):
+        # "c" is in no closure pair, yet it is a hierarchy label the model lacks
+        h = Hierarchy([Node(i, 1, i) for i in ("a", "c")] + [Node("b", 2, "b")], [("a", "b")])
+        params = ConeParams("ec", 0.1)
+        table = EmbeddingTable(("a", "b"), np.array([[0.5, 0.1], [0.6, 0.1]]), params)
+        message = "model lacks 1 of the 3 hierarchy labels being scored: 'c'"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reconstruct_labels(table, h)
+
     def test_single_label_has_no_pair_to_score(self):
         h = Hierarchy([Node("a", 1, "a")], [])
         table = EmbeddingTable(("a",), np.array([[0.5, 0.1]]), ConeParams("ec", 0.1))
