@@ -15,12 +15,14 @@ The loss over a batch is ``sum_pos E + sum_neg max(0, margin - E)``.
 Negatives come from pick-per-level corruption by default: for each
 positive, one corrupted edge per level and per side (corrupt-u,
 corrupt-v), skipping corruptions that are true pairs. The engine calls the
-sampler once per span (whole consecutive batches holding at least
-``SPAN_POSITIVES`` positives), with the span's parent and child rows; it
-returns the pairs the per-positive draws would give, in the same order and
-from the same random stream, and how many fall to each positive, so the
-engine cuts them into batches. Each batch then takes one kernel call and
-one gradient scatter (``_batch_step``).
+sampler once per span (the fewest whole consecutive batches holding at
+least ``SPAN_POSITIVES`` = 1024 positives, or all that are left), with the
+span's parent and child rows; it returns the pairs the per-positive draws
+would give, in the same order and from the same random stream, and how many
+fall to each positive, so the engine cuts them into batches. Each batch
+then takes one kernel call and one gradient scatter (``_batch_step``). The
+plain sampler's memory per call is bounded per generator word it reads
+(``_PlainWalk.run``), so a larger span costs no more peak memory.
 """
 
 from __future__ import annotations
@@ -423,7 +425,15 @@ class _Graph:
         self.extra_keys = a[~held] * self.n_total + b[~held]
 
 
-SPAN_POSITIVES = 64  # the engine samples whole batches holding at least this many positives at once
+# The engine samples whole batches holding at least this many positives at
+# once. Each sampler call pays a fixed cost (the rebalanced sampler's
+# per-slot loop, the plain walk's set-up, fresh per-call arrays). Against
+# 64, the `joint` benchmark makes 8 sampler calls per round instead of 116
+# and its wall_s falls by a quarter (BENCH_14.json). A call's memory grows
+# with the generator words it reads, which this span raised 18 % in peak RSS
+# until the plain walk held them as uint32 and checked empty slots in blocks
+# (``_first_thrown``); with that, peak RSS is within 3 % of the 64 span.
+SPAN_POSITIVES = 1024
 WORD = 2**32  # ``rng.integers(n)`` reads 32-bit generator words for any n <= 2**32
 # Drawing slots are judged in chunks of CHUNK_ROWS (all the call has left,
 # when that is under twice as many), each against a window of WINDOW words.
@@ -432,6 +442,7 @@ WINDOW = 16
 _COLS = np.arange(WINDOW)
 _ROWS = np.arange(2 * CHUNK_ROWS)[:, None]
 _SPAN = np.arange(RETRY_CAP)
+SPENT_BLOCK = 64  # empty slots whose words are checked for throw-aways at once
 
 
 def _lemire(words: np.ndarray, n: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,6 +472,23 @@ def _scan(ok: np.ndarray, thrown: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
+def _first_thrown(words: np.ndarray, at: np.ndarray, n: np.ndarray) -> int:
+    """Position in ``at`` of the first empty slot whose RETRY_CAP words from
+    ``at`` hold a throw-away of the Lemire step for its pool size ``n``; -1 if
+    none does.
+
+    The slots are checked SPENT_BLOCK at a time, up to the first block with
+    a hit.
+    """
+    for lo in range(0, len(at), SPENT_BLOCK):
+        block = slice(lo, lo + SPENT_BLOCK)
+        _, thrown = _lemire(words[at[block, None] + _SPAN], n[block, None])
+        hit = np.flatnonzero(thrown.any(axis=1))
+        if hit.size:
+            return lo + int(hit[0])
+    return -1
+
+
 class _Words:
     """The generator's next 32-bit words, read ahead and then handed back unread.
 
@@ -468,7 +496,8 @@ class _Words:
     words that ``m`` scalar draws read (PCG64 hands out the low half of an
     output, then the high half, which waits in its state). So restoring the
     saved state and re-reading the words used leaves the generator where
-    the scalar draws would. The block is held as uint64.
+    the scalar draws would. The block is held as uint32, 4 bytes per word;
+    ``_lemire`` widens what it reads to uint64.
     """
 
     def __init__(self, rng: np.random.Generator, ahead: int):
@@ -477,7 +506,7 @@ class _Words:
         self.block = self.read(ahead)
 
     def read(self, m: int) -> np.ndarray:
-        return self.rng.integers(0, WORD, size=m, dtype=np.uint32).astype(np.uint64)
+        return self.rng.integers(0, WORD, size=m, dtype=np.uint32)
 
     def upto(self, end: int) -> np.ndarray:
         """The block, read on to at least ``end`` words."""
@@ -487,6 +516,7 @@ class _Words:
         return self.block
 
     def close(self, used: int) -> None:
+        self.block = None  # so that the re-read is the only copy
         self.rng.bit_generator.state = self.state
         self.rng.integers(0, WORD, size=used, dtype=np.uint32)
 
@@ -505,8 +535,8 @@ class _PlainWalk:
     that matrix; the Python loop only steps through rejections.
 
     An empty slot reads more than RETRY_CAP words only when the Lemire step
-    throws some away. That is checked once the walk is done; if it
-    happened, the walk is redone from that slot on, which now adds them.
+    throws some away. That is checked once the walk is done (``run``); if
+    it happened, the walk is redone from that slot on, which now adds them.
     """
 
     def __init__(
@@ -643,7 +673,15 @@ class _PlainWalk:
                     self.after[r] = drift
 
     def run(self) -> int:
-        """Fill ``got`` and return the words read in all."""
+        """Fill ``got`` and return the words read in all.
+
+        After each walk the empty slots not yet known to be clean are checked
+        for thrown-away words SPENT_BLOCK slots at a time (``_first_thrown``),
+        up to the first block with one, so the check's arrays have a fixed
+        size. With the uint32 block of ``_Words``, a call's tracemalloc peak
+        is about 10 bytes per word read on 1024-positive spans of the
+        ``joint`` benchmark's graph, where empty slots read most words.
+        """
         spent = self.spent
         r = drift = checked = 0
         while True:
@@ -657,11 +695,10 @@ class _PlainWalk:
             if self.extra:
                 unknown = unknown[[e not in self.extra for e in unknown.tolist()]]
             words = self.words.upto(int(at.max(initial=0)) + RETRY_CAP)
-            _, thrown = _lemire(words[at[unknown, None] + _SPAN], spent["n"][unknown, None])
-            hit = np.flatnonzero(thrown.any(axis=1))
-            if not hit.size:
+            hit = _first_thrown(words, at[unknown], spent["n"][unknown])
+            if hit < 0:
                 return self.total + drift
-            e = int(unknown[hit[0]])
+            e = int(unknown[hit])
             self.extra = {s: x for s, x in self.extra.items() if s < e}
             self.extra[e] = self.spend_words(e, int(at[e])) - RETRY_CAP
             checked = e + 1
@@ -862,8 +899,9 @@ def train_graph_embedding(
 
     Each epoch walks a permutation of the positives in batches. The sampler
     is called once per span, the fewest whole batches holding at least
-    ``SPAN_POSITIVES`` positives (one batch at ``batch_size >= 64``); it
-    fills a per-positive count array, and each batch takes its negatives
+    ``SPAN_POSITIVES`` positives (one batch at ``batch_size >= 1024``); it
+    fills a per-positive count array, sized to the smaller of the span and
+    the positives, and each batch takes its negatives
     from that array's cumsum. The negatives do not depend on the updates,
     and nothing else draws from the generator between batches (the
     optimizer step projects with a fixed generator), so a span call gives
@@ -911,7 +949,7 @@ def train_graph_embedding(
     n_pos = len(graph.positives)
     size = config.batch_size
     span = -(-SPAN_POSITIVES // size) * size  # positives per sampler call
-    counts = np.empty(span, dtype=np.int64)
+    counts = np.empty(min(span, n_pos), dtype=np.int64)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_pos) if n_pos else np.array([], dtype=np.int64)
         epoch_loss = 0.0

@@ -91,6 +91,24 @@ class TestTrainLabels:
         for name in before:
             assert before[name] == after[name], name
 
+    def test_batch_far_above_the_positives(self, tmp_path):
+        # the labels benchmark's split at seed 1: 258 train edges; a batch of
+        # 10**12 once sized the per-positive buffer to the batch (7.28 TiB)
+        nodes, edges, _ = tree_files(tmp_path, 5, 3)
+        split = tmp_path / "split"
+        run(["split", "--nodes", str(nodes), "--edges", str(edges),
+             "--fraction", "0.5", "--seed", "1", "--out", str(split)])
+        n_train = len((split / "train_edges.tsv").read_text().splitlines())
+        assert n_train == 258
+        outs = {}
+        for batch in (n_train, 10**12):
+            outs[batch] = tmp_path / f"emb{batch}"
+            run(["train-labels", "--nodes", str(nodes), "--edges", str(edges),
+                 "--split-dir", str(split), "--dim", "10", "--batch", str(batch),
+                 "--epochs", "3", "--seed", "1", "--out", str(outs[batch])])
+        for name in ("embeddings.emb", "train_log.csv"):
+            assert (outs[10**12] / name).read_bytes() == (outs[n_train] / name).read_bytes()
+
     def test_names_split_labels_the_hierarchy_lacks(self, tmp_path, capsys):
         big_nodes, big_edges, _ = tree_files(tmp_path / "big", 3, 3)
         split = tmp_path / "split"

@@ -1,6 +1,7 @@
 """Max-margin loss, optimizer steps, trainer determinism, edge prediction."""
 
 import bisect
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -28,6 +29,7 @@ from hierembed.training import (
     TrainingError,
     _best_threshold,
     _Words,
+    _first_thrown,
     _Graph,
     _lemire,
     _sample_negatives_for,
@@ -1065,6 +1067,101 @@ class TestBatchSamplersMatchPerPositiveCalls:
         assert_banned_pairs(graph)
 
 
+def one_shot_first_thrown(words, at, n):
+    """``_first_thrown`` as one ``(slots, RETRY_CAP)`` pass over every slot."""
+    _, thrown = _lemire(words[at[:, None] + np.arange(RETRY_CAP)], n[:, None])
+    hit = np.flatnonzero(thrown.any(axis=1))
+    return int(hit[0]) if hit.size else -1
+
+
+class TestSpentBlocks:
+    """The plain walk checks empty slots for thrown-away words a block at a time."""
+
+    SLOTS = 3 * training.SPENT_BLOCK + 5  # a partial last block
+
+    @staticmethod
+    def slots(seed, count):
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 2**32, size=count * RETRY_CAP + 500, dtype=np.uint32)
+        gaps = rng.integers(0, 4, size=count)
+        at = np.arange(count) * RETRY_CAP + np.cumsum(gaps) - gaps
+        return words, at
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "none"])
+    def test_hit_in_each_block(self, where):
+        words, at = self.slots(0, self.SLOTS)
+        n = np.full(self.SLOTS, 2**31, dtype=np.uint64)  # a power of two throws nothing away
+        slot = {"first": 3, "middle": training.SPENT_BLOCK + 7, "last": self.SLOTS - 1, "none": -1}[where]
+        if slot >= 0:
+            n[slot:] = 2**31 + 1  # throws away about every other word
+        assert _first_thrown(words, at, n) == one_shot_first_thrown(words, at, n) == slot
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3 * training.SPENT_BLOCK + 5), st.integers(0, 24))
+    def test_matches_one_shot_check(self, seed, count, spread):
+        # pools of 2**31 - d throw a word away with probability 2d / 2**32, so a
+        # slot's 100 words hold one anywhere from never to about every other time
+        words, at = self.slots(seed, count)
+        d = np.random.default_rng(seed + 1).integers(0, 2**spread + 1, size=count)
+        n = (2**31 - d).astype(np.uint64)
+        assert _first_thrown(words, at, n) == one_shot_first_thrown(words, at, n)
+
+    # the zero word falls in empty slot 79, 149 or 196: blocks 2, 3 and the partial 4th
+    @pytest.mark.parametrize("at, slot", [(8320, 79), (15600, 149), (20500, 196)])
+    def test_thrown_word_past_the_first_block(self, at, slot, monkeypatch):
+        nodes = [Node(i, len(i), i) for i in ("a", "b", "c", "ax", "bx", "cx")]
+        forest = Hierarchy(nodes, [("a", "ax"), ("b", "bx"), ("c", "cx")])
+        graph = IdGraph(forest, [("a", "ax"), ("b", "bx"), ("c", "cx"), ("a", "bx"), ("c", "bx")])
+        b, bx = graph.index["b"], graph.index["bx"]
+        assert graph.empty[True][0, 0, bx]  # one empty slot per positive, a pool of 3
+        hits = []
+        real = training._first_thrown
+
+        def recorded(*args):
+            hits.append(real(*args))
+            return hits[-1]
+
+        monkeypatch.setattr(training, "_first_thrown", recorded)
+        rng = np.random.default_rng(4)
+        zero_words_at(rng, at)
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
+        batch = np.array([[b, bx]] * 200)
+        TestBatchSamplersMatchPerPositiveCalls.assert_matches_scalar_loop(graph, batch, rng, cfg)
+        assert hits == [slot, -1]  # the walk is redone from that slot, then nothing is left
+
+    def test_peak_memory_per_word(self, monkeypatch):
+        # a joint-shaped span: labels and instances, most words read by empty slots
+        tree = generate_synthetic_tree(4, 3)
+        features = gaussian_cluster_features(tree, 20, 2, seed=1)
+        every = np.arange(len(features.instance_ids))
+        positives = np.concatenate(
+            [tree.closure_rows, instance_positive_rows(tree, features, every)]
+        )
+        graph = _Graph(tree, positives, len(features.instance_ids))
+        span = positives[np.random.default_rng(0).permutation(len(positives))[:1024]]
+        used = []
+        real_close = _Words.close
+
+        def close(words, n):
+            used.append(n)
+            real_close(words, n)
+
+        monkeypatch.setattr(_Words, "close", close)
+        cfg = TrainConfig(kind="hc", dim=2)
+        rng = np.random.default_rng(1)
+        _sample_negatives_for(graph, span[:, 0], span[:, 1], rng, cfg)  # warm the caches
+        used.clear()
+        tracemalloc.start()
+        try:
+            _sample_negatives_for(graph, span[:, 0], span[:, 1], rng, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (words,) = used
+        assert words > 100 * 1024  # empty slots read most of them
+        assert peak <= 16 * words
+
+
 class TestGraphRows:
     def test_positive_rows_out_of_range_are_rejected(self):
         tree = generate_synthetic_tree(2, 2)
@@ -1162,7 +1259,9 @@ def _per_batch_train_graph_embedding(h, positives, config, *, features=None):
     return coords, w, history
 
 
-ENGINE_POSITIVES = 201  # a partial last batch and a partial last span at every batch size below
+ENGINE_POSITIVES = 201  # a partial last batch at every batch size below, and a partial last span
+# at a span of 64 positives; the default span holds them all
+ENGINE_SPANS = [64, training.SPAN_POSITIVES]
 
 
 @pytest.fixture(scope="module")
@@ -1196,7 +1295,9 @@ ENGINE_CASES = [
 class TestEngineInSpans:
     @pytest.mark.parametrize("batch_size", [1, 5, 10, 63, 64, 65, 200])
     @pytest.mark.parametrize("case", ENGINE_CASES, ids=lambda c: "-".join(map(str, c)))
-    def test_matches_per_batch_loop(self, engine_inputs, case, batch_size):
+    @pytest.mark.parametrize("span", ENGINE_SPANS, ids=lambda s: f"span{s}")
+    def test_matches_per_batch_loop(self, engine_inputs, case, batch_size, span, monkeypatch):
+        monkeypatch.setattr(training, "SPAN_POSITIVES", span)
         kind, optimizer, rebalance, passes, ppl, with_instances = case
         h, positives, features = engine_inputs[with_instances]
         assert len(positives) == ENGINE_POSITIVES
@@ -1216,6 +1317,32 @@ class TestEngineInSpans:
         assert [(r["epoch"], r["loss"].hex()) for r in history] == [
             (r["epoch"], r["loss"].hex()) for r in ref_history
         ]
+
+    @pytest.mark.parametrize(
+        "span, batch_size, calls",
+        [(64, 1, [64, 64, 64, 9]), (64, 10, [70, 70, 61]), (64, 65, [65, 65, 65, 6]),
+         (64, 500, [201]), (1024, 10, [201]), (100, 1, [100, 100, 1])],
+    )
+    @pytest.mark.parametrize("rebalance", [False, True])
+    def test_one_sampler_call_per_span(self, engine_inputs, monkeypatch, span, batch_size, calls, rebalance):
+        # a span is the fewest whole batches holding at least SPAN_POSITIVES positives,
+        # so an epoch makes ceil(positives / span) sampler calls
+        h, positives, features = engine_inputs[True]
+        name = "_sample_negatives_rebalanced" if rebalance else "_sample_negatives_for"
+        real, sizes = getattr(training, name), []
+
+        def counted(graph, u, v, *args, **kwargs):
+            sizes.append(len(u))
+            return real(graph, u, v, *args, **kwargs)
+
+        monkeypatch.setattr(training, name, counted)
+        monkeypatch.setattr(training, "SPAN_POSITIVES", span)
+        cfg = TrainConfig(kind="ec", dim=2, epochs=2, batch_size=batch_size,
+                          rebalance_images=rebalance, seed=3)
+        train_graph_embedding(h, positives, cfg, features=features)
+        per_call = -(-span // batch_size) * batch_size
+        assert len(sizes) == 2 * -(-ENGINE_POSITIVES // per_call)
+        assert sizes == calls * 2
 
     @pytest.mark.parametrize("rebalance", [False, True])
     def test_counts_cut_the_pairs_per_positive(self, rebalance):
