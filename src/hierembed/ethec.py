@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 from .hierarchy import Hierarchy, Node
+from .storage import read_tsv, write_tsv
 
 LEVEL_FIELDS = ("family", "subfamily", "genus", "specific_epithet")
 
@@ -70,15 +71,8 @@ def convert_metadata(path) -> tuple[Hierarchy, list[tuple[str, list[str]]]]:
 
 def save_instance_levels(rows: list[tuple[str, list[str]]], path) -> None:
     """Write ``instance_id`` plus one label column per level."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join([iid + "\t" + "\t".join(labels) + "\n" for iid, labels in rows]))
+    write_tsv(path, ((iid, *labels) if labels else (iid, "") for iid, labels in rows))
 
 
 def load_instance_levels(path) -> list[tuple[str, list[str]]]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        parts = line.split("\t")
-        out.append((parts[0], parts[1:]))
-    return out
+    return [(row[0], row[1:]) for row in read_tsv(path)]

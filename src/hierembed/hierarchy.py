@@ -25,6 +25,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .storage import int_column, read_tsv, row_error, write_tsv
+
 RETRY_CAP = 100
 
 
@@ -363,44 +365,25 @@ def generate_synthetic_tree(levels: int, branching: int) -> Hierarchy:
 # ---------------------------------------------------------------------------
 
 def save_hierarchy(h: Hierarchy, nodes_path, edges_path) -> None:
-    with open(nodes_path, "w", encoding="utf-8", newline="\n") as f:
-        for n in h.nodes:
-            f.write(f"{n.node_id}\t{n.level}\t{n.name}\n")
-    with open(edges_path, "w", encoding="utf-8", newline="\n") as f:
-        for u, v in h.edges:
-            f.write(f"{u}\t{v}\n")
+    write_tsv(nodes_path, ((n.node_id, str(n.level), n.name) for n in h.nodes))
+    write_tsv(edges_path, h.edges)
 
 
 def load_hierarchy(nodes_path, edges_path) -> Hierarchy:
-    nodes = []
-    for line in Path(nodes_path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        node_id, level, name = line.split("\t")
-        nodes.append(Node(node_id, int(level), name))
-    edges = []
-    for line in Path(edges_path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        u, v = line.split("\t")
-        edges.append((u, v))
-    return Hierarchy(nodes, edges)
+    ids, levels, names = read_tsv(nodes_path, 3)
+    nodes = map(Node, ids, int_column(nodes_path, levels), names)
+    return Hierarchy(list(nodes), list(zip(*read_tsv(edges_path, 2))))
 
 
 def save_edge_tsv(edges: Iterable[tuple[str, str]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for u, v in edges:
-            f.write(f"{u}\t{v}\n")
+    write_tsv(path, edges)
 
 
 def load_edge_tsv(path, polarity: str = "positive") -> EdgeSet:
-    pairs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        u, v = line.split("\t")
-        pairs.append((u, v))
-    return EdgeSet(tuple(pairs), polarity=polarity)
+    return EdgeSet(tuple(zip(*read_tsv(path, 2))), polarity=polarity)
+
+
+NEGATIVES_HEADER = ("split", "parent_id", "child_id", "pos_ref")
 
 
 def save_split(split: SplitResult, out_dir) -> None:
@@ -409,40 +392,25 @@ def save_split(split: SplitResult, out_dir) -> None:
     save_edge_tsv(split.train, out / "train_edges.tsv")
     save_edge_tsv(split.val, out / "val_edges.tsv")
     save_edge_tsv(split.test, out / "test_edges.tsv")
-    with open(out / "eval_negatives.tsv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("split\tparent_id\tchild_id\tpos_ref\n")
-        for (u, v), ref in zip(split.val_negatives, split.val_negative_refs):
-            f.write(f"val\t{u}\t{v}\t{ref}\n")
-        for (u, v), ref in zip(split.test_negatives, split.test_negative_refs):
-            f.write(f"test\t{u}\t{v}\t{ref}\n")
+    rows = [("val", u, v, str(r)) for (u, v), r in zip(split.val_negatives, split.val_negative_refs)]
+    rows += [("test", u, v, str(r)) for (u, v), r in zip(split.test_negatives, split.test_negative_refs)]
+    write_tsv(out / "eval_negatives.tsv", rows, header=NEGATIVES_HEADER)
 
 
 def load_split(split_dir) -> SplitResult:
     out = Path(split_dir)
-    train = load_edge_tsv(out / "train_edges.tsv")
-    val = load_edge_tsv(out / "val_edges.tsv")
-    test = load_edge_tsv(out / "test_edges.tsv")
-    val_pairs: list[tuple[str, str]] = []
-    val_refs: list[int] = []
-    test_pairs: list[tuple[str, str]] = []
-    test_refs: list[int] = []
-    lines = Path(out / "eval_negatives.tsv").read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
-        if not line:
-            continue
-        which, u, v, ref = line.split("\t")
-        if which == "val":
-            val_pairs.append((u, v))
-            val_refs.append(int(ref))
-        else:
-            test_pairs.append((u, v))
-            test_refs.append(int(ref))
+    path = out / "eval_negatives.tsv"
+    which, us, vs, refs = read_tsv(path, 4, header=NEGATIVES_HEADER)
+    refs = int_column(path, refs, 1)
+    if unknown := [i for i, name in enumerate(which) if name not in ("val", "test")]:
+        raise row_error(path, unknown[0] + 1, f"split {which[unknown[0]]!r} is neither 'val' nor 'test'")
+    rows = {name: [i for i, w in enumerate(which) if w == name] for name in ("val", "test")}
     return SplitResult(
-        train=train,
-        val=val,
-        test=test,
-        val_negatives=EdgeSet(tuple(val_pairs), polarity="negative"),
-        test_negatives=EdgeSet(tuple(test_pairs), polarity="negative"),
-        val_negative_refs=tuple(val_refs),
-        test_negative_refs=tuple(test_refs),
+        train=load_edge_tsv(out / "train_edges.tsv"),
+        val=load_edge_tsv(out / "val_edges.tsv"),
+        test=load_edge_tsv(out / "test_edges.tsv"),
+        val_negatives=EdgeSet(tuple((us[i], vs[i]) for i in rows["val"]), polarity="negative"),
+        test_negatives=EdgeSet(tuple((us[i], vs[i]) for i in rows["test"]), polarity="negative"),
+        val_negative_refs=tuple(refs[i] for i in rows["val"]),
+        test_negative_refs=tuple(refs[i] for i in rows["test"]),
     )

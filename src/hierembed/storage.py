@@ -1,4 +1,8 @@
-"""Binary file formats shared across the pipeline.
+"""File formats shared across the pipeline: text tables and binary blocks.
+
+Text tables (``.tsv``) are UTF-8 with a tab between fields and ``"\n"``
+after each row; no field holds a tab, line feed or carriage return, and
+blank lines are skipped. ``write_tsv`` and ``read_tsv`` own this dialect.
 
 - ``EMB1``: embedding table. Magic, little-endian u32 node count, u32
   dimension, u8 geometry tag, then f64 coordinates row-major. A sidecar
@@ -10,15 +14,17 @@
   rows, u32 cols, f64 row-major.
 - ``HDR1``: length-prefixed UTF-8 JSON trailer for run parameters.
 
+A sidecar lists each row ``0..n-1`` once, in any order.
 Joint models are a concatenation: EMB1 block, LMAP block, HDR1 block.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +32,96 @@ from .geometry import KIND_TAGS, TAG_KINDS
 
 
 class FormatError(ValueError):
-    """Corrupt or mismatched binary payload."""
+    """Corrupt or mismatched file content."""
+
+
+# Rows per write of a text table: blocks of 1024 wrote the 17 280-row instances.tsv
+# faster than 4096, and a whole 51 840-row predictions.tsv raised peak RSS by 3 MB.
+TSV_BLOCK = 1024
+
+
+def write_tsv(path, rows: Iterable[Sequence[str]], header: Sequence[str] | None = None) -> None:
+    """Write ``rows`` of str fields, after ``header`` if given, as a text table. A field
+    holding a tab, line feed or carriage return, or a row that would be a blank line, is
+    a ``FormatError`` naming the file and the field, and the file is removed."""
+    rows = iter(rows) if header is None else itertools.chain([header], rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        while block := list(itertools.islice(rows, TSV_BLOCK)):
+            text = "\n".join(map("\t".join, block)) + "\n"
+            # A row of k > 0 fields adds k - 1 tabs and a line feed, a field holding
+            # either adds more, and only a row of under 2 fields can be blank.
+            lens = list(map(len, block))
+            if (text.count("\t") + text.count("\n") != sum(lens) or "\r" in text
+                    or min(lens) < 2 and (text[0] == "\n" or "\n\n" in text)):
+                break
+            f.write(text)
+        else:
+            return
+    Path(path).unlink()
+    for field in itertools.chain.from_iterable(block):
+        if "\t" in field or "\n" in field or "\r" in field:
+            raise FormatError(f"{path}: field {field!r} holds a tab, line feed or carriage return")
+    raise FormatError(f"{path}: a row with no text would be read back as a blank line")
+
+
+def read_tsv(path, width: int | None = None, header: Sequence[str] | None = None) -> list[list[str]]:
+    """The text table at ``path``: with ``width``, its ``width`` columns, each a list of
+    one field per row; without, its rows, each a list of fields. ``header``, when given,
+    must be the first row and is left out. A row of another ``width`` or a wrong header
+    is a ``FormatError`` naming the line."""
+    lines = list(filter(None, Path(path).read_text(encoding="utf-8").split("\n")))
+    if header is not None:
+        expected = "\t".join(header)
+        if lines[:1] != [expected]:
+            raise row_error(path, 0, f"{(lines or [''])[0]!r} is not the header {expected!r}")
+        del lines[0]
+    if width is None:
+        return [line.split("\t") for line in lines]
+    tabs = list(map(str.count, lines, itertools.repeat("\t")))
+    if tabs.count(width - 1) != len(tabs):
+        i = next(i for i, t in enumerate(tabs) if t != width - 1)
+        raise row_error(path, i + (header is not None), f"{tabs[i] + 1} fields, expected {width}")
+    fields = "\t".join(lines).split("\t") if lines else []
+    return [fields[c::width] for c in range(width)]
+
+
+def row_error(path, index: int, problem: str) -> FormatError:
+    """A ``FormatError`` naming ``path`` and the line of its ``index``-th
+    non-blank line (from 0, a header included)."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    line = [i for i, text in enumerate(lines, 1) if text][index:] or [len(lines)]
+    return FormatError(f"{path}, line {line[0]}: {problem}")
+
+
+def int_column(path, column: Sequence[str], offset: int = 0) -> list[int]:
+    """``column`` of the table at ``path``, ``offset`` rows (a header) below its top, as
+    ints; a field that is not one is a ``FormatError`` naming its line."""
+    ints = []
+    for i, field in enumerate(column):
+        try:
+            ints.append(int(field))
+        except ValueError:
+            raise row_error(path, i + offset, f"{field!r} is not an integer") from None
+    return ints
+
+
+def _write_numbered(path, first: Sequence[str], *rest: Sequence[str]) -> None:
+    """A sidecar table: the columns with the row number ``0..n-1`` second."""
+    write_tsv(path, zip(first, map(str, range(len(first))), *rest))
+
+
+def _read_numbered(path, width: int, n: int) -> list[tuple[str, ...]]:
+    """The columns but the second of a sidecar table, in the row order that the second
+    gives: each row number ``0..n-1`` exactly once."""
+    cols = read_tsv(path, width)
+    numbers = cols.pop(1)
+    if numbers != list(map(str, range(n))):
+        rows = int_column(path, numbers)
+        if sorted(rows) != list(range(n)):
+            raise FormatError(f"{path}: its {len(rows)} row numbers are not 0..{n - 1}, each once")
+        order = sorted(range(n), key=rows.__getitem__)
+        cols = [[col[i] for i in order] for col in cols]
+    return [tuple(col) for col in cols]
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:
@@ -91,24 +186,6 @@ def _read_header_block(f: BinaryIO) -> dict:
     return json.loads(_read_exact(f, length).decode("utf-8"))
 
 
-def _write_sidecar(path, node_ids: Sequence[str]) -> None:
-    with open(sidecar_path(path), "w", encoding="utf-8", newline="\n") as f:
-        for row, node_id in enumerate(node_ids):
-            f.write(f"{node_id}\t{row}\n")
-
-
-def _read_sidecar(path, n: int) -> tuple[str, ...]:
-    ids: list[str] = [""] * n
-    for line in sidecar_path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        node_id, row = line.split("\t")
-        ids[int(row)] = node_id
-    if any(i == "" for i in ids):
-        raise FormatError("sidecar does not cover every embedding row")
-    return tuple(ids)
-
-
 def save_embeddings(
     path,
     node_ids: Sequence[str],
@@ -126,7 +203,7 @@ def save_embeddings(
         _write_emb_block(f, coords, kind)
         if stored:
             _write_header_block(f, {"geometry": kind, **stored})
-    _write_sidecar(path, node_ids)
+    _write_numbered(sidecar_path(path), node_ids)
 
 
 def load_embeddings(path) -> tuple[tuple[str, ...], np.ndarray, str]:
@@ -144,7 +221,7 @@ def load_embeddings_with_header(path) -> tuple[tuple[str, ...], np.ndarray, str,
             header = _read_header_block(f)
     if header.get("geometry", kind) != kind:
         raise FormatError("header geometry disagrees with the embedding block")
-    node_ids = _read_sidecar(path, coords.shape[0])
+    node_ids = _read_numbered(sidecar_path(path), 2, coords.shape[0])[0]
     return node_ids, coords, kind, header
 
 
@@ -158,11 +235,8 @@ def save_features(
     with open(path, "wb") as f:
         f.write(b"FEAT")
         f.write(struct.pack("<II", n, d))
-        f.write(features.tobytes())
-    side = Path(path).with_name("instances.tsv")
-    with open(side, "w", encoding="utf-8", newline="\n") as f:
-        rows = zip(instance_ids, range(n), leaf_labels)
-        f.write("".join([f"{iid}\t{row}\t{leaf}\n" for iid, row, leaf in rows]))
+        f.write(features.data)
+    _write_numbered(Path(path).with_name("instances.tsv"), instance_ids, leaf_labels)
 
 
 def load_features(path) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
@@ -170,18 +244,8 @@ def load_features(path) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
         _expect_magic(f, b"FEAT")
         n, d = struct.unpack("<II", _read_exact(f, 8))
         features = np.frombuffer(_read_exact(f, 4 * n * d), dtype="<f4").reshape(n, d)
-    ids: list[str] = [""] * n
-    leaves: list[str] = [""] * n
-    side = Path(path).with_name("instances.tsv")
-    for line in side.read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        iid, row, leaf = line.split("\t")
-        ids[int(row)] = iid
-        leaves[int(row)] = leaf
-    if any(i == "" for i in ids):
-        raise FormatError("instances.tsv does not cover every feature row")
-    return tuple(ids), features.astype(float), tuple(leaves)
+    ids, leaves = _read_numbered(Path(path).with_name("instances.tsv"), 3, n)
+    return ids, features.astype(float), leaves
 
 
 def save_joint_model(
@@ -198,7 +262,7 @@ def save_joint_model(
         _write_emb_block(f, coords, kind)
         _write_lmap_block(f, w)
         _write_header_block(f, header)
-    _write_sidecar(path, node_ids)
+    _write_numbered(sidecar_path(path), node_ids)
 
 
 def load_joint_model(path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, dict]:
@@ -208,7 +272,7 @@ def load_joint_model(path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, dic
         header = _read_header_block(f)
     if header.get("geometry") != kind:
         raise FormatError("header geometry disagrees with the embedding block")
-    node_ids = _read_sidecar(path, coords.shape[0])
+    node_ids = _read_numbered(sidecar_path(path), 2, coords.shape[0])[0]
     return node_ids, coords, w, header
 
 

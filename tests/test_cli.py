@@ -300,6 +300,22 @@ class TestJointPipeline:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "model lacks 1 of the 3 hierarchy labels being scored: 'r.2'"
 
+    def test_classify_names_a_feature_width_the_model_does_not_map(
+        self, joint_run, tmp_path, capsys
+    ):
+        _, nodes, edges, _, model = joint_run
+        base = ["--nodes", str(nodes), "--edges", str(edges)]
+        run(["gen-features", *base, "--per-leaf", "2", "--dim", "5", "--out", str(tmp_path / "f")])
+        feats = tmp_path / "f" / "features.feat"
+        code = main(["classify", *base, "--model", str(model / "model.bin"),
+                     "--features", str(feats), "--out", str(tmp_path / "c")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (payload["type"], payload["error"]) == ("CliError", (
+            f"features in {feats} are 5 wide, "
+            f"but the model in {model / 'model.bin'} maps features 16 wide"
+        ))
+
     def test_reconstruct_names_labels_the_model_lacks(self, tmp_path, capsys):
         from hierembed import storage
         from hierembed.hierarchy import generate_synthetic_tree
@@ -430,6 +446,19 @@ class TestConvertEthec:
         assert (out / "nodes.tsv").exists()
         assert (out / "edges.tsv").exists()
         assert len((out / "instances-levels.tsv").read_text().splitlines()) == 2
+
+    def test_tab_in_a_name_fails(self, tmp_path, capsys):
+        meta = {"img": {"family": "F\t1", "subfamily": "S", "genus": "G", "specific_epithet": "x"}}
+        src = tmp_path / "meta.json"
+        src.write_text(json.dumps(meta), encoding="utf-8")
+        out = tmp_path / "ethec"
+        assert main(["convert-ethec", "--metadata", str(src), "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (payload["type"], payload["error"]) == (
+            "FormatError",
+            f"{out / 'nodes.tsv'}: field 'F\\t1' holds a tab, line feed or carriage return",
+        )
+        assert not (out / "nodes.tsv").exists()
 
 
 class TestErrors:
@@ -777,9 +806,9 @@ class TestInstanceFilesMatchRowLoops:
         [("all", 4096), ("all", 7), ("all", 45), ("test", 4096), ("val", 2), ("train", 1)],
     )
     def test_predictions(self, instance_files, tmp_path, monkeypatch, subset, block):
-        from hierembed import cli, hierarchy, joint
+        from hierembed import cli, hierarchy, joint, storage
 
-        monkeypatch.setattr(cli, "PREDICTION_BLOCK", block)
+        monkeypatch.setattr(storage, "TSV_BLOCK", block)
         root, base = instance_files
         feats = root / "feats" / "features.feat"
         run(["classify", *base, "--model", str(root / "model.bin"), "--features", str(feats),
@@ -794,7 +823,7 @@ class TestInstanceFilesMatchRowLoops:
         assert got == loop_predictions_tsv(features.instance_ids, idx[subset], preds, energies)
         assert len(got.splitlines()) == 3 * len(idx[subset])
         if subset == "all":
-            assert n == 45  # so blocks of 7 end ragged and a block of 45 ends exactly
+            assert n == 45  # 135 rows: blocks of 7 rows end ragged, blocks of 45 exactly
             assert b"\t0.0\n" in got
 
     def test_predictions_of_an_empty_subset(self, tmp_path):
@@ -848,3 +877,53 @@ def test_golden_instance_file_digests(tmp_path):
              for name in GOLDEN}
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
     assert got == GOLDEN
+
+
+# sha256 of every other text table the CLI writes, from one fixed run of each
+# writer: gen-tree, split, a planted label file's sidecar, export-2d (raw2d and
+# pca) and convert-ethec. A change to one of these formats has to say so and
+# record the new digests here.
+GOLDEN_TABLES = {
+    "tree/nodes.tsv": "daabfc083157281b847f31b67f32745550af04c3e9e19a379df2bc9f6ac52730",
+    "tree/edges.tsv": "1cf3c49bb000db9c4aa2689845b8415e31aba060e053934468eb1fc24ff1eaf8",
+    "split/train_edges.tsv": "c674d13947d88067a9e60ff74670005ad330f6c197c383d1754648e808c7b9ac",
+    "split/val_edges.tsv": "59e2973bcd0f041fa91b32bc107dc98c632808187832d76c0824890552be90d6",
+    "split/test_edges.tsv": "9cd4e4888e407d6358f923b84b8f093a304eca66f3389226ca0b42ca6ab0d617",
+    "split/eval_negatives.tsv": "3bfdccebfa702ed6130c19b4bcbc3495f0e3600c76a615775b07ced18297a6b7",
+    "flat.emb.nodes.tsv": "d1fe9f26d83ae406b56f186bf0b078608dc74ae04e55c432c547c0a0c86a998d",
+    "raw2d/coords.tsv": "e45fd366ec46880408261f631ce8a3afbe4352c5f9e72666ad088558dbcb95ee",
+    "pca/coords.tsv": "836bff285619912f9aa5b3281d8b310d3ff20805710165cbaf8041085c72ec59",
+    "ethec/nodes.tsv": "a994d062d443e7137fc25e18f5d980c4c4abedc9663cc37b59cb77b81f747a8d",
+    "ethec/edges.tsv": "678761f5a63e536057a23df4970c80e2649d38259349fc8bb6cdae784dafa483",
+    "ethec/instances-levels.tsv": "ceb15ac70ee855bd95980c43884d38d8d5c60ed826fc5089057e60b0c585e29c",
+}
+
+
+def test_golden_text_table_digests(tmp_path):
+    import hashlib
+
+    from hierembed import storage
+
+    nodes, edges, _ = tree_files(tmp_path, 4, 2)
+    base = ["--nodes", str(nodes), "--edges", str(edges)]
+    run(["split", *base, "--fraction", "0.5", "--seed", "3", "--out", str(tmp_path / "split")])
+    ids = sorted(line.split("\t")[0] for line in nodes.read_text().splitlines())
+    rng = np.random.default_rng(5)
+    storage.save_embeddings(tmp_path / "flat.emb", ids, rng.uniform(-0.5, 0.5, (len(ids), 2)), "ec")
+    storage.save_embeddings(tmp_path / "deep.emb", ids, rng.uniform(-0.5, 0.5, (len(ids), 4)), "ec")
+    for method, model in (("raw2d", "flat.emb"), ("pca", "deep.emb")):
+        run(["export-2d", *base, "--model", str(tmp_path / model), "--method", method,
+             "--out", str(tmp_path / method)])
+    meta = {
+        "img_b": {"family": "Nymphalidae", "subfamily": "Satyrinae", "genus": "Erebia",
+                  "specific_epithet": "aethiops"},
+        "img_a": {"family": "Papilionidae", "subfamily": "Parnassiinae", "genus": "Parnassius",
+                  "specific_epithet": "apollo"},
+        "img_c": {"family": "Nymphalidae", "subfamily": "Satyrinae", "genus": "Erebia",
+                  "specific_epithet": "ligea élan"},
+    }
+    (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    run(["convert-ethec", "--metadata", str(tmp_path / "meta.json"), "--out", str(tmp_path / "ethec")])
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_TABLES}
+    assert got == GOLDEN_TABLES

@@ -21,6 +21,7 @@ from hierembed.hierarchy import (
     transitive_closure,
 )
 from hierembed.joint import FeatureMatrix, instance_positive_rows, level_truth
+from hierembed.storage import FormatError
 from hierembed.training import _Graph
 
 
@@ -216,6 +217,55 @@ class TestRoundTrip:
         assert loaded.val_negatives.pairs == split.val_negatives.pairs
         assert loaded.val_negative_refs == split.val_negative_refs
         assert loaded.test_negatives.pairs == split.test_negatives.pairs
+
+    def test_ids_keep_characters_other_line_splitters_break_at(self, tmp_path):
+        ids = ["r\u2028", "r\u2028.\x85", "r\u2028.\x0b\x1c"]
+        h = Hierarchy([Node(ids[0], 1, "root\x0c"), Node(ids[1], 2, "a"), Node(ids[2], 2, "")],
+                      [(ids[0], ids[1]), (ids[0], ids[2])])
+        save_hierarchy(h, tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
+        h2 = load_hierarchy(tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
+        assert (h2.nodes, h2.edges) == (h.nodes, h.edges)
+
+    def test_crlf_tables_load(self, tmp_path):
+        h = generate_synthetic_tree(3, 2)
+        save_hierarchy(h, tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
+        for name in ("nodes.tsv", "edges.tsv"):
+            path = tmp_path / name
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        h2 = load_hierarchy(tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
+        assert (h2.nodes, h2.edges) == (h.nodes, h.edges)
+
+    def test_level_that_is_not_an_integer(self, tmp_path):
+        nodes = tmp_path / "nodes.tsv"
+        nodes.write_text("r\t1\tr\n\nr.0\ttwo\tr.0\n", encoding="utf-8")
+        (tmp_path / "edges.tsv").write_text("r\tr.0\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_hierarchy(nodes, tmp_path / "edges.tsv")
+        assert str(err.value) == f"{nodes}, line 3: 'two' is not an integer"
+
+    @pytest.fixture
+    def negatives(self, tmp_path):
+        h = generate_synthetic_tree(4, 3)
+        save_split(augment_eval_negatives(split_edges(h, 0.0, 1), h.closure(), 1), tmp_path)
+        path = tmp_path / "eval_negatives.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 61 and lines[1].startswith("val\t")
+        return path, lines
+
+    def test_split_without_its_header(self, negatives):
+        path, lines = negatives
+        path.write_text("".join(lines[1:]), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_split(path.parent)
+        assert str(err.value).startswith(f"{path}, line 1: 'val\\t")
+        assert str(err.value).endswith("is not the header 'split\\tparent_id\\tchild_id\\tpos_ref'")
+
+    def test_split_of_an_unknown_name(self, negatives):
+        path, lines = negatives
+        path.write_text("".join([lines[0], "vall" + lines[1][3:], *lines[2:]]), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_split(path.parent)
+        assert str(err.value) == f"{path}, line 2: split 'vall' is neither 'val' nor 'test'"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hierembed.storage import (
     FormatError,
@@ -10,11 +12,13 @@ from hierembed.storage import (
     load_features,
     load_joint_model,
     load_linear_classifier,
+    read_tsv,
     save_embeddings,
     save_features,
     save_joint_model,
     save_linear_classifier,
     sidecar_path,
+    write_tsv,
 )
 
 
@@ -133,3 +137,119 @@ def test_byte_identical_writes(tmp_path):
     save_embeddings(b, tuple("abcdefgh"), coords, "oe")
     assert a.read_bytes() == b.read_bytes()
     assert sidecar_path(a).read_bytes() == sidecar_path(b).read_bytes()
+
+
+# Characters that ``str.splitlines`` breaks a line at, besides the ones a
+# field cannot hold: a table must read them back inside a field.
+LINE_BREAKS_KEPT = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+FIELDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r")
+) | st.text(st.sampled_from(LINE_BREAKS_KEPT + "a"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(FIELDS, min_size=1).filter(lambda row: row != [""]), max_size=8))
+@example([["a\u2028b", "", "\x85"], ["\x0b\x0c"], ["\x1c", "\x1d\x1e", "", ""]])
+def test_tsv_round_trip(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "round_trip.tsv"
+    write_tsv(path, rows)
+    assert read_tsv(path) == rows
+    if rows and len({len(row) for row in rows}) == 1:
+        assert read_tsv(path, len(rows[0])) == [list(col) for col in zip(*rows)]
+
+
+def test_tsv_header_and_blocks(tmp_path, monkeypatch):
+    import hierembed.storage as storage
+
+    monkeypatch.setattr(storage, "TSV_BLOCK", 2)
+    path = tmp_path / "t.tsv"
+    rows = [(str(i), f"v{i}") for i in range(5)]
+    write_tsv(path, iter(rows), header=("k", "v"))
+    assert path.read_bytes() == b"k\tv\n" + b"".join(f"{i}\tv{i}\n".encode() for i in range(5))
+    assert read_tsv(path, 2, header=("k", "v")) == [[r[0] for r in rows], [r[1] for r in rows]]
+    write_tsv(path, [])
+    assert path.read_bytes() == b"" and read_tsv(path, 3) == [[], [], []]
+
+
+@pytest.mark.parametrize("bad", ["\t", "\n", "\r"])
+def test_tsv_writer_refuses_a_separator_in_a_field(tmp_path, monkeypatch, bad):
+    import hierembed.storage as storage
+
+    monkeypatch.setattr(storage, "TSV_BLOCK", 2)
+    path = tmp_path / "t.tsv"
+    field = f"x{bad}y"
+    with pytest.raises(FormatError) as err:
+        write_tsv(path, [("a", "0"), ("b", "1"), (field, "2")])
+    assert str(err.value) == (
+        f"{path}: field {field!r} holds a tab, line feed or carriage return"
+    )
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("row", [(), ("",)])
+def test_tsv_writer_refuses_a_row_read_back_as_blank(tmp_path, row):
+    path = tmp_path / "t.tsv"
+    with pytest.raises(FormatError, match="blank line"):
+        write_tsv(path, [("a",), row])
+    # a tab in a field beside the blank row cannot hide it from the count
+    with pytest.raises(FormatError, match="holds a tab"):
+        write_tsv(path, [("a\tb", "c"), row])
+
+
+def test_tsv_reader_names_file_and_line(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("a\t0\n\nb\t1\textra\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_tsv(path, 2)
+    assert str(err.value) == f"{path}, line 3: 3 fields, expected 2"
+    with pytest.raises(FormatError) as err:
+        read_tsv(path, 2, header=("id", "row"))
+    assert str(err.value) == f"{path}, line 1: 'a\\t0' is not the header 'id\\trow'"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_tsv(path, 2, header=("id", "row"))
+    assert str(err.value) == f"{path}, line 1: '' is not the header 'id\\trow'"
+
+
+def _sidecar_cases():
+    # sidecar lines for the rows of a 3-row table, and the end of the error they raise
+    return [
+        ("r\t0\nr.0\t1\nr.0.0\t2\nr.1\t0\n", ": its 4 row numbers are not 0..2, each once"),
+        ("r.0\t0\nzzz\t0\nr.0.0\t2\nr\t1\n", ": its 4 row numbers are not 0..2, each once"),
+        ("r\t0\nr.0\t1\nr.0.0\t3\n", ": its 3 row numbers are not 0..2, each once"),
+        ("r\t0\nr.0\t-1\nr.0.0\t2\n", ": its 3 row numbers are not 0..2, each once"),
+        ("r\t0\nr.0.0\t2\n", ": its 2 row numbers are not 0..2, each once"),
+        ("r\t0\nr.0\tone\nr.0.0\t2\n", ", line 2: 'one' is not an integer"),
+    ]
+
+
+@pytest.mark.parametrize("text, message", _sidecar_cases())
+def test_sidecar_rows_checked(tmp_path, text, message):
+    path = tmp_path / "table.emb"
+    save_embeddings(path, ("r", "r.0", "r.0.0"), np.zeros((3, 2)), "ec")
+    sidecar_path(path).write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_embeddings(path)
+    assert str(err.value) == f"{sidecar_path(path)}{message}"
+
+
+@pytest.mark.parametrize("text, message", _sidecar_cases())
+def test_instance_rows_checked(tmp_path, text, message):
+    path = tmp_path / "features.feat"
+    save_features(path, ("r", "r.0", "r.0.0"), np.zeros((3, 2)), ("x", "y", "z"))
+    side = tmp_path / "instances.tsv"
+    side.write_text("".join(line + "\tleaf\n" for line in text.splitlines()), encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_features(path)
+    assert str(err.value) == f"{side}{message}"
+
+
+def test_permuted_sidecars_load_in_row_order(tmp_path):
+    emb, feat = tmp_path / "table.emb", tmp_path / "features.feat"
+    save_embeddings(emb, ("a", "b", "c"), np.zeros((3, 2)), "ec")
+    sidecar_path(emb).write_text("c\t2\n\na\t0\nb\t1\n", encoding="utf-8")
+    assert load_embeddings(emb)[0] == ("a", "b", "c")
+    save_features(feat, ("a", "b", "c"), np.zeros((3, 2)), ("x", "y", "z"))
+    (tmp_path / "instances.tsv").write_text("b\t1\ty\nc\t2\tz\na\t0\tx\n", encoding="utf-8")
+    ids, _, leaves = load_features(feat)
+    assert (ids, leaves) == (("a", "b", "c"), ("x", "y", "z"))
