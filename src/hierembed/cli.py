@@ -107,7 +107,12 @@ def cmd_train_labels(args) -> None:
         optimizer = "rsgd" if args.geometry == "hc" else "adam"
     margins = [args.margin]
     if args.margin_sweep:
-        margins = [float(tok) for tok in args.margin_sweep.split(",")]
+        margins = []
+        for tok in args.margin_sweep.split(","):
+            try:
+                margins.append(float(tok))
+            except ValueError:
+                raise CliError(f"--margin-sweep: {tok!r} is not a number") from None
 
     best = None
     for margin in margins:
@@ -194,6 +199,11 @@ def cmd_train_joint(args) -> None:
         if kind != args.geometry:
             raise CliError(
                 f"initialization geometry {kind!r} does not match --geometry {args.geometry!r}"
+            )
+        if coords.shape[1] != args.dim:
+            raise CliError(
+                f"{args.init_labels} holds {coords.shape[1]}-dimensional labels, "
+                f"but --dim is {args.dim}"
             )
         init = (node_ids, coords)
     k = _stored_k(stored, args.aperture_k, args.init_labels)
@@ -337,7 +347,16 @@ def _instance_level_labels(
     h: hierarchy.Hierarchy, features: joint.FeatureMatrix, labels_path
 ) -> np.ndarray:
     if labels_path:
-        by_id = {iid: labels for iid, labels in ethec.load_instance_levels(labels_path)}
+        listed = ethec.load_instance_levels(labels_path)
+        by_id = dict(listed)
+        if len(by_id) < len(listed):
+            first: dict[str, int] = {}
+            for i, (iid, _) in enumerate(listed):
+                if iid in first:
+                    raise storage.row_error(
+                        labels_path, i, f"instance {iid!r} is listed twice", earlier=first[iid]
+                    )
+                first[iid] = i
         rows = []
         for iid in features.instance_ids:
             if iid not in by_id:

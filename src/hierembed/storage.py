@@ -85,12 +85,15 @@ def read_tsv(path, width: int | None = None, header: Sequence[str] | None = None
     return [fields[c::width] for c in range(width)]
 
 
-def row_error(path, index: int, problem: str) -> FormatError:
+def row_error(path, index: int, problem: str, earlier: int | None = None) -> FormatError:
     """A ``FormatError`` naming ``path`` and the line of its ``index``-th
-    non-blank line (from 0, a header included)."""
+    non-blank line (from 0, a header included), after the line of its
+    ``earlier``-th if given."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
-    line = [i for i, text in enumerate(lines, 1) if text][index:] or [len(lines)]
-    return FormatError(f"{path}, line {line[0]}: {problem}")
+    numbers = [i for i, text in enumerate(lines, 1) if text] + [len(lines)]
+    shown = [str(numbers[min(k, len(numbers) - 1)]) for k in (earlier, index) if k is not None]
+    where = f"line {shown[0]}" if len(shown) == 1 else f"lines {shown[0]} and {shown[1]}"
+    return FormatError(f"{path}, {where}: {problem}")
 
 
 def int_column(path, column: Sequence[str], offset: int = 0) -> list[int]:

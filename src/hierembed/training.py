@@ -27,7 +27,6 @@ plain sampler's memory per call is bounded per generator word it reads
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -339,17 +338,6 @@ class _Graph:
         a, b = np.divmod(keys, n)
         self._banned_tables(a, b)
         self._ancestor_table(h, a, b)
-        # Candidate pools of ``_sample_negatives_for``, keyed by pick_per_level:
-        # one pool per level, or every level's slot drawing from all nodes.
-        # ``empty[side, p, node]``: no candidate in ``pools[p]`` is a valid
-        # negative. The levels partition the nodes, so the all-nodes pool's
-        # valid count is the sum over levels.
-        self.pools = {True: self.levels, False: [self.order] * len(self.levels)}
-        none_valid = self.valid.sum(axis=1, keepdims=True) == 0
-        self.empty = {
-            True: self.valid == 0,
-            False: np.repeat(none_valid, len(self.levels), axis=1),
-        }
 
     def _banned_tables(self, a: np.ndarray, b: np.ndarray) -> None:
         """Valid counts and banned positions per (side, node), from the banned pairs.
@@ -528,15 +516,18 @@ class _PlainWalk:
     more; each reads words until one gives a valid candidate, for at most
     RETRY_CAP draws. Empty slots (pool of two or more, nothing valid) read
     RETRY_CAP draws. Row ``r`` starts at word ``nominal[r] + drift``, where
-    ``nominal`` counts one word per earlier row and RETRY_CAP per earlier
-    empty slot, and ``drift`` counts the words read beyond that; it never
-    decreases. A chunk of rows is judged against a window of ``WINDOW``
-    drifts at once, so while rows accept at once they walk one diagonal of
-    that matrix; the Python loop only steps through rejections.
+    ``nominal`` counts one word per earlier row and the words of each
+    earlier empty slot, and ``drift`` counts the words the rows read beyond
+    one each; it never decreases. A chunk of rows is judged against a
+    window of ``WINDOW`` drifts at once, so while rows accept at once they
+    walk one diagonal of that matrix; the Python loop only steps through
+    rejections.
 
     An empty slot reads more than RETRY_CAP words only when the Lemire step
     throws some away. That is checked once the walk is done (``run``); if
-    it happened, the walk is redone from that slot on, which now adds them.
+    it happened, the slot's extra words move the nominal start of every
+    later row and empty slot, and the walk is redone from the first row
+    after the slot.
     """
 
     def __init__(
@@ -546,9 +537,8 @@ class _PlainWalk:
         self.words = words
         self.row = rows  # n, start, fixed, corrupt_u, nominal, group
         self.spent = spent  # n, nominal, before: drawing rows ahead of each empty slot
-        self.total = total  # words read if every row accepts its first draw
+        self.total = total  # nominal words: one per row, and each empty slot's
         self.after = np.zeros(len(rows["n"]) + 1, dtype=np.int64)  # drift once row r - 1 is done
-        self.extra: dict[int, int] = {}  # empty slot -> thrown-away words it reads
         self.got = np.full(len(rows["n"]), -1, dtype=np.int64)
         self.taken: dict[int, set[int]] | None = {} if dup else None
 
@@ -600,13 +590,14 @@ class _PlainWalk:
                 return found[1]
             m *= 2
 
-    def chunk(self, r: int, stop: int, drift: int) -> tuple[int, int, bool]:
-        """Walk rows from ``r`` (before ``stop``) while they accept inside the window.
+    def chunk(self, r: int, drift: int) -> tuple[int, int, bool]:
+        """Walk rows from ``r`` while they accept inside the window.
 
         Returns the next row, its drift, and whether that row is to be
         resolved alone: it accepted nothing in a full window.
         """
-        k = stop - r if stop - r < 2 * CHUNK_ROWS else CHUNK_ROWS
+        left = len(self.row["n"]) - r
+        k = left if left < 2 * CHUNK_ROWS else CHUNK_ROWS
         rows = slice(r, r + k)
         offs = self.row["nominal"][rows, None] + (drift + _COLS)
         w = self.words.upto(int(offs[-1, -1]) + 1)[offs]
@@ -652,26 +643,6 @@ class _PlainWalk:
             seen.add(c)
         return len(picked)
 
-    def walk(self, r: int, drift: int) -> int:
-        """Walk from row ``r`` at ``drift`` to the end; the final drift."""
-        n_rows = len(self.row["n"])
-        before = self.spent["before"]
-        bumps: dict[int, int] = {}  # row -> thrown-away words of the empty slots just before it
-        for e, extra in self.extra.items():
-            bumps[int(before[e])] = bumps.get(int(before[e]), 0) + extra
-        while True:
-            self.after[r] = drift
-            drift += bumps.get(r, 0)
-            if r == n_rows:
-                return drift
-            stop = min((b for b in bumps if b > r), default=n_rows)
-            while r < stop:
-                r, drift, full = self.chunk(r, stop, drift)
-                if full:
-                    drift += self.alone(r, int(self.row["nominal"][r]) + drift) - 1
-                    r += 1
-                    self.after[r] = drift
-
     def run(self) -> int:
         """Fill ``got`` and return the words read in all.
 
@@ -682,43 +653,34 @@ class _PlainWalk:
         is about 10 bytes per word read on 1024-positive spans of the
         ``joint`` benchmark's graph, where empty slots read most words.
         """
-        spent = self.spent
+        row, spent = self.row, self.spent
         r = drift = checked = 0
         while True:
-            drift = self.walk(r, drift)
-            # first word of each empty slot: the drift after the row before it,
-            # plus the thrown-away words of empty slots between that row and it
-            at = spent["nominal"] + self.after[spent["before"]]
-            for e, extra in self.extra.items():
-                at[e + 1 :][spent["before"][e + 1 :] == spent["before"][e]] += extra
-            unknown = np.arange(checked, len(at))
-            if self.extra:
-                unknown = unknown[[e not in self.extra for e in unknown.tolist()]]
+            while r < len(row["n"]):
+                r, drift, full = self.chunk(r, drift)
+                if full:
+                    drift += self.alone(r, int(row["nominal"][r]) + drift) - 1
+                    r += 1
+                    self.after[r] = drift
+            # first word of each empty slot left: the drift after the row before it
+            at = spent["nominal"][checked:] + self.after[spent["before"][checked:]]
             words = self.words.upto(int(at.max(initial=0)) + RETRY_CAP)
-            hit = _first_thrown(words, at[unknown], spent["n"][unknown])
+            hit = _first_thrown(words, at, spent["n"][checked:])
             if hit < 0:
                 return self.total + drift
-            e = int(unknown[hit])
-            self.extra = {s: x for s, x in self.extra.items() if s < e}
-            self.extra[e] = self.spend_words(e, int(at[e])) - RETRY_CAP
-            checked = e + 1
+            e = checked + hit
+            extra = self.spend_words(e, int(at[hit])) - RETRY_CAP
             r = int(spent["before"][e])
+            row["nominal"][r:] += extra
+            spent["nominal"][e + 1 :] += extra
+            self.total += extra
+            checked = e + 1
             drift = int(self.after[r])
             self.got[r:] = -1
             if self.taken is not None:
                 self.taken = {}
                 drawn = self.got[:r] >= 0
-                self.fresh(self.row["group"][:r][drawn].tolist(), self.got[:r][drawn].tolist())
-
-
-@functools.lru_cache(maxsize=None)
-def _slot_pattern(n_pools: int, passes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Side, pool and first-pass flag of one positive's slots, in loop order (pass, side, pool)."""
-    t, side, p = np.indices((passes, 2, n_pools)).reshape(3, -1)
-    first = t == 0
-    for a in (side, p, first):
-        a.setflags(write=False)
-    return side, p, first
+                self.fresh(row["group"][:r][drawn].tolist(), self.got[:r][drawn].tolist())
 
 
 def _sample_negatives_for(
@@ -735,8 +697,9 @@ def _sample_negatives_for(
     Per positive: one corruption per (pass, side, pool) slot, the first
     valid candidate (not banned, not drawn before for this positive) of up
     to RETRY_CAP scalar draws ``rng.integers(len(pool))``; the slot gives
-    up when none of them is. A slot in which no candidate is valid
-    (``_Graph.empty``) still reads its RETRY_CAP draws, so that seeded runs
+    up when none of them is. A slot in which no candidate is valid (its
+    ``_Graph.valid`` count, summed over the levels for a pool of all nodes,
+    is 0) still reads its RETRY_CAP draws, so that seeded runs
     replay byte for byte; a one-member pool's draws read no words. The
     draws are computed from one block of generator words per call
     (``_PlainWalk``), validity from the ancestor table, and the generator
@@ -746,19 +709,25 @@ def _sample_negatives_for(
     concatenation of per-batch calls and leaves the same stream.
     ``counts[i]``, if given, is set to the number of pairs of positive ``i``.
     """
-    ppl = config.pick_per_level
-    pools = graph.pools[ppl]
-    if not len(u) or not pools:
+    if not len(u):
         if counts is not None:
             counts[:] = 0
         return np.zeros((0, 2), dtype=np.int64)
-    sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
+    # one pool per level, or every level's slot drawing from all nodes
+    ppl = config.pick_per_level
+    sizes = np.array(
+        [len(level) if ppl else graph.n_total for level in graph.levels], dtype=np.int64
+    )
     starts = np.cumsum(sizes) - sizes if ppl else np.zeros_like(sizes)
     sizes_u = sizes.astype(np.uint64)
-    side, p, first = _slot_pattern(len(pools), config.neg_passes)
+    # one positive's slots in loop order (pass, side, pool)
+    t, side, p = np.indices((config.neg_passes, 2, len(sizes))).reshape(3, -1)
+    first = t == 0
     # (positive, slot) arrays, positives in call order
     fixed = np.where(side == 0, v[:, None], u[:, None])
-    empty = graph.empty[ppl][side, p, fixed]
+    # the levels partition the nodes: a pool of all nodes holds their valid sum
+    valid = graph.valid[side, p, fixed] if ppl else graph.valid[side, :, fixed].sum(axis=2)
+    empty = valid == 0
     size = sizes[p]
     drawing = ~empty & (size > 1)
     spent = empty & (size > 1)
@@ -886,7 +855,6 @@ def train_graph_embedding(
     *,
     features: np.ndarray | None = None,
     init_coords: np.ndarray | None = None,
-    init_w: np.ndarray | None = None,
     epoch_hook: Callable[[np.ndarray, np.ndarray | None], dict] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, list[dict]]:
     """Shared epoch engine; returns (label coords, linear map or None, log).
@@ -907,12 +875,25 @@ def train_graph_embedding(
     optimizer step projects with a fixed generator), so a span call gives
     the pairs and the stream of per-batch calls. Each batch is then one
     ``_batch_step`` and one optimizer step; errors name the batch.
+
+    ``neg_passes`` may not exceed the largest candidate pool: the largest
+    level under pick-per-level, else all graph nodes.
     """
     params = config.cone_params()
     rng = np.random.default_rng(config.seed)
     # no instances: no map either, so that the rng stream is the label-only one
     feats = np.asarray(features, dtype=float) if features is not None and len(features) else None
     graph = _Graph(h, positives, 0 if feats is None else len(feats))
+    rebalance = config.rebalance_images and feats is not None
+    # past the largest pool, some pass of every pool finds no distinct
+    # negative, and each such slot still reads RETRY_CAP draws
+    uniform = rebalance or not config.pick_per_level
+    pool = graph.n_total if uniform else max(len(level) for level in graph.levels)
+    if config.neg_passes > pool:
+        raise ValueError(
+            f"neg_passes {config.neg_passes} exceeds the largest candidate pool, "
+            f"{pool} nodes: no pool holds a distinct negative for every pass"
+        )
 
     if init_coords is not None:
         coords = np.array(init_coords, dtype=float)
@@ -928,21 +909,11 @@ def train_graph_embedding(
             rng,
         )
 
-    w: np.ndarray | None = None
-    if feats is not None:
-        if init_w is not None:
-            w = np.array(init_w, dtype=float)
-            if w.shape != (feats.shape[1], config.dim):
-                raise ValueError(
-                    f"init W shape {w.shape} != {(feats.shape[1], config.dim)}"
-                )
-        else:
-            w = rng.standard_normal((feats.shape[1], config.dim)) * 0.01
+    w = None if feats is None else rng.standard_normal((feats.shape[1], config.dim)) * 0.01
 
     adam_labels = AdamState.like(coords) if config.optimizer == "adam" else None
     adam_w = AdamState.like(w) if w is not None else None
 
-    rebalance = config.rebalance_images and feats is not None
     sampler = _sample_negatives_rebalanced if rebalance else _sample_negatives_for
 
     history: list[dict] = []

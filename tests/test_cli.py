@@ -127,6 +127,19 @@ class TestTrainLabels:
         )
         assert not (out / "embeddings.emb").exists()
 
+    def test_names_a_margin_sweep_token_that_is_no_number(self, pipeline, tmp_path, capsys):
+        _, nodes, edges, split, _ = pipeline
+        out = tmp_path / "emb"
+        code = main(["train-labels", "--nodes", str(nodes), "--edges", str(edges),
+                     "--split-dir", str(split), "--epochs", "1", "--margin-sweep", "0.1,x",
+                     "--out", str(out)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (payload["error"], payload["type"]) == (
+            "--margin-sweep: 'x' is not a number", "CliError"
+        )
+        assert not (out / "embeddings.emb").exists()
+
 
 class TestReconstruct:
     def test_from_label_embeddings(self, pipeline, tmp_path):
@@ -432,6 +445,25 @@ class TestClassifierPipeline:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == f"instance {iid!r} has 2 level labels in {bad}, expected 3"
 
+    def test_labels_file_names_a_repeated_instance(self, tmp_path, capsys):
+        nodes, edges, _ = tree_files(tmp_path, 3, 2)
+        feats = tmp_path / "feats"
+        run(["gen-features", "--nodes", str(nodes), "--edges", str(edges),
+             "--per-leaf", "3", "--dim", "4", "--seed", "3", "--out", str(feats)])
+        rows = (feats / "instances-levels.tsv").read_text().splitlines()
+        iid = rows[0].split("\t")[0]
+        bad = tmp_path / "repeated.tsv"
+        bad.write_text("\n".join([*rows, f"{iid}\tr\tr.1\tr.1.0"]) + "\n")
+        code = main(["train-classifier", "--nodes", str(nodes), "--edges", str(edges),
+                     "--features", str(feats / "features.feat"), "--labels", str(bad),
+                     "--head", "mc", "--epochs", "1", "--out", str(tmp_path / "clf")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == (
+            f"{bad}, lines 1 and {len(rows) + 1}: instance {iid!r} is listed twice"
+        )
+        assert payload["type"] == "FormatError"
+
 
 class TestConvertEthec:
     def test_convert(self, tmp_path):
@@ -521,6 +553,13 @@ BAD_OPTIONS = [
     ("train-joint", ["--epochs", "-1"], "epochs must be nonnegative, got -1"),
     ("train-labels", ["--neg-passes", "0"], "neg_passes must be at least 1, got 0"),
     ("train-labels", ["--neg-passes", "-1"], "neg_passes must be at least 1, got -1"),
+    # a 3x2 tree: its largest level holds 4 labels, and it has 7 in all
+    ("train-labels", ["--neg-passes", "5"],
+     "neg_passes 5 exceeds the largest candidate pool, 4 nodes: "
+     "no pool holds a distinct negative for every pass"),
+    ("train-labels", ["--uniform-negatives", "--neg-passes", "8"],
+     "neg_passes 8 exceeds the largest candidate pool, 7 nodes: "
+     "no pool holds a distinct negative for every pass"),
     ("train-classifier", ["--batch", "0"], "batch size must be positive, got 0"),
     ("train-classifier", ["--epochs", "-1"], "epochs must be nonnegative, got -1"),
     ("train-classifier", ["--lr", "-1"], "learning rate must be nonnegative, got -1.0"),
@@ -679,6 +718,17 @@ class TestLabelFileCone:
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == f"--aperture-k 0.1 conflicts with k=0.3 stored in {init}"
+
+    def test_joint_run_names_init_labels_of_another_dim(self, trained, capsys):
+        root, nodes, edges = trained
+        init = root / "k03" / "embeddings.emb"  # 2-dimensional
+        code = main(["train-joint", "--nodes", str(nodes), "--edges", str(edges),
+                     "--features", str(root / "feats" / "features.feat"), "--dim", "4",
+                     "--epochs", "1", "--init-labels", str(init), "--out", str(root / "jdim")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == f"{init} holds 2-dimensional labels, but --dim is 4"
+        assert payload["type"] == "CliError"
 
     def test_joint_model_keeps_its_k_under_older_snapshots(self, trained):
         from hierembed import joint, storage
@@ -927,3 +977,60 @@ def test_golden_text_table_digests(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_TABLES}
     assert got == GOLDEN_TABLES
+
+
+# sha256 of the trained outputs of one small run down each sampler path: the
+# plain walk with pick-per-level (ec), with uniform negatives and a repeat
+# check (oe, two passes), with RSGD and three passes (hc), and the joint
+# trainer plain and rebalanced. A change to the training stream, the samplers
+# or the optimizers changes them: such a change has to say so and record the
+# new digests here.
+GOLDEN_TRAINED = {
+    "labels-ec/embeddings.emb": "9d1cdf29a255ba10bcf61bd54b2d6c9dad2a0fc392e7e03868966860ce8764cc",
+    "labels-ec/train_log.csv": "12155f1ea099779af568e9f2ac6ba6e59b45e3935c2616169eb2d1060f524ae5",
+    "labels-ec/test_metrics.csv": "958586fc0b6ad43328f0a26706319eb8cb31fd2807c1e88e34166d6445820a25",
+    "labels-oe/embeddings.emb": "58da4453e2d4b62444fa29092648d6540b541bf4c1cac9bcfb41055dfdc166f3",
+    "labels-oe/train_log.csv": "db5f7696cf85fa1ce6a55a09d92a9c82a53af36d4fb5d2f289f31cca1b0096ba",
+    "labels-oe/test_metrics.csv": "09bebbe4ab685ba90397431a7536ae8e82adc4bbdb7980a764fe1e773cccdac4",
+    "labels-hc/embeddings.emb": "cf61351804210643f985ffb1fb22f8d884715e7efd3784b162e48f8ece37a3e2",
+    "labels-hc/train_log.csv": "16fd6ed46a4c83b43f35d925f16f5117995ba447674912076dc7c87474260193",
+    "labels-hc/test_metrics.csv": "45e2529624c5403670a45d341f61dce762bf1721b4fb86223539331c0e080abb",
+    "joint-hc/model.bin": "406370d7ac9301b770afaf73f81593cd90e77bfaadd9f0b5316156720214385c",
+    "joint-hc/train_log.csv": "cb567867c51a476d719f472e312e82f195e09c5a6054210c6bab394a74d6780b",
+    "joint-hc-rebalanced/model.bin": "fa8d611c4ea1a08dd8695f958dab92ddb20fe200c00e568ebb1e79f7822c1f4e",
+    "joint-hc-rebalanced/train_log.csv": "1560cf68219951fa07386006e28892676f7760876d75209d15efd35344a98ada",
+}
+
+TRAINED_RUNS = {
+    "labels-ec": ["train-labels", "--geometry", "ec"],
+    "labels-oe": ["train-labels", "--geometry", "oe", "--uniform-negatives", "--neg-passes", "2"],
+    "labels-hc": ["train-labels", "--geometry", "hc", "--neg-passes", "3"],
+    "joint-hc": ["train-joint", "--geometry", "hc"],
+    "joint-hc-rebalanced": ["train-joint", "--geometry", "hc", "--rebalance-images"],
+}
+
+
+def test_golden_trained_output_digests(tmp_path):
+    import hashlib
+
+    nodes, edges, _ = tree_files(tmp_path, 4, 3)
+    base = ["--nodes", str(nodes), "--edges", str(edges)]
+    run(["split", *base, "--fraction", "0.5", "--seed", "3", "--out", str(tmp_path / "split")])
+    run(["gen-features", *base, "--per-leaf", "3", "--dim", "4", "--seed", "5",
+         "--out", str(tmp_path / "feats")])
+    inputs = {
+        "train-labels": ["--split-dir", str(tmp_path / "split"), "--epochs", "8"],
+        "train-joint": ["--features", str(tmp_path / "feats" / "features.feat"),
+                        "--epochs", "8", "--batch", "10"],
+    }
+    got = {}
+    for name, (command, *flags) in TRAINED_RUNS.items():
+        out = tmp_path / name
+        run([command, *base, *inputs[command], *flags, "--dim", "3", "--seed", "4",
+             "--out", str(out)])
+        files = ["embeddings.emb", "train_log.csv", "test_metrics.csv"]
+        if command == "train-joint":
+            files = ["model.bin", "train_log.csv"]
+        for file in files:
+            got[f"{name}/{file}"] = hashlib.sha256((out / file).read_bytes()).hexdigest()
+    assert got == GOLDEN_TRAINED

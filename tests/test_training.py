@@ -257,6 +257,29 @@ class TestTrainer:
         table, history = train_label_embeddings(h, split, cfg)
         assert history == [] and table.coords.shape == (len(h.ids), 2)
 
+    # a 3x2 tree has levels of 1, 2 and 4 labels; its 4 leaves take 3 instances each
+    @pytest.mark.parametrize(
+        "pick_per_level, rebalance, instances, pool",
+        [(True, False, False, 4), (False, False, False, 7), (True, False, True, 12),
+         (False, False, True, 19), (True, True, True, 19)],
+    )
+    def test_neg_passes_past_the_largest_pool_rejected(self, pick_per_level, rebalance, instances, pool):
+        tree = generate_synthetic_tree(3, 2)
+        features = gaussian_cluster_features(tree, 3, 4, seed=1).features if instances else None
+
+        def train(passes):
+            cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=passes,
+                              pick_per_level=pick_per_level, rebalance_images=rebalance)
+            return train_graph_embedding(tree, tree.closure_rows, cfg, features=features)
+
+        train(pool)  # the bound itself trains
+        with pytest.raises(ValueError) as err:
+            train(pool + 1)
+        assert str(err.value) == (
+            f"neg_passes {pool + 1} exceeds the largest candidate pool, {pool} nodes: "
+            "no pool holds a distinct negative for every pass"
+        )
+
 
 class TestEdgePrediction:
     def test_separated_sets(self):
@@ -604,7 +627,7 @@ class TestEmptySlots:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_table_matches_brute_force(self, name, pick_per_level):
         graph = GRAPHS[name]()
-        pools = graph.pools[pick_per_level]
+        pools = graph.levels if pick_per_level else [graph.order] * len(graph.levels)
         assert len(pools) == len(graph.levels)
         expected = np.zeros((2, len(pools), graph.n_total), dtype=bool)
         for p, pool in enumerate(pools):
@@ -617,7 +640,8 @@ class TestEmptySlots:
                         and not (graph.is_instance(a) and graph.is_instance(b))
                         for a, b in pairs
                     )
-        np.testing.assert_array_equal(graph.empty[pick_per_level], expected)
+        valid = graph.valid if pick_per_level else graph.valid.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(np.broadcast_to(valid == 0, expected.shape), expected)
         assert not expected.all()
 
     def test_known_empty_slots(self):
@@ -625,7 +649,7 @@ class TestEmptySlots:
         root = graph.index["r"]
         child = graph.index["r.0"]
         inst = graph.n_labels
-        empty = graph.empty[True]
+        empty = graph.valid == 0
         assert empty[0, 0, child]  # corrupt-u at the root level: the root entails all
         assert empty[0, -1, inst]  # corrupt-u at the instance level of an instance
         assert empty[1, :, root].all()  # corrupt-v under the root: all are positives
@@ -1003,8 +1027,8 @@ class TestBatchSamplersMatchPerPositiveCalls:
         batch = np.array([[graph.index["r.1"], graph.index["r.1.0"]]] * 3)
         # the first slot reading words is corrupt-u at level 2, a pool of 3,
         # whose member 0 (what word 0 would give) is a valid candidate
-        assert graph.empty[True][0, 0, batch[0, 1]] and len(graph.levels[0]) == 1
-        assert not graph.empty[True][0, 1, batch[0, 1]] and len(graph.levels[1]) == 3
+        assert graph.valid[0, 0, batch[0, 1]] == 0 and len(graph.levels[0]) == 1
+        assert graph.valid[0, 1, batch[0, 1]] != 0 and len(graph.levels[1]) == 3
         assert (int(graph.levels[1][0]), int(batch[0, 1])) not in graph.forbidden
         assert _lemire(np.zeros(1, np.uint32), 3)[1][0]
         rng = np.random.default_rng(3)
@@ -1020,12 +1044,28 @@ class TestBatchSamplersMatchPerPositiveCalls:
         graph = IdGraph(forest, positives + [("a", "bx"), ("c", "bx")])
         b, bx = graph.index["b"], graph.index["bx"]
         # corrupt-u at level 1 for bx: a and c are banned, b entails it; 3 is no power of 2
-        assert graph.empty[True][0, 0, bx] and len(graph.levels[0]) == 3
+        assert graph.valid[0, 0, bx] == 0 and len(graph.levels[0]) == 3
         cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes)
         batch = np.array([[b, bx], [graph.index["a"], graph.index["ax"]]])
         rng = np.random.default_rng(4)
         zero_words_at(rng, at)
         self.assert_matches_scalar_loop(graph, batch, rng, cfg)
+
+    @pytest.mark.parametrize("seed, at", [(11, 104), (19, 110), (24, 106), (34, 108)])
+    def test_thrown_words_across_adjacent_empty_slots(self, seed, at):
+        nodes = [Node(i, len(i), i) for i in ("a", "b", "c", "ax", "bx", "cx")]
+        forest = Hierarchy(nodes, [("a", "ax"), ("b", "bx"), ("c", "cx")])
+        positives = [("a", "ax"), ("b", "bx"), ("c", "cx")]
+        graph = IdGraph(forest, positives + [("a", "bx"), ("c", "bx"), ("ax", "bx"), ("cx", "bx")])
+        a, ax, b, bx = (graph.index[i] for i in ("a", "ax", "b", "bx"))
+        # corrupt-u for bx has no valid candidate at either level, pools of 3
+        assert (graph.valid[0, :, bx] == 0).all() and len(graph.levels[1]) == 3
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
+        # the zero words fall at the end of the first empty slot, which then reads
+        # both, so the second one starts two words past its nominal start
+        rng = np.random.default_rng(seed)
+        zero_words_at(rng, at)
+        self.assert_matches_scalar_loop(graph, np.array([[a, ax], [b, bx]]), rng, cfg)
 
     def test_one_valid_candidate_in_a_large_pool_gives_up(self):
         ids = [f"n{i:03d}" for i in range(300)]
@@ -1113,7 +1153,7 @@ class TestSpentBlocks:
         forest = Hierarchy(nodes, [("a", "ax"), ("b", "bx"), ("c", "cx")])
         graph = IdGraph(forest, [("a", "ax"), ("b", "bx"), ("c", "cx"), ("a", "bx"), ("c", "bx")])
         b, bx = graph.index["b"], graph.index["bx"]
-        assert graph.empty[True][0, 0, bx]  # one empty slot per positive, a pool of 3
+        assert graph.valid[0, 0, bx] == 0  # one empty slot per positive, a pool of 3
         hits = []
         real = training._first_thrown
 
