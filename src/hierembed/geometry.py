@@ -20,6 +20,15 @@ formula is written once. The batch kernels (``energies``,
 path used by the trainers, which keep all points inside the cone domain by
 projection. The batch energy kernel ``energies`` broadcasts over leading axes:
 row-aligned ``(n, d)`` pairs, or all pairs via ``X[:, None]``, ``Y[None]``.
+
+``energies_and_gradients`` computes every energy but runs the gradient
+formulas only on *live* rows (:func:`live_rows`): ``E > 0``, and
+``E < upper`` where the optional per-row bound ``upper`` is given. The
+max-margin trainer passes +inf for positives and the margin for negatives,
+so satisfied positives and flat hinges cost no gradient arithmetic. The
+other gradient rows are exactly +0.0, so a caller that accumulates only the
+live rows gets the same sums, bit for bit, as one that adds them all:
+adding +-0.0 to an accumulator that starts at +0.0 changes nothing.
 """
 
 from __future__ import annotations
@@ -311,28 +320,53 @@ def _hyper_xi_batch(X, Y):
     return xi, (a, b, s, m, g, num, P, D, c)
 
 
-def energies_and_gradients(X, Y, p: ConeParams):
+def live_rows(e: np.ndarray, upper=None) -> np.ndarray:
+    """Rows whose hinge has a nonzero gradient: ``E > 0``, and ``E < upper`` where
+    ``upper`` (per row, or one bound for all) is given. NaN rows are never live."""
+    live = e > 0.0
+    if upper is not None:
+        live &= e < upper
+    return live
+
+
+def _spread(n: int, live: np.ndarray, *grads: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Gradients of the ``live`` row indices placed in +0.0 arrays of ``n`` rows."""
+    out = []
+    for g in grads:
+        full = np.zeros((n, g.shape[1]))
+        full[live] = g
+        out.append(full)
+    return tuple(out)
+
+
+def energies_and_gradients(X, Y, p: ConeParams, upper=None):
     """Energies plus analytic gradients for row-aligned batches.
 
-    Returns ``(E, dX, dY)`` with the hinge's zero subgradient applied
-    wherever the pair is order-satisfied.
+    Returns ``(E, dX, dY)``. Every energy is computed. The gradient formulas
+    run only on the live rows (:func:`live_rows`): ``E > 0``, the hinge's
+    zero subgradient covering order-satisfied pairs, and ``E < upper`` where
+    ``upper`` is given, so that a caller whose loss is flat past a per-row
+    bound (a max-margin negative at ``E >= margin``) pays nothing for those
+    rows. Every other gradient row is exactly +0.0. Each row's arithmetic is
+    independent of the others, so a live row's gradient is bitwise the one
+    that a call on the live rows alone would give.
     """
     X, Y = _rows(X), _rows(Y)
     if p.kind == "oe":
         d = np.maximum(X - Y, 0.0)
         sq = np.einsum("ij,ij->i", d, d)
-        if p.oe_squared:
-            return sq, 2.0 * d, -2.0 * d
-        e = np.sqrt(sq)
-        scale = np.where(e > 0.0, 1.0 / _safe(e), 0.0)[:, None]
-        g = d * scale
-        return e, g, -g
+        e = sq if p.oe_squared else np.sqrt(sq)
+        live = np.flatnonzero(live_rows(e, upper))
+        d = d[live]
+        g = 2.0 * d if p.oe_squared else d * (1.0 / _safe(e[live]))[:, None]
+        return (e, *_spread(len(e), live, g, -g))
 
     if p.kind == "ec":
-        xi, (diff, a, nx, dxy, u, v, c) = _euclid_xi_batch(X, Y)
+        xi, (diff, _, nx, dxy, u, v, c) = _euclid_xi_batch(X, Y)
         psi, _ = _aperture(nx, p)
         e = np.maximum(0.0, xi - psi)
-        active = (e > 0.0)[:, None]
+        live = np.flatnonzero(live_rows(e, upper))
+        X, Y, diff, nx, dxy, u, v, c = (t[live] for t in (X, Y, diff, nx, dxy, u, v, c))
         # d(arccos(c)) = -dc / sqrt(1 - c^2)
         inv_sin = 1.0 / _safe(np.sqrt(1.0 - c * c))
         v2 = _safe(v * v)
@@ -348,15 +382,15 @@ def energies_and_gradients(X, Y, p: ConeParams):
         # psi = arcsin(K / nx): dpsi/dx = -K x / (nx^2 sqrt(nx^2 - K^2))
         root = _safe(np.sqrt(np.maximum(nx * nx - p.k * p.k, 0.0)))
         dpsi_dx = -(p.k / (nx * nx * root))[:, None] * X
-        gx = np.where(active, dxi_dx - dpsi_dx, 0.0)
-        gy = np.where(active, dxi_dy, 0.0)
-        return e, _clip_rows(gx), _clip_rows(gy)
+        return (e, *_spread(len(e), live, _clip_rows(dxi_dx - dpsi_dx), _clip_rows(dxi_dy)))
 
-    xi, (a, b, s, m, g, num, P, D, c) = _hyper_xi_batch(X, Y)
+    xi, inter = _hyper_xi_batch(X, Y)
+    a = inter[0]
     nx = _safe(np.sqrt(a))
     psi, h = _aperture(nx, p, a)
     e = np.maximum(0.0, xi - psi)
-    active = (e > 0.0)[:, None]
+    live = np.flatnonzero(live_rows(e, upper))
+    X, Y, nx, h, a, b, s, m, g, num, P, D, c = (t[live] for t in (X, Y, nx, h, *inter))
     inv_sin = 1.0 / _safe(np.sqrt(1.0 - c * c))
     # c = num / sqrt(P) with P = a m g; dc = (D dnum - num dD) / P, dD = dP/(2D)
     dnum_dx = (1.0 + a)[:, None] * Y + (2.0 * s - 2.0 * (1.0 + b))[:, None] * X
@@ -376,9 +410,7 @@ def energies_and_gradients(X, Y, p: ConeParams):
     # psi = arcsin(K (1 - a) / nx): radial derivative -K (1 + 1/nx^2)
     dpsi_dnx = -p.k * (1.0 + 1.0 / (nx * nx)) / _safe(np.sqrt(1.0 - h * h))
     dpsi_dx = (dpsi_dnx / nx)[:, None] * X
-    gx = np.where(active, dxi_dx - dpsi_dx, 0.0)
-    gy = np.where(active, dxi_dy, 0.0)
-    return e, _clip_rows(gx), _clip_rows(gy)
+    return (e, *_spread(len(e), live, _clip_rows(dxi_dx - dpsi_dx), _clip_rows(dxi_dy)))
 
 
 def project_rows(X, p: ConeParams, rng: np.random.Generator | None = None) -> np.ndarray:

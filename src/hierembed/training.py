@@ -264,25 +264,37 @@ def _batch_step(
 ) -> tuple[float, float, np.ndarray, np.ndarray | None]:
     """Loss terms and gradients of one batch of graph-row pairs ``(k, 2)``.
 
-    Returns ``(sum_pos E, sum_neg max(0, margin - E), label grad, W grad)``;
-    the hinge's gradient is zero where it is flat (``E >= margin``). One
-    kernel call scores ``[pos; negs]``. Label gradients scatter in one
-    ``np.add.at`` over the parts in the order pos-u, pos-v, neg-u, neg-v;
-    ``W``'s accumulate part by part in that order, each part's instances
-    mapped by a matmul of their own (a matmul over the rows of all parts
-    rounds differently). The W grad is None without instances (``w`` None).
+    Returns ``(sum_pos E, sum_neg max(0, margin - E), label grad, W grad)``.
+    One kernel call scores ``[pos; negs]`` with ``upper`` +inf for the
+    positives and ``margin`` for the negatives, so only live rows get a
+    gradient: positives with ``E > 0``, negatives with ``0 < E < margin``.
+    Over the parts pos-u, pos-v, neg-u, neg-v, in that order, the live rows
+    alone are scattered into the label gradient (one ``np.add.at``) and
+    back-propagated through ``exp_0``. ``W``'s gradient is then one matmul
+    per part over all its instance rows, the dead ones at +0.0, and a part
+    with no live instance row is skipped: a matmul over fewer rows regroups
+    BLAS's sum (at 512-wide features and batch 1024 it moved the trained
+    model's bytes). Each part's instances are likewise embedded by a matmul
+    of their own.
+
+    Skipping rows keeps every sum bit-identical: a skipped row's gradient
+    holds only +-0.0, every accumulator starts at +0.0, and round-to-nearest
+    addition of +-0.0 leaves any value other than -0.0 as it is and never
+    turns +0.0 into -0.0. The W grad is None without instances (``w`` None).
     """
     hc = params.kind == "hc"
     parts = (pos[:, 0], pos[:, 1], negs[:, 0], negs[:, 1])
     points, zs = zip(*(_embed_part(nodes, coords, feats, w, hc) for nodes in parts))
-    e, gx, gy = geometry.energies_and_gradients(
-        np.concatenate(points[0::2]), np.concatenate(points[1::2]), params
-    )
     n = len(pos)
-    e_neg = e[n:]
-    active = (e_neg < margin)[:, None]
-    grads = (gx[:n], gy[:n], np.where(active, -gx[n:], 0.0), np.where(active, -gy[n:], 0.0))
-    nodes, g = np.concatenate(parts), np.concatenate(grads)
+    upper = np.concatenate((np.full(n, np.inf), np.full(len(negs), margin)))
+    e, gx, gy = geometry.energies_and_gradients(
+        np.concatenate(points[0::2]), np.concatenate(points[1::2]), params, upper
+    )
+    live = geometry.live_rows(e, upper)
+    lives = (live[:n], live[:n], live[n:], live[n:])
+    grads = (gx[:n], gy[:n], -gx[n:], -gy[n:])
+    nodes = np.concatenate([part[at] for part, at in zip(parts, lives)])
+    g = np.concatenate([part_g[at] for part_g, at in zip(grads, lives)])
     coords_grad = np.zeros_like(coords)
     w_grad = None
     if w is None:
@@ -291,12 +303,16 @@ def _batch_step(
         lab = nodes < len(coords)
         np.add.at(coords_grad, nodes[lab], g[lab])
         w_grad = np.zeros_like(w)
-        for part, z, part_g in zip(parts, zs, grads):
+        for part, z, part_g, at in zip(parts, zs, grads, lives):
             if z is not None:
                 inst = part >= len(coords)
-                dz = geometry.exp_map_zero_backprop(z, part_g[inst]) if hc else part_g[inst]
-                w_grad += feats[part[inst] - len(coords)].T @ dz
-    return float(e[:n].sum()), float(np.maximum(0.0, margin - e_neg).sum()), coords_grad, w_grad
+                keep = at[inst]  # the live rows among this part's instances
+                if keep.any():
+                    dz = np.zeros_like(z)
+                    g_live = part_g[inst & at]
+                    dz[keep] = geometry.exp_map_zero_backprop(z[keep], g_live) if hc else g_live
+                    w_grad += feats[part[inst] - len(coords)].T @ dz
+    return float(e[:n].sum()), float(np.maximum(0.0, margin - e[n:]).sum()), coords_grad, w_grad
 
 
 def max_margin_loss(

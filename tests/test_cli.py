@@ -512,8 +512,8 @@ class TestErrors:
         real = geometry.energies_and_gradients
         calls = []
 
-        def poisoned(X, Y, params):
-            e, gx, gy = real(X, Y, params)
+        def poisoned(X, Y, params, *rest):
+            e, gx, gy = real(X, Y, params, *rest)
             calls.append(1)
             return e, (np.full_like(gx, np.nan) if len(calls) == 2 else gx), gy  # batch 2
 
@@ -999,6 +999,16 @@ GOLDEN_TRAINED = {
     "joint-hc/train_log.csv": "cb567867c51a476d719f472e312e82f195e09c5a6054210c6bab394a74d6780b",
     "joint-hc-rebalanced/model.bin": "fa8d611c4ea1a08dd8695f958dab92ddb20fe200c00e568ebb1e79f7822c1f4e",
     "joint-hc-rebalanced/train_log.csv": "1560cf68219951fa07386006e28892676f7760876d75209d15efd35344a98ada",
+    "joint-ec/model.bin": "5931418f38b7bd7bd541e4ceb4aeea2f1e6f0a0f8b14002ca24e250b65261bc3",
+    "joint-ec/train_log.csv": "f36bfeafb9ef590131250ac18ec97dbf8d2abd0342ade2646231c782a8fca17b",
+    "joint-oe/model.bin": "522fad06944601f7c3e9881a2a4c26724e7d2919d5ba6c2d17b4e04cada05a07",
+    "joint-oe/train_log.csv": "2463c363709dd49a548fbc47f131cb4239cea6ccd2f6b4ca22027fad0e69f8b8",
+    "labels-oe-squared/embeddings.emb": "b385332202b0cb936538351ef77a266bfcee16b5631f795b3ff2478f6bdf71c3",
+    "labels-oe-squared/train_log.csv": "30734ebd4c459b8ccc09384850d515ca683f3e014628b2649eae41a617e21478",
+    "labels-oe-squared/test_metrics.csv": "54a59b764b5ef85fbd2cdbae5c52a41bce3b4940e1db3fd727949ef92d805730",
+    "labels-hc-adam/embeddings.emb": "3b2184cbd80bd7d83280ce3f724a206db46149d0596143df10c9d1b097d4b835",
+    "labels-hc-adam/train_log.csv": "48bef911105ca5faec86e744333329cd1c8120f18f6ba2780ac12d3313fe7066",
+    "labels-hc-adam/test_metrics.csv": "adc20330d4777d20c23b0cebcd82b06d380a4686c0d408109a866fca68fe48a0",
 }
 
 TRAINED_RUNS = {
@@ -1007,6 +1017,10 @@ TRAINED_RUNS = {
     "labels-hc": ["train-labels", "--geometry", "hc", "--neg-passes", "3"],
     "joint-hc": ["train-joint", "--geometry", "hc"],
     "joint-hc-rebalanced": ["train-joint", "--geometry", "hc", "--rebalance-images"],
+    "joint-ec": ["train-joint", "--geometry", "ec"],
+    "joint-oe": ["train-joint", "--geometry", "oe"],
+    "labels-oe-squared": ["train-labels", "--geometry", "oe", "--squared"],
+    "labels-hc-adam": ["train-labels", "--geometry", "hc", "--optimizer", "adam"],
 }
 
 

@@ -254,14 +254,14 @@ class TestProjection:
             geometry.project_rows(np.zeros((3, 0)), p)
 
 
-def _fd_grads(x, y, p, h=1e-5):
+def _fd_grads(x, y, p, h=1e-5, energy=cone_energy):
     fx = np.zeros_like(x)
     fy = np.zeros_like(y)
     for i in range(len(x)):
         e = np.zeros_like(x)
         e[i] = h
-        fx[i] = (cone_energy(x + e, y, p) - cone_energy(x - e, y, p)) / (2 * h)
-        fy[i] = (cone_energy(x, y + e, p) - cone_energy(x, y - e, p)) / (2 * h)
+        fx[i] = (energy(x + e, y, p) - energy(x - e, y, p)) / (2 * h)
+        fy[i] = (energy(x, y + e, p) - energy(x, y - e, p)) / (2 * h)
     return fx, fy
 
 
@@ -435,6 +435,70 @@ def test_broadcast_energies_equal_gathered_rows(kernel, k, d, n, m, seed, floor,
     want = geometry.energies(X[i], Y[j], p).reshape(n, m)
     assert geometry.energies(X[:, None], Y[None], p).tobytes() == want.tobytes()
     assert geometry.energies(X[None], Y[:, None], p).tobytes() == want.T.copy().tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kernel=st.sampled_from(_KERNELS),
+    d=st.integers(1, 12),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    satisfied=st.floats(0.0, 1.0),
+    near=st.floats(0.0, 1.0),
+)
+@example(kernel=("hc", False), d=3, n=1, seed=0, satisfied=0.0, near=1.0)
+@example(kernel=("oe", True), d=2, n=6, seed=1, satisfied=1.0, near=0.0)
+def test_live_row_gradients_equal_a_call_on_the_live_rows(kernel, d, n, seed, satisfied, near):
+    """With a per-row ``upper``, the energies are the plain call's, the live
+    rows' gradients a call on the live rows alone, and every other row +0.0."""
+    kind, squared = kernel
+    p = ConeParams(kind, 0.1, oe_squared=squared)
+    rng = np.random.default_rng(seed)
+    X = random_coords(n, d, p, rng, 0.6 if kind == "hc" else None)
+    Y = random_coords(n, d, p, rng, 0.6 if kind == "hc" else None)
+    # satisfied rows at E = 0: y dominates x (oe), or lies on x's axis past x
+    zero = rng.random(n) < satisfied
+    Y[zero] = X[zero] + np.abs(rng.standard_normal((zero.sum(), d))) if kind == "oe" else 1.5 * X[zero]
+    e0 = geometry.energies(X, Y, p)
+    upper = rng.choice([np.inf, 1.0, 0.5 * float(e0.max())], n)
+    # rows with upper within 1e-12 of E, on either side or equal
+    close = rng.random(n) < near
+    step = rng.choice([-1e-12, -1e-15, 0.0, 1e-15, 1e-12], n)
+    upper[close] = e0[close] + step[close]
+    e, gx, gy = geometry.energies_and_gradients(X, Y, p, upper)
+    e_plain, gx_plain, gy_plain = geometry.energies_and_gradients(X, Y, p)
+    assert e.tobytes() == e_plain.tobytes()
+    live = (e > 0.0) & (e < upper)
+    assert np.array_equal(geometry.live_rows(e, upper), live)
+    if live.any():
+        _, gx_live, gy_live = geometry.energies_and_gradients(X[live], Y[live], p)
+        assert gx[live].tobytes() == gx_live.tobytes() == gx_plain[live].tobytes()
+        assert gy[live].tobytes() == gy_live.tobytes() == gy_plain[live].tobytes()
+    for g in (gx[~live], gy[~live]):  # exactly +0.0: no value, no sign bit
+        assert not g.any() and not np.signbit(g).any()
+
+
+@pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
+def test_hinge_gradients_match_finite_differences_across_the_margin(kind):
+    """``-dE`` with ``upper`` as the margin is the slope of the hinge
+    ``max(0, upper - E)`` by central differences, both with ``upper`` just
+    above E and just below it, where the hinge is flat."""
+    p = ConeParams(kind, 0.1)
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 40:
+        x = random_coords(1, 5, p, rng)[0]
+        y = random_coords(1, 5, p, rng)[0]
+        e = cone_energy(x, y, p)
+        if e < 1e-3:
+            continue
+        for cut in (e + 1e-3, e - 1e-3):  # a change of E by h |dE| stays on its side
+            _, gx, gy = geometry.energies_and_gradients(x[None], y[None], p, np.array([cut]))
+            fx, fy = _fd_grads(x, y, p, energy=lambda a, b, q: max(0.0, cut - cone_energy(a, b, q)))
+            assert (cut > e) == bool(np.any(fx) or np.any(fy))
+            for g, f in ((-gx[0], fx), (-gy[0], fy)):
+                assert np.linalg.norm(g - f) <= 1e-4 * max(np.linalg.norm(f), 1e-8)
+        checked += 1
 
 
 _FLOOR = [0.05, 0.0]  # below both aperture floors at K = 0.1

@@ -118,6 +118,35 @@ class TestMaxMarginLoss:
         assert loss == pytest.approx(1.0)  # hinge on a zero-energy negative
 
 
+    @pytest.mark.parametrize("kind", ["ec", "hc"])
+    def test_w_grad_is_the_matmul_over_every_instance_row(self, kind):
+        # wide features and parts of hundreds of instance rows: a matmul
+        # over the live rows alone regroups BLAS's sum and moves the bits,
+        # so the W gradient must be the one over all rows, dead ones at 0
+        rng = np.random.default_rng(11)
+        params = ConeParams(kind, 0.1)
+        coords = random_coords(30, 6, params, rng)
+        feats = rng.standard_normal((900, 512))
+        w = rng.standard_normal((512, 6)) * 0.01
+        inst = rng.integers(30, 930, 1600)
+        pairs = np.stack([inst, rng.integers(0, 30, 1600)], axis=1)
+        pos, negs = pairs[:800], pairs[800:]
+        margin = 2.3  # about half the negatives live
+        *_, w_grad = training._batch_step(pos, negs, coords, params, margin, feats, w)
+
+        want = np.zeros_like(w)
+        for part, margin_of in ((pos, None), (negs, margin)):
+            z = feats[part[:, 0] - 30] @ w
+            x = geometry.exp_map_zero(z) if kind == "hc" else z
+            e, gx, _ = geometry.energies_and_gradients(x, coords[part[:, 1]], params)
+            if margin_of is not None:
+                gx = np.where((e < margin_of)[:, None], -gx, 0.0)
+                assert 0 < np.count_nonzero(gx.any(axis=1)) < len(part)  # live and flat hinges
+            dz = geometry.exp_map_zero_backprop(z, gx) if kind == "hc" else gx
+            want += feats[part[:, 0] - 30].T @ dz
+        assert w_grad.tobytes() == want.tobytes()
+
+
 class TestOptimizers:
     def test_zero_gradient_keeps_params(self):
         cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
@@ -164,10 +193,10 @@ class TestOptimizers:
         real = geometry.energies_and_gradients
         calls = []
 
-        def poisoned(X, Y, params):
+        def poisoned(X, Y, params, *rest):
             # one call per batch: 16 edges in batches of 5 make 4 calls an
             # epoch, so call 7 is epoch 2, batch 3
-            e, gx, gy = real(X, Y, params)
+            e, gx, gy = real(X, Y, params, *rest)
             calls.append(1)
             return e, (np.full_like(gx, np.nan) if len(calls) == 7 else gx), gy
 
