@@ -367,7 +367,7 @@ def _instance_level_labels(
                     f"expected {h.level_count}"
                 )
             rows.append(by_id[iid])
-        return np.array(rows, dtype=object)
+        return np.array(rows, dtype=object).reshape(len(rows), h.level_count)
     return joint.level_truth(h, features, range(len(features.instance_ids)))
 
 
@@ -379,9 +379,7 @@ def cmd_train_classifier(args) -> None:
     n = len(features.instance_ids)
     split_seed = args.split_seed if args.split_seed is not None else args.seed
     train_idx, val_idx, test_idx = joint.split_instances(n, split_seed)
-    policy = heads.ImbalancePolicy.from_labels(
-        args.imbalance, [str(labels[i][-1]) for i in train_idx]
-    )
+    policy = heads.ImbalancePolicy.from_labels(args.imbalance, labels[train_idx, -1])
     config = heads.ClassifierConfig(
         head=args.head,
         lr=args.lr,

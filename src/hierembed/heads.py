@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -36,12 +37,9 @@ class HeadError(ValueError):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below."""
+    e = np.exp(np.minimum(x, -x))  # -|x|; a NaN keeps its sign, as exp(x) would
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -117,8 +115,14 @@ class HierarchyIndex:
             for m in self.levels
         ]
         self.leaf_cols = np.stack([c[self.leaf_path[:, i]] for i, c in enumerate(col)], axis=1)
-        col_group = np.repeat(np.arange(len(groups)), [len(g.member_ids) for g in groups])
+        sizes = np.array([len(g.member_ids) for g in groups])
+        col_group = np.repeat(np.arange(len(groups)), sizes)
         self.leaf_groups = (col_group == col_group[self.leaf_cols][:, :, None]).any(axis=1)
+        # group_cols: one (groups, size) column table per group size
+        offsets = np.array([g.offset for g in groups])
+        self.group_cols = [
+            offsets[sizes == k][:, None] + np.arange(k) for k in sorted(set(sizes.tolist()))
+        ]
 
     # -- target builders -----------------------------------------------------
 
@@ -131,8 +135,8 @@ class HierarchyIndex:
             raise HeadError(
                 f"expected {self.level_count} per-level labels, got {labels.shape[1]}"
             )
-        rows = np.array(
-            [self.h.row_of.get(nid, -1) for nid in labels.ravel()], dtype=np.int64
+        rows = np.fromiter(
+            map(self.h.row_of.get, labels.ravel(), repeat(-1)), dtype=np.int64, count=labels.size
         ).reshape(labels.shape)
         bad = (rows < 0) | (self.h.level_of[rows] != np.arange(1, self.level_count + 1))
         if bad.any():
@@ -197,9 +201,10 @@ def _targets(tau, index: HierarchyIndex) -> np.ndarray:
     tau = np.atleast_2d(np.asarray(tau, dtype=np.int64))
     if tau.shape[1] != index.level_count:
         raise HeadError(f"expected {index.level_count} target levels, got {tau.shape[1]}")
-    for i, size in enumerate(index.level_sizes):
-        if np.any(tau[:, i] < 0) or np.any(tau[:, i] >= size):
-            raise HeadError(f"level {i + 1} target out of range [0, {size})")
+    bad = ((tau < 0) | (tau >= index.level_sizes)).any(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise HeadError(f"level {i + 1} target out of range [0, {index.level_sizes[i]})")
     return tau
 
 
@@ -215,26 +220,37 @@ def _check_paths(tau: np.ndarray, index: HierarchyIndex) -> None:
 
 
 def _hab_rows(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    y = np.atleast_2d(np.asarray(y))
     if x.shape != y.shape:
         raise HeadError(f"logit shape {x.shape} != target shape {y.shape}")
+    if y.dtype != bool:
+        bad = (y != 0) & (y != 1)
+        if bad.any():
+            s, j = np.argwhere(bad)[0]
+            raise HeadError(
+                f"hab targets must be 0 or 1, got {y[s, j].item()!r} at sample {s}, label {j}"
+            )
+        y = y == 1
     width = x.shape[1]
-    losses = np.sum(y * _softplus(-x) + (1.0 - y) * _softplus(x), axis=1) / width
+    # y * sp(-x) + (1 - y) * sp(x), one softplus per entry
+    losses = np.sum(_softplus(np.where(y, -x, x)), axis=1) / width
     return losses, (_sigmoid(x) - y) / width
 
 
 def hab_loss(x, y) -> tuple[float, np.ndarray]:
-    """Multi-label soft-margin loss, mean over labels (and batch)."""
+    """Multi-label soft-margin loss, mean over labels (and batch); ``y`` is 0/1."""
     return _batch_mean(_hab_rows, x, y)
 
 
 def _per_sample_ce(seg: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cross-entropy of each row against its target column, with gradient."""
-    n = seg.shape[0]
-    logz = _logsumexp(seg, axis=1)
-    losses = logz - seg[np.arange(n), tau]
-    grad = _softmax(seg)
-    grad[np.arange(n), tau] -= 1.0
+    rows = np.arange(seg.shape[0])
+    m = np.max(seg, axis=1, keepdims=True)
+    grad = np.exp(seg - m)
+    total = np.sum(grad, axis=1, keepdims=True)
+    losses = (m[:, 0] + np.log(total[:, 0])) - seg[rows, tau]
+    grad /= total
+    grad[rows, tau] -= 1.0
     return losses, grad
 
 
@@ -275,11 +291,16 @@ def _mc_rows(x: np.ndarray, tau, index: HierarchyIndex) -> tuple[np.ndarray, np.
     logp = x - _logsumexp(x, axis=1)[:, None]
     p = np.exp(logp)
     losses, grad = np.zeros(x.shape[0]), np.zeros_like(x)
-    for i in range(index.level_count):
+    for i in range(index.level_count - 1):
         mask = index.leaf_path[:, i] == tau[:, i, None]  # (n, N_L) leaves under the truth
         log_ps = _logsumexp(np.where(mask, logp, -np.inf), axis=1)
         losses -= log_ps
         grad += p - np.where(mask, np.exp(logp - log_ps[:, None]), 0.0)
+    # The leaf level's mask holds one leaf, whose log-sum-exp is its logp.
+    rows = np.arange(x.shape[0])
+    losses -= logp[rows, tau[:, -1]]
+    p[rows, tau[:, -1]] -= 1.0
+    grad += p
     return losses, grad
 
 
@@ -336,9 +357,11 @@ def _hs_log_cond(x: np.ndarray, index: HierarchyIndex) -> np.ndarray:
     if x.shape[1] != index.group_width:
         raise HeadError(f"expected {index.group_width} group logits, got {x.shape[1]}")
     log_cond = np.empty_like(x)
-    for g in index.groups:
-        cols = slice(g.offset, g.offset + len(g.member_ids))
-        log_cond[:, cols] = x[:, cols] - _logsumexp(x[:, cols], axis=1)[:, None]
+    for cols in index.group_cols:
+        # A contiguous copy: over a plain gather's layout the sums round
+        # differently from the per-group slices'.
+        seg = np.ascontiguousarray(x[:, cols])
+        log_cond[:, cols] = seg - _logsumexp(seg, axis=-1)[..., None]
     return log_cond
 
 
@@ -560,7 +583,7 @@ def predict_sets(clf: LinearClassifier, features: np.ndarray) -> np.ndarray:
 
 
 def _epoch_stream(
-    n: int, policy: ImbalancePolicy, leaf_labels: Sequence[str], rng: np.random.Generator
+    n: int, policy: ImbalancePolicy, leaf_labels: Sequence[str] | None, rng: np.random.Generator
 ) -> np.ndarray:
     if policy.mode == "resample":
         p = policy.resample_probabilities(leaf_labels)
@@ -587,20 +610,25 @@ def train_linear_classifier(
     width = head_width(config.head, index)
     X = np.asarray(train_features, dtype=float)
     n, d = X.shape
+    if n == 0:
+        raise HeadError("no training instances")
     tau = index.tau_from_labels(train_labels)
     mh = index.multi_hot(train_labels) if config.head == "hab" else None
-    leaf_ids = [str(row[-1]) for row in train_labels]
+    leaf_ids = None if policy.mode == "none" else [str(row[-1]) for row in train_labels]
     static_weights = (
         policy.sample_weights(leaf_ids) if policy.mode == "class-weights" else None
     )
 
     rng = np.random.default_rng(config.seed)
-    w = rng.standard_normal((d, width)) * INIT_STD
-    b = np.zeros(width)
-    from .training import AdamState, adam_step  # shared optimizer
+    # w and b are the rows of one packed (d + 1, width) parameter array, so
+    # one Adam call and one gradient buffer serve both.
+    wb = np.zeros((d + 1, width))
+    wb[:d] = rng.standard_normal((d, width)) * INIT_STD
+    w, b = wb[:d], wb[d]
+    from . import training  # shared optimizer, looked up at call time
 
-    st_w = AdamState.like(w)
-    st_b = AdamState.like(b)
+    state = training.AdamState.like(wb)
+    grad_wb = np.empty_like(wb)
     history: list[dict] = []
     has_val = len(val_labels) > 0
     if has_val:
@@ -627,10 +655,10 @@ def train_linear_classifier(
                 None if static_weights is None else static_weights[idx],
             )
             epoch_loss += loss * len(idx)
-            gw = xb.T @ grad
-            gb = grad.sum(axis=0)
-            w = adam_step(w, gw, st_w, config.lr)
-            b = adam_step(b, gb, st_b, config.lr)
+            np.matmul(xb.T, grad, out=grad_wb[:d])
+            np.sum(grad, axis=0, out=grad_wb[d])
+            wb = training.adam_step(wb, grad_wb, state, config.lr)
+            w, b = wb[:d], wb[d]
         row = {"epoch": epoch, "loss": epoch_loss / n}
         if has_val:
             clf = LinearClassifier(w, b, config.head, index)

@@ -186,12 +186,25 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> np.ndarray:
+    """One Adam update: the moments change in place, ``param`` does not.
+
+    Each operation rounds as in ``param - lr * mhat / (sqrt(vhat) + eps)``
+    with ``m = beta1 * m + (1 - beta1) * grad`` and
+    ``v = beta2 * v + (1 - beta2) * grad * grad``; the result is a new array.
+    """
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    mhat = state.m / (1.0 - beta1**state.t)
-    vhat = state.v / (1.0 - beta2**state.t)
-    return param - lr * mhat / (np.sqrt(vhat) + eps)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    step = m / (1.0 - beta1**state.t)
+    step *= lr
+    den = v / (1.0 - beta2**state.t)
+    np.sqrt(den, out=den)
+    den += eps
+    step /= den
+    return np.subtract(param, step, out=step)
 
 
 def rsgd_step(points: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:

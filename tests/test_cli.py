@@ -1048,3 +1048,114 @@ def test_golden_trained_output_digests(tmp_path):
         for file in files:
             got[f"{name}/{file}"] = hashlib.sha256((out / file).read_bytes()).hexdigest()
     assert got == GOLDEN_TRAINED
+
+
+# sha256 of the outputs of small train-classifier runs: all five heads
+# unweighted and class-weighted, hab with per-class thresholds, one resampled
+# run, and all five heads on a tree whose sibling groups have sizes 1 to 10.
+# A change to the heads' losses, the classifier trainer or Adam changes them:
+# such a change has to say so and record the new digests here.
+GOLDEN_CLASSIFIER = {
+    "hab-none/classifier.bin": "f5ffd8ee25ba06d26934712639318b2bab100d4c495ee9891da6077ae529f8cf",
+    "hab-none/train_log.csv": "1811697d37efa8c79079bf6aa14316bcfeed99ea85b59362b7f8c6b5aa579766",
+    "hab-none/metrics.csv": "781ae30eae15ee2895ac3a580b279840cddb5395aae5419c4074f313eccd297b",
+    "hab-class-weights/classifier.bin": "494e66fad627e327fa73753bb9e84f8c308eca774d17499aeafa68357ba1980f",
+    "hab-class-weights/train_log.csv": "f5c675ad2087ae5a1850e0733ebcedf011e2c7888af519aa11deac20abe8108d",
+    "hab-class-weights/metrics.csv": "b207b0512d41516c5a3cce62483139ec8bd36100f21488e360a72b07e459995b",
+    "plc-none/classifier.bin": "0d44df4f196a1a6b42fae4cc1c65cab7763e98dfea5a59499b2cfb2b8cd6bcac",
+    "plc-none/train_log.csv": "44f2d08ee6b82a4fcdb7f8e89a577edddf11773e2114bceaa33e8950ab62138a",
+    "plc-none/metrics.csv": "f83ea6a3279c437197d341d9903efb3a968306a037f7dcb4a386ceffddbf9ec4",
+    "plc-class-weights/classifier.bin": "0a429f39bd2927c7139737fd5b007cad05f29406e3ee8f7639beafea73035bd6",
+    "plc-class-weights/train_log.csv": "6a1d904243c0045660849f3506ade854ddadba827a3933208a51d98ecc83dbe5",
+    "plc-class-weights/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
+    "mc-none/classifier.bin": "5aa5ae2d5592ff7e4e250be565168851a98a1ab6a8a00e51ebad8273a58d245a",
+    "mc-none/train_log.csv": "c84cf8b9354d84241c2ada3b5f7085220b3e1a4eb53e0b40999b7f139816ec92",
+    "mc-none/metrics.csv": "2bf10b74ab270feb7dd667733f4f6091ce4c7a375458d1f1560de5f663bca328",
+    "mc-class-weights/classifier.bin": "dab346754c5d018c178843b1f4b73cf62cadef59fb830ba0fc8661be58b82103",
+    "mc-class-weights/train_log.csv": "802853729f4d2ae9e64302400f081a68acb4f65aa200c865f4231e6f1db435cf",
+    "mc-class-weights/metrics.csv": "8e1381eceb387186b396862612613e64ca2f9f46d9b26e3f557f8c00604e4ba7",
+    "mplc-none/classifier.bin": "9130ed224976bbf4b6432c51844ce016bc702e96249348d099a99857f59de56e",
+    "mplc-none/train_log.csv": "0686403c465ca164b86f9fe4b76c63f0d0ea0b139e52a48c37ea1786d95d14a8",
+    "mplc-none/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
+    "mplc-class-weights/classifier.bin": "a9195870ba231888242316e12e4e808c4f0becd3495d6aea816c701a0bab3689",
+    "mplc-class-weights/train_log.csv": "79acf53505da3b36d1af5b5f4d1f41739a48ddf34b6de5b981d4a79e8afb18a8",
+    "mplc-class-weights/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
+    "hs-none/classifier.bin": "51fe893ebfedbaea5e20ce62dc4c655ca28a5095fb0a336eae3b3315fbc1d921",
+    "hs-none/train_log.csv": "30ea300263153364cecaa6ebafa02e02b938413982fa3f489cc7e7939297b6e8",
+    "hs-none/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
+    "hs-class-weights/classifier.bin": "5387f2fdc8cf10d47567cce3ecef82778368971d0d0744972c6a63af9607e210",
+    "hs-class-weights/train_log.csv": "1c5358b454ba89b39bf16aca17159360f167e7183acc0515ab6359cde5d07e48",
+    "hs-class-weights/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
+    "hab-pcdb/classifier.bin": "252d351ebc27f0c59aa4888630186ca0337c6aae7e1ebefa388d3728049f4ab0",
+    "hab-pcdb/train_log.csv": "ad3db6e9dd6b4ff1adaa8081190203381a46ce9e0a874c3645247278d9dc4be8",
+    "hab-pcdb/metrics.csv": "d04db07aba1a9a8e6199d4378d89dae82ffff65ca8e21d4122a76b6b988220a5",
+    "hs-resample/classifier.bin": "d803be0bbeba515a10740c77a1fe112b5abca7338463efcd24c594d7dcd685b1",
+    "hs-resample/train_log.csv": "3cfae3fcf3bc54346f41faa73384ee3cd058799fca55f4c0e1547229170e2ed2",
+    "hs-resample/metrics.csv": "2bf10b74ab270feb7dd667733f4f6091ce4c7a375458d1f1560de5f663bca328",
+    "uneven-hab/classifier.bin": "7a07e9a9234fad80323fcc6488ae4e92f8458d005bda6fea7c7ca986e6e6d70e",
+    "uneven-hab/train_log.csv": "5a9f5a79d3bacddf7707c29217cb23f16097bb8acabcf13894b97f636b71bc69",
+    "uneven-hab/metrics.csv": "180e767bf20f1207023c4db981f325515ee3ed8b0a3f236aca537e8a94fb6552",
+    "uneven-plc/classifier.bin": "46aec1472cc948881c76f7e1d63ca140af34a55046e02aeea68e33785c845dc1",
+    "uneven-plc/train_log.csv": "e6a81879a1c7f33ed8be165d7a1540a8d8f1c18f3f2aa36b82f68a4dd8982355",
+    "uneven-plc/metrics.csv": "8249c9144fce1bb82fd52cf28c160596cb3f169123469d3d35ddc8826261477c",
+    "uneven-mc/classifier.bin": "4df00e1547adc9aacf9d95e40f7eafc67339c7776f6ddadfc7f632aca25314a6",
+    "uneven-mc/train_log.csv": "6646c5d2fb86f2e19b6ecf41a5349946f1aab1389a985c524ca861d4d6d85bf0",
+    "uneven-mc/metrics.csv": "a8ff1c88ca46cc80f80cccb6960efca05ffbf029e9c5ce23d5a65e2876132d05",
+    "uneven-mplc/classifier.bin": "584969a171b4a3fa99ca81ed860089ef9e06cd854251dc7e2d2e5181ae28fff6",
+    "uneven-mplc/train_log.csv": "57eab7686c37b12bb6eec4399936cd352fa63982bafb633bbf1859dfadce3f59",
+    "uneven-mplc/metrics.csv": "0ce408935b70aca89f1800a16ae0f5cae9a4e4abe72656da9a234f4cf0906cc1",
+    "uneven-hs/classifier.bin": "1f2e52c17924acbea9ba7c98fa6a9113cdcc4ebe99b72e065ac3039e2dbea386",
+    "uneven-hs/train_log.csv": "ad6f6fdc66f2626c7143027f921f4e49e2a4b21f7a4606c2f9ab5ddb0f637bd6",
+    "uneven-hs/metrics.csv": "0ce408935b70aca89f1800a16ae0f5cae9a4e4abe72656da9a234f4cf0906cc1",
+}
+
+CLASSIFIER_RUNS = {
+    **{f"{head}-{imbalance}": ("regular", ["--head", head, "--imbalance", imbalance])
+       for head in ("hab", "plc", "mc", "mplc", "hs")
+       for imbalance in ("none", "class-weights")},
+    "hab-pcdb": ("regular", ["--head", "hab", "--threshold-mode", "pcdb"]),
+    "hs-resample": ("regular", ["--head", "hs", "--imbalance", "resample"]),
+    **{f"uneven-{head}": ("uneven", ["--head", head])
+       for head in ("hab", "plc", "mc", "mplc", "hs")},
+}
+
+# children per node of the uneven tree's first two levels, in id order
+UNEVEN_BRANCHING = {"a": 9, "b": 2, "a.0": 10, "a.1": 1, "a.2": 2, "a.3": 3, "a.4": 1,
+                    "a.5": 2, "a.6": 1, "a.7": 1, "a.8": 2, "b.0": 4, "b.1": 1}
+
+
+def uneven_tree_files(root: Path):
+    """A two-root, three-level tree whose sibling groups have sizes 1 to 10."""
+    nodes, edges = ["a\t1\ta", "b\t1\tb"], []
+    for parent, k in UNEVEN_BRANCHING.items():
+        level = parent.count(".") + 2
+        for j in range(k):
+            child = f"{parent}.{j}"
+            nodes.append(f"{child}\t{level}\t{child}")
+            edges.append(f"{parent}\t{child}")
+    root.mkdir(parents=True)
+    (root / "nodes.tsv").write_text("\n".join(nodes) + "\n", encoding="utf-8")
+    (root / "edges.tsv").write_text("\n".join(edges) + "\n", encoding="utf-8")
+    return root / "nodes.tsv", root / "edges.tsv"
+
+
+def test_golden_classifier_output_digests(tmp_path):
+    import hashlib
+
+    trees = {"regular": tree_files(tmp_path, 3, 3)[:2],
+             "uneven": uneven_tree_files(tmp_path / "uneven")}
+    base = {}
+    for name, (nodes, edges) in trees.items():
+        tree = ["--nodes", str(nodes), "--edges", str(edges)]
+        feats = tmp_path / f"feats-{name}"
+        run(["gen-features", *tree, "--per-leaf", "6" if name == "regular" else "4",
+             "--dim", "8", "--seed", "9", "--out", str(feats)])
+        base[name] = [*tree, "--features", str(feats / "features.feat")]
+    got = {}
+    for name, (tree, flags) in CLASSIFIER_RUNS.items():
+        out = tmp_path / name
+        run(["train-classifier", *base[tree], *flags, "--epochs", "3", "--batch", "16",
+             "--lr", "0.05", "--seed", "2", "--out", str(out)])
+        for file in ("classifier.bin", "train_log.csv", "metrics.csv"):
+            got[f"{name}/{file}"] = hashlib.sha256((out / file).read_bytes()).hexdigest()
+    assert got == GOLDEN_CLASSIFIER

@@ -20,12 +20,11 @@ from hierembed.heads import (
     ImbalancePolicy,
     LinearClassifier,
     _batchify,
+    _hs_log_cond,
     _label_ids,
-    _logsumexp,
     _per_sample_ce,
     _sigmoid,
-    _softmax,
-    _softplus,
+    _targets,
     hab_loss,
     head_loss,
     head_width,
@@ -616,6 +615,41 @@ class TestMoreShiftInvariance:
 # ---------------------------------------------------------------------------
 # References: the per-sample loops the batched heads replaced
 # ---------------------------------------------------------------------------
+# The references build on their own copies of the helpers the heads used
+# when the loops were replaced, so a rewrite of ``heads`` cannot move them.
+
+def ref_sigmoid(x):
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+def ref_logsumexp(x, axis=-1):
+    m = np.max(x, axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.sum(np.exp(x - m), axis=axis))
+
+
+def ref_softmax(x):
+    m = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def ref_per_sample_ce(seg, tau):
+    n = seg.shape[0]
+    logz = ref_logsumexp(seg, axis=1)
+    losses = logz - seg[np.arange(n), tau]
+    grad = ref_softmax(seg)
+    grad[np.arange(n), tau] -= 1.0
+    return losses, grad
+
 
 def ref_children_pos(index, i, j):
     """Sorted level-(i+2) positions of the children of node j at level i+1."""
@@ -637,8 +671,8 @@ def ref_hab_loss(x, y):
     if y.ndim == 1:
         y = y[None, :]
     n, width = x.shape
-    loss = float(np.sum(y * _softplus(-x) + (1.0 - y) * _softplus(x))) / (n * width)
-    grad = (_sigmoid(x) - y) / (n * width)
+    loss = float(np.sum(y * ref_softplus(-x) + (1.0 - y) * ref_softplus(x))) / (n * width)
+    grad = (ref_sigmoid(x) - y) / (n * width)
     return loss, (grad[0] if single else grad)
 
 
@@ -649,7 +683,7 @@ def ref_plc_loss(x, tau, index):
     grad = np.zeros_like(x)
     total = 0.0
     for i, (off, size) in enumerate(zip(index.level_offsets, index.level_sizes)):
-        losses, g = _per_sample_ce(x[:, off : off + size], tau[:, i])
+        losses, g = ref_per_sample_ce(x[:, off : off + size], tau[:, i])
         total += float(losses.sum())
         grad[:, off : off + size] = g
     grad /= n
@@ -660,7 +694,7 @@ def ref_mc_loss(x, tau, index):
     x, single = _batchify(x)
     tau = np.atleast_2d(tau)
     n = x.shape[0]
-    logp = x - _logsumexp(x, axis=1)[:, None]
+    logp = x - ref_logsumexp(x, axis=1)[:, None]
     p = np.exp(logp)
     total = 0.0
     grad = np.zeros_like(x)
@@ -670,7 +704,7 @@ def ref_mc_loss(x, tau, index):
             for leaf in index.h.leaf_descendants(nid):
                 leaf_mask[j, index.pos_in_level[leaf]] = True
         mask = leaf_mask[tau[:, i]]
-        log_ps = _logsumexp(np.where(mask, logp, -np.inf), axis=1)
+        log_ps = ref_logsumexp(np.where(mask, logp, -np.inf), axis=1)
         total += float(-log_ps.sum())
         grad += p - np.where(mask, np.exp(logp - log_ps[:, None]), 0.0)
     grad /= n
@@ -686,7 +720,7 @@ def ref_mplc_loss(x, tau, index):
     for i, (off, size) in enumerate(zip(index.level_offsets, index.level_sizes)):
         seg = x[:, off : off + size]
         if i == 0:
-            losses, g = _per_sample_ce(seg, tau[:, 0])
+            losses, g = ref_per_sample_ce(seg, tau[:, 0])
             total += float(losses.sum())
             grad[:, off : off + size] = g
             continue
@@ -698,7 +732,7 @@ def ref_mplc_loss(x, tau, index):
                 parent = index.levels[i - 1][tau[s, i - 1]]
                 raise HeadError(f"target {child!r} is not a child of {parent!r}")
             mask[s, kids] = True
-        logz = _logsumexp(np.where(mask, seg, -np.inf), axis=1)
+        logz = ref_logsumexp(np.where(mask, seg, -np.inf), axis=1)
         total += float((logz - seg[np.arange(n), tau[:, i]]).sum())
         sm = np.where(mask, np.exp(seg - logz[:, None]), 0.0)
         sm[np.arange(n), tau[:, i]] -= 1.0
@@ -713,7 +747,7 @@ def ref_hs_probabilities(x, index):
     log_cond = np.empty_like(x)
     for g in index.groups:
         seg = x[:, g.offset : g.offset + len(g.member_ids)]
-        lz = _logsumexp(seg, axis=1)
+        lz = ref_logsumexp(seg, axis=1)
         log_cond[:, g.offset : g.offset + len(g.member_ids)] = seg - lz[:, None]
         conds.append(np.exp(seg - lz[:, None]))
     joint_log = np.zeros((x.shape[0], index.level_sizes[-1]))
@@ -741,7 +775,7 @@ def ref_hs_loss(x, tau, index):
             gi, gp = index.group_of[index.levels[i][tau[s, i]]]
             g = index.groups[gi]
             seg = x[s, g.offset : g.offset + len(g.member_ids)]
-            lz = _logsumexp(seg[None, :], axis=1)[0]
+            lz = ref_logsumexp(seg[None, :], axis=1)[0]
             total += float(lz - seg[gp])
             sm = np.exp(seg - lz)
             sm[gp] -= 1.0
@@ -815,7 +849,7 @@ def ref_predict_levels(head, x, index):
             out[:, i] = [index.levels[i][j] for j in np.argmax(x[:, off : off + size], axis=1)]
         return out
     probs = [None] * index.level_count  # mc: leaf softmax, then children sums
-    probs[-1] = _softmax(x)
+    probs[-1] = ref_softmax(x)
     for i in range(index.level_count - 2, -1, -1):
         probs[i] = np.zeros((x.shape[0], index.level_sizes[i]))
         for j in range(index.level_sizes[i]):
@@ -964,3 +998,76 @@ class TestTrainerMatchesPerSampleLoop:
         logits, tau, mh, _ = head_batch(index, np.random.default_rng(5), 29, False)
         args = (head, logits[head], tau, mh, index)
         assert head_loss(*args, np.ones(29))[1].tobytes() == head_loss(*args)[1].tobytes()
+
+
+class TestHelpersMatchTheOracles:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 750.0, -750.0, 1e-300, -1e-300]
+
+    def test_sigmoid_edges_match_the_masked_formula(self):
+        x = np.array(self.EDGES)
+        assert _sigmoid(x).tobytes() == ref_sigmoid(x).tobytes()
+        x = np.random.default_rng(0).standard_normal((40, 25)) * 30
+        assert _sigmoid(x).tobytes() == ref_sigmoid(x).tobytes()
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_cross_entropy_shares_max_and_exp(self, tied):
+        rng = np.random.default_rng(4)
+        seg = rng.integers(-1, 2, size=(50, 13)) * 0.5 if tied else rng.standard_normal((50, 13))
+        seg *= 40
+        tau = rng.integers(13, size=50)
+        got, want = _per_sample_ce(seg, tau), ref_per_sample_ce(seg, tau)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hs_log_cond_matches_a_per_group_loop(self, seed):
+        # groups of 1 to 16 members: sums of 8 and more run unrolled, so a
+        # gather whose last axis is not contiguous rounds some of them apart
+        h = uneven_tree(np.random.default_rng(seed), 3, 3, 16)
+        index = HierarchyIndex(h)
+        x = np.random.default_rng(seed).standard_normal((37, index.group_width)) * 5
+        want = np.empty_like(x)
+        for g in index.groups:
+            cols = slice(g.offset, g.offset + len(g.member_ids))
+            want[:, cols] = x[:, cols] - ref_logsumexp(x[:, cols], axis=1)[:, None]
+        assert _hs_log_cond(x, index).tobytes() == want.tobytes()
+
+    def test_hab_bool_and_float_targets_agree(self, tree423):
+        index = HierarchyIndex(tree423)
+        logits, _, mh, _ = head_batch(index, np.random.default_rng(8), 21, False)
+        got = hab_loss(logits["hab"], mh)
+        assert as_bytes(*got) == as_bytes(*hab_loss(logits["hab"], mh.astype(float)))
+        assert as_bytes(*got) == as_bytes(*hab_loss(logits["hab"], mh.astype(int)))
+
+
+class TestTargetChecks:
+    @pytest.mark.parametrize("bad", [0.5, -1.0, 2.0, np.nan])
+    def test_hab_target_must_be_zero_or_one(self, bad):
+        y = np.array([[1.0, 0.0, 1.0], [0.0, bad, 1.0], [bad, 0.0, 0.0]])
+        with pytest.raises(HeadError, match=rf"got {bad!r} at sample 1, label 1$"):
+            hab_loss(np.zeros((3, 3)), y)
+
+    def test_range_check_names_the_first_bad_level(self, index):
+        # row 0 is out of range at level 3, row 1 at level 2: level 2 is named
+        tau = np.array([[0, 0, 9], [0, 2, 0]])
+        with pytest.raises(HeadError, match=r"^level 2 target out of range \[0, 2\)$"):
+            _targets(tau, index)
+        with pytest.raises(HeadError, match=r"^level 1 target out of range \[0, 1\)$"):
+            _targets(np.array([[0, 0, 9], [-1, 0, 0]]), index)
+
+    def test_trainer_rejects_an_empty_training_set(self, tree):
+        labels = np.empty((0, 3), dtype=object)
+        with pytest.raises(HeadError, match="^no training instances$"):
+            train_linear_classifier(np.zeros((0, 4)), labels, np.zeros((0, 4)), labels, tree,
+                                    ImbalancePolicy("none"), ClassifierConfig(epochs=1))
+
+    def test_label_lookup_names_the_first_bad_label(self, index):
+        ok = ["r", "r.0", "r.0.1"]
+        assert index.tau_from_labels(np.array([ok, ok], dtype=object)).tolist() == [[0, 0, 1]] * 2
+        for bad in ("r.9", "r.0.1"):  # unknown, then at another level
+            with pytest.raises(HeadError, match=rf"^label '{bad}' is not at level 2$"):
+                index.tau_from_labels(
+                    np.array([ok, ["r", bad, "r.0.1"], ["x", "x", "x"]], dtype=object)
+                )
+        with pytest.raises(HeadError, match=r"^expected 3 per-level labels, got 2$"):
+            index.tau_from_labels(np.array([["r", "r.0"]], dtype=object))

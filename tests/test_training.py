@@ -165,6 +165,27 @@ class TestOptimizers:
             outs.append(optimizer_step(params, g, state, cfg))
         np.testing.assert_array_equal(outs[0], outs[1])
 
+    @pytest.mark.parametrize("shape", [(7, 5), (5,)])
+    def test_adam_step_matches_the_out_of_place_expression(self, shape):
+        rng = np.random.default_rng(3)
+        param = rng.standard_normal(shape)
+        state = AdamState.like(param)
+        m, v = np.zeros(shape), np.zeros(shape)
+        want = param
+        for t in range(1, 6):
+            grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3)
+            kept = param.copy()
+            param_out = adam_step(param, grad, state, 0.03)
+            assert param.tobytes() == kept.tobytes()  # the passed-in param is not touched
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad * grad
+            mhat, vhat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
+            want = want - 0.03 * mhat / (np.sqrt(vhat) + 1e-8)
+            assert param_out.tobytes() == want.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+            assert state.t == t
+            param = param_out
+
     def test_rsgd_at_origin_moves_along_negative_gradient(self):
         pts = np.array([[0.0, 0.0]])
         g = np.array([[1.0, 0.0]])
