@@ -9,6 +9,7 @@ Errors exit nonzero with one JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -549,7 +550,10 @@ def _add_hierarchy_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", required=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: adding its arguments costs a
+    few milliseconds, and ``parse_args`` keeps no state between calls."""
     ap = argparse.ArgumentParser(prog="hierembed")
     sub = ap.add_subparsers(dest="command", required=True)
 

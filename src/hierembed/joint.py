@@ -223,23 +223,32 @@ def _classify(
 
     A rank is the 0-based position in the stable energy sort of the level:
     the labels with lower energy plus those with equal energy and a lower
-    id. Each level's energies are computed once.
+    id. All rows are embedded by one matmul; then blocks of
+    ``max(1, PAIR_CHUNK // N)`` rows, N the widest level's size, are scored
+    against each level once, so memory is O(block·N + n·(d + L)), not
+    O(n·N). Every output is row-wise, so the blocks do not move its bytes.
     """
     points = embed_instances(features, model.w, model.params.kind)
     n, levels = points.shape[0], h.level_count
     preds = np.empty((n, levels), dtype=object)
     best = np.empty((n, levels))
     ranks = None if truth is None else np.empty((n, levels), dtype=np.int64)
-    for lvl in range(levels):
-        members, e = level_energies(model, h, points, lvl + 1)
-        arg = np.argmin(e, axis=1)
-        preds[:, lvl] = np.asarray(members, dtype=object)[arg]
-        best[:, lvl] = np.take_along_axis(e, arg[:, None], 1)[:, 0]
-        if ranks is not None:
-            col = np.searchsorted(np.flatnonzero(h.level_of == lvl + 1), truth[:, lvl])[:, None]
-            et = np.take_along_axis(e, col, 1)
-            before = (e < et) | ((e == et) & (np.arange(len(members)) < col))
-            ranks[:, lvl] = np.count_nonzero(before, axis=1)
+    level_rows = [np.flatnonzero(h.level_of == lvl + 1) for lvl in range(levels)]
+    names = [np.asarray(h.level_members(lvl + 1), dtype=object) for lvl in range(levels)]
+    step = max(1, PAIR_CHUNK // max(h.level_sizes))
+    # an empty subset still scores one empty block, so a model lacking labels is named
+    for s in range(0, max(n, 1), step):
+        rows = slice(s, s + step)
+        for lvl in range(levels):
+            _, e = level_energies(model, h, points[rows], lvl + 1)
+            arg = np.argmin(e, axis=1)
+            preds[rows, lvl] = names[lvl][arg]
+            best[rows, lvl] = np.take_along_axis(e, arg[:, None], 1)[:, 0]
+            if ranks is not None:
+                col = np.searchsorted(level_rows[lvl], truth[rows, lvl])[:, None]
+                et = np.take_along_axis(e, col, 1)
+                before = (e < et) | ((e == et) & (np.arange(len(names[lvl])) < col))
+                ranks[rows, lvl] = np.count_nonzero(before, axis=1)
     return preds, best, ranks
 
 
@@ -274,7 +283,13 @@ def classify_and_report(
     """``classify_levels`` of the selected rows and their report, from one pass."""
     idx = np.asarray(idx, dtype=int)
     paths = h.anc[features.leaf_rows(h, idx)]
-    preds, best, ranks = _classify(model, h, features.features[idx], paths)
+    # Every row in order: embed the features in place. A copy would hold the
+    # same bytes in C order, so the matmul rounds the same; a Fortran-order
+    # array would round differently, and is copied.
+    feats = features.features
+    if not (feats.flags.c_contiguous and np.array_equal(idx, np.arange(len(feats)))):
+        feats = feats[idx]
+    preds, best, ranks = _classify(model, h, feats, paths)
     level_f1, overall = level_accuracy(preds, np.asarray(h.ids, dtype=object)[paths])
     n, levels = ranks.shape
 

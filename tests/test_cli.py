@@ -27,6 +27,19 @@ def dir_bytes(path: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(path.iterdir()) if p.is_file()}
 
 
+def test_parser_is_built_once_and_keeps_no_state():
+    from hierembed.cli import build_parser
+
+    parser = build_parser()
+    base = ["classify", "--nodes", "n", "--edges", "e", "--model", "m", "--features", "f",
+            "--out", "o"]
+    first = parser.parse_args([*base, "--subset", "all", "--split-seed", "5"])
+    second = build_parser().parse_args(base)
+    assert build_parser() is parser
+    assert (first.subset, first.split_seed) == ("all", 5)
+    assert (second.subset, second.split_seed) == ("test", None)
+
+
 class TestGenTree:
     def test_files_and_counts(self, tmp_path):
         nodes, edges, out = tree_files(tmp_path, 4, 3)
@@ -294,6 +307,27 @@ class TestJointPipeline:
              "--features", str(feats / "features.feat"),
              "--subset", "all", "--out", str(tmp_path / "cls")])
         assert calls == {"level_energies": 3, "embed_instances": 1}
+
+    def test_classify_scores_each_level_once_per_block(self, joint_run, tmp_path, monkeypatch):
+        from hierembed import joint
+
+        root, nodes, edges, feats, model = joint_run
+        # 40 instances against 4 leaves: blocks of 11, 11, 11 and 7 rows
+        monkeypatch.setattr(joint, "PAIR_CHUNK", 44)
+        calls = {"level_energies": 0, "embed_instances": 0}
+        for name in calls:
+            original = getattr(joint, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(joint, name, counted)
+        run(["classify", "--nodes", str(nodes), "--edges", str(edges),
+             "--model", str(model / "model.bin"),
+             "--features", str(feats / "features.feat"),
+             "--subset", "all", "--out", str(tmp_path / "cls")])
+        assert calls == {"level_energies": 3 * 4, "embed_instances": 1}
 
     def test_reconstruct_from_joint_model(self, joint_run, tmp_path):
         root, nodes, edges, _, model = joint_run
@@ -927,6 +961,44 @@ def test_golden_instance_file_digests(tmp_path):
              for name in GOLDEN}
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
     assert got == GOLDEN
+
+
+# sha256 of one fixed hc classify --subset all run that scores its 1152
+# instances in three row blocks against 144 leaves, the last block short.
+GOLDEN_BLOCKS = {
+    "predictions.tsv": "2f2806b54cedc41dd27fcf303bdaa0424ee53d20998866f50c89fc94cad14fcc",
+    "metrics.csv": "b3497d9c62d79b07b07039d09d79b0d6a44c9f82a23fc00245a39a57b962ef99",
+}
+
+
+def test_golden_classify_digests_across_row_blocks(tmp_path):
+    import hashlib
+
+    from hierembed import joint, storage
+
+    nodes, edges, _ = tree_files(tmp_path, 3, 12)
+    base = ["--nodes", str(nodes), "--edges", str(edges)]
+    feats = tmp_path / "feats"
+    run(["gen-features", *base, "--per-leaf", "8", "--dim", "8", "--seed", "17",
+         "--out", str(feats)])
+    rng = np.random.default_rng(23)
+    ids = sorted(line.split("\t")[0] for line in nodes.read_text().splitlines())
+    directions = rng.standard_normal((len(ids), 4))
+    coords = directions / np.linalg.norm(directions, axis=1, keepdims=True) * rng.uniform(
+        0.2, 0.8, (len(ids), 1)
+    )
+    header = {"geometry": "hc", "k": 0.1, "margin": 1.0, "dim": 4, "lr_labels": 1e-4,
+              "lr_instances": 0.001, "split_seed": 2, "feature_dim": 8}
+    storage.save_joint_model(tmp_path / "model.bin", ids, coords,
+                             rng.standard_normal((8, 4)) * 0.3, header)
+    run(["classify", *base, "--model", str(tmp_path / "model.bin"),
+         "--features", str(feats / "features.feat"), "--subset", "all",
+         "--out", str(tmp_path / "cls")])
+    step = joint.PAIR_CHUNK // 144
+    assert 1152 > 2 * step and 1152 % step  # three blocks or more, the last one short
+    got = {name: hashlib.sha256((tmp_path / "cls" / name).read_bytes()).hexdigest()
+           for name in GOLDEN_BLOCKS}
+    assert got == GOLDEN_BLOCKS
 
 
 # sha256 of every other text table the CLI writes, from one fixed run of each

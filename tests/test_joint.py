@@ -473,8 +473,43 @@ class TestOnePassMatchesThreePasses:
         assert set(preds[:, 2]) == {wide_tree.level_members(3)[0]}
         self.assert_same(model, wide_tree, wide_features, range(96))
 
+    # The cases above score the subset in one block. PAIR_CHUNK against the
+    # 16 leaves of ``wide_tree`` makes blocks of 1 row, or of 7 rows that end
+    # short (50 = 7·7 + 1, 96 = 13·7 + 5).
+    @pytest.mark.parametrize("chunk", [16, 112])
+    @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
+    def test_random_models_in_row_blocks(self, wide_tree, wide_features, kind, chunk, monkeypatch):
+        monkeypatch.setattr(joint, "PAIR_CHUNK", chunk)
+        for seed in range(3):
+            self.test_random_models(wide_tree, wide_features, kind, seed)
+
+    @pytest.mark.parametrize("chunk", [16, 112])
+    @pytest.mark.parametrize("kind", ["ec", "hc"])
+    def test_ties_in_row_blocks(self, wide_tree, wide_features, kind, chunk, monkeypatch):
+        monkeypatch.setattr(joint, "PAIR_CHUNK", chunk)
+        self.test_wide_cones_tie_at_zero(wide_tree, wide_features, kind)
+        self.test_identical_labels_tie_to_lowest_id(wide_tree, wide_features)
+
+    @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
+    def test_all_rows_of_fortran_order_features(self, wide_tree, kind):
+        # every row in order skips the copy of the features, but only for a
+        # C-order array: the matmul rounds a Fortran-order one 16 wide differently
+        c_order = gaussian_cluster_features(wide_tree, 6, 16, seed=7)
+        features = FeatureMatrix(c_order.instance_ids, np.asfortranarray(c_order.features),
+                                 c_order.leaf_labels)
+        model = random_model(wide_tree, kind, 2, feature_dim=16)
+        self.assert_same(model, wide_tree, features, range(96))
+
     def test_empty_subset(self, wide_tree, wide_features):
         self.assert_same(random_model(wide_tree, "ec", 0), wide_tree, wide_features, [])
+
+    def test_empty_subset_names_labels_the_model_lacks(self, wide_tree, wide_features):
+        table = random_model(wide_tree, "ec", 0).labels
+        short = JointModel(EmbeddingTable(table.node_ids[:-1], table.coords[:-1], table.params),
+                           np.zeros((5, 3)), table.params)
+        missing = table.node_ids[-1]
+        with pytest.raises(ValueError, match=f"^model lacks 1 of the 16 .*: '{missing}'$"):
+            classify_and_report(short, wide_tree, wide_features, [])
 
     @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
     @pytest.mark.parametrize("chunk", [7, 200, 1 << 16])
@@ -505,6 +540,26 @@ def test_level_energies_score_in_blocks_of_pairs():
     assert e.shape == (n, len(members)) == (n, 64)
     bound = e.nbytes + 4 * joint.PAIR_CHUNK * d * 8
     assert peak < bound < n * len(members) * d * 8
+
+
+@pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
+def test_classify_scores_in_blocks_of_rows(kind):
+    # 20 224 instances against 256 leaves: the leaf level's (n, N) energies
+    # alone would take 41 MB
+    h = generate_synthetic_tree(3, 16)
+    features = gaussian_cluster_features(h, 79, 5, seed=3)
+    n, d, levels = len(features.instance_ids), 4, h.level_count
+    model = random_model(h, kind, 0, d=d)
+    tracemalloc.start()
+    try:
+        preds, _, _ = classify_and_report(model, h, features, np.arange(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == (n, levels)
+    # a few (block, N, d + 1) kernel arrays per block, a few (n, d + L) per row
+    bound = 4 * joint.PAIR_CHUNK * (d + 1) * 8 + 4 * n * (d + levels) * 8
+    assert peak < bound < n * h.level_sizes[-1] * 8
 
 
 class TestReconstructionMatchesPairLoop:
