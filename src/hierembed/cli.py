@@ -196,17 +196,15 @@ def cmd_train_joint(args) -> None:
     if args.init_labels:
         if not Path(args.init_labels).exists():
             raise CliError(f"label initialization file not found: {args.init_labels}")
-        node_ids, coords, kind, stored = storage.load_embeddings_with_header(args.init_labels)
-        if kind != args.geometry:
+        init, _, stored = _load_model(args.init_labels, None)
+        if init.params.kind != args.geometry:
+            raise CliError(f"initialization geometry {init.params.kind!r} "
+                           f"does not match --geometry {args.geometry!r}")
+        if init.coords.shape[1] != args.dim:
             raise CliError(
-                f"initialization geometry {kind!r} does not match --geometry {args.geometry!r}"
-            )
-        if coords.shape[1] != args.dim:
-            raise CliError(
-                f"{args.init_labels} holds {coords.shape[1]}-dimensional labels, "
+                f"{args.init_labels} holds {init.coords.shape[1]}-dimensional labels, "
                 f"but --dim is {args.dim}"
             )
-        init = (node_ids, coords)
     k = _stored_k(stored, args.aperture_k, args.init_labels)
     epochs = args.epochs if args.epochs is not None else defaults["epochs"]
     lr_labels = args.lr_labels if args.lr_labels is not None else defaults["lr_labels"]
@@ -219,16 +217,15 @@ def cmd_train_joint(args) -> None:
         aperture_k=k,
         rebalance_images=args.rebalance_images,
     )
-    init_labels = None
     if init is not None:
-        init_labels = training.EmbeddingTable(*init, config.cone_params())
+        init = training.EmbeddingTable(init.node_ids, init.coords, config.cone_params())
     split_seed = args.split_seed if args.split_seed is not None else args.seed
     train_idx, val_idx, _ = joint.split_instances(len(features.instance_ids), split_seed)
     model, history = joint.train_joint(
         h,
         features,
         config,
-        init_labels=init_labels,
+        init_labels=init,
         train_idx=train_idx,
         val_idx=val_idx,
     )
@@ -253,16 +250,27 @@ def cmd_train_joint(args) -> None:
     _write_snapshot(out, "train-joint", snapshot)
 
 
-def _load_joint(path) -> tuple[joint.JointModel, dict]:
-    node_ids, coords, w, header = storage.load_joint_model(path)
-    params = geometry.ConeParams(kind=header["geometry"], k=header["k"])
-    table = training.EmbeddingTable(node_ids, coords, params)
-    return joint.JointModel(table, w, params), header
+def _load_model(path, aperture_k: float | None):
+    """The label table of the joint model or label file at ``path`` with the cone it
+    was trained with, the model's linear map (None for a label file) and its header.
+
+    A joint model's stored ``k`` is used and ``aperture_k`` is ignored, as older
+    snapshots carry the option's default. Label files written by ``train-labels``
+    store ``k`` and ``squared``; older ones take ``aperture_k`` (default 0.1) and
+    the unsquared energy.
+    """
+    node_ids, coords, kind, w, header = storage.load_model(path)
+    k = _stored_k(header, aperture_k if w is None else None, path)
+    params = geometry.ConeParams(kind=kind, k=k, oe_squared=header.get("squared", False))
+    return training.EmbeddingTable(node_ids, coords, params), w, header
 
 
 def cmd_classify(args) -> None:
     out = _out_dir(args.out)
-    model, header = _load_joint(args.model)
+    labels, w, header = _load_model(args.model, None)
+    if w is None:
+        raise CliError(f"{args.model} is a label file, not a joint model")
+    model = joint.JointModel(labels, w, labels.params)
     h = _load_hierarchy(args)
     features = _load_feature_matrix(args.features)
     if features.features.shape[1] != model.w.shape[0]:
@@ -306,32 +314,10 @@ def cmd_classify(args) -> None:
     _write_snapshot(out, "classify", snapshot)
 
 
-def _load_labels(args) -> training.EmbeddingTable:
-    """The label table of a joint model or a label file, with the cone it was trained with.
-
-    A joint model's stored ``k`` is used and ``--aperture-k`` is ignored, as
-    older snapshots carry the option's default. Label files written by
-    ``train-labels`` store ``k`` and ``squared``; older ones take
-    ``--aperture-k`` (default 0.1) and the unsquared energy.
-    """
-    try:
-        model, _ = _load_joint(args.model)
-        return model.labels
-    except storage.FormatError:
-        pass
-    node_ids, coords, kind, header = storage.load_embeddings_with_header(args.model)
-    params = geometry.ConeParams(
-        kind=kind,
-        k=_stored_k(header, getattr(args, "aperture_k", None), args.model),
-        oe_squared=header.get("squared", False),
-    )
-    return training.EmbeddingTable(node_ids, coords, params)
-
-
 def cmd_reconstruct(args) -> None:
     out = _out_dir(args.out)
     h = _load_hierarchy(args)
-    table = _load_labels(args)
+    table = _load_model(args.model, args.aperture_k)[0]
     res = joint.reconstruct_labels(table, h)
     _write_csv(
         out / "reconstruction.csv",
@@ -460,7 +446,7 @@ def cmd_export_2d(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_path / "coords.tsv" if out_path.suffix == "" else out_path
     h = _load_hierarchy(args)
-    table = _load_labels(args)
+    table = _load_model(args.model, None)[0]
     node_ids, coords = table.node_ids, table.coords
     if not len(node_ids):
         raise CliError("model has no embedded nodes")

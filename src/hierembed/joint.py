@@ -18,8 +18,10 @@ import numpy as np
 from . import geometry
 from .geometry import ConeParams
 from .hierarchy import Hierarchy
-from .metrics import level_accuracy
-from .training import EmbeddingTable, TrainConfig, _best_threshold, train_graph_embedding
+from .metrics import level_accuracy, tpr_tnr
+from .training import (
+    EmbeddingTable, TrainConfig, _best_threshold, _confusion_at, train_graph_embedding
+)
 
 
 @dataclass(frozen=True)
@@ -340,5 +342,5 @@ def reconstruct_labels(table: EmbeddingTable, h: Hierarchy) -> ReconstructionRes
     np.fill_diagonal(closure, True)
     neg_e = e[~closure]
     best = _best_threshold(pos_e, neg_e)
-    tnr = float(np.mean(~(neg_e <= best.threshold))) if len(neg_e) else 0.0
-    return ReconstructionResult(tpr=best.recall, tnr=tnr, f1=best.f1, threshold=best.threshold)
+    tpr, tnr = tpr_tnr(_confusion_at(pos_e, neg_e, best.threshold))
+    return ReconstructionResult(tpr=tpr, tnr=tnr, f1=best.f1, threshold=best.threshold)

@@ -4,18 +4,23 @@ Text tables (``.tsv``) are UTF-8 with a tab between fields and ``"\n"``
 after each row; no field holds a tab, line feed or carriage return, and
 blank lines are skipped. ``write_tsv`` and ``read_tsv`` own this dialect.
 
-- ``EMB1``: embedding table. Magic, little-endian u32 node count, u32
-  dimension, u8 geometry tag, then f64 coordinates row-major. A sidecar
-  TSV ``<path>.nodes.tsv`` maps ``node_id`` to row. A label file may end
-  in an ``HDR1`` trailer with the cone constant ``k`` and ``squared``.
-- ``FEAT``: instance features. Magic, u32 n, u32 D, f32 row-major, with a
-  sidecar ``instances.tsv`` (``instance_id  row  leaf_label_id``).
-- ``LMAP``: a dense real matrix (the learnable linear map). Magic, u32
-  rows, u32 cols, f64 row-major.
-- ``HDR1``: length-prefixed UTF-8 JSON trailer for run parameters.
+A binary file is a sequence of blocks: a four-byte magic, little-endian
+fields, a payload. ``EMB1``: u32 rows, u32 dimension, u8 geometry tag, f64
+coordinates. ``LMAP``: u32 rows, u32 cols, f64 entries. ``FEAT``: u32 rows,
+u32 width, f32 features. ``HDR1``: u32 length, a UTF-8 JSON object. Arrays
+are row-major. Each kind of file is one layout, its magics in order:
 
-A sidecar lists each row ``0..n-1`` once, in any order.
-Joint models are a concatenation: EMB1 block, LMAP block, HDR1 block.
+- label file: ``EMB1``, or ``EMB1 HDR1`` with ``k`` and ``squared``;
+- joint model: ``EMB1 LMAP HDR1``, labels, linear map and run parameters;
+- classifier: ``LMAP LMAP HDR1``, weights, bias as one row and head parameters;
+- features: ``FEAT``.
+
+``_read_blocks`` reads them all: a file that does not spell a layout its
+caller accepts, cut short or with bytes after it, is a ``FormatError``
+naming the file. Models have a sidecar ``<path>.nodes.tsv`` (``node_id
+row``), features an ``instances.tsv`` beside them (``instance_id  row
+leaf_label_id``); a sidecar lists each row ``0..n-1`` once, in any order.
+Writers write the sidecar first, so that a refused id leaves neither file.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import itertools
 import json
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -108,9 +113,13 @@ def int_column(path, column: Sequence[str], offset: int = 0) -> list[int]:
     return ints
 
 
-def _write_numbered(path, first: Sequence[str], *rest: Sequence[str]) -> None:
-    """A sidecar table: the columns with the row number ``0..n-1`` second."""
-    write_tsv(path, zip(first, map(str, range(len(first))), *rest))
+def _write_numbered(path, n: int, first: Sequence[str], *rest: Sequence[str]) -> None:
+    """The sidecar table of a binary file's ``n`` rows: the columns, each of ``n``
+    entries, with the row number ``0..n-1`` second."""
+    lengths = [len(column) for column in (first, *rest)]
+    if lengths.count(n) != len(lengths):
+        raise FormatError(f"{path}: columns of {lengths} entries for {n} rows")
+    write_tsv(path, zip(first, map(str, range(n)), *rest))
 
 
 def _read_numbered(path, width: int, n: int) -> list[tuple[str, ...]]:
@@ -127,66 +136,80 @@ def _read_numbered(path, width: int, n: int) -> list[tuple[str, ...]]:
     return [tuple(col) for col in cols]
 
 
-def _read_exact(f: BinaryIO, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated file: wanted {n} bytes, got {len(data)}")
-    return data
-
-
-def _expect_magic(f: BinaryIO, magic: bytes) -> None:
-    got = _read_exact(f, len(magic))
-    if got != magic:
-        raise FormatError(f"bad magic: expected {magic!r}, got {got!r}")
-
-
 def sidecar_path(path) -> Path:
     return Path(str(path) + ".nodes.tsv")
 
 
-def _write_emb_block(f: BinaryIO, coords: np.ndarray, kind: str) -> None:
-    coords = np.ascontiguousarray(coords, dtype="<f8")
-    n, dim = coords.shape
-    f.write(b"EMB1")
-    f.write(struct.pack("<IIB", n, dim, KIND_TAGS[kind]))
-    f.write(coords.tobytes())
+def _spell(magics: bytes) -> str:
+    """``magics`` four bytes at a time, such as ``EMB1 HDR1``."""
+    return " ".join(repr(magics[i:i + 4])[2:-1] for i in range(0, len(magics), 4)) or "nothing"
 
 
-def _read_emb_block(f: BinaryIO) -> tuple[np.ndarray, str]:
-    _expect_magic(f, b"EMB1")
-    n, dim, tag = struct.unpack("<IIB", _read_exact(f, 9))
-    if tag not in TAG_KINDS:
-        raise FormatError(f"unknown geometry tag {tag}")
-    coords = np.frombuffer(_read_exact(f, 8 * n * dim), dtype="<f8").reshape(n, dim)
-    return coords.astype(float), TAG_KINDS[tag]
+def _read_blocks(path, *layouts: bytes) -> list:
+    """The blocks of the binary file at ``path`` in order: ``EMB1`` as ``(coords,
+    geometry)``, ``LMAP`` and ``FEAT`` as read-only matrices over the bytes read,
+    ``HDR1`` as a dict. Their magics must spell one of ``layouts`` (such as
+    ``b"EMB1HDR1"``) and end the file; anything else is a ``FormatError`` naming the
+    file and what it holds."""
+    blocks, held = [], b""
+    with open(path, "rb") as f:
+        size = Path(path).stat().st_size
+
+        def take(n: int, magic: bytes) -> bytes:
+            if n > size - f.tell():
+                raise FormatError(f"{path}: its {magic.decode()} block is cut short: "
+                                  f"{n} bytes wanted, {size - f.tell()} left")
+            return f.read(n)
+
+        while f.tell() < size:
+            magic = f.read(4)
+            held += magic
+            if len(magic) < 4 or not any(layout.startswith(held) for layout in layouts):
+                break
+            if magic == b"HDR1":
+                (length,) = struct.unpack("<I", take(4, magic))
+                payload = take(length, magic)
+                try:
+                    header = json.loads(payload)
+                except ValueError:
+                    header = None
+                if not isinstance(header, dict):
+                    raise FormatError(f"{path}: its HDR1 block does not hold a JSON object")
+                blocks.append(header)
+            else:
+                fields = "<IIB" if magic == b"EMB1" else "<II"
+                rows, cols, *tag = struct.unpack(fields, take(struct.calcsize(fields), magic))
+                if tag and tag[0] not in TAG_KINDS:
+                    raise FormatError(f"{path}: unknown geometry tag {tag[0]}")
+                dtype = np.dtype("<f4" if magic == b"FEAT" else "<f8")
+                data = take(rows * cols * dtype.itemsize, magic)
+                matrix = np.frombuffer(data, dtype).reshape(rows, cols)
+                blocks.append((matrix, TAG_KINDS[tag[0]]) if tag else matrix)
+    if held not in layouts:
+        expected = " or ".join(map(_spell, layouts))
+        raise FormatError(f"{path}: found {_spell(held)}, expected {expected}")
+    return blocks
 
 
-def _write_lmap_block(f: BinaryIO, matrix: np.ndarray) -> None:
-    matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype="<f8")
-    rows, cols = matrix.shape
-    f.write(b"LMAP")
-    f.write(struct.pack("<II", rows, cols))
-    f.write(matrix.tobytes())
+def _matrix(magic: bytes, matrix: np.ndarray, dtype: str = "<f8", kind: str | None = None):
+    """The parts of a matrix block: magic, u32 rows, u32 columns, the u8 tag of
+    geometry ``kind`` (``EMB1`` only) and the entries row-major."""
+    matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=dtype)
+    tag = b"" if kind is None else bytes([KIND_TAGS[kind]])
+    return magic, struct.pack("<II", *matrix.shape) + tag, matrix
 
 
-def _read_lmap_block(f: BinaryIO) -> np.ndarray:
-    _expect_magic(f, b"LMAP")
-    rows, cols = struct.unpack("<II", _read_exact(f, 8))
-    data = np.frombuffer(_read_exact(f, 8 * rows * cols), dtype="<f8")
-    return data.reshape(rows, cols).astype(float)
-
-
-def _write_header_block(f: BinaryIO, header: dict) -> None:
+def _header(header: dict):
+    """The parts of an ``HDR1`` block."""
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    f.write(b"HDR1")
-    f.write(struct.pack("<I", len(payload)))
-    f.write(payload)
+    return b"HDR1", struct.pack("<I", len(payload)), payload
 
 
-def _read_header_block(f: BinaryIO) -> dict:
-    _expect_magic(f, b"HDR1")
-    (length,) = struct.unpack("<I", _read_exact(f, 4))
-    return json.loads(_read_exact(f, length).decode("utf-8"))
+def _write_blocks(path, *blocks) -> None:
+    """Write the parts of ``blocks`` to ``path``, each array straight from its buffer."""
+    with open(path, "wb") as f:
+        for part in itertools.chain.from_iterable(blocks):
+            f.write(part)
 
 
 def save_embeddings(
@@ -199,55 +222,49 @@ def save_embeddings(
     squared: bool | None = None,
 ) -> None:
     """Write a label file; ``k`` and ``squared``, when given, go into an HDR1 trailer."""
-    if len(node_ids) != coords.shape[0]:
-        raise FormatError("node id count does not match coordinate rows")
     stored = {key: val for key, val in (("k", k), ("squared", squared)) if val is not None}
-    with open(path, "wb") as f:
-        _write_emb_block(f, coords, kind)
-        if stored:
-            _write_header_block(f, {"geometry": kind, **stored})
-    _write_numbered(sidecar_path(path), node_ids)
+    blocks = [_matrix(b"EMB1", coords, kind=kind)]
+    if stored:
+        blocks.append(_header({"geometry": kind, **stored}))
+    _write_numbered(sidecar_path(path), len(coords), node_ids)
+    _write_blocks(path, *blocks)
+
+
+def _read_model(path, *layouts: bytes) -> tuple:
+    """Ids, coordinates, geometry, linear map (None without one) and header (``{}``
+    without one) of a label file or joint model whose blocks spell one of ``layouts``."""
+    (coords, kind), *rest = _read_blocks(path, *layouts)  # rest: [], [header] or [w, header]
+    header = rest[-1] if rest else {}
+    if rest and header.get("geometry") != kind:
+        raise FormatError(f"{path}: its header geometry {header.get('geometry')!r} "
+                          f"disagrees with its EMB1 block's {kind!r}")
+    node_ids = _read_numbered(sidecar_path(path), 2, coords.shape[0])[0]
+    w = rest[0].astype(float) if len(rest) == 2 else None
+    return node_ids, coords.astype(float), kind, w, header
+
+
+def load_model(path) -> tuple[tuple[str, ...], np.ndarray, str, np.ndarray | None, dict]:
+    """A joint model or a label file: ids, coordinates, geometry, the linear map (None
+    for a label file) and the header (``{}`` for a label file without a trailer)."""
+    return _read_model(path, b"EMB1", b"EMB1HDR1", b"EMB1LMAPHDR1")
 
 
 def load_embeddings(path) -> tuple[tuple[str, ...], np.ndarray, str]:
-    return load_embeddings_with_header(path)[:3]
-
-
-def load_embeddings_with_header(path) -> tuple[tuple[str, ...], np.ndarray, str, dict]:
-    """Label file and its trailer; ``{}`` when the EMB1 block is not followed by one."""
-    with open(path, "rb") as f:
-        coords, kind = _read_emb_block(f)
-        end = f.tell()
-        header = {}
-        if f.read(4) == b"HDR1":
-            f.seek(end)
-            header = _read_header_block(f)
-    if header.get("geometry", kind) != kind:
-        raise FormatError("header geometry disagrees with the embedding block")
-    node_ids = _read_numbered(sidecar_path(path), 2, coords.shape[0])[0]
-    return node_ids, coords, kind, header
+    return _read_model(path, b"EMB1", b"EMB1HDR1")[:3]
 
 
 def save_features(
     path, instance_ids: Sequence[str], features: np.ndarray, leaf_labels: Sequence[str]
 ) -> None:
-    features = np.ascontiguousarray(features, dtype="<f4")
-    n, d = features.shape
-    if len(instance_ids) != n or len(leaf_labels) != n:
-        raise FormatError("instance ids / leaf labels do not match feature rows")
-    with open(path, "wb") as f:
-        f.write(b"FEAT")
-        f.write(struct.pack("<II", n, d))
-        f.write(features.data)
-    _write_numbered(Path(path).with_name("instances.tsv"), instance_ids, leaf_labels)
+    block = _matrix(b"FEAT", features, "<f4")
+    _write_numbered(Path(path).with_name("instances.tsv"), len(features), instance_ids, leaf_labels)
+    _write_blocks(path, block)
 
 
 def load_features(path) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
-    with open(path, "rb") as f:
-        _expect_magic(f, b"FEAT")
-        n, d = struct.unpack("<II", _read_exact(f, 8))
-        features = np.frombuffer(_read_exact(f, 4 * n * d), dtype="<f4").reshape(n, d)
-    ids, leaves = _read_numbered(Path(path).with_name("instances.tsv"), 3, n)
+    (features,) = _read_blocks(path, b"FEAT")
+    ids, leaves = _read_numbered(Path(path).with_name("instances.tsv"), 3, features.shape[0])
+    # converted after the sidecar is read: converting first raised eval-wide peak RSS
     return ids, features.astype(float), leaves
 
 
@@ -261,34 +278,20 @@ def save_joint_model(
     kind = header.get("geometry")
     if kind not in KIND_TAGS:
         raise FormatError("header must carry a valid 'geometry' entry")
-    with open(path, "wb") as f:
-        _write_emb_block(f, coords, kind)
-        _write_lmap_block(f, w)
-        _write_header_block(f, header)
-    _write_numbered(sidecar_path(path), node_ids)
+    blocks = (_matrix(b"EMB1", coords, kind=kind), _matrix(b"LMAP", w), _header(header))
+    _write_numbered(sidecar_path(path), len(coords), node_ids)
+    _write_blocks(path, *blocks)
 
 
 def load_joint_model(path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, dict]:
-    with open(path, "rb") as f:
-        coords, kind = _read_emb_block(f)
-        w = _read_lmap_block(f)
-        header = _read_header_block(f)
-    if header.get("geometry") != kind:
-        raise FormatError("header geometry disagrees with the embedding block")
-    node_ids = _read_numbered(sidecar_path(path), 2, coords.shape[0])[0]
+    node_ids, coords, _, w, header = _read_model(path, b"EMB1LMAPHDR1")
     return node_ids, coords, w, header
 
 
 def save_linear_classifier(path, w: np.ndarray, bias: np.ndarray, header: dict) -> None:
-    with open(path, "wb") as f:
-        _write_lmap_block(f, w)
-        _write_lmap_block(f, bias[None, :])
-        _write_header_block(f, header)
+    _write_blocks(path, _matrix(b"LMAP", w), _matrix(b"LMAP", bias), _header(header))
 
 
 def load_linear_classifier(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    with open(path, "rb") as f:
-        w = _read_lmap_block(f)
-        bias = _read_lmap_block(f)[0]
-        header = _read_header_block(f)
-    return w, bias, header
+    w, bias, header = _read_blocks(path, b"LMAPLMAPHDR1")
+    return w.astype(float), bias[0].astype(float), header

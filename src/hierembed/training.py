@@ -35,6 +35,7 @@ import numpy as np
 from . import geometry
 from .geometry import ConeParams
 from .hierarchy import RETRY_CAP, EdgeSet, Hierarchy, SplitResult
+from .metrics import ConfusionCounts, accuracy, precision_recall_f1
 
 
 class TrainingError(RuntimeError):
@@ -1055,17 +1056,17 @@ def _sweep(pos_e: np.ndarray, neg_e: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return t, p, r
 
 
-def _metrics_at(pos_e: np.ndarray, neg_e: np.ndarray, t: float) -> EdgePredictionResult:
-    """Metrics of classifying ``E <= t`` as positive."""
+def _confusion_at(pos_e: np.ndarray, neg_e: np.ndarray, t: float) -> ConfusionCounts:
+    """Confusion counts of classifying ``E <= t`` as positive."""
     tp = int(np.count_nonzero(pos_e <= t))
     fp = int(np.count_nonzero(neg_e <= t))
-    fn, tn = len(pos_e) - tp, len(neg_e) - fp
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    total = tp + fp + fn + tn
-    acc = (tp + tn) / total if total else 0.0
-    return EdgePredictionResult(t, p, r, f1, acc)
+    return ConfusionCounts(tp=tp, fp=fp, tn=len(neg_e) - fp, fn=len(pos_e) - tp)
+
+
+def _metrics_at(pos_e: np.ndarray, neg_e: np.ndarray, t: float) -> EdgePredictionResult:
+    """Metrics of classifying ``E <= t`` as positive."""
+    counts = _confusion_at(pos_e, neg_e, t)
+    return EdgePredictionResult(t, *precision_recall_f1(counts), accuracy(counts))
 
 
 def evaluate_edge_prediction(

@@ -753,6 +753,32 @@ class TestLabelFileCone:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == f"--aperture-k 0.1 conflicts with k=0.3 stored in {init}"
 
+    def test_joint_run_takes_k_of_a_joint_model(self, trained, capsys):
+        from hierembed import storage
+
+        root, nodes, edges = trained
+        init = root / "j03" / "model.bin"
+        base = ["train-joint", "--nodes", str(nodes), "--edges", str(edges),
+                "--features", str(root / "feats" / "features.feat"), "--dim", "2",
+                "--epochs", "1", "--init-labels", str(init)]
+        run(base + ["--out", str(root / "jj")])
+        assert storage.load_joint_model(root / "jj" / "model.bin")[3]["k"] == 0.3
+        assert main(base + ["--aperture-k", "0.5", "--out", str(root / "jjbad")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == f"--aperture-k 0.5 conflicts with k=0.3 stored in {init}"
+
+    def test_classify_names_a_label_file(self, trained, capsys):
+        root, nodes, edges = trained
+        model = root / "k03" / "embeddings.emb"
+        code = main(["classify", "--nodes", str(nodes), "--edges", str(edges),
+                     "--model", str(model), "--features", str(root / "feats" / "features.feat"),
+                     "--out", str(root / "clsbad")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (payload["type"], payload["error"]) == (
+            "CliError", f"{model} is a label file, not a joint model"
+        )
+
     def test_joint_run_names_init_labels_of_another_dim(self, trained, capsys):
         root, nodes, edges = trained
         init = root / "k03" / "embeddings.emb"  # 2-dimensional
@@ -898,7 +924,8 @@ class TestInstanceFilesMatchRowLoops:
         run(["classify", *base, "--model", str(root / "model.bin"), "--features", str(feats),
              "--subset", subset, "--out", str(tmp_path / "cls")])
         h = hierarchy.load_hierarchy(root / "tree" / "nodes.tsv", root / "tree" / "edges.tsv")
-        model, _ = cli._load_joint(root / "model.bin")
+        labels, w, _ = cli._load_model(root / "model.bin", None)
+        model = joint.JointModel(labels, w, labels.params)
         features = cli._load_feature_matrix(feats)
         n = len(features.instance_ids)
         idx = dict(zip(("train", "val", "test"), joint.split_instances(n, 1)), all=np.arange(n))
@@ -1054,9 +1081,9 @@ def test_golden_text_table_digests(tmp_path):
 # sha256 of the trained outputs of one small run down each sampler path: the
 # plain walk with pick-per-level (ec), with uniform negatives and a repeat
 # check (oe, two passes), with RSGD and three passes (hc), and the joint
-# trainer plain and rebalanced. A change to the training stream, the samplers
-# or the optimizers changes them: such a change has to say so and record the
-# new digests here.
+# trainer plain and rebalanced, and one reconstruct of the hc label file. A
+# change to the training stream, the samplers, the optimizers or the metrics
+# changes them: such a change has to say so and record the new digests here.
 GOLDEN_TRAINED = {
     "labels-ec/embeddings.emb": "9d1cdf29a255ba10bcf61bd54b2d6c9dad2a0fc392e7e03868966860ce8764cc",
     "labels-ec/train_log.csv": "12155f1ea099779af568e9f2ac6ba6e59b45e3935c2616169eb2d1060f524ae5",
@@ -1081,6 +1108,7 @@ GOLDEN_TRAINED = {
     "labels-hc-adam/embeddings.emb": "3b2184cbd80bd7d83280ce3f724a206db46149d0596143df10c9d1b097d4b835",
     "labels-hc-adam/train_log.csv": "48bef911105ca5faec86e744333329cd1c8120f18f6ba2780ac12d3313fe7066",
     "labels-hc-adam/test_metrics.csv": "adc20330d4777d20c23b0cebcd82b06d380a4686c0d408109a866fca68fe48a0",
+    "reconstruct-hc/reconstruction.csv": "349d22ebaf1af4d7ede49d4e390ad409ff0a75ba0c9c808d3a3a619ac153326f",
 }
 
 TRAINED_RUNS = {
@@ -1119,6 +1147,12 @@ def test_golden_trained_output_digests(tmp_path):
             files = ["model.bin", "train_log.csv"]
         for file in files:
             got[f"{name}/{file}"] = hashlib.sha256((out / file).read_bytes()).hexdigest()
+    out = tmp_path / "reconstruct-hc"
+    run(["reconstruct", *base, "--model", str(tmp_path / "labels-hc" / "embeddings.emb"),
+         "--out", str(out)])
+    got["reconstruct-hc/reconstruction.csv"] = hashlib.sha256(
+        (out / "reconstruction.csv").read_bytes()
+    ).hexdigest()
     assert got == GOLDEN_TRAINED
 
 

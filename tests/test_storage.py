@@ -1,5 +1,7 @@
 """Binary format round trips and corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 from hierembed.storage import (
     FormatError,
     load_embeddings,
-    load_embeddings_with_header,
     load_features,
     load_joint_model,
     load_linear_classifier,
+    load_model,
     read_tsv,
     save_embeddings,
     save_features,
@@ -38,8 +40,10 @@ def test_embeddings_trailer_keeps_k_and_squared(tmp_path):
     path = tmp_path / "table.emb"
     coords = np.arange(6, dtype=float).reshape(3, 2) / 10
     save_embeddings(path, ("a", "b", "c"), coords, "oe", k=0.3, squared=True)
-    ids, loaded, kind, header = load_embeddings_with_header(path)
-    assert (ids, kind, header) == (("a", "b", "c"), "oe", {"geometry": "oe", "k": 0.3, "squared": True})
+    ids, loaded, kind, w, header = load_model(path)
+    assert (ids, kind, w, header) == (
+        ("a", "b", "c"), "oe", None, {"geometry": "oe", "k": 0.3, "squared": True}
+    )
     np.testing.assert_array_equal(loaded, coords)
     assert load_embeddings(path)[2] == "oe"
 
@@ -49,11 +53,13 @@ def test_embeddings_without_trailer_load_as_before(tmp_path):
     save_embeddings(path, ("a",), np.zeros((1, 2)), "ec")
     # magic, counts, tag and coordinates only: the layout of older files
     assert path.stat().st_size == 4 + 9 + 16
-    assert load_embeddings_with_header(path)[3] == {}
-    # a joint model's LMAP block after EMB1 is not a trailer
+    assert load_model(path)[3:] == (None, {})
+    # a joint model's LMAP block after EMB1 is not a trailer: it reads as a joint model
     model = tmp_path / "model.bin"
     save_joint_model(model, ("a",), np.zeros((1, 2)), np.ones((3, 2)), {"geometry": "ec", "k": 0.2})
-    assert load_embeddings_with_header(model)[3] == {}
+    _, _, _, w, header = load_model(model)
+    assert header == {"geometry": "ec", "k": 0.2}
+    np.testing.assert_array_equal(w, np.ones((3, 2)))
 
 
 def test_embeddings_trailer_geometry_checked(tmp_path):
@@ -61,8 +67,8 @@ def test_embeddings_trailer_geometry_checked(tmp_path):
     save_embeddings(path, ("a",), np.zeros((1, 2)), "ec", k=0.1)
     data = path.read_bytes().replace(b'"geometry": "ec"', b'"geometry": "hc"')
     path.write_bytes(data)
-    with pytest.raises(FormatError):
-        load_embeddings_with_header(path)
+    with pytest.raises(FormatError, match="header geometry 'hc' disagrees"):
+        load_model(path)
 
 
 def test_embeddings_magic_enforced(tmp_path):
@@ -114,8 +120,100 @@ def test_joint_model_geometry_consistency(tmp_path):
 def test_embeddings_file_is_not_a_joint_model(tmp_path):
     path = tmp_path / "table.emb"
     save_embeddings(path, ("a",), np.zeros((1, 2)), "ec")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as err:
         load_joint_model(path)
+    assert str(err.value) == f"{path}: found EMB1, expected EMB1 LMAP HDR1"
+
+
+def write_layouts(root):
+    """One small file of each written layout."""
+    ids, coords = ("a", "b"), np.array([[0.1, 0.2], [0.3, -0.4]])
+    save_embeddings(root / "plain.emb", ids, coords, "ec")
+    save_embeddings(root / "trailer.emb", ids, coords, "oe", k=0.3, squared=True)
+    save_joint_model(root / "model.bin", ids, coords, np.ones((3, 2)), {"geometry": "hc", "k": 0.1})
+    save_linear_classifier(root / "clf.bin", np.ones((3, 2)), np.zeros(2), {"head": "plc"})
+    save_features(root / "features.feat", ("i", "j"), np.ones((2, 3)), ("a", "b"))
+
+
+# each layout's file and the loaders that accept it
+LAYOUT_LOADERS = {
+    "plain.emb": (load_embeddings, load_model),
+    "trailer.emb": (load_embeddings, load_model),
+    "model.bin": (load_joint_model, load_model),
+    "clf.bin": (load_linear_classifier,),
+    "features.feat": (load_features,),
+}
+EMB1_END = 4 + 9 + 8 * 2 * 2  # the end of the two-row EMB1 block of write_layouts
+
+
+@pytest.mark.parametrize("name", LAYOUT_LOADERS)
+def test_every_proper_prefix_is_refused(tmp_path, name):
+    write_layouts(tmp_path)
+    path = tmp_path / name
+    data = path.read_bytes()
+    for load in LAYOUT_LOADERS[name]:
+        load(path)
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            if cut == EMB1_END and load in (load_embeddings, load_model):
+                # the EMB1 block alone is a whole label file without a trailer
+                assert load_model(path)[3:] == (None, {})
+                continue
+            with pytest.raises(FormatError) as err:
+                load(path)
+            assert str(err.value).startswith(f"{path}: ")
+        path.write_bytes(data)
+
+
+@pytest.mark.parametrize("name", LAYOUT_LOADERS)
+def test_bytes_after_a_whole_layout_are_refused(tmp_path, name):
+    write_layouts(tmp_path)
+    path = tmp_path / name
+    data = path.read_bytes()
+    for extra in (b"\0", b"FEAT", data):
+        path.write_bytes(data + extra)
+        for load in LAYOUT_LOADERS[name]:
+            with pytest.raises(FormatError, match="found .*, expected "):
+                load(path)
+
+
+def test_a_bad_block_is_refused(tmp_path):
+    write_layouts(tmp_path)
+    path = tmp_path / "plain.emb"
+    emb = path.read_bytes()
+    for payload in (b"{oops", b"[1, 2]", b"\xff{}"):
+        path.write_bytes(emb + b"HDR1" + struct.pack("<I", len(payload)) + payload)
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: its HDR1 block does not hold a JSON object"
+    # a count past the end of the file fails before anything is allocated for it
+    path.write_bytes(b"EMB1" + struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 1))
+    with pytest.raises(FormatError) as err:
+        load_embeddings(path)
+    assert str(err.value) == (
+        f"{path}: its EMB1 block is cut short: {8 * (2**32 - 1) ** 2} bytes wanted, 0 left"
+    )
+    path.write_bytes(emb[:12] + b"\x07" + emb[13:])
+    with pytest.raises(FormatError, match="unknown geometry tag 7"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("writer", ["embeddings", "joint model", "features"])
+@pytest.mark.parametrize("ids, problem", [
+    (("a\tb", "c"), "holds a tab"),
+    (("a", "b", "c"), "columns of .*3.* entries for 2 rows"),
+])
+def test_a_refused_sidecar_leaves_no_file(tmp_path, writer, ids, problem):
+    path = tmp_path / "out.bin"
+    coords = np.zeros((2, 2))
+    with pytest.raises(FormatError, match=problem):
+        if writer == "embeddings":
+            save_embeddings(path, ids, coords, "ec", k=0.2)
+        elif writer == "joint model":
+            save_joint_model(path, ids, coords, np.ones((3, 2)), {"geometry": "ec"})
+        else:
+            save_features(path, ("i", "j"), coords, ids)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_linear_classifier_round_trip(tmp_path):
@@ -253,3 +351,38 @@ def test_permuted_sidecars_load_in_row_order(tmp_path):
     (tmp_path / "instances.tsv").write_text("b\t1\ty\nc\t2\tz\na\t0\tx\n", encoding="utf-8")
     ids, _, leaves = load_features(feat)
     assert (ids, leaves) == (("a", "b", "c"), ("x", "y", "z"))
+
+
+# sha256 of each binary writer's file and sidecar on fixed arrays. The label
+# file without a trailer is the layout the benchmark's seeded models use. A
+# change to a binary format has to say so and record the new digests here.
+GOLDEN_WRITERS = {
+    "plain.emb": "037f8a488ea96b8778f1200248ac75226e86dd27b293cc6a4b42179f90c2dfa3",
+    "plain.emb.nodes.tsv": "e06b15ecb5c1c3c8a06a28bb5362045c2039a02a2c1a53c103f8d0ee1b9d4e73",
+    "trailer.emb": "fe670efe229374594b651a5ceb6c1664099be4c0d1430b93f6cc15fc508bbbfc",
+    "trailer.emb.nodes.tsv": "e06b15ecb5c1c3c8a06a28bb5362045c2039a02a2c1a53c103f8d0ee1b9d4e73",
+    "model.bin": "dee4c7331b88e4cd68c37753643e0baa957be3cfab7504059be2b68a8741405d",
+    "model.bin.nodes.tsv": "e06b15ecb5c1c3c8a06a28bb5362045c2039a02a2c1a53c103f8d0ee1b9d4e73",
+    "clf.bin": "4d264e43232ca19175c7d879ea7845e2f3f8f0f3234fed9aacc1e9d6f23ee5a6",
+    "features.feat": "3ad4c76882b2810baa04967d250052978aff6d48226c3583856e22250efca00a",
+    "instances.tsv": "fb4244e1f425550aed2b60fcaa94a5ea508c54c72225a0ca913e9dbc7af1599c",
+}
+
+
+def test_golden_writer_digests(tmp_path):
+    import hashlib
+
+    ids = ("r", "r.0", "r.1")
+    coords = np.linspace(-0.5, 0.5, 6).reshape(3, 2)
+    save_embeddings(tmp_path / "plain.emb", ids, coords, "ec")
+    save_embeddings(tmp_path / "trailer.emb", ids, coords, "oe", k=0.3, squared=True)
+    save_joint_model(tmp_path / "model.bin", ids, coords, np.arange(8.0).reshape(4, 2) / 7,
+                     {"geometry": "hc", "k": 0.1, "dim": 2, "split_seed": 1, "feature_dim": 4})
+    save_linear_classifier(tmp_path / "clf.bin", np.arange(12.0).reshape(4, 3) / 11,
+                           np.array([0.25, -1.0, 1e-300]),
+                           {"head": "hab", "thresholds": [0.5, 0.125], "level_sizes": [1, 2]})
+    save_features(tmp_path / "features.feat", ("i0", "i1", "i2"),
+                  np.arange(15.0).reshape(3, 5) / 3, ("r.0", "r.1", "r.0"))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_WRITERS}
+    assert got == GOLDEN_WRITERS
