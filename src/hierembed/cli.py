@@ -205,6 +205,9 @@ def cmd_train_joint(args) -> None:
                 f"{args.init_labels} holds {init.coords.shape[1]}-dimensional labels, "
                 f"but --dim is {args.dim}"
             )
+        if init.params.oe_squared:
+            raise CliError(f"{args.init_labels} was trained with the squared oe energy, "
+                           "which train-joint does not support")
     k = _stored_k(stored, args.aperture_k, args.init_labels)
     epochs = args.epochs if args.epochs is not None else defaults["epochs"]
     lr_labels = args.lr_labels if args.lr_labels is not None else defaults["lr_labels"]

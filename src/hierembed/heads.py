@@ -36,14 +36,16 @@ class HeadError(ValueError):
     """Inconsistent labels, segment layouts, or imbalance inputs."""
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below."""
-    e = np.exp(np.minimum(x, -x))  # -|x|; a NaN keeps its sign, as exp(x) would
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    return np.exp(np.minimum(x, -x))  # -|x|; a NaN keeps its sign, as exp(x) would
+
+
+def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below;
+    ``e`` is ``_exp_neg_abs(x)`` where the caller has it already."""
+    if e is None:
+        e = _exp_neg_abs(x)
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
 
 
 def _logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -96,6 +98,14 @@ class HierarchyIndex:
         ]
         # leaf_path[k, i]: level-(i+1) position of the k-th leaf's ancestor.
         self.leaf_path = self.row_pos[h.anc[h.level_of == self.level_count]]
+        # leaf_dfs: leaf positions in DFS order, in which each node's leaves
+        # form one run. run_start[i] and run_pos[i]: where each level-(i+1)
+        # node's run starts and that node's position; a node with no leaf
+        # below it has no run.
+        self.leaf_dfs = np.lexsort(self.leaf_path.T[::-1])
+        dfs_path = self.leaf_path[self.leaf_dfs]
+        self.run_start = [np.flatnonzero(np.diff(c, prepend=-1)) for c in dfs_path.T[:-1]]
+        self.run_pos = [c[start] for c, start in zip(dfs_path.T, self.run_start)]
         # Sibling groups: root group first, then by parent node id.
         groups = [SiblingGroup(None, 1, tuple(self.levels[0]), 0)]
         offset = len(self.levels[0])
@@ -232,9 +242,13 @@ def _hab_rows(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
             )
         y = y == 1
     width = x.shape[1]
-    # y * sp(-x) + (1 - y) * sp(x), one softplus per entry
-    losses = np.sum(_softplus(np.where(y, -x, x)), axis=1) / width
-    return losses, (_sigmoid(x) - y) / width
+    # y * sp(-x) + (1 - y) * sp(x) with sp(z) = max(z, 0) + log1p(exp(-|z|)),
+    # and |z| = |x|: the loss and the sigmoid share one exp
+    e = _exp_neg_abs(x)
+    z = np.where(y, -x, x)
+    np.maximum(z, 0.0, out=z)
+    z += np.log1p(e)
+    return np.sum(z, axis=1) / width, (_sigmoid(x, e) - y) / width
 
 
 def hab_loss(x, y) -> tuple[float, np.ndarray]:
@@ -268,39 +282,70 @@ def plc_loss(x, tau, index: HierarchyIndex) -> tuple[float, np.ndarray]:
     return _batch_mean(_plc_rows, x, tau, index)
 
 
+def _upper_marginals(p: np.ndarray, index: HierarchyIndex) -> list[np.ndarray]:
+    """Each level above the leaves as (n, N_i) sums of the leaf probabilities
+    ``p`` (n, N_L), one sum per node over its run of leaves in DFS order."""
+    q = p[:, index.leaf_dfs]
+    out = []
+    for start, pos, size in zip(index.run_start, index.run_pos, index.level_sizes):
+        m = np.zeros((p.shape[0], size))
+        m[:, pos] = np.add.reduceat(q, start, axis=1)
+        out.append(m)
+    return out
+
+
 def mc_probabilities(leaf_logits, index: HierarchyIndex) -> list[np.ndarray]:
-    """Per-level probabilities: leaf softmax plus bottom-up children sums."""
+    """Per-level probabilities: the leaf softmax, and above it the sum over
+    each node's leaves."""
     x, single = _batchify(leaf_logits)
     n_leaves = index.level_sizes[-1]
     if x.shape[1] != n_leaves:
         raise HeadError(f"expected {n_leaves} leaf logits, got {x.shape[1]}")
-    probs: list[np.ndarray] = [None] * index.level_count
-    probs[-1] = _softmax(x)
-    for i in range(index.level_count - 2, -1, -1):
-        kids = index.parent_pos[i]
-        probs[i] = np.stack(
-            [probs[i + 1][:, kids == j].sum(axis=1) for j in range(index.level_sizes[i])], axis=1
-        )
+    leaf = _softmax(x)
+    probs = [*_upper_marginals(leaf, index), leaf]
     if single:
         return [p[0] for p in probs]
     return probs
 
 
+# Below this an upper-level marginal may be a sum of underflowed leaf
+# probabilities; its rows take the marginal as a log-sum-exp instead.
+_MIN_MARGINAL = 1e-200
+
+
 def _mc_rows(x: np.ndarray, tau, index: HierarchyIndex) -> tuple[np.ndarray, np.ndarray]:
     tau = _targets(tau, index)
-    logp = x - _logsumexp(x, axis=1)[:, None]
-    p = np.exp(logp)
-    losses, grad = np.zeros(x.shape[0]), np.zeros_like(x)
-    for i in range(index.level_count - 1):
-        mask = index.leaf_path[:, i] == tau[:, i, None]  # (n, N_L) leaves under the truth
-        log_ps = _logsumexp(np.where(mask, logp, -np.inf), axis=1)
-        losses -= log_ps
-        grad += p - np.where(mask, np.exp(logp - log_ps[:, None]), 0.0)
-    # The leaf level's mask holds one leaf, whose log-sum-exp is its logp.
-    rows = np.arange(x.shape[0])
-    losses -= logp[rows, tau[:, -1]]
-    p[rows, tau[:, -1]] -= 1.0
-    grad += p
+    n, levels = x.shape[0], index.level_count
+    rows = np.arange(n)
+    lse = _logsumexp(x, axis=1)
+    p = np.exp(x - lse[:, None])
+    losses = lse - x[rows, tau[:, -1]]
+    # -log m of a marginal m has gradient p - p / m on the truth's leaves and
+    # p elsewhere. inv sums 1/m down each row's target path, from level 1 to
+    # the leaves' parents; the leaf level's own term is p - onehot.
+    inv, exact = np.zeros((n, index.level_sizes[0])), []
+    for i, marg in enumerate(_upper_marginals(p, index)):
+        if i:
+            inv = inv[:, index.parent_pos[i - 1]]
+        m = marg[rows, tau[:, i]]
+        tiny = m < _MIN_MARGINAL
+        log_m = np.log(m, out=np.zeros(n), where=~tiny)
+        if tiny.any():
+            logp = x[tiny] - lse[tiny, None]
+            under = index.leaf_path[:, i] == tau[tiny, i, None]
+            log_m[tiny] = _logsumexp(np.where(under, logp, -np.inf), axis=1)
+            exact.append((tiny, np.exp(np.where(under, logp - log_m[tiny, None], -np.inf))))
+            m[tiny] = np.inf  # no 1/m term: ``exact`` holds these rows' p / m
+        losses -= log_m
+        inv[rows, tau[:, i]] += 1.0 / m
+    grad = p
+    if levels > 1:
+        coef = inv[:, index.parent_pos[-1]]
+        np.subtract(levels, coef, out=coef)
+        grad *= coef
+    grad[rows, tau[:, -1]] -= 1.0
+    for tiny, p_over_m in exact:
+        grad[tiny] -= p_over_m
     return losses, grad
 
 
@@ -413,8 +458,13 @@ def hs_predict(group_logits, index: HierarchyIndex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _best_f1_threshold(scores: np.ndarray, truth: np.ndarray) -> float:
-    """Threshold (predict score >= t) maximizing F1; ties pick the largest t."""
-    order = np.argsort(-scores, kind="stable")
+    """Threshold (predict score >= t) maximizing F1; ties pick the largest t.
+
+    F1 is read only at the last index of each run of equal scores, where
+    the true-positive count does not depend on the order within the run;
+    so the sort need not be stable.
+    """
+    order = np.argsort(-scores)
     s = scores[order]
     y = truth[order].astype(np.int64)
     total_pos = int(y.sum())

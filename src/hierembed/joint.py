@@ -185,14 +185,18 @@ def _pairwise_energies(X: np.ndarray, Y: np.ndarray, params: ConeParams) -> np.n
 
 
 def level_energies(
-    model: JointModel, h: Hierarchy, points: np.ndarray, level: int
+    model: JointModel, h: Hierarchy, points: np.ndarray, level: int,
+    labels: np.ndarray | None = None,
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Energies of every label at ``level`` against instance points (n, d).
 
-    Returns the id-sorted member tuple and an (n, N_level) energy matrix.
+    ``labels`` may hold the level's label points (N_level, d), gathered
+    once by a caller that scores many blocks. Returns the id-sorted member
+    tuple and an (n, N_level) energy matrix.
     """
     members = h.level_members(level)
-    labels = model.labels.coords[model.labels.rows(members)]
+    if labels is None:
+        labels = model.labels.coords[model.labels.rows(members)]
     return members, _pairwise_energies(labels[None], points[:, None], model.params)
 
 
@@ -237,12 +241,12 @@ def _classify(
     ranks = None if truth is None else np.empty((n, levels), dtype=np.int64)
     level_rows = [np.flatnonzero(h.level_of == lvl + 1) for lvl in range(levels)]
     names = [np.asarray(h.level_members(lvl + 1), dtype=object) for lvl in range(levels)]
+    labels = [model.labels.coords[model.labels.rows(m)] for m in names]  # names missing labels
     step = max(1, PAIR_CHUNK // max(h.level_sizes))
-    # an empty subset still scores one empty block, so a model lacking labels is named
-    for s in range(0, max(n, 1), step):
+    for s in range(0, n, step):
         rows = slice(s, s + step)
         for lvl in range(levels):
-            _, e = level_energies(model, h, points[rows], lvl + 1)
+            _, e = level_energies(model, h, points[rows], lvl + 1, labels=labels[lvl])
             arg = np.argmin(e, axis=1)
             preds[rows, lvl] = names[lvl][arg]
             best[rows, lvl] = np.take_along_axis(e, arg[:, None], 1)[:, 0]

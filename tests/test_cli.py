@@ -790,6 +790,21 @@ class TestLabelFileCone:
         assert payload["error"] == f"{init} holds 2-dimensional labels, but --dim is 4"
         assert payload["type"] == "CliError"
 
+    def test_joint_run_refuses_a_squared_init(self, trained, capsys):
+        root, nodes, edges = trained
+        init = root / "sq" / "embeddings.emb"
+        code = main(["train-joint", "--nodes", str(nodes), "--edges", str(edges),
+                     "--features", str(root / "feats" / "features.feat"), "--geometry", "oe",
+                     "--dim", "2", "--epochs", "1", "--init-labels", str(init),
+                     "--out", str(root / "jsq")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (payload["type"], payload["error"]) == (
+            "CliError",
+            f"{init} was trained with the squared oe energy, which train-joint does not support",
+        )
+        assert not (root / "jsq" / "model.bin").exists()
+
     def test_joint_model_keeps_its_k_under_older_snapshots(self, trained):
         from hierembed import joint, storage
         from hierembed.geometry import ConeParams
@@ -1174,11 +1189,11 @@ GOLDEN_CLASSIFIER = {
     "plc-class-weights/classifier.bin": "0a429f39bd2927c7139737fd5b007cad05f29406e3ee8f7639beafea73035bd6",
     "plc-class-weights/train_log.csv": "6a1d904243c0045660849f3506ade854ddadba827a3933208a51d98ecc83dbe5",
     "plc-class-weights/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
-    "mc-none/classifier.bin": "5aa5ae2d5592ff7e4e250be565168851a98a1ab6a8a00e51ebad8273a58d245a",
-    "mc-none/train_log.csv": "c84cf8b9354d84241c2ada3b5f7085220b3e1a4eb53e0b40999b7f139816ec92",
+    "mc-none/classifier.bin": "fa3de01b15402d9ec4726c1b00c3f9d58767ef8cade85224db31af0d027d20ef",
+    "mc-none/train_log.csv": "1718fb61d8aa876000acb2fc14c3d23e3991029c197590515097c0bec65f064c",
     "mc-none/metrics.csv": "2bf10b74ab270feb7dd667733f4f6091ce4c7a375458d1f1560de5f663bca328",
-    "mc-class-weights/classifier.bin": "dab346754c5d018c178843b1f4b73cf62cadef59fb830ba0fc8661be58b82103",
-    "mc-class-weights/train_log.csv": "802853729f4d2ae9e64302400f081a68acb4f65aa200c865f4231e6f1db435cf",
+    "mc-class-weights/classifier.bin": "71558a6284703c67106b2e137c68c173fe2e3dd6c03124e4355be349515d44d0",
+    "mc-class-weights/train_log.csv": "cda8d37fe30abf184b968095a6f7d6947ec37adfdd97415b31e776ceb7a026db",
     "mc-class-weights/metrics.csv": "8e1381eceb387186b396862612613e64ca2f9f46d9b26e3f557f8c00604e4ba7",
     "mplc-none/classifier.bin": "9130ed224976bbf4b6432c51844ce016bc702e96249348d099a99857f59de56e",
     "mplc-none/train_log.csv": "0686403c465ca164b86f9fe4b76c63f0d0ea0b139e52a48c37ea1786d95d14a8",
@@ -1204,7 +1219,7 @@ GOLDEN_CLASSIFIER = {
     "uneven-plc/classifier.bin": "46aec1472cc948881c76f7e1d63ca140af34a55046e02aeea68e33785c845dc1",
     "uneven-plc/train_log.csv": "e6a81879a1c7f33ed8be165d7a1540a8d8f1c18f3f2aa36b82f68a4dd8982355",
     "uneven-plc/metrics.csv": "8249c9144fce1bb82fd52cf28c160596cb3f169123469d3d35ddc8826261477c",
-    "uneven-mc/classifier.bin": "4df00e1547adc9aacf9d95e40f7eafc67339c7776f6ddadfc7f632aca25314a6",
+    "uneven-mc/classifier.bin": "7aace5a1131924b12c8efa75543383f70301dd9eb1b8a2b64a68f5ce3e1763c8",
     "uneven-mc/train_log.csv": "6646c5d2fb86f2e19b6ecf41a5349946f1aab1389a985c524ca861d4d6d85bf0",
     "uneven-mc/metrics.csv": "a8ff1c88ca46cc80f80cccb6960efca05ffbf029e9c5ce23d5a65e2876132d05",
     "uneven-mplc/classifier.bin": "584969a171b4a3fa99ca81ed860089ef9e06cd854251dc7e2d2e5181ae28fff6",
