@@ -13,6 +13,11 @@ Five formulations over a shared flat logit layout:
 - ``hs``: one softmax per sibling group; the leaf distribution is the
   product of conditionals along the root-to-leaf path.
 
+``plc``, ``mplc`` and ``hs`` share one loss: a softmax cross-entropy
+summed over groups of contiguous logit columns, the levels for ``plc`` and
+the sibling groups on the target path for ``hs``. ``mplc`` is ``hs`` with
+its logits moved from the level layout into the sibling-group layout.
+
 Within a level labels are ordered by node id; levels are concatenated for
 flat layouts. Sibling groups are laid out root group first, then by
 parent node id. All losses are batch means and come with analytic
@@ -106,7 +111,9 @@ class HierarchyIndex:
         dfs_path = self.leaf_path[self.leaf_dfs]
         self.run_start = [np.flatnonzero(np.diff(c, prepend=-1)) for c in dfs_path.T[:-1]]
         self.run_pos = [c[start] for c, start in zip(dfs_path.T, self.run_start)]
-        # Sibling groups: root group first, then by parent node id.
+        # Sibling groups: root group first, then by parent node id. Every
+        # node but a root has one parent, so the groups hold each node once
+        # and the group layout is n_total wide, like the level layout.
         groups = [SiblingGroup(None, 1, tuple(self.levels[0]), 0)]
         offset = len(self.levels[0])
         for pid in (nid for nid in h.ids if h.children(nid)):
@@ -114,25 +121,20 @@ class HierarchyIndex:
             groups.append(SiblingGroup(pid, h.node(members[0]).level, members, offset))
             offset += len(members)
         self.groups = groups
-        self.group_width = offset
         self.group_of = {
             nid: (gi, pos) for gi, g in enumerate(groups) for pos, nid in enumerate(g.member_ids)
         }
-        # leaf_cols[k, i]: group column of the k-th leaf's level-(i+1) ancestor;
-        # leaf_groups[k, j]: column j lies in a sibling group on that path.
-        col = [
-            np.array([groups[self.group_of[n][0]].offset + self.group_of[n][1] for n in m])
-            for m in self.levels
-        ]
-        self.leaf_cols = np.stack([c[self.leaf_path[:, i]] for i, c in enumerate(col)], axis=1)
-        sizes = np.array([len(g.member_ids) for g in groups])
-        col_group = np.repeat(np.arange(len(groups)), sizes)
-        self.leaf_groups = (col_group == col_group[self.leaf_cols][:, :, None]).any(axis=1)
-        # group_cols: one (groups, size) column table per group size
-        offsets = np.array([g.offset for g in groups])
-        self.group_cols = [
-            offsets[sizes == k][:, None] + np.arange(k) for k in sorted(set(sizes.tolist()))
-        ]
+        # Each sibling group is one run of columns, as each level is in the
+        # level layout (level_offsets, level_sizes).
+        self.group_starts = np.array([g.offset for g in groups])
+        self.group_sizes = np.array([len(g.member_ids) for g in groups])
+        # group_col[k]: group column of level column k; level_col is its inverse
+        self.group_col = np.array(
+            [groups[gi].offset + pos for m in self.levels for gi, pos in map(self.group_of.get, m)]
+        )
+        self.level_col = np.argsort(self.group_col)
+        # leaf_cols[k, i]: group column of the k-th leaf's level-(i+1) ancestor
+        self.leaf_cols = self.group_col[np.add(self.level_offsets, self.leaf_path)]
 
     # -- target builders -----------------------------------------------------
 
@@ -164,12 +166,10 @@ class HierarchyIndex:
 
 
 def head_width(head: str, index: HierarchyIndex) -> int:
-    if head in ("hab", "plc", "mplc"):
+    if head in ("hab", "plc", "mplc", "hs"):
         return index.n_total
     if head == "mc":
         return index.level_sizes[-1]
-    if head == "hs":
-        return index.group_width
     raise HeadError(f"unknown head kind {head!r}")
 
 
@@ -256,30 +256,54 @@ def hab_loss(x, y) -> tuple[float, np.ndarray]:
     return _batch_mean(_hab_rows, x, y)
 
 
-def _per_sample_ce(seg: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-entropy of each row against its target column, with gradient."""
-    rows = np.arange(seg.shape[0])
-    m = np.max(seg, axis=1, keepdims=True)
-    grad = np.exp(seg - m)
-    total = np.sum(grad, axis=1, keepdims=True)
-    losses = (m[:, 0] + np.log(total[:, 0])) - seg[rows, tau]
-    grad /= total
-    grad[rows, tau] -= 1.0
-    return losses, grad
+def _check_width(x: np.ndarray, index: HierarchyIndex) -> None:
+    if x.shape[1] != index.n_total:
+        raise HeadError(f"expected {index.n_total} logits, got {x.shape[1]}")
 
 
-def _plc_rows(x: np.ndarray, tau, index: HierarchyIndex) -> tuple[np.ndarray, np.ndarray]:
+def _group_shift(x: np.ndarray, starts, sizes) -> np.ndarray:
+    """Logits less the max of their group; group g is the run of ``sizes[g]``
+    columns from ``starts[g]``, and the runs cover every column in order."""
+    shift = np.repeat(np.maximum.reduceat(x, starts, axis=1), sizes, axis=1)
+    return np.subtract(x, shift, out=shift)
+
+
+def _grouped_rows(x: np.ndarray, tau, index: HierarchyIndex, head: str):
+    """Softmax cross-entropy summed over the groups on each row's target
+    path: every level for ``plc``, the sibling groups of the path for
+    ``hs``, and for ``mplc`` those of ``hs`` over its logits moved into the
+    sibling-group layout. Gradient entries of groups off the path are zero."""
+    _check_width(x, index)
     tau = _targets(tau, index)
-    losses, grad = np.zeros(x.shape[0]), np.zeros_like(x)
-    for i, (off, size) in enumerate(zip(index.level_offsets, index.level_sizes)):
-        level_losses, grad[:, off : off + size] = _per_sample_ce(x[:, off : off + size], tau[:, i])
-        losses += level_losses
+    if head == "plc":
+        starts, sizes, path = index.level_offsets, index.level_sizes, tau + index.level_offsets
+    else:
+        _check_paths(tau, index)
+        starts, sizes, path = index.group_starts, index.group_sizes, index.leaf_cols[tau[:, -1]]
+        if head == "mplc":
+            x = np.take(x, index.level_col, axis=1)
+    rows = np.arange(x.shape[0])[:, None]
+    groups = np.searchsorted(starts, path, side="right") - 1
+    e = _group_shift(x, starts, sizes)
+    shift = e[rows, path]
+    e = np.exp(e, out=e)
+    total = np.add.reduceat(e, starts, axis=1)
+    on_path = total[rows, groups]
+    losses = np.sum(np.log(on_path) - shift, axis=1)
+    total.fill(np.inf)  # e / inf is 0 off the path
+    total[rows, groups] = on_path
+    grad = np.divide(e, np.repeat(total, sizes, axis=1), out=e)
+    grad[rows, path] -= 1.0
+    if head == "mplc":
+        # np.take keeps the gradient C-ordered, as grad[:, perm] would not:
+        # the trainer's xb.T @ grad rounds by the gradient's memory order
+        grad = np.take(grad, index.group_col, axis=1)
     return losses, grad
 
 
 def plc_loss(x, tau, index: HierarchyIndex) -> tuple[float, np.ndarray]:
     """Sum of per-level softmax cross-entropies."""
-    return _batch_mean(_plc_rows, x, tau, index)
+    return _batch_mean(_grouped_rows, x, tau, index, "plc")
 
 
 def _upper_marginals(p: np.ndarray, index: HierarchyIndex) -> list[np.ndarray]:
@@ -315,6 +339,7 @@ _MIN_MARGINAL = 1e-200
 
 def _mc_rows(x: np.ndarray, tau, index: HierarchyIndex) -> tuple[np.ndarray, np.ndarray]:
     tau = _targets(tau, index)
+    _check_paths(tau, index)
     n, levels = x.shape[0], index.level_count
     rows = np.arange(n)
     lse = _logsumexp(x, axis=1)
@@ -354,29 +379,9 @@ def mc_loss(leaf_logits, tau, index: HierarchyIndex) -> tuple[float, np.ndarray]
     return _batch_mean(_mc_rows, leaf_logits, tau, index)
 
 
-def _mplc_rows(x: np.ndarray, tau, index: HierarchyIndex) -> tuple[np.ndarray, np.ndarray]:
-    tau = _targets(tau, index)
-    _check_paths(tau, index)
-    rows = np.arange(x.shape[0])
-    losses, grad = np.zeros(x.shape[0]), np.zeros_like(x)
-    for i, (off, size) in enumerate(zip(index.level_offsets, index.level_sizes)):
-        seg = x[:, off : off + size]
-        if i == 0:
-            level_losses, g = _per_sample_ce(seg, tau[:, 0])
-        else:
-            mask = index.parent_pos[i - 1] == tau[:, i - 1, None]  # the true parent's children
-            logz = _logsumexp(np.where(mask, seg, -np.inf), axis=1)
-            level_losses = logz - seg[rows, tau[:, i]]
-            g = np.where(mask, np.exp(seg - logz[:, None]), 0.0)
-            g[rows, tau[:, i]] -= 1.0
-        losses += level_losses
-        grad[:, off : off + size] = g
-    return losses, grad
-
-
 def mplc_loss(x, tau, index: HierarchyIndex) -> tuple[float, np.ndarray]:
     """Per-level cross-entropy restricted to the true parent's children."""
-    return _batch_mean(_mplc_rows, x, tau, index)
+    return _batch_mean(_grouped_rows, x, tau, index, "mplc")
 
 
 def mplc_predict(x, index: HierarchyIndex) -> np.ndarray:
@@ -397,26 +402,19 @@ def mplc_predict(x, index: HierarchyIndex) -> np.ndarray:
     return out[0] if single else out
 
 
-def _hs_log_cond(x: np.ndarray, index: HierarchyIndex) -> np.ndarray:
-    """Log-conditional of every group member given its parent, (n, group_width)."""
-    if x.shape[1] != index.group_width:
-        raise HeadError(f"expected {index.group_width} group logits, got {x.shape[1]}")
-    log_cond = np.empty_like(x)
-    for cols in index.group_cols:
-        # A contiguous copy: over a plain gather's layout the sums round
-        # differently from the per-group slices'.
-        seg = np.ascontiguousarray(x[:, cols])
-        log_cond[:, cols] = seg - _logsumexp(seg, axis=-1)[..., None]
-    return log_cond
-
-
 def hs_probabilities(
     group_logits, index: HierarchyIndex
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-group conditionals plus the joint distribution over leaves."""
     x, single = _batchify(group_logits)
-    log_cond = _hs_log_cond(x, index)
-    conds = [np.exp(log_cond[:, g.offset : g.offset + len(g.member_ids)]) for g in index.groups]
+    _check_width(x, index)
+    starts, sizes = index.group_starts, index.group_sizes
+    shift = _group_shift(x, starts, sizes)
+    cond = np.exp(shift)
+    total = np.repeat(np.add.reduceat(cond, starts, axis=1), sizes, axis=1)
+    cond /= total
+    conds = [cond[:, g.offset : g.offset + len(g.member_ids)] for g in index.groups]
+    log_cond = shift - np.log(total)
     joint_log = np.zeros((x.shape[0], index.level_sizes[-1]))
     for cols in index.leaf_cols.T[::-1]:  # leaf level first, up to the root
         joint_log += log_cond[:, cols]
@@ -426,23 +424,9 @@ def hs_probabilities(
     return conds, joint
 
 
-def _hs_rows(x: np.ndarray, tau, index: HierarchyIndex) -> tuple[np.ndarray, np.ndarray]:
-    tau = _targets(tau, index)
-    _check_paths(tau, index)
-    log_cond = _hs_log_cond(x, index)
-    rows = np.arange(x.shape[0])[:, None]
-    cols = index.leaf_cols[tau[:, -1]]  # (n, L) path columns, root first
-    losses = np.zeros(x.shape[0])
-    for log_p in log_cond[rows, cols].T:
-        losses -= log_p
-    grad = np.where(index.leaf_groups[tau[:, -1]], np.exp(log_cond), 0.0)
-    grad[rows, cols] -= 1.0
-    return losses, grad
-
-
 def hs_loss(group_logits, tau, index: HierarchyIndex) -> tuple[float, np.ndarray]:
     """Negative log joint of the true path: cross-entropy in each path group."""
-    return _batch_mean(_hs_rows, group_logits, tau, index)
+    return _batch_mean(_grouped_rows, group_logits, tau, index, "hs")
 
 
 def hs_predict(group_logits, index: HierarchyIndex) -> np.ndarray:
@@ -573,6 +557,8 @@ class ClassifierConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.lr < 0:
             raise ValueError(f"learning rate must be nonnegative, got {self.lr}")
+        if self.threshold_mode not in ("ofadb", "pcdb"):
+            raise ValueError(f"threshold mode must be ofadb or pcdb, got {self.threshold_mode!r}")
 
 
 @dataclass
@@ -594,10 +580,11 @@ def head_loss(
     """Batch-mean loss and logit gradient of one head, optionally class-weighted."""
     if head == "hab":
         return _batch_mean(_hab_rows, logits, multi_hot, weights=weights)
-    rows = {"plc": _plc_rows, "mc": _mc_rows, "mplc": _mplc_rows, "hs": _hs_rows}.get(head)
-    if rows is None:
-        raise HeadError(f"unknown head kind {head!r}")
-    return _batch_mean(rows, logits, tau, index, weights=weights)
+    if head == "mc":
+        return _batch_mean(_mc_rows, logits, tau, index, weights=weights)
+    if head in ("plc", "mplc", "hs"):
+        return _batch_mean(_grouped_rows, logits, tau, index, head, weights=weights)
+    raise HeadError(f"unknown head kind {head!r}")
 
 
 # ``bench/spans.py`` traces this name in its ``heads.loss`` layer (the layer

@@ -107,7 +107,7 @@ def test_criterion_1_gradient_suite():
             (plc_loss, rng.standard_normal(index.n_total), lambda z: plc_loss(z, tau, index)[0]),
             (mc_loss, rng.standard_normal(index.level_sizes[-1]), lambda z: mc_loss(z, tau, index)[0]),
             (mplc_loss, rng.standard_normal(index.n_total), lambda z: mplc_loss(z, tau, index)[0]),
-            (hs_loss, rng.standard_normal(index.group_width), lambda z: hs_loss(z, tau, index)[0]),
+            (hs_loss, rng.standard_normal(index.n_total), lambda z: hs_loss(z, tau, index)[0]),
         ]
         for fn, x, closure in cases:
             if fn is hab_loss:
@@ -301,7 +301,7 @@ def test_criterion_6_classifier_heads():
     leaf_logits = rng.standard_normal((32, index.level_sizes[-1]))
     for p in mc_probabilities(leaf_logits, index):
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
-    group_logits = rng.standard_normal((32, index.group_width))
+    group_logits = rng.standard_normal((32, index.n_total))
     conds, hs_joint = hs_probabilities(group_logits, index)
     for c in conds:
         np.testing.assert_allclose(c.sum(axis=1), 1.0, atol=1e-9)
@@ -320,7 +320,7 @@ def test_criterion_6_classifier_heads():
     np.testing.assert_allclose(g1, g2, atol=1e-12)
 
     # hierarchical-softmax joint equals brute-force path products
-    x = rng.standard_normal(index.group_width)
+    x = rng.standard_normal(index.n_total)
     _, jnt = hs_probabilities(x, index)
     conds_single, _ = hs_probabilities(x, index)
     for pos, leaf in enumerate(index.levels[-1]):

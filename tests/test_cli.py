@@ -1183,10 +1183,10 @@ GOLDEN_CLASSIFIER = {
     "hab-class-weights/classifier.bin": "494e66fad627e327fa73753bb9e84f8c308eca774d17499aeafa68357ba1980f",
     "hab-class-weights/train_log.csv": "f5c675ad2087ae5a1850e0733ebcedf011e2c7888af519aa11deac20abe8108d",
     "hab-class-weights/metrics.csv": "b207b0512d41516c5a3cce62483139ec8bd36100f21488e360a72b07e459995b",
-    "plc-none/classifier.bin": "0d44df4f196a1a6b42fae4cc1c65cab7763e98dfea5a59499b2cfb2b8cd6bcac",
-    "plc-none/train_log.csv": "44f2d08ee6b82a4fcdb7f8e89a577edddf11773e2114bceaa33e8950ab62138a",
+    "plc-none/classifier.bin": "663a1db6764462a595cf359267ed004f0707d83c8d5853472a9c4a83cdeb592c",
+    "plc-none/train_log.csv": "d5fc0a95452e3d04e496c1fa41d40ab8733fdd088068271bc9227d28543d3651",
     "plc-none/metrics.csv": "f83ea6a3279c437197d341d9903efb3a968306a037f7dcb4a386ceffddbf9ec4",
-    "plc-class-weights/classifier.bin": "0a429f39bd2927c7139737fd5b007cad05f29406e3ee8f7639beafea73035bd6",
+    "plc-class-weights/classifier.bin": "48e0fab9fa30654482f6cac8ea4b4a2e9dd32096ed45feb691e8da6c3d2f2bcd",
     "plc-class-weights/train_log.csv": "6a1d904243c0045660849f3506ade854ddadba827a3933208a51d98ecc83dbe5",
     "plc-class-weights/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
     "mc-none/classifier.bin": "fa3de01b15402d9ec4726c1b00c3f9d58767ef8cade85224db31af0d027d20ef",
@@ -1195,37 +1195,37 @@ GOLDEN_CLASSIFIER = {
     "mc-class-weights/classifier.bin": "71558a6284703c67106b2e137c68c173fe2e3dd6c03124e4355be349515d44d0",
     "mc-class-weights/train_log.csv": "cda8d37fe30abf184b968095a6f7d6947ec37adfdd97415b31e776ceb7a026db",
     "mc-class-weights/metrics.csv": "8e1381eceb387186b396862612613e64ca2f9f46d9b26e3f557f8c00604e4ba7",
-    "mplc-none/classifier.bin": "9130ed224976bbf4b6432c51844ce016bc702e96249348d099a99857f59de56e",
-    "mplc-none/train_log.csv": "0686403c465ca164b86f9fe4b76c63f0d0ea0b139e52a48c37ea1786d95d14a8",
+    "mplc-none/classifier.bin": "f6d6e79ae950af0dc157fe839034855cb060f679eb7550dcba762695c4d417d2",
+    "mplc-none/train_log.csv": "b46b4fb443cb94182fae3a174e956e082295ed7a422a0109a274e298ac7f56f7",
     "mplc-none/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
-    "mplc-class-weights/classifier.bin": "a9195870ba231888242316e12e4e808c4f0becd3495d6aea816c701a0bab3689",
-    "mplc-class-weights/train_log.csv": "79acf53505da3b36d1af5b5f4d1f41739a48ddf34b6de5b981d4a79e8afb18a8",
+    "mplc-class-weights/classifier.bin": "074151f391f4e40f5862d879dd2d4d165ca4c87970fba46bdd0a9d8224547801",
+    "mplc-class-weights/train_log.csv": "9c7aa46c2a26061b076a9032efcfdcc72c509ecfe2b7ea0bba2d2e335eff7a0d",
     "mplc-class-weights/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
-    "hs-none/classifier.bin": "51fe893ebfedbaea5e20ce62dc4c655ca28a5095fb0a336eae3b3315fbc1d921",
-    "hs-none/train_log.csv": "30ea300263153364cecaa6ebafa02e02b938413982fa3f489cc7e7939297b6e8",
+    "hs-none/classifier.bin": "12c1a0d7e7473f4c355ca28685e07e0dfb010d09475e3a317819cdd579422d25",
+    "hs-none/train_log.csv": "b46b4fb443cb94182fae3a174e956e082295ed7a422a0109a274e298ac7f56f7",
     "hs-none/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
-    "hs-class-weights/classifier.bin": "5387f2fdc8cf10d47567cce3ecef82778368971d0d0744972c6a63af9607e210",
-    "hs-class-weights/train_log.csv": "1c5358b454ba89b39bf16aca17159360f167e7183acc0515ab6359cde5d07e48",
+    "hs-class-weights/classifier.bin": "7e817a928ef348f89a17604fbddd11a5b94ab291e97f2c2a2275b206e065ad00",
+    "hs-class-weights/train_log.csv": "9c7aa46c2a26061b076a9032efcfdcc72c509ecfe2b7ea0bba2d2e335eff7a0d",
     "hs-class-weights/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
     "hab-pcdb/classifier.bin": "252d351ebc27f0c59aa4888630186ca0337c6aae7e1ebefa388d3728049f4ab0",
     "hab-pcdb/train_log.csv": "ad3db6e9dd6b4ff1adaa8081190203381a46ce9e0a874c3645247278d9dc4be8",
     "hab-pcdb/metrics.csv": "d04db07aba1a9a8e6199d4378d89dae82ffff65ca8e21d4122a76b6b988220a5",
-    "hs-resample/classifier.bin": "d803be0bbeba515a10740c77a1fe112b5abca7338463efcd24c594d7dcd685b1",
+    "hs-resample/classifier.bin": "17b4a7edf606fe5204464a84840e65a3800b11c73c2a6439fcff01047b0641a3",
     "hs-resample/train_log.csv": "3cfae3fcf3bc54346f41faa73384ee3cd058799fca55f4c0e1547229170e2ed2",
     "hs-resample/metrics.csv": "2bf10b74ab270feb7dd667733f4f6091ce4c7a375458d1f1560de5f663bca328",
     "uneven-hab/classifier.bin": "7a07e9a9234fad80323fcc6488ae4e92f8458d005bda6fea7c7ca986e6e6d70e",
     "uneven-hab/train_log.csv": "5a9f5a79d3bacddf7707c29217cb23f16097bb8acabcf13894b97f636b71bc69",
     "uneven-hab/metrics.csv": "180e767bf20f1207023c4db981f325515ee3ed8b0a3f236aca537e8a94fb6552",
-    "uneven-plc/classifier.bin": "46aec1472cc948881c76f7e1d63ca140af34a55046e02aeea68e33785c845dc1",
+    "uneven-plc/classifier.bin": "8d193a129f116f58410b7d77d27ad9361cbb0750427f693d8105ba5c306414b2",
     "uneven-plc/train_log.csv": "e6a81879a1c7f33ed8be165d7a1540a8d8f1c18f3f2aa36b82f68a4dd8982355",
     "uneven-plc/metrics.csv": "8249c9144fce1bb82fd52cf28c160596cb3f169123469d3d35ddc8826261477c",
     "uneven-mc/classifier.bin": "7aace5a1131924b12c8efa75543383f70301dd9eb1b8a2b64a68f5ce3e1763c8",
     "uneven-mc/train_log.csv": "6646c5d2fb86f2e19b6ecf41a5349946f1aab1389a985c524ca861d4d6d85bf0",
     "uneven-mc/metrics.csv": "a8ff1c88ca46cc80f80cccb6960efca05ffbf029e9c5ce23d5a65e2876132d05",
-    "uneven-mplc/classifier.bin": "584969a171b4a3fa99ca81ed860089ef9e06cd854251dc7e2d2e5181ae28fff6",
-    "uneven-mplc/train_log.csv": "57eab7686c37b12bb6eec4399936cd352fa63982bafb633bbf1859dfadce3f59",
+    "uneven-mplc/classifier.bin": "99d3f21428b76fd53e561ff5e0068eba622d8029bec4f3190904a7a377609471",
+    "uneven-mplc/train_log.csv": "3e2e46480dce6fc9af3fbf9d58b171a4cb28413285fa78090f236b29c2e598df",
     "uneven-mplc/metrics.csv": "0ce408935b70aca89f1800a16ae0f5cae9a4e4abe72656da9a234f4cf0906cc1",
-    "uneven-hs/classifier.bin": "1f2e52c17924acbea9ba7c98fa6a9113cdcc4ebe99b72e065ac3039e2dbea386",
+    "uneven-hs/classifier.bin": "5840a909d1cbce867f5db137336eaf978ec74a10eb3a6f552a7e7cd08a628203",
     "uneven-hs/train_log.csv": "ad6f6fdc66f2626c7143027f921f4e49e2a4b21f7a4606c2f9ab5ddb0f637bd6",
     "uneven-hs/metrics.csv": "0ce408935b70aca89f1800a16ae0f5cae9a4e4abe72656da9a234f4cf0906cc1",
 }

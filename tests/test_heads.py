@@ -20,11 +20,8 @@ from hierembed.heads import (
     ImbalancePolicy,
     LinearClassifier,
     _batchify,
-    _hs_log_cond,
-    _hs_rows,
+    _grouped_rows,
     _label_ids,
-    _mplc_rows,
-    _per_sample_ce,
     _sigmoid,
     _targets,
     hab_loss,
@@ -280,7 +277,7 @@ class TestMaskedPerLevel:
 
 class TestHierarchicalSoftmax:
     def test_all_zero_logits_binary_tree(self, index):
-        _, joint = hs_probabilities(np.zeros(index.group_width), index)
+        _, joint = hs_probabilities(np.zeros(index.n_total), index)
         np.testing.assert_allclose(joint, 0.25, atol=1e-12)
 
     def test_single_child_chain(self):
@@ -294,13 +291,13 @@ class TestHierarchicalSoftmax:
     def test_joint_sums_to_one(self, tree423):
         idx = HierarchyIndex(tree423)
         rng = np.random.default_rng(9)
-        _, joint = hs_probabilities(rng.standard_normal((6, idx.group_width)), idx)
+        _, joint = hs_probabilities(rng.standard_normal((6, idx.n_total)), idx)
         np.testing.assert_allclose(joint.sum(axis=1), 1.0, atol=1e-9)
 
     def test_brute_force_path_products(self, tree423):
         idx = HierarchyIndex(tree423)
         rng = np.random.default_rng(10)
-        x = rng.standard_normal(idx.group_width)
+        x = rng.standard_normal(idx.n_total)
         conds, joint = hs_probabilities(x, idx)
         h = tree423
         for pos, leaf in enumerate(idx.levels[-1]):
@@ -313,7 +310,7 @@ class TestHierarchicalSoftmax:
             assert joint[pos] == pytest.approx(prob, abs=1e-12)
 
     def test_certain_path_zero_loss(self, index):
-        x = np.zeros(index.group_width)
+        x = np.zeros(index.n_total)
         tau = leaf_tau(index, "r.1.0")
         for i in range(index.level_count):
             nid = ["r", "r.1", "r.1.0"][i]
@@ -325,7 +322,7 @@ class TestHierarchicalSoftmax:
     def test_loss_is_neg_log_joint(self, tree423):
         idx = HierarchyIndex(tree423)
         rng = np.random.default_rng(11)
-        x = rng.standard_normal(idx.group_width)
+        x = rng.standard_normal(idx.n_total)
         leaf = tree423.level_members(4)[2]
         tau = leaf_tau(idx, leaf)
         loss, _ = hs_loss(x, tau, idx)
@@ -334,7 +331,7 @@ class TestHierarchicalSoftmax:
 
     def test_gradient_only_on_path_groups(self, index):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal(index.group_width)
+        x = rng.standard_normal(index.n_total)
         tau = leaf_tau(index, "r.0.1")
         _, g = hs_loss(x, tau, index)
         gi_off_path, _ = index.group_of["r.1.0"]  # group of r.1's children
@@ -347,12 +344,12 @@ class TestHierarchicalSoftmax:
             [[0, index.pos_in_level["r.0"], index.pos_in_level["r.1.0"]]]
         )
         with pytest.raises(HeadError):
-            hs_loss(np.zeros(index.group_width), tau, index)
+            hs_loss(np.zeros(index.n_total), tau, index)
 
     def test_gradient_fd(self, tree423):
         idx = HierarchyIndex(tree423)
         rng = np.random.default_rng(13)
-        x = rng.standard_normal(idx.group_width)
+        x = rng.standard_normal(idx.n_total)
         tau = leaf_tau(idx, tree423.level_members(4)[7])
         _, g = hs_loss(x, tau, idx)
         fd = _fd(lambda z: hs_loss(z, tau, idx)[0], x)
@@ -371,7 +368,7 @@ class TestArgmaxShiftInvariance:
 
     def test_hs_group_shift(self, index):
         rng = np.random.default_rng(15)
-        x = rng.standard_normal(index.group_width)
+        x = rng.standard_normal(index.n_total)
         base = hs_predict(x, index)
         g = index.groups[1]
         shifted = x.copy()
@@ -524,6 +521,19 @@ class TestClassifierConfig:
 
     def test_zero_epochs_is_valid(self):
         assert ClassifierConfig(epochs=0).epochs == 0
+
+    def test_rejects_a_bad_threshold_mode_before_any_batch(self, monkeypatch, tree):
+        from hierembed import heads
+
+        batches = []
+        monkeypatch.setattr(heads, "head_loss", lambda *args: batches.append(args))
+        labels = np.array([["r", "r.0", "r.0.0"], ["r", "r.1", "r.1.0"]], dtype=object)
+        with pytest.raises(ValueError, match=r"^threshold mode must be ofadb or pcdb, got 'ofa'$"):
+            train_linear_classifier(
+                np.eye(2), labels, np.eye(2), labels, tree, ImbalancePolicy("none"),
+                ClassifierConfig(head="hab", epochs=1, threshold_mode="ofa"),
+            )
+        assert batches == []
 
 
 class TestThresholdModeComparison:
@@ -892,23 +902,26 @@ def head_batch(index, rng, n, tied):
 
 
 HEADS = ("hab", "plc", "mc", "mplc", "hs")
-# hab shares one exp between its softplus and sigmoid, and mc sums its
-# marginals over runs of leaves: both round apart from the references, so
-# they are held to REL of them, and bitwise only to themselves per sample.
-TOLERANT = ("hab", "mc")
+# Every head rounds apart from its reference: hab shares one exp between its
+# softplus and sigmoid, mc sums its marginals over runs of leaves, and plc,
+# mplc and hs take log(total) - (x - max) over runs of columns, not
+# (max + log(total)) - x per group. Each is held to REL of its reference,
+# and bitwise only to itself run one sample at a time.
 REL = 1e-12
-NEAR_TIE = 1e-9  # mc predictions are compared where the top two differ by more
+NEAR_TIE = 1e-9  # mc and hs predictions are compared where the top two differ by more
 
 
 def as_bytes(loss, grad):
     return np.float64(loss).tobytes(), grad.tobytes()
 
 
-def assert_close(got, want):
-    """(loss, grad) within REL of the reference: relative to the loss, and
-    to the gradient's largest entry."""
+def assert_close(got, want, x):
+    """(loss, grad) within REL of the reference: the loss relative to the
+    largest logit of ``x`` (at least 1), as its rounding grows with the
+    logits and not with the loss, which may be near 0; the gradient
+    relative to its largest entry."""
     (loss, grad), (ref_loss, ref_grad) = got, want
-    assert abs(loss - ref_loss) <= REL * abs(ref_loss)
+    assert abs(loss - ref_loss) <= REL * max(1.0, np.abs(x).max(initial=0))
     np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=REL * np.abs(ref_grad).max(initial=0))
 
 
@@ -933,20 +946,27 @@ def assert_heads_match_references(h, seed, n, tied):
         rows = [ref_head_loss(head, x[s], tau[s : s + 1], mh[s], index) for s in range(n)]
         losses = np.array([l for l, _ in rows])
         expected = (float(losses.sum()) / n, np.stack([g for _, g in rows]) / n)
-        if head in TOLERANT:
-            alone = ref_weighted_head_loss(*args, weights, loss=head_loss)
-            assert as_bytes(*got) == as_bytes(*alone), head
-            assert_close(got, ref_weighted_head_loss(*args, weights))
-            assert_close(head_loss(*args), expected)
-        else:
-            assert as_bytes(*got) == as_bytes(*ref_weighted_head_loss(*args, weights)), head
-            assert as_bytes(*head_loss(*args)) == as_bytes(*expected), head
+        alone = ref_weighted_head_loss(*args, weights, loss=head_loss)
+        assert as_bytes(*got) == as_bytes(*alone), head
+        assert_close(got, ref_weighted_head_loss(*args, weights), x)
+        assert_close(head_loss(*args), expected, x)
         if head == "mc":
             assert_mc_predictions_match(x, index)
+        elif head == "hs":
+            assert_hs_predictions_match(x, index)
         elif head != "hab":
             clf = LinearClassifier(np.eye(x.shape[1]), np.zeros(x.shape[1]), head, index)
             got_pred = predict_levels(clf, x)
             assert got_pred.tolist() == ref_predict_levels(head, x, index).tolist(), head
+
+
+def assert_predictions_match(head, x, index, want):
+    """Equal predictions on the rows whose reference probabilities ``want``
+    have no near-tie."""
+    clf = LinearClassifier(np.eye(x.shape[1]), np.zeros(x.shape[1]), head, index)
+    got_pred, want_pred = predict_levels(clf, x), ref_predict_levels(head, x, index)
+    clear = clear_rows(want)
+    assert got_pred[clear].tolist() == want_pred[clear].tolist(), head
 
 
 def assert_mc_predictions_match(x, index):
@@ -955,10 +975,16 @@ def assert_mc_predictions_match(x, index):
     want = ref_mc_probabilities(x, index)
     for got_p, want_p in zip(mc_probabilities(x, index), want):
         np.testing.assert_allclose(got_p, want_p, rtol=0, atol=REL * want_p.max())
-    clear = clear_rows(want)
-    clf = LinearClassifier(np.eye(x.shape[1]), np.zeros(x.shape[1]), "mc", index)
-    got_pred, want_pred = predict_levels(clf, x), ref_predict_levels("mc", x, index)
-    assert got_pred[clear].tolist() == want_pred[clear].tolist()
+    assert_predictions_match("mc", x, index, want)
+
+
+def assert_hs_predictions_match(x, index):
+    """hs conditionals and joint within REL of the reference, and equal
+    predictions on the rows without a near-tie in the joint."""
+    (conds, joint), (ref_conds, ref_joint) = hs_probabilities(x, index), ref_hs_probabilities(x, index)
+    for got_p, want_p in zip([*conds, joint], [*ref_conds, ref_joint]):
+        np.testing.assert_allclose(got_p, want_p, rtol=0, atol=REL * want_p.max())
+    assert_predictions_match("hs", x, index, [ref_joint])
 
 
 class TestHeadsMatchPerSampleLoops:
@@ -984,26 +1010,24 @@ class TestHeadsMatchPerSampleLoops:
         x = np.zeros((3, index.n_total))
         x[1] = np.random.default_rng(seed).integers(0, 2, size=index.n_total)
         assert mplc_predict(x, index).tolist() == ref_mplc_predict(x, index).tolist()
-        g = np.zeros((2, index.group_width))
+        g = np.zeros((2, index.n_total))
         assert hs_predict(g, index).tolist() == ref_hs_predict(g, index).tolist()
 
     def test_unweighted_gradients_equal_the_old_batch_code(self, tree423):
-        # only the loss sum's order moved; hab also divides in another order,
-        # and mc sums its marginals over runs of leaves
+        # hab divides in another order; the other heads' sums run over runs
+        # of leaves or of columns
         index = HierarchyIndex(tree423)
         logits, tau, mh, _ = head_batch(index, np.random.default_rng(3), 37, False)
         for head in HEADS:
             args = (head, logits[head], tau, mh, index)
             (loss, grad), (ref_loss, ref_grad) = head_loss(*args), ref_head_loss(*args)
-            assert loss == pytest.approx(ref_loss, rel=1e-14)
             if head == "hab":
+                assert loss == pytest.approx(ref_loss, rel=1e-14)
                 np.testing.assert_array_max_ulp(grad, ref_grad, maxulp=1)
-            elif head == "mc":
-                assert_close((loss, grad), (ref_loss, ref_grad))
             else:
-                assert grad.tobytes() == ref_grad.tobytes(), head
+                assert_close((loss, grad), (ref_loss, ref_grad), logits[head])
 
-    @pytest.mark.parametrize("head", ["mplc", "hs"])
+    @pytest.mark.parametrize("head", ["mc", "mplc", "hs"])
     def test_bad_path_names_the_first_bad_child_and_parent(self, index, head):
         tau = np.array([[0, 0, 0], [0, 0, index.pos_in_level["r.1.0"]],
                         [0, 1, index.pos_in_level["r.0.1"]]])
@@ -1036,11 +1060,10 @@ class TestTrainerMatchesPerSampleLoop:
             )
 
         clf, history = run()
-        loss = head_loss if head in TOLERANT else ref_head_loss  # the batch head, alone per sample
-        monkeypatch.setattr(
+        monkeypatch.setattr(  # the batch head, alone per sample
             heads, "head_loss",
             lambda head, logits, tau, mh, index, weights: ref_weighted_head_loss(
-                head, logits, tau, mh, index, weights, loss=loss
+                head, logits, tau, mh, index, weights, loss=head_loss
             ),
         )
         ref_clf, ref_history = run()
@@ -1065,28 +1088,38 @@ class TestHelpersMatchTheOracles:
         x = np.random.default_rng(0).standard_normal((40, 25)) * 30
         assert _sigmoid(x).tobytes() == ref_sigmoid(x).tobytes()
 
+    @pytest.mark.parametrize("head", ["plc", "hs"])
     @pytest.mark.parametrize("tied", [False, True])
-    def test_cross_entropy_shares_max_and_exp(self, tied):
-        rng = np.random.default_rng(4)
-        seg = rng.integers(-1, 2, size=(50, 13)) * 0.5 if tied else rng.standard_normal((50, 13))
-        seg *= 40
-        tau = rng.integers(13, size=50)
-        got, want = _per_sample_ce(seg, tau), ref_per_sample_ce(seg, tau)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_hs_log_cond_matches_a_per_group_loop(self, seed):
-        # groups of 1 to 16 members: sums of 8 and more run unrolled, so a
-        # gather whose last axis is not contiguous rounds some of them apart
-        h = uneven_tree(np.random.default_rng(seed), 3, 3, 16)
-        index = HierarchyIndex(h)
-        x = np.random.default_rng(seed).standard_normal((37, index.group_width)) * 5
-        want = np.empty_like(x)
-        for g in index.groups:
-            cols = slice(g.offset, g.offset + len(g.member_ids))
-            want[:, cols] = x[:, cols] - ref_logsumexp(x[:, cols], axis=1)[:, None]
-        assert _hs_log_cond(x, index).tobytes() == want.tobytes()
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grouped_kernel_matches_a_per_group_loop(self, head, tied, seed):
+        # groups of 1 to 16 members; tied logits put several maxima in a group
+        index = HierarchyIndex(uneven_tree(np.random.default_rng(seed), 3, 3, 16))
+        rng = np.random.default_rng(seed)
+        shape = (37, index.n_total)
+        x = (rng.integers(-1, 2, size=shape) * 0.5 if tied else rng.standard_normal(shape)) * 40
+        tau = index.leaf_path[rng.integers(index.level_sizes[-1], size=37)]
+        if head == "plc":
+            runs = [[(off, size, off + t)
+                     for off, size, t in zip(index.level_offsets, index.level_sizes, row)]
+                    for row in tau]
+        else:
+            runs = [[(index.groups[gi].offset, len(index.groups[gi].member_ids),
+                      index.groups[gi].offset + pos)
+                     for gi, pos in (index.group_of[index.levels[i][t]] for i, t in enumerate(row))]
+                    for row in tau]
+        want_losses, want_grad = np.zeros(37), np.zeros_like(x)
+        for s, path in enumerate(runs):
+            for start, size, col in path:  # root first
+                shift = x[s, start : start + size] - x[s, start : start + size].max()
+                e = np.exp(shift)
+                want_losses[s] += np.log(e.sum()) - shift[col - start]
+                want_grad[s, start : start + size] = e / e.sum()
+                want_grad[s, col] -= 1.0
+        # np.add.reduceat adds a group's first exp to the sum of the rest,
+        # so a group's total rounds apart from e.sum()
+        losses, grad = _grouped_rows(x, tau, index, head)
+        np.testing.assert_allclose(losses, want_losses, rtol=0, atol=REL * np.abs(x).max())
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=REL)
 
     def test_hab_bool_and_float_targets_agree(self, tree423):
         index = HierarchyIndex(tree423)
@@ -1117,19 +1150,21 @@ class TestLeafRuns:
 
 
 class TestFewerPassesMatchTheOldForms:
-    """hab and mc against the forms they replaced, over forests with
-    childless upper nodes (where mplc cannot predict), and at extremes."""
+    """Every head against the form it replaced, over forests with childless
+    upper nodes (where mplc cannot predict), and at extremes."""
 
     @settings(max_examples=150, deadline=None)
     @given(uneven_forests(), st.integers(1, 20), st.booleans(), st.integers(0, 2**32 - 1))
     def test_uneven_forests(self, h, n, tied, seed):
         index = HierarchyIndex(h)
         logits, tau, mh, weights = head_batch(index, np.random.default_rng(seed), n, tied)
-        for head in TOLERANT:
+        for head in HEADS:
             args = (head, logits[head], tau, mh, index)
-            assert_close(head_loss(*args), ref_head_loss(*args))
-            assert_close(head_loss(*args, weights), ref_weighted_head_loss(*args, weights))
+            assert_close(head_loss(*args), ref_head_loss(*args), logits[head])
+            assert_close(head_loss(*args, weights), ref_weighted_head_loss(*args, weights),
+                         logits[head])
         assert_mc_predictions_match(logits["mc"], index)
+        assert_hs_predictions_match(logits["hs"], index)
 
     @pytest.mark.parametrize("scale", [300.0, 3000.0])
     def test_underflowed_marginals_take_the_log_space_form(self, scale):
@@ -1143,7 +1178,7 @@ class TestFewerPassesMatchTheOldForms:
         got = head_loss("mc", x, tau, None, index, weights)
         assert np.isfinite(got[0]) and np.isfinite(got[1]).all()
         with np.errstate(over="ignore"):  # the reference exponentiates outside its mask
-            assert_close(got, ref_weighted_head_loss("mc", x, tau, None, index, weights))
+            assert_close(got, ref_weighted_head_loss("mc", x, tau, None, index, weights), x)
         truth = [p[np.arange(40), tau[:, i]] for i, p in enumerate(ref_mc_probabilities(x, index))]
         assert (np.minimum(truth[0], truth[1]) == 0).sum() >= 2
 
@@ -1161,26 +1196,26 @@ class TestFewerPassesMatchTheOldForms:
 
 
 class TestMplcIsHsOverSiblingGroups:
-    """A finding, pinned: the mplc loss is the hs loss with its logit
-    columns moved from the level layout to the sibling-group layout."""
+    """The mplc loss is the hs loss with its logit columns moved from the
+    level layout to the sibling-group layout, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(uneven_forests(), st.integers(1, 20), st.booleans(), st.integers(0, 2**32 - 1))
     def test_mplc_equals_hs_of_permuted_columns(self, h, n, tied, seed):
         index = HierarchyIndex(h)
-        logits, tau, _, _ = head_batch(index, np.random.default_rng(seed), n, tied)
+        logits, tau, _, weights = head_batch(index, np.random.default_rng(seed), n, tied)
         x = logits["mplc"]
-        perm = np.empty(index.group_width, dtype=np.int64)  # group column -> level column
+        perm = np.empty(index.n_total, dtype=np.int64)  # group column -> level column
         for g in index.groups:
             off = index.level_offsets[g.level - 1]
             for k, nid in enumerate(g.member_ids):
                 perm[g.offset + k] = off + index.pos_in_level[nid]
-        losses, grad = _mplc_rows(x, tau, index)
-        hs_losses, hs_grad = _hs_rows(x[:, perm], tau, index)
-        unpermuted = np.empty_like(hs_grad)
-        unpermuted[:, perm] = hs_grad
-        assert np.abs(losses - hs_losses).max() <= 1e-13
-        assert np.abs(grad - unpermuted).max() <= 1e-13
+        for w in (None, weights):
+            loss, grad = head_loss("mplc", x, tau, None, index, w)
+            want_loss, hs_grad = head_loss("hs", np.ascontiguousarray(x[:, perm]), tau, None, index, w)
+            want_grad = np.empty_like(hs_grad)
+            want_grad[:, perm] = hs_grad
+            assert as_bytes(loss, grad) == as_bytes(want_loss, want_grad)
 
 
 class TestTargetChecks:
@@ -1189,6 +1224,25 @@ class TestTargetChecks:
         y = np.array([[1.0, 0.0, 1.0], [0.0, bad, 1.0], [bad, 0.0, 0.0]])
         with pytest.raises(HeadError, match=rf"got {bad!r} at sample 1, label 1$"):
             hab_loss(np.zeros((3, 3)), y)
+
+    @pytest.mark.parametrize("tau, child, parent", [([0, 1, 0], "a.0.0", "a.1"),
+                                                     ([1, 0, 0], "a.0", "b")])
+    def test_mc_rejects_a_target_off_its_parent(self, tau, child, parent):
+        # b has no children, so under [1, 0, 0] its marginal is 0 and the loss NaN
+        nodes = [Node(n, n.count(".") + 1, n) for n in ("a", "b", "a.0", "a.1", "a.0.0", "a.1.0")]
+        h = Hierarchy(nodes, [("a", "a.0"), ("a", "a.1"), ("a.0", "a.0.0"), ("a.1", "a.1.0")])
+        index = HierarchyIndex(h)
+        with pytest.raises(HeadError, match=rf"^target '{child}' is not a child of '{parent}'$"):
+            mc_loss(np.zeros(2), np.array([tau]), index)
+
+    @pytest.mark.parametrize("head", ["plc", "mplc", "hs"])
+    @pytest.mark.parametrize("width", [6, 8])
+    def test_grouped_heads_check_the_logit_width(self, index, head, width):
+        with pytest.raises(HeadError, match=rf"^expected 7 logits, got {width}$"):
+            head_loss(head, np.zeros((2, width)), leaf_tau(index, "r.0.1").repeat(2, 0), None, index)
+        if head == "hs":
+            with pytest.raises(HeadError, match=rf"^expected 7 logits, got {width}$"):
+                hs_probabilities(np.zeros((2, width)), index)
 
     def test_range_check_names_the_first_bad_level(self, index):
         # row 0 is out of range at level 3, row 1 at level 2: level 2 is named
