@@ -124,10 +124,12 @@ class HierarchyIndex:
         self.group_of = {
             nid: (gi, pos) for gi, g in enumerate(groups) for pos, nid in enumerate(g.member_ids)
         }
-        # Each sibling group is one run of columns, as each level is in the
-        # level layout (level_offsets, level_sizes).
+        # Each sibling group is one run of columns from group_starts, as each
+        # level is from level_offsets; level_of_col and group_of_col: the run
+        # (level from 0, or group) that each column is in.
         self.group_starts = np.array([g.offset for g in groups])
-        self.group_sizes = np.array([len(g.member_ids) for g in groups])
+        self.level_of_col = np.repeat(np.arange(self.level_count), self.level_sizes)
+        self.group_of_col = np.repeat(np.arange(len(groups)), [len(g.member_ids) for g in groups])
         # group_col[k]: group column of level column k; level_col is its inverse
         self.group_col = np.array(
             [groups[gi].offset + pos for m in self.levels for gi, pos in map(self.group_of.get, m)]
@@ -184,8 +186,8 @@ def _label_ids(index: HierarchyIndex, pos: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
-# Each ``_*_rows`` function scores a batch (n, width) and returns the
-# per-sample losses (n,) and gradient rows (n, width), each row exactly
+# Each row function (``_hab_rows``, ``_mc_rows``, ``_*_ce``) scores a batch
+# (n, width) into per-sample losses (n,) and gradient rows (n, width), each
 # what the head gives for that sample alone; ``_batch_mean`` reduces them.
 
 def _batch_mean(rows, x, *args, weights=None) -> tuple[float, np.ndarray]:
@@ -198,11 +200,12 @@ def _batch_mean(rows, x, *args, weights=None) -> tuple[float, np.ndarray]:
     losses, grad = rows(x, *args)
     n = x.shape[0]
     if weights is None:
-        loss, grad = float(losses.sum()) / n, grad / n
+        loss = float(losses.sum()) / n
     else:
         weights = np.asarray(weights, dtype=float)
         loss = float(np.cumsum(weights * losses)[-1]) / n
-        grad = weights[:, None] * grad / n
+        grad *= weights[:, None]
+    grad /= n
     return loss, (grad[0] if single else grad)
 
 
@@ -261,49 +264,57 @@ def _check_width(x: np.ndarray, index: HierarchyIndex) -> None:
         raise HeadError(f"expected {index.n_total} logits, got {x.shape[1]}")
 
 
-def _group_shift(x: np.ndarray, starts, sizes) -> np.ndarray:
-    """Logits less the max of their group; group g is the run of ``sizes[g]``
-    columns from ``starts[g]``, and the runs cover every column in order."""
-    shift = np.repeat(np.maximum.reduceat(x, starts, axis=1), sizes, axis=1)
-    return np.subtract(x, shift, out=shift)
-
-
-def _grouped_rows(x: np.ndarray, tau, index: HierarchyIndex, head: str):
-    """Softmax cross-entropy summed over the groups on each row's target
-    path: every level for ``plc``, the sibling groups of the path for
-    ``hs``, and for ``mplc`` those of ``hs`` over its logits moved into the
-    sibling-group layout. Gradient entries of groups off the path are zero."""
-    _check_width(x, index)
-    tau = _targets(tau, index)
-    if head == "plc":
-        starts, sizes, path = index.level_offsets, index.level_sizes, tau + index.level_offsets
-    else:
-        _check_paths(tau, index)
-        starts, sizes, path = index.group_starts, index.group_sizes, index.leaf_cols[tau[:, -1]]
-        if head == "mplc":
-            x = np.take(x, index.level_col, axis=1)
-    rows = np.arange(x.shape[0])[:, None]
-    groups = np.searchsorted(starts, path, side="right") - 1
-    e = _group_shift(x, starts, sizes)
+def _grouped_rows(x: np.ndarray, starts, group_of_col, path: np.ndarray):
+    """Softmax cross-entropy summed over groups of columns: group g runs from
+    column ``starts[g]``, and column j is in group ``group_of_col[j]``. ``path``
+    (n, k) holds each row's target column in k distinct groups; the loss sums
+    over those groups, and the gradient is zero in the others."""
+    rows, groups = np.arange(x.shape[0])[:, None], group_of_col[path]
+    # e becomes the gradient; spread holds each group's max, then its sum, in
+    # the group's columns (mode="clip" lets np.take fill ``out`` unbuffered).
+    # One allocation: two batch-sized arrays freed side by side let the C
+    # allocator unmap pages that the next batch faults back in.
+    e, spread = np.empty((2, *x.shape))
+    m = np.maximum.reduceat(x, starts, axis=1)
+    np.subtract(x, np.take(m, group_of_col, axis=1, out=spread, mode="clip"), out=e)
     shift = e[rows, path]
-    e = np.exp(e, out=e)
+    np.exp(e, out=e)
     total = np.add.reduceat(e, starts, axis=1)
     on_path = total[rows, groups]
     losses = np.sum(np.log(on_path) - shift, axis=1)
-    total.fill(np.inf)  # e / inf is 0 off the path
-    total[rows, groups] = on_path
-    grad = np.divide(e, np.repeat(total, sizes, axis=1), out=e)
+    if path.shape[1] < len(starts):
+        total.fill(np.inf)  # e / inf is 0 off the path
+        total[rows, groups] = on_path
+    grad = np.divide(e, np.take(total, group_of_col, axis=1, out=spread, mode="clip"), out=e)
     grad[rows, path] -= 1.0
-    if head == "mplc":
-        # np.take keeps the gradient C-ordered, as grad[:, perm] would not:
-        # the trainer's xb.T @ grad rounds by the gradient's memory order
-        grad = np.take(grad, index.group_col, axis=1)
     return losses, grad
+
+
+def _plc_ce(x: np.ndarray, tau, index: HierarchyIndex):  # groups: the levels
+    _check_width(x, index)
+    tau = _targets(tau, index)
+    return _grouped_rows(x, index.level_offsets, index.level_of_col, tau + index.level_offsets)
+
+
+def _hs_ce(x: np.ndarray, tau, index: HierarchyIndex):  # groups: the sibling groups
+    _check_width(x, index)
+    tau = _targets(tau, index)
+    _check_paths(tau, index)
+    return _grouped_rows(x, index.group_starts, index.group_of_col, index.leaf_cols[tau[:, -1]])
+
+
+def _mplc_ce(x: np.ndarray, tau, index: HierarchyIndex):
+    """``hs`` in the sibling-group layout. np.take keeps the gradient C-ordered,
+    as grad[:, perm] would not: the trainer's xb.T @ grad rounds by its order."""
+    _check_width(x, index)
+    xg = np.take(x, index.level_col, axis=1)
+    losses, grad = _hs_ce(xg, tau, index)
+    return losses, np.take(grad, index.group_col, axis=1, out=xg, mode="clip")
 
 
 def plc_loss(x, tau, index: HierarchyIndex) -> tuple[float, np.ndarray]:
     """Sum of per-level softmax cross-entropies."""
-    return _batch_mean(_grouped_rows, x, tau, index, "plc")
+    return _batch_mean(_plc_ce, x, tau, index)
 
 
 def _upper_marginals(p: np.ndarray, index: HierarchyIndex) -> list[np.ndarray]:
@@ -381,7 +392,7 @@ def mc_loss(leaf_logits, tau, index: HierarchyIndex) -> tuple[float, np.ndarray]
 
 def mplc_loss(x, tau, index: HierarchyIndex) -> tuple[float, np.ndarray]:
     """Per-level cross-entropy restricted to the true parent's children."""
-    return _batch_mean(_grouped_rows, x, tau, index, "mplc")
+    return _batch_mean(_mplc_ce, x, tau, index)
 
 
 def mplc_predict(x, index: HierarchyIndex) -> np.ndarray:
@@ -408,13 +419,13 @@ def hs_probabilities(
     """Per-group conditionals plus the joint distribution over leaves."""
     x, single = _batchify(group_logits)
     _check_width(x, index)
-    starts, sizes = index.group_starts, index.group_sizes
-    shift = _group_shift(x, starts, sizes)
-    cond = np.exp(shift)
-    total = np.repeat(np.add.reduceat(cond, starts, axis=1), sizes, axis=1)
-    cond /= total
+    starts, cols = index.group_starts, index.group_of_col
+    log_cond = x - np.take(np.maximum.reduceat(x, starts, axis=1), cols, axis=1)
+    cond = np.exp(log_cond)
+    total = np.add.reduceat(cond, starts, axis=1)
+    cond /= np.take(total, cols, axis=1)
     conds = [cond[:, g.offset : g.offset + len(g.member_ids)] for g in index.groups]
-    log_cond = shift - np.log(total)
+    log_cond -= np.take(np.log(total), cols, axis=1)
     joint_log = np.zeros((x.shape[0], index.level_sizes[-1]))
     for cols in index.leaf_cols.T[::-1]:  # leaf level first, up to the root
         joint_log += log_cond[:, cols]
@@ -426,7 +437,7 @@ def hs_probabilities(
 
 def hs_loss(group_logits, tau, index: HierarchyIndex) -> tuple[float, np.ndarray]:
     """Negative log joint of the true path: cross-entropy in each path group."""
-    return _batch_mean(_grouped_rows, group_logits, tau, index, "hs")
+    return _batch_mean(_hs_ce, group_logits, tau, index)
 
 
 def hs_predict(group_logits, index: HierarchyIndex) -> np.ndarray:
@@ -580,11 +591,10 @@ def head_loss(
     """Batch-mean loss and logit gradient of one head, optionally class-weighted."""
     if head == "hab":
         return _batch_mean(_hab_rows, logits, multi_hot, weights=weights)
-    if head == "mc":
-        return _batch_mean(_mc_rows, logits, tau, index, weights=weights)
-    if head in ("plc", "mplc", "hs"):
-        return _batch_mean(_grouped_rows, logits, tau, index, head, weights=weights)
-    raise HeadError(f"unknown head kind {head!r}")
+    rows = {"mc": _mc_rows, "plc": _plc_ce, "mplc": _mplc_ce, "hs": _hs_ce}.get(head)
+    if rows is None:
+        raise HeadError(f"unknown head kind {head!r}")
+    return _batch_mean(rows, logits, tau, index, weights=weights)
 
 
 # ``bench/spans.py`` traces this name in its ``heads.loss`` layer (the layer
@@ -679,6 +689,7 @@ def train_linear_classifier(
         return select_thresholds(scores, val_mh, config.threshold_mode)
 
     thresholds = None
+    logits_buf = np.empty((min(n, config.batch_size), width))  # as in _grouped_rows
 
     for epoch in range(1, config.epochs + 1):
         stream = _epoch_stream(n, policy, leaf_ids, rng)
@@ -686,7 +697,8 @@ def train_linear_classifier(
         for start in range(0, n, config.batch_size):
             idx = stream[start : start + config.batch_size]
             xb = X[idx]
-            logits = xb @ w + b
+            logits = np.matmul(xb, w, out=logits_buf[: len(idx)])
+            logits += b
             loss, grad = head_loss(
                 config.head, logits, tau[idx], None if mh is None else mh[idx], index,
                 None if static_weights is None else static_weights[idx],

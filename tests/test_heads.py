@@ -522,18 +522,10 @@ class TestClassifierConfig:
     def test_zero_epochs_is_valid(self):
         assert ClassifierConfig(epochs=0).epochs == 0
 
-    def test_rejects_a_bad_threshold_mode_before_any_batch(self, monkeypatch, tree):
-        from hierembed import heads
-
-        batches = []
-        monkeypatch.setattr(heads, "head_loss", lambda *args: batches.append(args))
-        labels = np.array([["r", "r.0", "r.0.0"], ["r", "r.1", "r.1.0"]], dtype=object)
+    def test_rejects_a_bad_threshold_mode(self):
+        # the config is built before the trainer runs, so no batch is scored
         with pytest.raises(ValueError, match=r"^threshold mode must be ofadb or pcdb, got 'ofa'$"):
-            train_linear_classifier(
-                np.eye(2), labels, np.eye(2), labels, tree, ImbalancePolicy("none"),
-                ClassifierConfig(head="hab", epochs=1, threshold_mode="ofa"),
-            )
-        assert batches == []
+            ClassifierConfig(threshold_mode="ofa")
 
 
 class TestThresholdModeComparison:
@@ -1021,8 +1013,8 @@ class TestHeadsMatchPerSampleLoops:
         for head in HEADS:
             args = (head, logits[head], tau, mh, index)
             (loss, grad), (ref_loss, ref_grad) = head_loss(*args), ref_head_loss(*args)
+            assert loss == pytest.approx(ref_loss, rel=1e-14), head
             if head == "hab":
-                assert loss == pytest.approx(ref_loss, rel=1e-14)
                 np.testing.assert_array_max_ulp(grad, ref_grad, maxulp=1)
             else:
                 assert_close((loss, grad), (ref_loss, ref_grad), logits[head])
@@ -1117,7 +1109,11 @@ class TestHelpersMatchTheOracles:
                 want_grad[s, col] -= 1.0
         # np.add.reduceat adds a group's first exp to the sum of the rest,
         # so a group's total rounds apart from e.sum()
-        losses, grad = _grouped_rows(x, tau, index, head)
+        if head == "plc":
+            layout = index.level_offsets, index.level_of_col, tau + index.level_offsets
+        else:
+            layout = index.group_starts, index.group_of_col, index.leaf_cols[tau[:, -1]]
+        losses, grad = _grouped_rows(x, *layout)
         np.testing.assert_allclose(losses, want_losses, rtol=0, atol=REL * np.abs(x).max())
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=REL)
 
