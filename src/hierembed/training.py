@@ -22,11 +22,12 @@ would give, in the same order and from the same random stream, and how many
 fall to each positive, so the engine cuts them into batches. Each batch
 then takes one kernel call and one gradient scatter (``_batch_step``). The
 plain sampler's memory per call is bounded per generator word it reads
-(``_PlainWalk.run``), so a larger span costs no more peak memory.
+(``_retry_loop``), so a larger span costs no more peak memory.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -445,66 +446,14 @@ class _Graph:
 
 # The engine samples whole batches holding at least this many positives at
 # once. Each sampler call pays a fixed cost (the rebalanced sampler's
-# per-slot loop, the plain walk's set-up, fresh per-call arrays). Against
+# per-slot loop, the plain sampler's set-up, fresh per-call arrays). Against
 # 64, the `joint` benchmark makes 8 sampler calls per round instead of 116
 # and its wall_s falls by a quarter (BENCH_14.json). A call's memory grows
-# with the generator words it reads, which this span raised 18 % in peak RSS
-# until the plain walk held them as uint32 and checked empty slots in blocks
-# (``_first_thrown``); with that, peak RSS is within 3 % of the 64 span.
+# with the generator words it reads, so the plain sampler holds them as
+# uint32 and scans them for thrown-away words in fixed-size chunks
+# (``_retry_loop``); a larger span then costs no more peak memory per word.
 SPAN_POSITIVES = 1024
 WORD = 2**32  # ``rng.integers(n)`` reads 32-bit generator words for any n <= 2**32
-# Drawing slots are judged in chunks of CHUNK_ROWS (all the call has left,
-# when that is under twice as many), each against a window of WINDOW words.
-CHUNK_ROWS = 64
-WINDOW = 16
-_COLS = np.arange(WINDOW)
-_ROWS = np.arange(2 * CHUNK_ROWS)[:, None]
-_SPAN = np.arange(RETRY_CAP)
-SPENT_BLOCK = 64  # empty slots whose words are checked for throw-aways at once
-
-
-def _lemire(words: np.ndarray, n: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What ``rng.integers(n)`` makes of each 32-bit word: ``(index, thrown_away)``.
-
-    NumPy's Lemire step maps a word ``w`` to ``(w * n) >> 32``; it throws
-    the word away and reads the next one when ``(w * n) mod 2**32`` falls
-    below ``(2**32 - n) mod n``. ``n`` broadcasts against ``words``.
-    """
-    n = np.asarray(n, dtype=np.uint64)
-    m = np.asarray(words, dtype=np.uint64) * n
-    return (m >> np.uint64(32)).view(np.int64), (m & np.uint64(WORD - 1)) < (WORD - n) % n
-
-
-def _scan(ok: np.ndarray, thrown: np.ndarray) -> tuple[int, int] | None:
-    """``(index, words used)`` of the first accepted word within RETRY_CAP draws.
-
-    The index is -1 when the draws run out first, and the result None when
-    the words do. Thrown-away words are read but are no draws.
-    """
-    draws = np.cumsum(~thrown)
-    hit = np.flatnonzero(ok & (draws <= RETRY_CAP))
-    if hit.size:
-        return int(hit[0]), int(hit[0]) + 1
-    if draws[-1] >= RETRY_CAP:
-        return -1, int(np.searchsorted(draws, RETRY_CAP)) + 1
-    return None
-
-
-def _first_thrown(words: np.ndarray, at: np.ndarray, n: np.ndarray) -> int:
-    """Position in ``at`` of the first empty slot whose RETRY_CAP words from
-    ``at`` hold a throw-away of the Lemire step for its pool size ``n``; -1 if
-    none does.
-
-    The slots are checked SPENT_BLOCK at a time, up to the first block with
-    a hit.
-    """
-    for lo in range(0, len(at), SPENT_BLOCK):
-        block = slice(lo, lo + SPENT_BLOCK)
-        _, thrown = _lemire(words[at[block, None] + _SPAN], n[block, None])
-        hit = np.flatnonzero(thrown.any(axis=1))
-        if hit.size:
-            return lo + int(hit[0])
-    return -1
 
 
 class _Words:
@@ -514,8 +463,7 @@ class _Words:
     words that ``m`` scalar draws read (PCG64 hands out the low half of an
     output, then the high half, which waits in its state). So restoring the
     saved state and re-reading the words used leaves the generator where
-    the scalar draws would. The block is held as uint32, 4 bytes per word;
-    ``_lemire`` widens what it reads to uint64.
+    the scalar draws would. The block is held as uint32, 4 bytes per word.
     """
 
     def __init__(self, rng: np.random.Generator, ahead: int):
@@ -539,178 +487,74 @@ class _Words:
         self.rng.integers(0, WORD, size=used, dtype=np.uint32)
 
 
-class _PlainWalk:
-    """The draws of ``_sample_negatives_for``'s scalar loop, computed from one block of words.
+def _retry_loop(graph: _Graph, words: _Words, slots, dup: bool) -> tuple[list[int], int]:
+    """The scalar retry loop over ``slots``, run on ``words``: each slot's pick
+    (-1 for none) and the number of words read.
 
-    Drawing rows are the slots with a valid candidate in a pool of two or
-    more; each reads words until one gives a valid candidate, for at most
-    RETRY_CAP draws. Empty slots (pool of two or more, nothing valid) read
-    RETRY_CAP draws. Row ``r`` starts at word ``nominal[r] + drift``, where
-    ``nominal`` counts one word per earlier row and the words of each
-    earlier empty slot, and ``drift`` counts the words the rows read beyond
-    one each; it never decreases. A chunk of rows is judged against a
-    window of ``WINDOW`` drifts at once, so while rows accept at once they
-    walk one diagonal of that matrix; the Python loop only steps through
-    rejections.
-
-    An empty slot reads more than RETRY_CAP words only when the Lemire step
-    throws some away. That is checked once the walk is done (``run``); if
-    it happened, the slot's extra words move the nominal start of every
-    later row and empty slot, and the walk is redone from the first row
-    after the slot.
+    A slot is ``(n, start, fixed, corrupt_u, group, drawing)``; its pool is
+    ``order[start : start + n]``, ``n >= 2``. A draw ``rng.integers(n)`` is
+    NumPy's Lemire step on the next word ``w``: the index ``(w * n) >> 32``,
+    unless ``(w * n) mod 2**32 < (2**32 - n) mod n``, when the word is thrown
+    away and the next one read. A drawing slot draws until a candidate is
+    valid, for at most RETRY_CAP draws: not banned (the ancestor table,
+    instance pairs, ``extra_keys``) and, with ``dup``, not drawn before for
+    its ``group`` (its positive and side). An empty slot spends its RETRY_CAP
+    draws at once: a word each, and one more per word thrown away among
+    them. Those are found per pool size, by scanning the block in chunks of
+    2**14 words so that the scan's temporaries stay small.
     """
+    order, col, anc = (memoryview(a.reshape(-1)) for a in (graph.order, graph.col, graph.anc))
+    width, n_labels, n_total = graph.anc.shape[1], graph.n_labels, graph.n_total
+    extra = set(graph.extra_keys.tolist())
+    taken: dict[int, set[int]] = {}
+    thrown: dict[int, tuple[list[int], int]] = {}  # pool size: thrown positions, end of scan
 
-    def __init__(
-        self, graph: _Graph, words: _Words, rows: dict, spent: dict, total: int, dup: bool
-    ):
-        self.graph = graph
-        self.words = words
-        self.row = rows  # n, start, fixed, corrupt_u, nominal, group
-        self.spent = spent  # n, nominal, before: drawing rows ahead of each empty slot
-        self.total = total  # nominal words: one per row, and each empty slot's
-        self.after = np.zeros(len(rows["n"]) + 1, dtype=np.int64)  # drift once row r - 1 is done
-        self.got = np.full(len(rows["n"]), -1, dtype=np.int64)
-        self.taken: dict[int, set[int]] | None = {} if dup else None
+    def thrown_in(n: int, cut: int, lo: int, hi: int) -> int:
+        """Words in ``[lo, hi)`` thrown away for pool size ``n``; ``lo`` never decreases."""
+        found, done = thrown.get(n, ([], lo))
+        if done < hi:
+            block = words.upto(hi)
+            for c in range(done, hi, 2**14):
+                found += (np.flatnonzero(block[c : c + 2**14] * np.uint32(n) < cut) + c).tolist()
+            thrown[n] = found, min(c + 2**14, len(block))
+        return bisect.bisect_left(found, hi) - bisect.bisect_left(found, lo)
 
-    def judge(self, rows: slice, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Candidates of ``rows`` from their words ``w``, which are valid, which thrown away."""
-        g, row = self.graph, self.row
-        idx, thrown = _lemire(w, row["n"][rows, None])
-        cand = g.order[row["start"][rows, None] + idx]
-        fixed, corrupt_u = row["fixed"][rows, None], row["corrupt_u"][rows, None]
-        a = np.where(corrupt_u, cand, fixed)
-        b = np.where(corrupt_u, fixed, cand)
-        bad = thrown | (g.anc[b, g.col[a]] == a)
-        if g.n_total > g.n_labels:
-            bad |= (a >= g.n_labels) & (b >= g.n_labels)
-        if len(g.extra_keys):
-            key = a * g.n_total + b
-            at = np.minimum(np.searchsorted(g.extra_keys, key), len(g.extra_keys) - 1)
-            bad |= g.extra_keys[at] == key
-        return cand, ~bad, thrown
-
-    def alone(self, r: int, start: int) -> int:
-        """Resolve row ``r`` from word ``start`` draw by draw; the words it reads."""
-        taken = None
-        if self.taken is not None:
-            taken = self.taken.setdefault(int(self.row["group"][r]), set())
-        m = RETRY_CAP + WINDOW
-        while True:
-            w = self.words.upto(start + m)[None, start : start + m]
-            cand, ok, thrown = (x[0] for x in self.judge(slice(r, r + 1), w))
-            if taken:
-                ok &= ~np.isin(cand, list(taken))
-            found = _scan(ok, thrown)
-            if found is not None:
-                t, used = found
-                if t >= 0:
-                    self.got[r] = cand[t]
-                    if taken is not None:
-                        taken.add(int(cand[t]))
-                return used
-            m *= 2
-
-    def spend_words(self, e: int, start: int) -> int:
-        """Words empty slot ``e`` reads from word ``start``, thrown-away ones included."""
-        n, m = int(self.spent["n"][e]), RETRY_CAP + WINDOW
-        while True:
-            _, thrown = _lemire(self.words.upto(start + m)[start : start + m], n)
-            found = _scan(np.zeros(m, dtype=bool), thrown)
-            if found is not None:
-                return found[1]
-            m *= 2
-
-    def chunk(self, r: int, drift: int) -> tuple[int, int, bool]:
-        """Walk rows from ``r`` while they accept inside the window.
-
-        Returns the next row, its drift, and whether that row is to be
-        resolved alone: it accepted nothing in a full window.
-        """
-        left = len(self.row["n"]) - r
-        k = left if left < 2 * CHUNK_ROWS else CHUNK_ROWS
-        rows = slice(r, r + k)
-        offs = self.row["nominal"][rows, None] + (drift + _COLS)
-        w = self.words.upto(int(offs[-1, -1]) + 1)[offs]
-        cand, ok, _ = self.judge(rows, w)
-        # next accepting column of each row, next rejecting row of each column
-        nacc = np.minimum.accumulate(np.where(ok, _COLS, WINDOW)[:, ::-1], axis=1)[:, ::-1]
-        nrej = np.minimum.accumulate(np.where(ok, k, _ROWS[:k])[::-1], axis=0)[::-1]
-        col = [0] * k  # each row's accepting column
-        groups = None if self.taken is None else self.row["group"][rows].tolist()
-        i = d = 0
-        full = False
-        while i < k:
-            j = int(nrej[i, d])  # rows i..j-1 accept at column d
-            if groups:
-                j = i + self.fresh(groups[i:j], cand[i:j, d].tolist())
-            col[i:j] = [d] * (j - i)
-            i = j
-            if i == k:
-                break
-            # row i, which starts at column d, rejects it: its next valid
-            # column whose candidate is not a repeat
-            d2 = int(nacc[i, d])
-            if groups:
-                while d2 < WINDOW and not self.fresh(groups[i : i + 1], [int(cand[i, d2])]):
-                    d2 = int(nacc[i, d2 + 1]) if d2 + 1 < WINDOW else WINDOW
-            if d2 == WINDOW:
-                full = d == 0
-                break
-            col[i] = d = d2
-            i += 1
-        self.got[r : r + i] = cand[_ROWS[:i, 0], col[:i]]
-        self.after[r + 1 : r + i + 1] = np.add(col[:i], drift)
-        return r + i, drift + (col[i - 1] if i else 0), full
-
-    def fresh(self, groups: list[int], picked: list[int]) -> int:
-        """The number of leading candidates in ``picked`` not yet drawn for their
-        positive and side (``groups``), which are marked drawn; the first
-        repeat stops the count."""
-        for q, (g, c) in enumerate(zip(groups, picked)):
-            seen = self.taken.setdefault(g, set())
-            if c in seen:
-                return q
-            seen.add(c)
-        return len(picked)
-
-    def run(self) -> int:
-        """Fill ``got`` and return the words read in all.
-
-        After each walk the empty slots not yet known to be clean are checked
-        for thrown-away words SPENT_BLOCK slots at a time (``_first_thrown``),
-        up to the first block with one, so the check's arrays have a fixed
-        size. With the uint32 block of ``_Words``, a call's tracemalloc peak
-        is about 10 bytes per word read on 1024-positive spans of the
-        ``joint`` benchmark's graph, where empty slots read most words.
-        """
-        row, spent = self.row, self.spent
-        r = drift = checked = 0
-        while True:
-            while r < len(row["n"]):
-                r, drift, full = self.chunk(r, drift)
-                if full:
-                    drift += self.alone(r, int(row["nominal"][r]) + drift) - 1
-                    r += 1
-                    self.after[r] = drift
-            # first word of each empty slot left: the drift after the row before it
-            at = spent["nominal"][checked:] + self.after[spent["before"][checked:]]
-            words = self.words.upto(int(at.max(initial=0)) + RETRY_CAP)
-            hit = _first_thrown(words, at, spent["n"][checked:])
-            if hit < 0:
-                return self.total + drift
-            e = checked + hit
-            extra = self.spend_words(e, int(at[hit])) - RETRY_CAP
-            r = int(spent["before"][e])
-            row["nominal"][r:] += extra
-            spent["nominal"][e + 1 :] += extra
-            self.total += extra
-            checked = e + 1
-            drift = int(self.after[r])
-            self.got[r:] = -1
-            if self.taken is not None:
-                self.taken = {}
-                drawn = self.got[:r] >= 0
-                self.fresh(row["group"][:r][drawn].tolist(), self.got[:r][drawn].tolist())
+    block = memoryview(words.block)
+    picks = []
+    at = 0  # words read
+    for n, start, fixed, corrupt_u, group, drawing in slots:
+        cut = (WORD - n) % n
+        pick = -1
+        if not drawing:
+            end = at + RETRY_CAP
+            while cut and (k := thrown_in(n, cut, at, end)) != end - at - RETRY_CAP:
+                end = at + RETRY_CAP + k
+            at = end
+        else:
+            seen = taken.setdefault(group, set()) if dup else ()
+            draws = 0
+            while draws < RETRY_CAP:
+                if at >= len(block):
+                    block = memoryview(words.upto(at + 1))
+                m = block[at] * n
+                at += 1
+                if m & (WORD - 1) < cut:
+                    continue
+                draws += 1
+                cand = order[start + (m >> 32)]
+                a, b = (cand, fixed) if corrupt_u else (fixed, cand)
+                if (
+                    anc[b * width + col[a]] != a
+                    and (a < n_labels or b < n_labels)
+                    and a * n_total + b not in extra
+                    and cand not in seen
+                ):
+                    pick = cand
+                    if dup:
+                        seen.add(cand)
+                    break
+        picks.append(pick)
+    return picks, at
 
 
 def _sample_negatives_for(
@@ -731,9 +575,9 @@ def _sample_negatives_for(
     ``_Graph.valid`` count, summed over the levels for a pool of all nodes,
     is 0) still reads its RETRY_CAP draws, so that seeded runs
     replay byte for byte; a one-member pool's draws read no words. The
-    draws are computed from one block of generator words per call
-    (``_PlainWalk``), validity from the ancestor table, and the generator
-    is left where the scalar loop would leave it.
+    loop runs on one block of generator words per call (``_retry_loop``),
+    with validity from the ancestor table, and the generator is left where
+    the scalar draws would leave it.
 
     Called on the positives of several batches at once, it returns the
     concatenation of per-batch calls and leaves the same stream.
@@ -749,7 +593,6 @@ def _sample_negatives_for(
         [len(level) if ppl else graph.n_total for level in graph.levels], dtype=np.int64
     )
     starts = np.cumsum(sizes) - sizes if ppl else np.zeros_like(sizes)
-    sizes_u = sizes.astype(np.uint64)
     # one positive's slots in loop order (pass, side, pool)
     t, side, p = np.indices((config.neg_passes, 2, len(sizes))).reshape(3, -1)
     first = t == 0
@@ -759,38 +602,19 @@ def _sample_negatives_for(
     valid = graph.valid[side, p, fixed] if ppl else graph.valid[side, :, fixed].sum(axis=2)
     empty = valid == 0
     size = sizes[p]
-    drawing = ~empty & (size > 1)
-    spent = empty & (size > 1)
     # a one-member pool's valid member, taken in the first pass; later ones repeat it
     got = np.where(~empty & (size == 1) & first, graph.order[starts[p]], -1)
-    reads = np.where(spent, RETRY_CAP, drawing).ravel()
-    total = int(reads.sum())
-    if total:
-        nominal = np.cumsum(reads) - reads
-        rows, gaps = np.flatnonzero(drawing), np.flatnonzero(spent)
-        pos, slot = np.divmod(rows, len(side))
-        words = _Words(rng, total + len(rows) // 2 + WINDOW)
-        walk = _PlainWalk(
-            graph,
-            words,
-            {
-                "n": sizes_u[p[slot]],
-                "start": starts[p[slot]],
-                "fixed": fixed.ravel()[rows],
-                "corrupt_u": side[slot] == 0,
-                "nominal": nominal[rows],
-                "group": 2 * pos + side[slot],
-            },
-            {
-                "n": sizes_u[p[gaps % len(side)]],
-                "nominal": nominal[gaps],
-                "before": np.searchsorted(rows, gaps),
-            },
-            total,
-            dup=config.neg_passes > 1 or not ppl,
-        )
-        words.close(walk.run())
-        got[pos, slot] = walk.got
+    # the slots of larger pools read words: RETRY_CAP draws if empty, else until one is valid
+    pos, slot = np.nonzero(np.broadcast_to(size > 1, got.shape))
+    if len(pos):
+        drawing = ~empty[pos, slot]
+        words = _Words(rng, int(np.where(drawing, 1.5, RETRY_CAP).sum()))
+        columns = (size[slot], starts[p[slot]], fixed[pos, slot], side[slot] == 0,
+                   2 * pos + side[slot], drawing)  # group: the positive and side
+        dup = config.neg_passes > 1 or not ppl
+        picks, used = _retry_loop(graph, words, zip(*map(memoryview, columns)), dup)
+        words.close(used)
+        got[pos, slot] = picks
     keep = got >= 0
     if counts is not None:
         counts[:] = keep.sum(axis=1)

@@ -907,14 +907,18 @@ def as_bytes(loss, grad):
     return np.float64(loss).tobytes(), grad.tobytes()
 
 
-def assert_close(got, want, x):
-    """(loss, grad) within REL of the reference: the loss relative to the
-    largest logit of ``x`` (at least 1), as its rounding grows with the
-    logits and not with the loss, which may be near 0; the gradient
-    relative to its largest entry."""
+def assert_close(got, want, x, weights=None):
+    """(loss, grad) within REL of the reference. The loss is held relative to
+    the largest logit of ``x`` (at least 1), as its rounding grows with the
+    logits and not with the loss, which may be near 0. The gradient is held
+    relative to the larger of its largest entry and the target term it
+    subtracts, weight / n: for a near-certain target ``p - 1`` cancels to a
+    small entry that still carries the rounding of ``p`` near 1."""
     (loss, grad), (ref_loss, ref_grad) = got, want
     assert abs(loss - ref_loss) <= REL * max(1.0, np.abs(x).max(initial=0))
-    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=REL * np.abs(ref_grad).max(initial=0))
+    target = (1.0 if weights is None else np.max(weights)) / len(x)
+    atol = REL * max(np.abs(ref_grad).max(initial=0), target)
+    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=atol)
 
 
 def clear_rows(probs):
@@ -940,7 +944,7 @@ def assert_heads_match_references(h, seed, n, tied):
         expected = (float(losses.sum()) / n, np.stack([g for _, g in rows]) / n)
         alone = ref_weighted_head_loss(*args, weights, loss=head_loss)
         assert as_bytes(*got) == as_bytes(*alone), head
-        assert_close(got, ref_weighted_head_loss(*args, weights), x)
+        assert_close(got, ref_weighted_head_loss(*args, weights), x, weights)
         assert_close(head_loss(*args), expected, x)
         if head == "mc":
             assert_mc_predictions_match(x, index)
@@ -1158,7 +1162,7 @@ class TestFewerPassesMatchTheOldForms:
             args = (head, logits[head], tau, mh, index)
             assert_close(head_loss(*args), ref_head_loss(*args), logits[head])
             assert_close(head_loss(*args, weights), ref_weighted_head_loss(*args, weights),
-                         logits[head])
+                         logits[head], weights)
         assert_mc_predictions_match(logits["mc"], index)
         assert_hs_predictions_match(logits["hs"], index)
 
@@ -1174,7 +1178,7 @@ class TestFewerPassesMatchTheOldForms:
         got = head_loss("mc", x, tau, None, index, weights)
         assert np.isfinite(got[0]) and np.isfinite(got[1]).all()
         with np.errstate(over="ignore"):  # the reference exponentiates outside its mask
-            assert_close(got, ref_weighted_head_loss("mc", x, tau, None, index, weights), x)
+            assert_close(got, ref_weighted_head_loss("mc", x, tau, None, index, weights), x, weights)
         truth = [p[np.arange(40), tau[:, i]] for i, p in enumerate(ref_mc_probabilities(x, index))]
         assert (np.minimum(truth[0], truth[1]) == 0).sum() >= 2
 

@@ -1,6 +1,7 @@
 """Max-margin loss, optimizer steps, trainer determinism, edge prediction."""
 
 import bisect
+import sys
 import tracemalloc
 from dataclasses import astuple
 
@@ -29,9 +30,7 @@ from hierembed.training import (
     TrainingError,
     _best_threshold,
     _Words,
-    _first_thrown,
     _Graph,
-    _lemire,
     _sample_negatives_for,
     _sample_negatives_rebalanced,
     adam_step,
@@ -637,6 +636,18 @@ def _per_positive_sample_negatives_rebalanced(graph, u, v, rng, config):
     return out
 
 
+def _lemire(words, n):
+    """What ``rng.integers(n)`` makes of each 32-bit word: ``(index, thrown_away)``.
+
+    NumPy's Lemire step maps a word ``w`` to ``(w * n) >> 32``; it throws
+    the word away and reads the next one when ``(w * n) mod 2**32`` falls
+    below ``(2**32 - n) mod n``. ``n`` broadcasts against ``words``.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    m = np.asarray(words, dtype=np.uint64) * n
+    return (m >> np.uint64(32)).view(np.int64), (m & np.uint64(2**32 - 1)) < (2**32 - n) % n
+
+
 def draws_from_words(rng, n, count):
     """``count`` draws of ``rng.integers(n)``, computed from the generator's 32-bit words.
 
@@ -768,6 +779,38 @@ class TestEmptySlots:
                     draws_from_words(rng, n, RETRY_CAP), [ref.integers(n) for _ in range(RETRY_CAP)]
                 )
                 assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_peak_memory_per_word(self, monkeypatch):
+        # a joint-shaped span: labels and instances, most words read by empty slots
+        tree = generate_synthetic_tree(4, 3)
+        features = gaussian_cluster_features(tree, 20, 2, seed=1)
+        every = np.arange(len(features.instance_ids))
+        positives = np.concatenate(
+            [tree.closure_rows, instance_positive_rows(tree, features, every)]
+        )
+        graph = _Graph(tree, positives, len(features.instance_ids))
+        span = positives[np.random.default_rng(0).permutation(len(positives))[:1024]]
+        used = []
+        real_close = _Words.close
+
+        def close(words, n):
+            used.append(n)
+            real_close(words, n)
+
+        monkeypatch.setattr(_Words, "close", close)
+        cfg = TrainConfig(kind="hc", dim=2)
+        rng = np.random.default_rng(1)
+        _sample_negatives_for(graph, span[:, 0], span[:, 1], rng, cfg)  # warm the caches
+        used.clear()
+        tracemalloc.start()
+        try:
+            _sample_negatives_for(graph, span[:, 0], span[:, 1], rng, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (words,) = used
+        assert words > 100 * 1024  # empty slots read most of them
+        assert peak <= 16 * words
 
 
 def ref_sample_negatives_rebalanced(graph, u, v, rng, config):
@@ -1117,6 +1160,47 @@ class TestBatchSamplersMatchPerPositiveCalls:
         zero_words_at(rng, at)
         self.assert_matches_scalar_loop(graph, np.array([[a, ax], [b, bx]]), rng, cfg)
 
+    # the zero words fall in empty slot 79, 149 or 196 of 200
+    @pytest.mark.parametrize("at", [8320, 15600, 20500])
+    def test_thrown_word_past_the_first_block(self, at):
+        nodes = [Node(i, len(i), i) for i in ("a", "b", "c", "ax", "bx", "cx")]
+        forest = Hierarchy(nodes, [("a", "ax"), ("b", "bx"), ("c", "cx")])
+        graph = IdGraph(forest, [("a", "ax"), ("b", "bx"), ("c", "cx"), ("a", "bx"), ("c", "bx")])
+        b, bx = graph.index["b"], graph.index["bx"]
+        assert graph.valid[0, 0, bx] == 0  # one empty slot per positive, a pool of 3
+        rng = np.random.default_rng(4)
+        zero_words_at(rng, at)
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
+        self.assert_matches_scalar_loop(graph, np.array([[b, bx]] * 200), rng, cfg)
+
+    def test_a_one_word_read_ahead_refills_as_it_goes(self, monkeypatch):
+        grew = set()  # the functions that read the block on
+
+        class OneWordAhead(_Words):
+            def __init__(self, rng, ahead):
+                super().__init__(rng, 1)
+
+            def upto(self, end):
+                if end > len(self.block):
+                    grew.add(sys._getframe(1).f_code.co_name)
+                return super().upto(end)
+
+        monkeypatch.setattr(training, "_Words", OneWordAhead)
+        for name in sorted(GRAPHS):
+            for pick_per_level in (True, False):
+                for neg_passes in (1, 2, 3):
+                    self.test_every_graph_and_batch_size(name, pick_per_level, neg_passes)
+        self.test_thrown_word_before_a_drawing_slot()
+        for at in (0, 50, 98, 150):
+            for neg_passes in (1, 3):
+                self.test_thrown_words_inside_an_empty_slot(at, neg_passes)
+        for seed, at in ((11, 104), (19, 110), (24, 106), (34, 108)):
+            self.test_thrown_words_across_adjacent_empty_slots(seed, at)
+        for at in (8320, 15600, 20500):
+            self.test_thrown_word_past_the_first_block(at)
+        # drawing slots, and the scan for thrown-away words in empty slots
+        assert grew == {"_retry_loop", "thrown_in"}
+
     def test_one_valid_candidate_in_a_large_pool_gives_up(self):
         ids = [f"n{i:03d}" for i in range(300)]
         flat = Hierarchy([Node(i, 1, i) for i in ids], [])
@@ -1124,13 +1208,18 @@ class TestBatchSamplersMatchPerPositiveCalls:
         u, v = graph.index["n000"], graph.index["n001"]
         assert graph.valid[1, 0, u] == 1  # corrupt-v: only n299
         cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
-        gave_up = found = 0
-        for seed in range(8):
-            rng = np.random.default_rng(seed)
-            pairs = self.assert_matches_scalar_loop(graph, np.array([[u, v]] * 2), rng, cfg)
-            gave_up += sum(a == u and b != v for a, b in pairs) < 2
-            found += (u, graph.index["n299"]) in pairs
-        assert gave_up and found
+        # zero words at 50 fall in the first corrupt-v slot, and the Lemire step
+        # throws them away (300 is no power of 2): a slot that gives up reads them too
+        for zeros_at in (None, 50):
+            gave_up = found = 0
+            for seed in range(8):
+                rng = np.random.default_rng(seed)
+                if zeros_at is not None:
+                    zero_words_at(rng, zeros_at)
+                pairs = self.assert_matches_scalar_loop(graph, np.array([[u, v]] * 2), rng, cfg)
+                gave_up += sum(a == u and b != v for a, b in pairs) < 2
+                found += (u, graph.index["n299"]) in pairs
+            assert gave_up and found
 
     @pytest.mark.parametrize("neg_passes", [1, 2, 3])
     def test_one_member_pools(self, neg_passes):
@@ -1155,101 +1244,6 @@ class TestBatchSamplersMatchPerPositiveCalls:
     @given(forests_with_instances())
     def test_ancestor_table_on_random_forests(self, graph):
         assert_banned_pairs(graph)
-
-
-def one_shot_first_thrown(words, at, n):
-    """``_first_thrown`` as one ``(slots, RETRY_CAP)`` pass over every slot."""
-    _, thrown = _lemire(words[at[:, None] + np.arange(RETRY_CAP)], n[:, None])
-    hit = np.flatnonzero(thrown.any(axis=1))
-    return int(hit[0]) if hit.size else -1
-
-
-class TestSpentBlocks:
-    """The plain walk checks empty slots for thrown-away words a block at a time."""
-
-    SLOTS = 3 * training.SPENT_BLOCK + 5  # a partial last block
-
-    @staticmethod
-    def slots(seed, count):
-        rng = np.random.default_rng(seed)
-        words = rng.integers(0, 2**32, size=count * RETRY_CAP + 500, dtype=np.uint32)
-        gaps = rng.integers(0, 4, size=count)
-        at = np.arange(count) * RETRY_CAP + np.cumsum(gaps) - gaps
-        return words, at
-
-    @pytest.mark.parametrize("where", ["first", "middle", "last", "none"])
-    def test_hit_in_each_block(self, where):
-        words, at = self.slots(0, self.SLOTS)
-        n = np.full(self.SLOTS, 2**31, dtype=np.uint64)  # a power of two throws nothing away
-        slot = {"first": 3, "middle": training.SPENT_BLOCK + 7, "last": self.SLOTS - 1, "none": -1}[where]
-        if slot >= 0:
-            n[slot:] = 2**31 + 1  # throws away about every other word
-        assert _first_thrown(words, at, n) == one_shot_first_thrown(words, at, n) == slot
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 3 * training.SPENT_BLOCK + 5), st.integers(0, 24))
-    def test_matches_one_shot_check(self, seed, count, spread):
-        # pools of 2**31 - d throw a word away with probability 2d / 2**32, so a
-        # slot's 100 words hold one anywhere from never to about every other time
-        words, at = self.slots(seed, count)
-        d = np.random.default_rng(seed + 1).integers(0, 2**spread + 1, size=count)
-        n = (2**31 - d).astype(np.uint64)
-        assert _first_thrown(words, at, n) == one_shot_first_thrown(words, at, n)
-
-    # the zero word falls in empty slot 79, 149 or 196: blocks 2, 3 and the partial 4th
-    @pytest.mark.parametrize("at, slot", [(8320, 79), (15600, 149), (20500, 196)])
-    def test_thrown_word_past_the_first_block(self, at, slot, monkeypatch):
-        nodes = [Node(i, len(i), i) for i in ("a", "b", "c", "ax", "bx", "cx")]
-        forest = Hierarchy(nodes, [("a", "ax"), ("b", "bx"), ("c", "cx")])
-        graph = IdGraph(forest, [("a", "ax"), ("b", "bx"), ("c", "cx"), ("a", "bx"), ("c", "bx")])
-        b, bx = graph.index["b"], graph.index["bx"]
-        assert graph.valid[0, 0, bx] == 0  # one empty slot per positive, a pool of 3
-        hits = []
-        real = training._first_thrown
-
-        def recorded(*args):
-            hits.append(real(*args))
-            return hits[-1]
-
-        monkeypatch.setattr(training, "_first_thrown", recorded)
-        rng = np.random.default_rng(4)
-        zero_words_at(rng, at)
-        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
-        batch = np.array([[b, bx]] * 200)
-        TestBatchSamplersMatchPerPositiveCalls.assert_matches_scalar_loop(graph, batch, rng, cfg)
-        assert hits == [slot, -1]  # the walk is redone from that slot, then nothing is left
-
-    def test_peak_memory_per_word(self, monkeypatch):
-        # a joint-shaped span: labels and instances, most words read by empty slots
-        tree = generate_synthetic_tree(4, 3)
-        features = gaussian_cluster_features(tree, 20, 2, seed=1)
-        every = np.arange(len(features.instance_ids))
-        positives = np.concatenate(
-            [tree.closure_rows, instance_positive_rows(tree, features, every)]
-        )
-        graph = _Graph(tree, positives, len(features.instance_ids))
-        span = positives[np.random.default_rng(0).permutation(len(positives))[:1024]]
-        used = []
-        real_close = _Words.close
-
-        def close(words, n):
-            used.append(n)
-            real_close(words, n)
-
-        monkeypatch.setattr(_Words, "close", close)
-        cfg = TrainConfig(kind="hc", dim=2)
-        rng = np.random.default_rng(1)
-        _sample_negatives_for(graph, span[:, 0], span[:, 1], rng, cfg)  # warm the caches
-        used.clear()
-        tracemalloc.start()
-        try:
-            _sample_negatives_for(graph, span[:, 0], span[:, 1], rng, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        (words,) = used
-        assert words > 100 * 1024  # empty slots read most of them
-        assert peak <= 16 * words
 
 
 class TestGraphRows:
