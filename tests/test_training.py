@@ -30,6 +30,7 @@ from hierembed.training import (
     TrainingError,
     _best_threshold,
     _Words,
+    _retry_loop,
     _Graph,
     _sample_negatives_for,
     _sample_negatives_rebalanced,
@@ -780,38 +781,6 @@ class TestEmptySlots:
                 )
                 assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_peak_memory_per_word(self, monkeypatch):
-        # a joint-shaped span: labels and instances, most words read by empty slots
-        tree = generate_synthetic_tree(4, 3)
-        features = gaussian_cluster_features(tree, 20, 2, seed=1)
-        every = np.arange(len(features.instance_ids))
-        positives = np.concatenate(
-            [tree.closure_rows, instance_positive_rows(tree, features, every)]
-        )
-        graph = _Graph(tree, positives, len(features.instance_ids))
-        span = positives[np.random.default_rng(0).permutation(len(positives))[:1024]]
-        used = []
-        real_close = _Words.close
-
-        def close(words, n):
-            used.append(n)
-            real_close(words, n)
-
-        monkeypatch.setattr(_Words, "close", close)
-        cfg = TrainConfig(kind="hc", dim=2)
-        rng = np.random.default_rng(1)
-        _sample_negatives_for(graph, span[:, 0], span[:, 1], rng, cfg)  # warm the caches
-        used.clear()
-        tracemalloc.start()
-        try:
-            _sample_negatives_for(graph, span[:, 0], span[:, 1], rng, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        (words,) = used
-        assert words > 100 * 1024  # empty slots read most of them
-        assert peak <= 16 * words
-
 
 def ref_sample_negatives_rebalanced(graph, u, v, rng, config):
     """The rebalanced sampler as a rejection loop with RETRY_CAP draws per slot."""
@@ -1244,6 +1213,96 @@ class TestBatchSamplersMatchPerPositiveCalls:
     @given(forests_with_instances())
     def test_ancestor_table_on_random_forests(self, graph):
         assert_banned_pairs(graph)
+
+
+def one_shot_words_read(words, sizes):
+    """Words that empty slots of pool sizes ``sizes`` read from ``words``, one
+    slot after the other: RETRY_CAP kept words each, and every thrown-away one."""
+    at = 0
+    for n in sizes:
+        _, thrown = _lemire(words[at : at + 2 * RETRY_CAP], n)
+        kept = np.cumsum(~thrown)
+        assert kept[-1] >= RETRY_CAP
+        at += int(np.searchsorted(kept, RETRY_CAP)) + 1
+    return at
+
+
+class TestSpentBlocks:
+    """Empty slots find their thrown-away words in the block a chunk at a time."""
+
+    CHUNK = 2**14  # words per scan in ``_retry_loop``
+    SLOTS = 3 * CHUNK // RETRY_CAP + 5  # into a partial fourth chunk
+
+    @staticmethod
+    def empty_slots_read(sizes, rng):
+        """``_retry_loop`` over empty slots of pool sizes ``sizes``: the words it
+        reads, and the generator's words from where it started."""
+        probe = np.random.default_rng()
+        probe.bit_generator.state = rng.bit_generator.state
+        expected = probe.integers(0, 2**32, size=2 * RETRY_CAP * (len(sizes) + 1), dtype=np.uint32)
+        words = _Words(rng, RETRY_CAP * len(sizes))
+        slots = [(int(n), 0, 0, True, i, False) for i, n in enumerate(sizes)]
+        picks, used = _retry_loop(GRAPHS["forest-extra"](), words, slots, False)
+        assert picks == [-1] * len(sizes)
+        return used, expected
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "none"])
+    def test_hit_in_each_block(self, where):
+        # a pool of 3 throws away the zero word only; two zero words end the first
+        # chunk, fall late in the second or in the partial fourth, or none
+        rng = np.random.default_rng(2)
+        chunk = self.CHUNK
+        at = {"first": chunk - 2, "middle": 2 * chunk - 300, "last": 3 * chunk + 300, "none": None}[where]
+        if at is not None:
+            zero_words_at(rng, at)
+        used, words = self.empty_slots_read([3] * self.SLOTS, rng)
+        assert used == one_shot_words_read(words, [3] * self.SLOTS)
+        assert used == self.SLOTS * RETRY_CAP + (0 if at is None else 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, SLOTS), st.integers(0, 24), st.integers(1, 8))
+    def test_matches_one_shot_check(self, seed, count, spread, kinds):
+        # pools of 2**31 - d throw a word away with probability 2d / 2**32, so a
+        # slot's 100 words hold one anywhere from never to about every other time;
+        # ``kinds`` pool sizes, so that each one's scan runs on over several chunks
+        rng = np.random.default_rng(seed)
+        pick = np.random.default_rng(seed + 1)
+        d = pick.integers(0, 2**spread + 1, size=kinds)[pick.integers(0, kinds, size=count)]
+        sizes = 2**31 - d
+        used, words = self.empty_slots_read(sizes, rng)
+        assert used == one_shot_words_read(words, sizes)
+
+    def test_peak_memory_per_word(self, monkeypatch):
+        # a joint-shaped span: labels and instances, most words read by empty slots
+        tree = generate_synthetic_tree(4, 3)
+        features = gaussian_cluster_features(tree, 20, 2, seed=1)
+        every = np.arange(len(features.instance_ids))
+        positives = np.concatenate(
+            [tree.closure_rows, instance_positive_rows(tree, features, every)]
+        )
+        graph = _Graph(tree, positives, len(features.instance_ids))
+        span = positives[np.random.default_rng(0).permutation(len(positives))[:1024]]
+        used = []
+        real_close = _Words.close
+
+        def close(words, n):
+            used.append(n)
+            real_close(words, n)
+
+        monkeypatch.setattr(_Words, "close", close)
+        cfg = TrainConfig(kind="hc", dim=2)
+        rng = np.random.default_rng(1)
+        _sample_negatives_for(graph, span[:, 0], span[:, 1], rng, cfg)  # warm the caches
+        used.clear()
+        tracemalloc.start()
+        try:
+            _sample_negatives_for(graph, span[:, 0], span[:, 1], rng, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (words,) = used
+        assert words > 100 * 1024  # empty slots read most of them
+        assert peak <= 16 * words
 
 
 class TestGraphRows:
