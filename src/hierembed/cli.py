@@ -261,8 +261,22 @@ def _load_model(path, aperture_k: float | None):
     snapshots carry the option's default. Label files written by ``train-labels``
     store ``k`` and ``squared``; older ones take ``aperture_k`` (default 0.1) and
     the unsquared energy.
+
+    A joint model whose linear map does not give points as wide as its labels,
+    or whose header ``dim``/``feature_dim`` contradicts its arrays, is refused;
+    a header without those keys is taken as it is.
     """
     node_ids, coords, kind, w, header = storage.load_model(path)
+    widths = {"dim": coords.shape[1]}
+    if w is not None:
+        if w.shape[1] != coords.shape[1]:
+            raise CliError(f"{path}: its linear map gives {w.shape[1]}-wide points, "
+                           f"but its labels are {coords.shape[1]} wide")
+        widths["feature_dim"] = w.shape[0]
+    for key, width in widths.items():
+        if key in header and header[key] != width:
+            raise CliError(f"{path}: its header {key} {header[key]!r} contradicts "
+                           f"its arrays, which are {width} wide")
     k = _stored_k(header, aperture_k if w is None else None, path)
     params = geometry.ConeParams(kind=kind, k=k, oe_squared=header.get("squared", False))
     return training.EmbeddingTable(node_ids, coords, params), w, header

@@ -253,15 +253,19 @@ def _rows(a) -> np.ndarray:
 
 def energies(X, Y, p: ConeParams) -> np.ndarray:
     """Pair energies over the last axis, broadcast over leading axes: row-aligned
-    (n, d) pairs give (n,), all pairs ``X[:, None]``, ``Y[None]`` give (n, N)."""
+    (n, d) pairs give (n,), all pairs ``X[:, None]``, ``Y[None]`` give (n, N).
+
+    The kernels overwrite each pair-sized intermediate once it is dead, so an
+    all-pairs call holds at most four (n, N) arrays for ``hc``, and one
+    (n, N, d) difference plus a few (n, N) arrays for ``oe`` and ``ec``.
+    """
     X, Y = _rows(X), _rows(Y)
     if p.kind == "oe":
-        d = np.maximum(X - Y, 0.0)
-        sq = np.einsum("...j,...j->...", d, d)
-        return sq if p.oe_squared else np.sqrt(sq)
-    xi, _ = (_euclid_xi_batch if p.kind == "ec" else _hyper_xi_batch)(X, Y)
+        return _oe_batch(X, Y, p)[0]
+    xi = (_euclid_xi_batch if p.kind == "ec" else _hyper_xi_batch)(X, Y, terms=False)
     psi, _ = _aperture(_safe(np.linalg.norm(X, axis=-1)), p)
-    return np.maximum(0.0, xi - psi)
+    xi -= psi
+    return np.maximum(0.0, xi, out=xi)
 
 
 def _safe(a: np.ndarray) -> np.ndarray:
@@ -290,34 +294,63 @@ def _clip_rows(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _euclid_xi_batch(X, Y):
+def _oe_batch(X, Y, p: ConeParams):
+    """Order-violation energies and the hinge terms ``max(0, x - y)``."""
+    d = np.subtract(X, Y)
+    np.maximum(d, 0.0, out=d)
+    sq = np.einsum("...j,...j->...", d, d)
+    return (sq if p.oe_squared else np.sqrt(sq, out=sq)), d
+
+
+# The axis-angle kernels return the angles and, with ``terms``, the
+# intermediates that the gradients read. With ``terms=False`` they return the
+# angles alone, and a result is written over an intermediate that is dead by
+# then (``out=None if terms else dead``). Either way each element goes through
+# the same operations in the same order, so the angles are the same bits.
+
+def _euclid_xi_batch(X, Y, terms: bool = True):
     """Axis angles and intermediates for the Euclidean cone batch."""
-    diff = X - Y
     a = np.einsum("...j,...j->...", X, X)
     b = np.einsum("...j,...j->...", Y, Y)
+    diff = np.subtract(X, Y)  # the gradients take x - y again on their live rows
     m = np.einsum("...j,...j->...", diff, diff)
+    del diff
     nx = _safe(np.sqrt(a))
-    dxy = _safe(np.sqrt(m))
-    u = 0.5 * (b - a - m)  # equals <x, y> - ||x||^2
-    v = nx * dxy
-    c = np.clip(u / _safe(v), -1.0, 1.0)
-    xi = np.arccos(c)
-    return xi, (diff, a, nx, dxy, u, v, c)
+    u = np.subtract(b, a)
+    u -= m
+    u *= 0.5  # equals <x, y> - ||x||^2
+    dxy = np.sqrt(m, out=m)
+    np.maximum(dxy, _TINY, out=dxy)
+    v = np.multiply(nx, dxy, out=None if terms else dxy)
+    c = np.divide(u, np.maximum(v, _TINY, out=None if terms else v), out=None if terms else u)
+    np.clip(c, -1.0, 1.0, out=c)
+    xi = np.arccos(c, out=None if terms else c)
+    return (xi, (nx, dxy, u, v, c)) if terms else xi
 
 
-def _hyper_xi_batch(X, Y):
+def _hyper_xi_batch(X, Y, terms: bool = True):
     """Axis angles and intermediates for the hyperbolic cone batch."""
     a = np.einsum("...j,...j->...", X, X)
     b = np.einsum("...j,...j->...", Y, Y)
     s = np.einsum("...j,...j->...", X, Y)
-    m = a + b - 2.0 * s
-    g = np.maximum(1.0 + a * b - 2.0 * s, _TINY)
-    num = s * (1.0 + a) - a * (1.0 + b)
-    P = _safe(a * m * g)
-    D = np.sqrt(P)
-    c = np.clip(num / D, -1.0, 1.0)
-    xi = np.arccos(c)
-    return xi, (a, b, s, m, g, num, P, D, c)
+    two_s = 2.0 * s
+    m = np.add(a, b)
+    m -= two_s  # a + b - 2s
+    g = np.multiply(a, b)
+    g += 1.0
+    g -= two_s
+    np.maximum(g, _TINY, out=g)  # 1 + ab - 2s, floored
+    num = np.multiply(s, 1.0 + a, out=two_s)
+    rest = np.multiply(a, 1.0 + b, out=None if terms else s)
+    num -= rest  # s (1 + a) - a (1 + b)
+    P = np.multiply(a, m, out=rest)
+    P *= g
+    np.maximum(P, _TINY, out=P)  # a m g, floored
+    D = np.sqrt(P, out=None if terms else P)
+    c = np.divide(num, D, out=None if terms else num)
+    np.clip(c, -1.0, 1.0, out=c)
+    xi = np.arccos(c, out=None if terms else c)
+    return (xi, (a, b, s, m, g, num, P, D, c)) if terms else xi
 
 
 def live_rows(e: np.ndarray, upper=None) -> np.ndarray:
@@ -353,20 +386,19 @@ def energies_and_gradients(X, Y, p: ConeParams, upper=None):
     """
     X, Y = _rows(X), _rows(Y)
     if p.kind == "oe":
-        d = np.maximum(X - Y, 0.0)
-        sq = np.einsum("ij,ij->i", d, d)
-        e = sq if p.oe_squared else np.sqrt(sq)
+        e, d = _oe_batch(X, Y, p)
         live = np.flatnonzero(live_rows(e, upper))
         d = d[live]
         g = 2.0 * d if p.oe_squared else d * (1.0 / _safe(e[live]))[:, None]
         return (e, *_spread(len(e), live, g, -g))
 
     if p.kind == "ec":
-        xi, (diff, _, nx, dxy, u, v, c) = _euclid_xi_batch(X, Y)
+        xi, (nx, dxy, u, v, c) = _euclid_xi_batch(X, Y)
         psi, _ = _aperture(nx, p)
         e = np.maximum(0.0, xi - psi)
         live = np.flatnonzero(live_rows(e, upper))
-        X, Y, diff, nx, dxy, u, v, c = (t[live] for t in (X, Y, diff, nx, dxy, u, v, c))
+        X, Y, nx, dxy, u, v, c = (t[live] for t in (X, Y, nx, dxy, u, v, c))
+        diff = X - Y
         # d(arccos(c)) = -dc / sqrt(1 - c^2)
         inv_sin = 1.0 / _safe(np.sqrt(1.0 - c * c))
         v2 = _safe(v * v)

@@ -177,7 +177,10 @@ PAIR_CHUNK = 1 << 16
 def _pairwise_energies(X: np.ndarray, Y: np.ndarray, params: ConeParams) -> np.ndarray:
     """(n, N) ``geometry.energies`` of (n, 1, d) and (1, N, d) points, either way round."""
     n, N = np.broadcast_shapes(X.shape, Y.shape)[:2]
-    out, step = np.empty((n, N)), max(1, PAIR_CHUNK // N)
+    step = max(1, PAIR_CHUNK // N)
+    if n <= step:  # one block: the kernel's array is the result
+        return geometry.energies(X, Y, params)
+    out = np.empty((n, N))
     for s in range(0, n, step):
         block = [A[s : s + step] if len(A) == n else A for A in (X, Y)]
         out[s : s + step] = geometry.energies(*block, params)
@@ -253,8 +256,13 @@ def _classify(
             if ranks is not None:
                 col = np.searchsorted(level_rows[lvl], truth[rows, lvl])[:, None]
                 et = np.take_along_axis(e, col, 1)
-                before = (e < et) | ((e == et) & (np.arange(len(names[lvl])) < col))
-                ranks[rows, lvl] = np.count_nonzero(before, axis=1)
+                rank = np.count_nonzero(e < et, axis=1)
+                ties = e == et
+                tied = np.flatnonzero(np.count_nonzero(ties, axis=1) > 1)
+                if len(tied):  # equal energies before the true label's column
+                    first = np.arange(e.shape[1]) < col[tied]
+                    rank[tied] += np.count_nonzero(ties[tied] & first, axis=1)
+                ranks[rows, lvl] = rank
     return preds, best, ranks
 
 

@@ -805,6 +805,46 @@ class TestLabelFileCone:
         )
         assert not (root / "jsq" / "model.bin").exists()
 
+    @pytest.mark.parametrize("case, error", [
+        ("narrow_map", "its linear map gives 1-wide points, but its labels are 2 wide"),
+        ("dim", "its header dim 7 contradicts its arrays, which are 2 wide"),
+        ("feature_dim", "its header feature_dim 9 contradicts its arrays, which are 8 wide"),
+        ("no_widths", None),
+    ])
+    def test_classify_refuses_a_model_whose_header_contradicts_its_arrays(
+        self, trained, tmp_path, capsys, case, error
+    ):
+        from hierembed import storage
+
+        root, nodes, edges = trained
+        ids, coords, w, header = storage.load_joint_model(root / "j03" / "model.bin")
+        assert (header["dim"], header["feature_dim"], w.shape) == (2, 8, (8, 2))
+        if case == "narrow_map":
+            w = w[:, :1]
+        elif case == "no_widths":  # files written before the keys existed
+            header = {k: v for k, v in header.items() if k not in ("dim", "feature_dim")}
+        else:
+            header = {**header, case: {"dim": 7, "feature_dim": 9}[case]}
+        model = tmp_path / "model.bin"
+        storage.save_joint_model(model, ids, coords, w, header)
+
+        def classify(path, out):
+            return main(["classify", "--nodes", str(nodes), "--edges", str(edges),
+                         "--model", str(path), "--features", str(root / "feats" / "features.feat"),
+                         "--subset", "all", "--out", str(tmp_path / out)])
+
+        code = classify(model, "cls")
+        if error is None:
+            assert code == 0
+            assert classify(root / "j03" / "model.bin", "ref") == 0
+            assert (tmp_path / "cls" / "predictions.tsv").read_bytes() == (
+                tmp_path / "ref" / "predictions.tsv").read_bytes()
+            return
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (payload["type"], payload["error"]) == ("CliError", f"{model}: {error}")
+        assert not (tmp_path / "cls" / "predictions.tsv").exists()
+
     def test_joint_model_keeps_its_k_under_older_snapshots(self, trained):
         from hierembed import joint, storage
         from hierembed.geometry import ConeParams

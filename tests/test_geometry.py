@@ -414,13 +414,23 @@ _KERNELS = [("oe", False), ("oe", True), ("ec", False), ("hc", False)]
     floor=st.booleans(),
     coincide=st.booleans(),
     wide=st.booleans(),
+    edge=st.booleans(),
+    near=st.booleans(),
 )
-@example(kernel=("ec", False), k=0.4, d=3, n=5, m=6, seed=0, floor=True, coincide=True, wide=True)
-@example(kernel=("hc", False), k=0.4, d=3, n=7, m=7, seed=1, floor=True, coincide=True, wide=True)
-@example(kernel=("oe", True), k=0.1, d=1, n=4, m=4, seed=2, floor=False, coincide=True, wide=False)
-def test_broadcast_energies_equal_gathered_rows(kernel, k, d, n, m, seed, floor, coincide, wide):
+@example(kernel=("ec", False), k=0.4, d=3, n=5, m=6, seed=0, floor=True, coincide=True, wide=True,
+         edge=False, near=False)
+@example(kernel=("hc", False), k=0.4, d=3, n=7, m=7, seed=1, floor=True, coincide=True, wide=True,
+         edge=False, near=False)
+@example(kernel=("oe", True), k=0.1, d=1, n=4, m=4, seed=2, floor=False, coincide=True, wide=False,
+         edge=False, near=False)
+@example(kernel=("hc", False), k=0.1, d=10, n=6, m=7, seed=3, floor=False, coincide=False,
+         wide=False, edge=True, near=True)
+def test_broadcast_energies_equal_gathered_rows(
+    kernel, k, d, n, m, seed, floor, coincide, wide, edge, near
+):
     """All-pairs energies by broadcasting, either way round, are the row-aligned
-    kernel's energies of the gathered rows, bit for bit."""
+    kernel's energies of the gathered rows, bit for bit, and the angles that the
+    energies take are the ones that the gradients take."""
     kind, squared = kernel
     p = ConeParams(kind, k, oe_squared=squared)
     rng = np.random.default_rng(seed)
@@ -429,12 +439,28 @@ def test_broadcast_energies_equal_gathered_rows(kernel, k, d, n, m, seed, floor,
     X, Y = random_coords(n, d, p, rng, hi), random_coords(m, d, p, rng, hi)
     if floor:  # apexes on the domain floor (at the origin for oe)
         X[::2] *= (p.epsilon / np.linalg.norm(X[::2], axis=1))[:, None]
+    if edge and kind == "hc":  # points at the domain's outer norm, 1 - 1e-5
+        for A in (X, Y):
+            A[1::2] *= ((1.0 - geometry.DOMAIN_PAD) / np.linalg.norm(A[1::2], axis=1))[:, None]
+    r = min(n, m)
     if coincide:  # pairs with y == x
-        Y[: min(n, m)] = X[: min(n, m)]
+        Y[:r] = X[:r]
+    elif near:  # pairs about 1e-9 apart, relative to |x|
+        Y[:r] = X[:r] * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, (r, d)))
     i, j = np.divmod(np.arange(n * m), m)
     want = geometry.energies(X[i], Y[j], p).reshape(n, m)
     assert geometry.energies(X[:, None], Y[None], p).tobytes() == want.tobytes()
     assert geometry.energies(X[None], Y[:, None], p).tobytes() == want.T.copy().tobytes()
+    if kind == "oe":
+        e = geometry.energies_and_gradients(X[i], Y[j], p)[0]
+        assert e.tobytes() == want.tobytes()
+    else:
+        # The cone energies' axis angles are the gradients' angles. (Their apertures
+        # take the apex norm in two ways, which round apart: ROADMAP item 12.)
+        xi = geometry._euclid_xi_batch if kind == "ec" else geometry._hyper_xi_batch
+        angles = xi(X[i], Y[j])[0].reshape(n, m)
+        assert xi(X[:, None], Y[None], terms=False).tobytes() == angles.tobytes()
+        assert xi(X[i], Y[j], terms=False).tobytes() == angles.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -562,6 +562,26 @@ def test_classify_scores_in_blocks_of_rows(kind):
     assert peak < bound < n * h.level_sizes[-1] * 8
 
 
+@pytest.mark.parametrize("kind, arrays", [("hc", 5), ("ec", 12), ("oe", 12)])
+def test_a_block_of_pairs_holds_few_block_arrays(kind, arrays):
+    # One classify block, 64 labels by PAIR_CHUNK // 64 points in 10-D. The kernel
+    # writes over its dead intermediates: it holds four (n, N) arrays for hc, and
+    # one (n, N, d) difference plus one or two (n, N) for ec and oe.
+    d, N = 10, 64
+    params = ConeParams(kind, 0.1)
+    rng = np.random.default_rng(5)
+    labels = random_coords(N, d, params, rng)
+    points = random_coords(joint.PAIR_CHUNK // N, d, params, rng)
+    tracemalloc.start()
+    try:
+        e = geometry.energies(labels[None], points[:, None], params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e.shape == (joint.PAIR_CHUNK // N, N)
+    assert peak < arrays * e.nbytes
+
+
 class TestReconstructionMatchesPairLoop:
     @pytest.mark.parametrize("kind", ["oe", "ec", "hc"])
     @pytest.mark.parametrize("seed", range(3))
