@@ -90,19 +90,7 @@ def _train_config(args, **fields) -> training.TrainConfig:
 def cmd_train_labels(args) -> None:
     out = _out_dir(args.out)
     h = _load_hierarchy(args)
-    split = hierarchy.load_split(args.split_dir)
-    labels = {
-        nid
-        for edges in (split.train, split.val, split.test, split.val_negatives, split.test_negatives)
-        for pair in edges
-        for nid in pair
-    }
-    unknown = sorted(labels - h.row_of.keys())
-    if unknown:
-        raise CliError(
-            f"hierarchy lacks {len(unknown)} of the {len(labels)} labels in the split: "
-            f"{training.name_some(unknown)}"
-        )
+    split = hierarchy.load_split(args.split_dir, h)
     optimizer = args.optimizer
     if optimizer is None:
         optimizer = "rsgd" if args.geometry == "hc" else "adam"

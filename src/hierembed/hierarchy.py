@@ -13,7 +13,13 @@ own entry at its own level, and ``-1`` fills the levels below it. The
 closure, label paths and within-level positions are read from these: the
 closure once, as ``closure_rows``, a read-only ``(P, 2)`` int64 array of
 (ancestor row, descendant row), sorted. Row order is id order, so its
-string view ``transitive_closure`` is sorted by id.
+id pairs are sorted by id.
+
+An ``EdgeSet`` holds rows too: a read-only ``(k, 2)`` array into a
+hierarchy's ``ids``. Closures, splits and evaluation negatives are built,
+checked and scored as rows; id strings appear only in an ``EdgeSet``'s lazy
+views (``pairs``, iteration, ``in``, ``to_set()``), in ``EdgeSet.of``, and
+where ``save_split``/``load_split`` write and read the split files.
 """
 
 from __future__ import annotations
@@ -45,26 +51,55 @@ class Node:
     name: str
 
 
-@dataclass(frozen=True)
-class EdgeSet:
-    """Ordered ``(u, v)`` pairs meaning ``v`` is a sub-concept of ``u``."""
+def name_some(names: Sequence[str], shown: int = 5) -> str:
+    """The first ``shown`` names, quoted, and how many more there are."""
+    more = f" and {len(names) - shown} more" if len(names) > shown else ""
+    return ", ".join(repr(name) for name in names[:shown]) + more
 
-    pairs: tuple[tuple[str, str], ...]
-    polarity: str = "positive"
-    _set: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
+
+def _first_fault(ids: Sequence[str], rows: np.ndarray) -> tuple[int, int | None, str] | None:
+    """The first row of ``rows`` that is a self-loop or repeats an earlier row: its
+    index, the earlier row's (None for a self-loop) and the fault; None if none."""
+    seen: dict[tuple[int, int], int] = {}
+    for i, (u, v) in enumerate(rows.tolist()):
+        if u == v or (u, v) in seen:
+            pair = f"edge ({ids[u]!r}, {ids[v]!r})"
+            return (i, None, f"self-loop {pair}") if u == v else (i, seen[u, v], f"duplicate {pair}")
+        seen[u, v] = i
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeSet:
+    """Ordered ``(u, v)`` pairs meaning ``v`` is a sub-concept of ``u``, none a
+    self-loop or repeated: ``rows``, a read-only ``(k, 2)`` int64 array of rows
+    into ``ids``, a hierarchy's sorted ids. The id pairs are built on first use."""
+
+    ids: tuple[str, ...] = field(repr=False)
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        seen = set()
-        for u, v in self.pairs:
-            if u == v:
-                raise HierarchyError(f"self-loop edge ({u!r}, {v!r})")
-            if (u, v) in seen:
-                raise HierarchyError(f"duplicate edge ({u!r}, {v!r})")
-            seen.add((u, v))
-        object.__setattr__(self, "_set", frozenset(seen))
+        rows = np.array(self.rows, dtype=np.int64).reshape(-1, 2)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        if fault := _first_fault(self.ids, rows):
+            raise HierarchyError(fault[2])
+
+    @classmethod
+    def of(cls, h: Hierarchy, pairs: Iterable[tuple[str, str]]) -> EdgeSet:
+        """The id pairs ``pairs`` as rows of ``h``."""
+        return cls(h.ids, [(h.row_of[u], h.row_of[v]) for u, v in pairs])
+
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        return tuple((self.ids[a], self.ids[b]) for a, b in self.rows.tolist())
+
+    @functools.cached_property
+    def _set(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.pairs)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self.pairs)
@@ -146,7 +181,6 @@ class Hierarchy:
             lvl: tuple(self.ids[r] for r in np.flatnonzero(self.level_of == lvl).tolist())
             for lvl in levels
         }
-        self._closure: EdgeSet | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -209,20 +243,13 @@ class Hierarchy:
         return rows
 
     def closure(self) -> EdgeSet:
-        if self._closure is None:
-            self._closure = transitive_closure(self)
-        return self._closure
-
-
-def _edge_set(h: Hierarchy, rows: np.ndarray) -> EdgeSet:
-    """The id pairs of hierarchy row pairs ``(k, 2)``, in their order."""
-    return EdgeSet(tuple((h.ids[a], h.ids[b]) for a, b in rows.tolist()))
+        return transitive_closure(self)
 
 
 def transitive_closure(h: Hierarchy) -> EdgeSet:
     """All (ancestor, descendant) pairs, basic edges included, sorted by id:
-    the string view of ``h.closure_rows``."""
-    return _edge_set(h, h.closure_rows)
+    the set of ``h.closure_rows``."""
+    return EdgeSet(h.ids, h.closure_rows)
 
 
 def split_edges(h: Hierarchy, nonbasic_train_fraction: float, seed: int) -> SplitResult:
@@ -248,11 +275,11 @@ def split_edges(h: Hierarchy, nonbasic_train_fraction: float, seed: int) -> Spli
     train[nonbasic[rest[:n_extra]]] = True
 
     def pick(i: np.ndarray) -> EdgeSet:
-        return _edge_set(h, rows[np.sort(nonbasic[i])])
+        return EdgeSet(h.ids, rows[np.sort(nonbasic[i])])
 
-    empty = EdgeSet((), polarity="negative")
+    empty = EdgeSet(h.ids, ())
     return SplitResult(
-        train=_edge_set(h, rows[train]),
+        train=EdgeSet(h.ids, rows[train]),
         val=pick(order[:n_eval]),
         test=pick(order[n_eval : 2 * n_eval]),
         val_negatives=empty,
@@ -262,31 +289,6 @@ def split_edges(h: Hierarchy, nonbasic_train_fraction: float, seed: int) -> Spli
     )
 
 
-def _corrupt_eval_side(
-    pos: tuple[str, str],
-    corrupt_u: bool,
-    pool: Sequence[str],
-    closure: frozenset[tuple[str, str]],
-    taken: set[tuple[str, str]],
-    rng: np.random.Generator,
-    count: int,
-) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    u, v = pos
-    for _ in range(count):
-        for _ in range(RETRY_CAP):
-            cand = pool[int(rng.integers(len(pool)))]
-            pair = (cand, v) if corrupt_u else (u, cand)
-            if pair[0] == pair[1] or pair in closure or pair in taken:
-                continue
-            taken.add(pair)
-            out.append(pair)
-            break
-        else:
-            break  # side exhausted; the caller tops up from the other side
-    return out
-
-
 def augment_eval_negatives(split: SplitResult, closure: EdgeSet, seed: int) -> SplitResult:
     """Attach 10 negatives per val/test positive: 5 corrupt-u, 5 corrupt-v.
 
@@ -294,47 +296,52 @@ def augment_eval_negatives(split: SplitResult, closure: EdgeSet, seed: int) -> S
     the negative set is duplicate-free. When one side has no valid
     corruption left (e.g. the sole root entails everything, so ``(root,
     y')`` is always a closure member), the missing draws come from the
-    other side so that each positive still gets 10 negatives.
+    other side so that each positive still gets 10 negatives. Candidates
+    are the closure's nodes; a pair of rows ``(a, b)`` is checked by its key
+    ``a * n + b``, n the label count.
     """
-    closed = closure.to_set()
-    nodes = sorted({n for pair in closed for n in pair})
+    ids, n = closure.ids, len(closure.ids)
+    if split.val.ids != ids or split.test.ids != ids:
+        raise ValueError("the split and the closure are over different hierarchies")
+    closed = set((closure.rows[:, 0] * n + closure.rows[:, 1]).tolist())
+    nodes = np.unique(closure.rows).tolist()
     rng = np.random.default_rng(seed)
 
-    def build(positives: EdgeSet) -> tuple[tuple[tuple[str, str], ...], tuple[int, ...]]:
-        taken: set[tuple[str, str]] = set()
-        pairs: list[tuple[str, str]] = []
+    def corrupt(pos: list[int], corrupt_u: bool, taken: set[int], count: int) -> list[tuple[int, int]]:
+        out: list[tuple[int, int]] = []
+        u, v = pos
+        for _ in range(count):
+            for _ in range(RETRY_CAP):
+                cand = nodes[int(rng.integers(len(nodes)))]
+                a, b = (cand, v) if corrupt_u else (u, cand)
+                key = a * n + b
+                if a == b or key in closed or key in taken:
+                    continue
+                taken.add(key)
+                out.append((a, b))
+                break
+            else:
+                break  # side exhausted; the caller tops up from the other side
+        return out
+
+    def build(positives: EdgeSet) -> tuple[EdgeSet, tuple[int, ...]]:
+        taken: set[int] = set()
+        pairs: list[tuple[int, int]] = []
         refs: list[int] = []
-        for idx, pos in enumerate(positives):
-            got: list[tuple[str, str]] = []
+        for idx, pos in enumerate(positives.rows.tolist()):
+            got = corrupt(pos, True, taken, 5) + corrupt(pos, False, taken, 5)
             for corrupt_u in (True, False):
-                got.extend(
-                    _corrupt_eval_side(pos, corrupt_u, nodes, closed, taken, rng, 5)
-                )
-            for corrupt_u in (True, False):
-                if len(got) >= 10:
-                    break
-                got.extend(
-                    _corrupt_eval_side(
-                        pos, corrupt_u, nodes, closed, taken, rng, 10 - len(got)
-                    )
-                )
+                got += corrupt(pos, corrupt_u, taken, 10 - len(got))
             if len(got) < 10:
-                raise SamplingError(
-                    f"no non-closure corruption for {pos} after {RETRY_CAP} retries"
-                )
+                raise SamplingError(f"no non-closure corruption for {(ids[pos[0]], ids[pos[1]])} "
+                                    f"after {RETRY_CAP} retries")
             pairs.extend(got)
             refs.extend([idx] * len(got))
-        return tuple(pairs), tuple(refs)
+        return EdgeSet(ids, pairs), tuple(refs)
 
-    val_pairs, val_refs = build(split.val)
-    test_pairs, test_refs = build(split.test)
-    return replace(
-        split,
-        val_negatives=EdgeSet(val_pairs, polarity="negative"),
-        test_negatives=EdgeSet(test_pairs, polarity="negative"),
-        val_negative_refs=val_refs,
-        test_negative_refs=test_refs,
-    )
+    (val, val_refs), (test, test_refs) = build(split.val), build(split.test)
+    return replace(split, val_negatives=val, test_negatives=test, val_negative_refs=val_refs,
+                   test_negative_refs=test_refs)
 
 
 def generate_synthetic_tree(levels: int, branching: int) -> Hierarchy:
@@ -375,42 +382,61 @@ def load_hierarchy(nodes_path, edges_path) -> Hierarchy:
     return Hierarchy(list(nodes), list(zip(*read_tsv(edges_path, 2))))
 
 
-def save_edge_tsv(edges: Iterable[tuple[str, str]], path) -> None:
-    write_tsv(path, edges)
-
-
-def load_edge_tsv(path, polarity: str = "positive") -> EdgeSet:
-    return EdgeSet(tuple(zip(*read_tsv(path, 2))), polarity=polarity)
-
-
 NEGATIVES_HEADER = ("split", "parent_id", "child_id", "pos_ref")
 
 
 def save_split(split: SplitResult, out_dir) -> None:
     """Write train/val/test edge TSVs plus one negatives TSV with pos_ref."""
     out = Path(out_dir)
-    save_edge_tsv(split.train, out / "train_edges.tsv")
-    save_edge_tsv(split.val, out / "val_edges.tsv")
-    save_edge_tsv(split.test, out / "test_edges.tsv")
+    for name in ("train", "val", "test"):
+        write_tsv(out / f"{name}_edges.tsv", getattr(split, name))
     rows = [("val", u, v, str(r)) for (u, v), r in zip(split.val_negatives, split.val_negative_refs)]
     rows += [("test", u, v, str(r)) for (u, v), r in zip(split.test_negatives, split.test_negative_refs)]
     write_tsv(out / "eval_negatives.tsv", rows, header=NEGATIVES_HEADER)
 
 
-def load_split(split_dir) -> SplitResult:
+def load_split(split_dir, h: Hierarchy) -> SplitResult:
+    """The split saved in ``split_dir``, as rows of ``h``.
+
+    A label ``h`` lacks, counted over all five lists, is a ``HierarchyError``. A
+    ``FormatError`` names the file and line of a self-loop or repeated pair, of an
+    evaluation negative that is a closure pair, and of a ``pos_ref`` that is no row
+    of its split's positives.
+    """
     out = Path(split_dir)
     path = out / "eval_negatives.tsv"
     which, us, vs, refs = read_tsv(path, 4, header=NEGATIVES_HEADER)
     refs = int_column(path, refs, 1)
     if unknown := [i for i, name in enumerate(which) if name not in ("val", "test")]:
         raise row_error(path, unknown[0] + 1, f"split {which[unknown[0]]!r} is neither 'val' nor 'test'")
-    rows = {name: [i for i, w in enumerate(which) if w == name] for name in ("val", "test")}
-    return SplitResult(
-        train=load_edge_tsv(out / "train_edges.tsv"),
-        val=load_edge_tsv(out / "val_edges.tsv"),
-        test=load_edge_tsv(out / "test_edges.tsv"),
-        val_negatives=EdgeSet(tuple((us[i], vs[i]) for i in rows["val"]), polarity="negative"),
-        test_negatives=EdgeSet(tuple((us[i], vs[i]) for i in rows["test"]), polarity="negative"),
-        val_negative_refs=tuple(refs[i] for i in rows["val"]),
-        test_negative_refs=tuple(refs[i] for i in rows["test"]),
-    )
+    lists, split_refs = {}, {}  # lists: name -> file, the line index of each pair, its ids
+    for name in ("train", "val", "test"):
+        parents, children = read_tsv(out / f"{name}_edges.tsv", 2)
+        lists[name] = (out / f"{name}_edges.tsv", range(len(parents)), parents, children)
+    for name in ("val", "test"):
+        at = [i for i, w in enumerate(which) if w == name]
+        lists[f"{name}_negatives"] = (path, [i + 1 for i in at], [us[i] for i in at], [vs[i] for i in at])
+        split_refs[f"{name}_negative_refs"] = tuple(refs[i] for i in at)
+    labels = {nid for _, _, *columns in lists.values() for column in columns for nid in column}
+    if unknown := sorted(labels - h.row_of.keys()):
+        raise HierarchyError(f"hierarchy lacks {len(unknown)} of the {len(labels)} labels in the "
+                             f"split: {name_some(unknown)}")
+    sets = {}
+    for name, (file, lines, parents, children) in lists.items():
+        rows = np.array([(h.row_of[u], h.row_of[v]) for u, v in zip(parents, children)],
+                        dtype=np.int64).reshape(-1, 2)
+        if fault := _first_fault(h.ids, rows):
+            i, earlier, problem = fault
+            raise row_error(file, lines[i], problem, None if earlier is None else lines[earlier])
+        sets[name] = EdgeSet(h.ids, rows)
+    n, closure = len(h.ids), h.closure_rows[:, 0] * len(h.ids) + h.closure_rows[:, 1]
+    for name in ("val", "test"):
+        negatives, lines = sets[f"{name}_negatives"], lists[f"{name}_negatives"][1]
+        closed = np.isin(negatives.rows[:, 0] * n + negatives.rows[:, 1], closure)
+        for i, ref in enumerate(split_refs[f"{name}_negative_refs"]):
+            if closed[i]:
+                raise row_error(path, lines[i], f"negative {negatives.pairs[i]} is a closure pair")
+            if not 0 <= ref < len(sets[name]):
+                raise row_error(path, lines[i], f"pos_ref {ref} is no row of the {len(sets[name])} "
+                                f"{name} positives")
+    return SplitResult(**sets, **split_refs)

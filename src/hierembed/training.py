@@ -35,7 +35,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import ConeParams
-from .hierarchy import RETRY_CAP, EdgeSet, Hierarchy, SplitResult
+from .hierarchy import RETRY_CAP, EdgeSet, Hierarchy, SplitResult, name_some
 from .metrics import ConfusionCounts, accuracy, precision_recall_f1
 
 
@@ -90,12 +90,6 @@ class TrainConfig:
         return ConeParams(kind=self.kind, k=self.aperture_k, oe_squared=self.oe_squared)
 
 
-def name_some(names: Sequence[str], shown: int = 5) -> str:
-    """The first ``shown`` names, quoted, and how many more there are."""
-    more = f" and {len(names) - shown} more" if len(names) > shown else ""
-    return ", ".join(repr(name) for name in names[:shown]) + more
-
-
 @dataclass
 class EmbeddingTable:
     """One point per label, rows in sorted node-id order."""
@@ -123,10 +117,6 @@ class EmbeddingTable:
                 f"model lacks {len(missing)} of the {len(set(node_ids))} hierarchy labels "
                 f"being scored: {name_some(missing)}"
             ) from None
-
-    def pair_rows(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-        """Rows ``(k, 2)`` of label pairs, by :meth:`rows`."""
-        return self.rows([nid for pair in pairs for nid in pair]).reshape(-1, 2)
 
     def point(self, node_id: str) -> np.ndarray:
         return self.coords[self._row[node_id]]
@@ -331,14 +321,12 @@ def _batch_step(
 
 
 def max_margin_loss(
-    positives: Sequence[tuple[str, str]],
-    negatives: Sequence[tuple[str, str]],
-    emb: EmbeddingTable,
-    margin: float,
+    positives: EdgeSet, negatives: EdgeSet, emb: EmbeddingTable, margin: float
 ) -> tuple[float, np.ndarray]:
     """Hinge loss over edge sets with gradients accumulated per node row (one batch step)."""
     pos_loss, neg_loss, grad, _ = _batch_step(
-        emb.pair_rows(positives), emb.pair_rows(negatives), emb.coords, emb.params, margin
+        emb.rows(positives.ids)[positives.rows], emb.rows(negatives.ids)[negatives.rows],
+        emb.coords, emb.params, margin,
     )
     return pos_loss + neg_loss, grad
 
@@ -835,17 +823,18 @@ def train_label_embeddings(
         res = evaluate_edge_prediction(table, split.val, split.val_negatives)
         return {"val_f1": res.f1, "threshold": res.threshold}
 
-    positives = np.array([(h.row_of[u], h.row_of[v]) for u, v in split.train], dtype=np.int64)
+    if split.train.ids != h.ids:
+        raise ValueError("the split's edges are over another hierarchy's labels")
     coords, _, history = train_graph_embedding(
-        h, positives, config, init_coords=init_coords, epoch_hook=hook
+        h, split.train.rows, config, init_coords=init_coords, epoch_hook=hook
     )
     return EmbeddingTable(h.ids, coords, params), history
 
 
-def pair_energies(emb: EmbeddingTable, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-    if not len(pairs):
-        return np.zeros(0)
-    rows = emb.pair_rows(pairs)
+def pair_energies(emb: EmbeddingTable, edges: EdgeSet) -> np.ndarray:
+    """The energy of each pair of ``edges``; a ``ValueError`` names the labels of
+    ``edges.ids`` that ``emb`` lacks."""
+    rows = emb.rows(edges.ids)[edges.rows]
     return geometry.energies(emb.coords[rows[:, 0]], emb.coords[rows[:, 1]], emb.params)
 
 
@@ -899,9 +888,7 @@ def evaluate_edge_prediction(
     """Best-F1 threshold over the pooled energy multiset (classify E <= t)."""
     if not len(positives) or not len(negatives):
         raise ValueError("edge prediction needs non-empty positive and negative sets")
-    return _best_threshold(
-        pair_energies(emb, tuple(positives)), pair_energies(emb, tuple(negatives))
-    )
+    return _best_threshold(pair_energies(emb, positives), pair_energies(emb, negatives))
 
 
 def edge_prediction_at_threshold(
@@ -910,6 +897,4 @@ def edge_prediction_at_threshold(
     """Metrics of a fixed, externally chosen threshold (e.g. from val)."""
     if not len(positives) or not len(negatives):
         raise ValueError("edge prediction needs non-empty positive and negative sets")
-    return _metrics_at(
-        pair_energies(emb, tuple(positives)), pair_energies(emb, tuple(negatives)), threshold
-    )
+    return _metrics_at(pair_energies(emb, positives), pair_energies(emb, negatives), threshold)

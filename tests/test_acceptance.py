@@ -204,9 +204,9 @@ TOY_RUNS = {
 
 
 def _heldout_sets(split):
-    pos = EdgeSet(tuple(split.val) + tuple(split.test))
+    pos = EdgeSet(split.val.ids, np.concatenate([split.val.rows, split.test.rows]))
     neg = EdgeSet(
-        tuple(split.val_negatives) + tuple(split.test_negatives), polarity="negative"
+        split.val.ids, np.concatenate([split.val_negatives.rows, split.test_negatives.rows])
     )
     return pos, neg
 

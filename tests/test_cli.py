@@ -136,7 +136,7 @@ class TestTrainLabels:
         assert (payload["error"], payload["type"]) == (
             "hierarchy lacks 6 of the 13 labels in the split: "
             "'r.0.2', 'r.1.2', 'r.2', 'r.2.0', 'r.2.1' and 1 more",
-            "CliError",
+            "HierarchyError",
         )
         assert not (out / "embeddings.emb").exists()
 

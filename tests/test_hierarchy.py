@@ -1,5 +1,8 @@
 """Hierarchy structure, closures, splits, and negative sampling."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +10,12 @@ from hypothesis import strategies as st
 
 from hierembed.heads import HierarchyIndex
 from hierembed.hierarchy import (
+    RETRY_CAP,
     EdgeSet,
     Hierarchy,
     HierarchyError,
     Node,
+    SamplingError,
     augment_eval_negatives,
     generate_synthetic_tree,
     load_hierarchy,
@@ -21,7 +26,7 @@ from hierembed.hierarchy import (
     transitive_closure,
 )
 from hierembed.joint import FeatureMatrix, instance_positive_rows, level_truth
-from hierembed.storage import FormatError
+from hierembed.storage import FormatError, write_tsv
 from hierembed.training import _Graph
 
 
@@ -66,21 +71,24 @@ class TestStructure:
         assert h.roots() == ("a", "b")
 
     def test_edge_set_rejects_duplicates_and_loops(self):
-        with pytest.raises(HierarchyError):
-            EdgeSet((("a", "b"), ("a", "b")))
-        with pytest.raises(HierarchyError):
-            EdgeSet((("a", "a"),))
+        h = Hierarchy([Node(nid, 1, nid) for nid in "abcd"], [])
+        with pytest.raises(HierarchyError, match=r"^duplicate edge \('a', 'b'\)$"):
+            EdgeSet.of(h, (("a", "b"), ("a", "b")))
+        with pytest.raises(HierarchyError, match=r"^self-loop edge \('a', 'a'\)$"):
+            EdgeSet.of(h, (("a", "a"),))
 
     def test_edge_set_membership_is_built_once(self):
-        edges = EdgeSet((("a", "b"), ("a", "c"), ("b", "d")))
+        h = Hierarchy([Node(nid, 1, nid) for nid in "abcd"], [])
+        edges = EdgeSet.of(h, (("a", "b"), ("a", "c"), ("b", "d")))
+        assert edges.rows.tolist() == [[0, 1], [0, 2], [1, 3]]
+        assert edges.rows.dtype == np.int64 and not edges.rows.flags.writeable
         first = edges.to_set()
         assert first == {("a", "b"), ("a", "c"), ("b", "d")}
         for _ in range(2):
             assert ("a", "b") in edges and ["b", "d"] in edges
             assert ("b", "a") not in edges and ("a", "d") not in edges
             assert edges.to_set() is first
-        assert edges == EdgeSet((("a", "b"), ("a", "c"), ("b", "d")))
-        assert hash(edges) == hash(EdgeSet((("a", "b"), ("a", "c"), ("b", "d"))))
+        assert EdgeSet(h.ids, [[0, 1], [0, 2], [1, 3]]).pairs == edges.pairs
         assert "_set" not in repr(edges)
 
     def test_leaf_descendants(self):
@@ -210,7 +218,9 @@ class TestRoundTrip:
         h = generate_synthetic_tree(4, 3)
         split = augment_eval_negatives(split_edges(h, 0.25, 2), h.closure(), 2)
         save_split(split, tmp_path)
-        loaded = load_split(tmp_path)
+        loaded = load_split(tmp_path, h)
+        for name in ("train", "val", "test", "val_negatives", "test_negatives"):
+            assert getattr(loaded, name).rows.tolist() == getattr(split, name).rows.tolist()
         assert loaded.train.pairs == split.train.pairs
         assert loaded.val.pairs == split.val.pairs
         assert loaded.test.pairs == split.test.pairs
@@ -250,22 +260,64 @@ class TestRoundTrip:
         path = tmp_path / "eval_negatives.tsv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         assert len(lines) == 61 and lines[1].startswith("val\t")
-        return path, lines
+        return h, path, lines
 
     def test_split_without_its_header(self, negatives):
-        path, lines = negatives
+        h, path, lines = negatives
         path.write_text("".join(lines[1:]), encoding="utf-8")
         with pytest.raises(FormatError) as err:
-            load_split(path.parent)
+            load_split(path.parent, h)
         assert str(err.value).startswith(f"{path}, line 1: 'val\\t")
         assert str(err.value).endswith("is not the header 'split\\tparent_id\\tchild_id\\tpos_ref'")
 
     def test_split_of_an_unknown_name(self, negatives):
-        path, lines = negatives
+        h, path, lines = negatives
         path.write_text("".join([lines[0], "vall" + lines[1][3:], *lines[2:]]), encoding="utf-8")
         with pytest.raises(FormatError) as err:
-            load_split(path.parent)
+            load_split(path.parent, h)
         assert str(err.value) == f"{path}, line 2: split 'vall' is neither 'val' nor 'test'"
+
+    def test_negative_that_is_a_closure_pair(self, negatives):
+        h, path, lines = negatives
+        path.write_text("".join([lines[0], "val\tr\tr.0\t0\n", *lines[2:]]), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_split(path.parent, h)
+        assert str(err.value) == f"{path}, line 2: negative ('r', 'r.0') is a closure pair"
+
+    @pytest.mark.parametrize("ref", ["3", "999", "-1"])
+    def test_pos_ref_outside_its_positives(self, negatives, ref):
+        h, path, lines = negatives
+        assert (path.parent / "val_edges.tsv").read_text().count("\n") == 3
+        row = lines[5].rsplit("\t", 1)[0] + f"\t{ref}\n"
+        path.write_text("".join([*lines[:5], row, *lines[6:]]), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_split(path.parent, h)
+        assert str(err.value) == f"{path}, line 6: pos_ref {ref} is no row of the 3 val positives"
+
+    @pytest.mark.parametrize("name", ["train_edges", "val_edges", "test_edges", "eval_negatives"])
+    def test_repeated_pair_names_both_lines(self, negatives, name):
+        h, path, _ = negatives
+        path = path.parent / f"{name}.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = 1 if name == "eval_negatives" else 0  # the first pair, below any header
+        path.write_text("".join([*lines[: at + 1], lines[at], *lines[at + 1 :]]), encoding="utf-8")
+        u, v = lines[at].rstrip("\n").split("\t")[at : at + 2]
+        with pytest.raises(FormatError) as err:
+            load_split(path.parent, h)
+        assert str(err.value) == (
+            f"{path}, lines {at + 1} and {at + 2}: duplicate edge ({u!r}, {v!r})"
+        )
+
+    @pytest.mark.parametrize("name", ["train_edges", "val_edges", "test_edges", "eval_negatives"])
+    def test_self_loop_names_its_line(self, negatives, name):
+        h, path, _ = negatives
+        path = path.parent / f"{name}.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        loop = "test\tr.1\tr.1\t0\n" if name == "eval_negatives" else "r.1\tr.1\n"
+        path.write_text("".join([*lines, loop]), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_split(path.parent, h)
+        assert str(err.value) == f"{path}, line {len(lines) + 1}: self-loop edge ('r.1', 'r.1')"
 
 
 # ---------------------------------------------------------------------------
@@ -466,3 +518,92 @@ class TestTreeTable:
             assert str(err.value) == message
         with pytest.raises(ValueError, match=message):
             features.validate_against(h)
+
+
+# ---------------------------------------------------------------------------
+# The row split against the string split it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_corrupt_eval_side(pos, corrupt_u, pool, closure, taken, rng, count) -> list:
+    """Up to ``count`` id pairs that replace one side of ``pos`` by a draw from
+    ``pool``, rejected against sets of id pairs."""
+    out = []
+    u, v = pos
+    for _ in range(count):
+        for _ in range(RETRY_CAP):
+            cand = pool[int(rng.integers(len(pool)))]
+            pair = (cand, v) if corrupt_u else (u, cand)
+            if pair[0] == pair[1] or pair in closure or pair in taken:
+                continue
+            taken.add(pair)
+            out.append(pair)
+            break
+        else:
+            break
+    return out
+
+
+def ref_eval_negatives(positives, closure, rng) -> tuple:
+    """One split's negative id pairs and pos_refs, drawn over id strings."""
+    nodes = sorted({n for pair in closure for n in pair})
+    taken, pairs, refs = set(), [], []
+    for idx, pos in enumerate(positives):
+        got = []
+        for corrupt_u in (True, False):
+            got.extend(ref_corrupt_eval_side(pos, corrupt_u, nodes, closure, taken, rng, 5))
+        for corrupt_u in (True, False):
+            if len(got) >= 10:
+                break
+            got.extend(
+                ref_corrupt_eval_side(pos, corrupt_u, nodes, closure, taken, rng, 10 - len(got))
+            )
+        if len(got) < 10:
+            raise SamplingError(f"no non-closure corruption for {pos} after {RETRY_CAP} retries")
+        pairs.extend(got)
+        refs.extend([idx] * len(got))
+    return pairs, refs
+
+
+def ref_save_split(h: Hierarchy, fraction: float, seed: int, out) -> None:
+    """The split files of ``h`` as the string split wrote them."""
+    train, val, test = ref_split_edges(h, fraction, seed)
+    closure = set(ref_transitive_closure(h))
+    rng = np.random.default_rng(seed)
+    negatives = [("split", "parent_id", "child_id", "pos_ref")]
+    for name, positives in (("val", val), ("test", test)):
+        pairs, refs = ref_eval_negatives(positives, closure, rng)
+        negatives += [(name, u, v, str(r)) for (u, v), r in zip(pairs, refs)]
+    for name, pairs in (("train", train), ("val", val), ("test", test)):
+        write_tsv(out / f"{name}_edges.tsv", pairs)
+    write_tsv(out / "eval_negatives.tsv", negatives)
+
+
+SPLIT_TABLES = ("train_edges.tsv", "val_edges.tsv", "test_edges.tsv", "eval_negatives.tsv")
+SPLIT_SETS = ("train", "val", "test", "val_negatives", "test_negatives")
+
+
+class TestSplitIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(uneven_forests(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_split_files_match_the_string_split(self, h, fraction, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new"), Path(tmp, "old")
+            new.mkdir(), old.mkdir()
+            try:
+                ref_save_split(h, fraction, seed, old)
+            except SamplingError as exc:
+                with pytest.raises(SamplingError) as err:
+                    augment_eval_negatives(split_edges(h, fraction, seed), h.closure(), seed)
+                assert str(err.value) == str(exc)
+                return
+            split = augment_eval_negatives(split_edges(h, fraction, seed), h.closure(), seed)
+            save_split(split, new)
+            for name in SPLIT_TABLES:
+                assert (new / name).read_bytes() == (old / name).read_bytes(), name
+            loaded = load_split(new, h)
+            for name in SPLIT_SETS:
+                got, want = getattr(loaded, name).rows, getattr(split, name).rows
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+            assert loaded.val_negative_refs == split.val_negative_refs
+            assert loaded.test_negative_refs == split.test_negative_refs

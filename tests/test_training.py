@@ -80,6 +80,14 @@ def one_positive(sampler, graph, u, v, rng, config):
     return [tuple(p) for p in pairs.tolist()]
 
 
+def edge_set(*pairs):
+    """Id ``pairs`` as an EdgeSet over a one-level hierarchy of just their labels."""
+    labels = sorted({nid for pair in pairs for nid in pair})
+    if not labels:
+        return EdgeSet((), ())
+    return EdgeSet.of(Hierarchy([Node(nid, 1, nid) for nid in labels], []), pairs)
+
+
 def table_of(coords, kind="ec"):
     ids = tuple(f"n{i}" for i in range(len(coords)))
     return EmbeddingTable(ids, np.asarray(coords, dtype=float), ConeParams(kind, 0.1))
@@ -89,32 +97,32 @@ class TestMaxMarginLoss:
     def test_satisfied_pairs_zero(self):
         emb = table_of([[0.2, 0.0], [0.5, 0.0], [0.2, 0.18]])
         # n1 on n0's axis (inside); n2 far outside with energy >= margin
-        e_pos = pair_energies(emb, [("n0", "n1")])
-        e_neg = pair_energies(emb, [("n0", "n2")])
+        e_pos = pair_energies(emb, edge_set(("n0", "n1")))
+        e_neg = pair_energies(emb, edge_set(("n0", "n2")))
         assert e_pos[0] == 0.0 and e_neg[0] >= 0.5
-        loss, grad = max_margin_loss([("n0", "n1")], [("n0", "n2")], emb, 0.5)
+        loss, grad = max_margin_loss(edge_set(("n0", "n1")), edge_set(("n0", "n2")), emb, 0.5)
         assert loss == 0.0
         assert not grad.any()
 
     def test_additive_terms(self):
         emb = table_of([[0.3, 0.0], [0.25, 0.2], [0.4, 0.0]])
-        e_pos = pair_energies(emb, [("n0", "n1")])[0]
-        e_neg = pair_energies(emb, [("n0", "n2")])[0]
+        e_pos = pair_energies(emb, edge_set(("n0", "n1")))[0]
+        e_neg = pair_energies(emb, edge_set(("n0", "n2")))[0]
         margin = 1.0
-        loss, _ = max_margin_loss([("n0", "n1")], [("n0", "n2")], emb, margin)
+        loss, _ = max_margin_loss(edge_set(("n0", "n1")), edge_set(("n0", "n2")), emb, margin)
         assert loss == pytest.approx(e_pos + max(0.0, margin - e_neg))
 
     def test_saturated_negative_no_gradient(self):
         emb = table_of([[0.2, 0.0], [-0.2, 0.1]])
-        e = pair_energies(emb, [("n0", "n1")])[0]
+        e = pair_energies(emb, edge_set(("n0", "n1")))[0]
         assert e > 0.3
-        loss, grad = max_margin_loss([], [("n0", "n1")], emb, 0.3)
+        loss, grad = max_margin_loss(edge_set(), edge_set(("n0", "n1")), emb, 0.3)
         assert loss == 0.0
         assert not grad.any()
 
     def test_empty_positive_set(self):
         emb = table_of([[0.2, 0.0], [0.5, 0.0]])
-        loss, _ = max_margin_loss([], [("n0", "n1")], emb, 1.0)
+        loss, _ = max_margin_loss(edge_set(), edge_set(("n0", "n1")), emb, 1.0)
         assert loss == pytest.approx(1.0)  # hinge on a zero-energy negative
 
 
@@ -334,18 +342,18 @@ class TestTrainer:
 class TestEdgePrediction:
     def test_separated_sets(self):
         emb = table_of([[0.2, 0.0], [0.5, 0.0], [-0.5, 0.0]])
-        pos = EdgeSet((("n0", "n1"),))
-        neg = EdgeSet((("n0", "n2"),), polarity="negative")
+        pos = edge_set(("n0", "n1"))
+        neg = edge_set(("n0", "n2"))
         res = evaluate_edge_prediction(emb, pos, neg)
         assert res.f1 == 1.0 and res.accuracy == 1.0
-        assert pair_energies(emb, [("n0", "n1")])[0] <= res.threshold
+        assert pair_energies(emb, edge_set(("n0", "n1")))[0] <= res.threshold
 
     def test_all_energies_identical_degenerates_to_all_positive(self):
         emb = table_of([[0.2, 0.0], [0.2, 0.0001], [0.2, -0.0001]], kind="oe")
         # oe energy of identical-ish pairs: use exact ties via same coordinates
         emb = table_of([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], kind="oe")
-        pos = EdgeSet((("n0", "n1"),))
-        neg = EdgeSet((("n0", "n2"),), polarity="negative")
+        pos = edge_set(("n0", "n1"))
+        neg = edge_set(("n0", "n2"))
         res = evaluate_edge_prediction(emb, pos, neg)
         # everything at energy zero: the sweep must fall back to all-positive
         assert res.recall == 1.0
@@ -354,15 +362,15 @@ class TestEdgePrediction:
     def test_empty_sets_rejected(self):
         emb = table_of([[0.2, 0.0], [0.5, 0.0]])
         with pytest.raises(ValueError):
-            evaluate_edge_prediction(emb, EdgeSet(()), EdgeSet((("n0", "n1"),)))
+            evaluate_edge_prediction(emb, edge_set(), edge_set(("n0", "n1")))
 
     def test_threshold_sweep_is_order_based(self):
         # scaling all coordinates (hence energies, for oe) cannot change
         # which pairs a swept threshold separates
         rng = np.random.default_rng(4)
         coords = rng.standard_normal((6, 3))
-        pos = EdgeSet((("n0", "n1"), ("n2", "n3")))
-        neg = EdgeSet((("n4", "n5"), ("n1", "n2")), polarity="negative")
+        pos = edge_set(("n0", "n1"), ("n2", "n3"))
+        neg = edge_set(("n4", "n5"), ("n1", "n2"))
         r1 = evaluate_edge_prediction(table_of(coords, "oe"), pos, neg)
         r2 = evaluate_edge_prediction(table_of(coords * 3.7, "oe"), pos, neg)
         assert r1.f1 == pytest.approx(r2.f1)
@@ -1548,6 +1556,6 @@ class TestEngineInSpans:
     def test_missing_label_is_named(self):
         emb = table_of([[0.2, 0.0], [0.5, 0.0]])
         with pytest.raises(ValueError, match=r"lacks 1 .*'n7'"):
-            max_margin_loss([("n0", "n1")], [("n0", "n7")], emb, 1.0)
+            max_margin_loss(edge_set(("n0", "n1")), edge_set(("n0", "n7")), emb, 1.0)
         with pytest.raises(ValueError, match=r"lacks 1 .*'n9'"):
-            pair_energies(emb, [("n9", "n1")])
+            pair_energies(emb, edge_set(("n9", "n1")))
