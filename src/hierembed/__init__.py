@@ -30,8 +30,6 @@ from .hierarchy import (
 from .joint import (
     FeatureMatrix,
     JointModel,
-    classify_instance,
-    embed_instance,
     reconstruct_labels,
     train_joint,
 )
@@ -41,7 +39,6 @@ from .training import (
     TrainConfig,
     TrainingError,
     evaluate_edge_prediction,
-    max_margin_loss,
     optimizer_step,
     train_label_embeddings,
 )

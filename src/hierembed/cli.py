@@ -459,7 +459,7 @@ def cmd_export_2d(args) -> None:
     if unknown:
         raise CliError(
             f"hierarchy lacks {len(unknown)} of the {len(node_ids)} model labels "
-            f"being exported: {training.name_some(unknown)}"
+            f"being exported: {hierarchy.name_some(unknown)}"
         )
     if args.method == "raw2d":
         if coords.shape[1] != 2:

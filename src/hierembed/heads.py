@@ -513,18 +513,12 @@ class ImbalancePolicy:
     weights: dict | None = None
 
     @classmethod
-    def from_labels(
-        cls, mode: str, leaf_labels: Sequence[str], label_universe: Sequence[str] | None = None
-    ) -> "ImbalancePolicy":
+    def from_labels(cls, mode: str, leaf_labels: Sequence[str]) -> "ImbalancePolicy":
         if mode not in ("none", "class-weights", "resample"):
             raise HeadError(f"unknown imbalance mode {mode!r}")
         if mode == "none":
             return cls("none", None)
         counts = Counter(leaf_labels)
-        if label_universe is not None:
-            missing = sorted(set(label_universe) - set(counts))
-            if missing:
-                raise HeadError(f"zero-frequency labels: {missing[:5]}")
         n = len(leaf_labels)
         k = len(counts)
         weights = {lab: n / (k * c) for lab, c in counts.items()}

@@ -18,8 +18,8 @@ id pairs are sorted by id.
 An ``EdgeSet`` holds rows too: a read-only ``(k, 2)`` array into a
 hierarchy's ``ids``. Closures, splits and evaluation negatives are built,
 checked and scored as rows; id strings appear only in an ``EdgeSet``'s lazy
-views (``pairs``, iteration, ``in``, ``to_set()``), in ``EdgeSet.of``, and
-where ``save_split``/``load_split`` write and read the split files.
+id views, ``pairs`` and iteration, and where ``save_split``/``load_split``
+write and read the split files.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -85,30 +85,15 @@ class EdgeSet:
         if fault := _first_fault(self.ids, rows):
             raise HierarchyError(fault[2])
 
-    @classmethod
-    def of(cls, h: Hierarchy, pairs: Iterable[tuple[str, str]]) -> EdgeSet:
-        """The id pairs ``pairs`` as rows of ``h``."""
-        return cls(h.ids, [(h.row_of[u], h.row_of[v]) for u, v in pairs])
-
     @functools.cached_property
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple((self.ids[a], self.ids[b]) for a, b in self.rows.tolist())
-
-    @functools.cached_property
-    def _set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.pairs)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        return tuple(pair) in self._set
-
-    def to_set(self) -> frozenset[tuple[str, str]]:
-        return self._set
 
 
 @dataclass(frozen=True)
@@ -217,19 +202,10 @@ class Hierarchy:
     def parent(self, node_id: str) -> str | None:
         return self._parent.get(node_id)
 
-    def roots(self) -> tuple[str, ...]:
-        return self._level_members[1]
-
     def ancestors(self, node_id: str) -> tuple[str, ...]:
         """Strict ancestors ordered parent first, root last."""
         r = self.row_of[node_id]
         return tuple(self.ids[a] for a in self.anc[r, : self.level_of[r] - 1][::-1])
-
-    def leaf_descendants(self, node_id: str) -> tuple[str, ...]:
-        """Deepest-level descendants of ``node_id`` (itself if at level L)."""
-        r = self.row_of[node_id]
-        under = (self.anc[:, self.level_of[r] - 1] == r) & (self.level_of == self._level_count)
-        return tuple(self.ids[d] for d in np.flatnonzero(under))
 
     @functools.cached_property
     def closure_rows(self) -> np.ndarray:
@@ -399,9 +375,10 @@ def load_split(split_dir, h: Hierarchy) -> SplitResult:
     """The split saved in ``split_dir``, as rows of ``h``.
 
     A label ``h`` lacks, counted over all five lists, is a ``HierarchyError``. A
-    ``FormatError`` names the file and line of a self-loop or repeated pair, of an
-    evaluation negative that is a closure pair, and of a ``pos_ref`` that is no row
-    of its split's positives.
+    ``FormatError`` names the file and line of a self-loop or repeated pair, of a
+    positive that is no closure pair, of an evaluation negative that is a closure
+    pair, of a ``pos_ref`` that is no row of its split's positives, and of a
+    negative that keeps neither side of the positive its ``pos_ref`` names.
     """
     out = Path(split_dir)
     path = out / "eval_negatives.tsv"
@@ -430,13 +407,25 @@ def load_split(split_dir, h: Hierarchy) -> SplitResult:
             raise row_error(file, lines[i], problem, None if earlier is None else lines[earlier])
         sets[name] = EdgeSet(h.ids, rows)
     n, closure = len(h.ids), h.closure_rows[:, 0] * len(h.ids) + h.closure_rows[:, 1]
+
+    def closed(edges: EdgeSet) -> np.ndarray:
+        return np.isin(edges.rows[:, 0] * n + edges.rows[:, 1], closure)
+
+    for name in ("train", "val", "test"):
+        if len(stray := np.flatnonzero(~closed(sets[name]))):
+            i = int(stray[0])
+            raise row_error(lists[name][0], i, f"positive {sets[name].pairs[i]} is no closure pair")
     for name in ("val", "test"):
         negatives, lines = sets[f"{name}_negatives"], lists[f"{name}_negatives"][1]
-        closed = np.isin(negatives.rows[:, 0] * n + negatives.rows[:, 1], closure)
-        for i, ref in enumerate(split_refs[f"{name}_negative_refs"]):
-            if closed[i]:
+        is_closed, positives = closed(negatives), sets[name].rows.tolist()
+        pos_refs = split_refs[f"{name}_negative_refs"]
+        for i, ((u, v), ref) in enumerate(zip(negatives.rows.tolist(), pos_refs)):
+            if is_closed[i]:
                 raise row_error(path, lines[i], f"negative {negatives.pairs[i]} is a closure pair")
-            if not 0 <= ref < len(sets[name]):
-                raise row_error(path, lines[i], f"pos_ref {ref} is no row of the {len(sets[name])} "
+            if not 0 <= ref < len(positives):
+                raise row_error(path, lines[i], f"pos_ref {ref} is no row of the {len(positives)} "
                                 f"{name} positives")
+            if u != positives[ref][0] and v != positives[ref][1]:
+                raise row_error(path, lines[i], f"negative {negatives.pairs[i]} keeps neither side "
+                                f"of {name} positive {ref}, {sets[name].pairs[ref]}")
     return SplitResult(**sets, **split_refs)

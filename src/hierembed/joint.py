@@ -52,9 +52,6 @@ class FeatureMatrix:
             raise ValueError(f"leaf label {leaves[bad[0]]!r} {where}")
         return rows
 
-    def validate_against(self, h: Hierarchy) -> None:
-        self.leaf_rows(h)
-
 
 @dataclass
 class JointModel:
@@ -67,15 +64,6 @@ class JointModel:
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.w)):
             raise ValueError("linear map must be finite")
-
-
-def embed_instance(features_row: np.ndarray, w: np.ndarray, kind: str) -> np.ndarray:
-    """Map one feature row into the embedding space."""
-    point = embed_instances(np.asarray(features_row, dtype=float)[None, :], w, kind)[0]
-    # exp_0 maps finite rows to finite points, so this checks the map's output
-    if not np.all(np.isfinite(point)):
-        raise ValueError("non-finite instance embedding")
-    return point
 
 
 def embed_instances(features: np.ndarray, w: np.ndarray, kind: str) -> np.ndarray:
@@ -122,7 +110,7 @@ def train_joint(
     ``config.lr_instances`` the linear map, both with Adam; on the ball the
     labels stay in flat coordinates and are projected after each step.
     """
-    features.validate_against(h)
+    features.leaf_rows(h)
     if train_idx is None:
         train_idx, val_idx, _ = split_instances(len(features.instance_ids), config.seed)
     train_idx = np.asarray(train_idx, dtype=int)
@@ -201,15 +189,6 @@ def level_energies(
     if labels is None:
         labels = model.labels.coords[model.labels.rows(members)]
     return members, _pairwise_energies(labels[None], points[:, None], model.params)
-
-
-def classify_instance(model: JointModel, h: Hierarchy, features_row: np.ndarray, level: int) -> str:
-    """Label at ``level`` with minimum violation energy; ties pick lowest id."""
-    if not 1 <= level <= h.level_count:
-        raise ValueError(f"level must be in 1..{h.level_count}")
-    point = embed_instance(features_row, model.w, model.params.kind)
-    members, e = level_energies(model, h, point[None, :], level)
-    return members[int(np.argmin(e[0]))]
 
 
 def classify_levels(

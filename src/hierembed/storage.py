@@ -230,27 +230,17 @@ def save_embeddings(
     _write_blocks(path, *blocks)
 
 
-def _read_model(path, *layouts: bytes) -> tuple:
-    """Ids, coordinates, geometry, linear map (None without one) and header (``{}``
-    without one) of a label file or joint model whose blocks spell one of ``layouts``."""
-    (coords, kind), *rest = _read_blocks(path, *layouts)  # rest: [], [header] or [w, header]
-    header = rest[-1] if rest else {}
+def load_model(path) -> tuple[tuple[str, ...], np.ndarray, str, np.ndarray | None, dict]:
+    """A joint model or a label file: ids, coordinates, geometry, the linear map (None
+    for a label file) and the header (``{}`` for a label file without a trailer)."""
+    (coords, kind), *rest = _read_blocks(path, b"EMB1", b"EMB1HDR1", b"EMB1LMAPHDR1")
+    header = rest[-1] if rest else {}  # rest: [], [header] or [w, header]
     if rest and header.get("geometry") != kind:
         raise FormatError(f"{path}: its header geometry {header.get('geometry')!r} "
                           f"disagrees with its EMB1 block's {kind!r}")
     node_ids = _read_numbered(sidecar_path(path), 2, coords.shape[0])[0]
     w = rest[0].astype(float) if len(rest) == 2 else None
     return node_ids, coords.astype(float), kind, w, header
-
-
-def load_model(path) -> tuple[tuple[str, ...], np.ndarray, str, np.ndarray | None, dict]:
-    """A joint model or a label file: ids, coordinates, geometry, the linear map (None
-    for a label file) and the header (``{}`` for a label file without a trailer)."""
-    return _read_model(path, b"EMB1", b"EMB1HDR1", b"EMB1LMAPHDR1")
-
-
-def load_embeddings(path) -> tuple[tuple[str, ...], np.ndarray, str]:
-    return _read_model(path, b"EMB1", b"EMB1HDR1")[:3]
 
 
 def save_features(
@@ -281,11 +271,6 @@ def save_joint_model(
     blocks = (_matrix(b"EMB1", coords, kind=kind), _matrix(b"LMAP", w), _header(header))
     _write_numbered(sidecar_path(path), len(coords), node_ids)
     _write_blocks(path, *blocks)
-
-
-def load_joint_model(path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, dict]:
-    node_ids, coords, _, w, header = _read_model(path, b"EMB1LMAPHDR1")
-    return node_ids, coords, w, header
 
 
 def save_linear_classifier(path, w: np.ndarray, bias: np.ndarray, header: dict) -> None:

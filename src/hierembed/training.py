@@ -104,9 +104,6 @@ class EmbeddingTable:
             raise ValueError("node id count does not match coordinate rows")
         self._row = {nid: i for i, nid in enumerate(self.node_ids)}
 
-    def row(self, node_id: str) -> int:
-        return self._row[node_id]
-
     def rows(self, node_ids: Sequence[str]) -> np.ndarray:
         """Rows of many labels; a ``ValueError`` names the labels the table lacks."""
         try:
@@ -117,13 +114,6 @@ class EmbeddingTable:
                 f"model lacks {len(missing)} of the {len(set(node_ids))} hierarchy labels "
                 f"being scored: {name_some(missing)}"
             ) from None
-
-    def point(self, node_id: str) -> np.ndarray:
-        return self.coords[self._row[node_id]]
-
-    @property
-    def dim(self) -> int:
-        return int(self.coords.shape[1])
 
 
 def random_coords(
@@ -318,17 +308,6 @@ def _batch_step(
                     dz[keep] = geometry.exp_map_zero_backprop(z[keep], g_live) if hc else g_live
                     w_grad += feats[part[inst] - len(coords)].T @ dz
     return float(e[:n].sum()), float(np.maximum(0.0, margin - e[n:]).sum()), coords_grad, w_grad
-
-
-def max_margin_loss(
-    positives: EdgeSet, negatives: EdgeSet, emb: EmbeddingTable, margin: float
-) -> tuple[float, np.ndarray]:
-    """Hinge loss over edge sets with gradients accumulated per node row (one batch step)."""
-    pos_loss, neg_loss, grad, _ = _batch_step(
-        emb.rows(positives.ids)[positives.rows], emb.rows(negatives.ids)[negatives.rows],
-        emb.coords, emb.params, margin,
-    )
-    return pos_loss + neg_loss, grad
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,29 @@ def dir_bytes(path: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(path.iterdir()) if p.is_file()}
 
 
+# The declared Python API: the names ``hierembed/__init__.py`` imports. Everything
+# else in the submodules serves the CLI and may change with it.
+PUBLIC_NAMES = {
+    "ConeParams", "GeometryError", "cone_energy", "energy_gradients", "euclid_aperture",
+    "euclid_xi", "exp_map", "hyper_aperture", "hyper_xi", "oe_energy", "poincare_distance",
+    "project_to_domain", "riemannian_rescale",
+    "EdgeSet", "Hierarchy", "HierarchyError", "Node", "SamplingError", "SplitResult",
+    "augment_eval_negatives", "generate_synthetic_tree", "split_edges", "transitive_closure",
+    "FeatureMatrix", "JointModel", "reconstruct_labels", "train_joint",
+    "ConfusionCounts", "aggregate", "hit_at_k", "precision_recall_f1", "tpr_tnr",
+    "EmbeddingTable", "TrainConfig", "TrainingError", "evaluate_edge_prediction",
+    "optimizer_step", "train_label_embeddings",
+}
+
+
+def test_public_names_are_the_declared_api():
+    # submodules appear as attributes once imported, and are not names of the API
+    names = {name for name, value in vars(hierembed).items()
+             if not name.startswith("_") and not isinstance(value, type(hierembed))}
+    assert names == PUBLIC_NAMES
+    assert hierembed.__version__ == "0.1.0"
+
+
 def test_parser_is_built_once_and_keeps_no_state():
     from hierembed.cli import build_parser
 
@@ -692,7 +715,7 @@ class TestLabelFileCone:
         from hierembed.hierarchy import load_hierarchy
         from hierembed.training import EmbeddingTable
 
-        ids, coords, kind = storage.load_embeddings(model)
+        ids, coords, kind = storage.load_model(model)[:3]
         table = EmbeddingTable(ids, coords, ConeParams(kind, *params))
         res = joint.reconstruct_labels(table, load_hierarchy(nodes, edges))
         return [res.tpr, res.tnr, res.f1, res.threshold]
@@ -741,7 +764,7 @@ class TestLabelFileCone:
         from hierembed import storage
 
         root, nodes, edges = trained
-        assert storage.load_joint_model(root / "j03" / "model.bin")[3]["k"] == 0.3
+        assert storage.load_model(root / "j03" / "model.bin")[4]["k"] == 0.3
         snap = json.loads((root / "j03" / "train-joint.config.json").read_text())
         assert snap["aperture_k"] == 0.3
         init = root / "k03" / "embeddings.emb"
@@ -762,7 +785,7 @@ class TestLabelFileCone:
                 "--features", str(root / "feats" / "features.feat"), "--dim", "2",
                 "--epochs", "1", "--init-labels", str(init)]
         run(base + ["--out", str(root / "jj")])
-        assert storage.load_joint_model(root / "jj" / "model.bin")[3]["k"] == 0.3
+        assert storage.load_model(root / "jj" / "model.bin")[4]["k"] == 0.3
         assert main(base + ["--aperture-k", "0.5", "--out", str(root / "jjbad")]) == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == f"--aperture-k 0.5 conflicts with k=0.3 stored in {init}"
@@ -817,7 +840,7 @@ class TestLabelFileCone:
         from hierembed import storage
 
         root, nodes, edges = trained
-        ids, coords, w, header = storage.load_joint_model(root / "j03" / "model.bin")
+        ids, coords, _, w, header = storage.load_model(root / "j03" / "model.bin")
         assert (header["dim"], header["feature_dim"], w.shape) == (2, 8, (8, 2))
         if case == "narrow_map":
             w = w[:, :1]
@@ -854,7 +877,7 @@ class TestLabelFileCone:
         root, nodes, edges = trained
         model = root / "j03" / "model.bin"
         assert self.reconstruct(root, nodes, edges, model, "recj") == 0
-        ids, coords, _, header = storage.load_joint_model(model)
+        ids, coords, _, _, header = storage.load_model(model)
         assert header["k"] == 0.3
         rows = {}
         for k in (0.3, 0.1):
@@ -875,7 +898,7 @@ class TestLabelFileCone:
         from hierembed import storage
 
         root, nodes, edges = trained
-        ids, coords, kind = storage.load_embeddings(root / "k03" / "embeddings.emb")
+        ids, coords, kind = storage.load_model(root / "k03" / "embeddings.emb")[:3]
         legacy = tmp_path / "legacy.emb"
         storage.save_embeddings(legacy, ids, coords, kind)
         assert self.reconstruct(tmp_path, nodes, edges, legacy, "r", "--aperture-k", "0.3") == 0

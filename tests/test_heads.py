@@ -41,7 +41,7 @@ from hierembed.heads import (
     train_linear_classifier,
 )
 from hierembed.hierarchy import Hierarchy, Node, generate_synthetic_tree
-from test_hierarchy import uneven_forests
+from test_hierarchy import ref_leaf_descendants, uneven_forests
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +167,7 @@ class TestMarginalization:
         p_leaf = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         for i, members in enumerate(idx.levels):
             for j, nid in enumerate(members):
-                leaves = tree423.leaf_descendants(nid)
+                leaves = ref_leaf_descendants(tree423, nid)
                 cols = [idx.pos_in_level[l] for l in leaves]
                 np.testing.assert_allclose(
                     probs[i][:, j], p_leaf[:, cols].sum(axis=1), atol=1e-12
@@ -487,8 +487,6 @@ class TestImbalance:
         assert p[90:].sum() == pytest.approx(0.5)
 
     def test_zero_frequency_label(self):
-        with pytest.raises(HeadError):
-            ImbalancePolicy.from_labels("class-weights", ["a", "a"], label_universe=["a", "b"])
         policy = ImbalancePolicy.from_labels("class-weights", ["a", "a"])
         with pytest.raises(HeadError):
             policy.sample_weights(["b"])
@@ -706,7 +704,7 @@ def ref_mc_loss(x, tau, index):
     for i in range(index.level_count):
         leaf_mask = np.zeros((index.level_sizes[i], index.level_sizes[-1]), dtype=bool)
         for j, nid in enumerate(index.levels[i]):
-            for leaf in index.h.leaf_descendants(nid):
+            for leaf in ref_leaf_descendants(index.h, nid):
                 leaf_mask[j, index.pos_in_level[leaf]] = True
         mask = leaf_mask[tau[:, i]]
         log_ps = ref_logsumexp(np.where(mask, logp, -np.inf), axis=1)
@@ -1140,7 +1138,7 @@ class TestLeafRuns:
             ends = np.append(start[1:], index.level_sizes[-1])
             runs = {int(j): sorted(index.leaf_dfs[a:b].tolist()) for j, a, b in zip(pos, start, ends)}
             for j, nid in enumerate(index.levels[i]):
-                leaves = sorted(index.pos_in_level[leaf] for leaf in h.leaf_descendants(nid))
+                leaves = sorted(index.pos_in_level[leaf] for leaf in ref_leaf_descendants(h, nid))
                 assert runs.get(j, []) == leaves  # a node without leaves has no run
 
     def test_dfs_order_is_not_id_order(self):

@@ -30,6 +30,11 @@ from hierembed.storage import FormatError, write_tsv
 from hierembed.training import _Graph
 
 
+def id_edges(h: Hierarchy, pairs) -> EdgeSet:
+    """The id pairs ``pairs`` as an ``EdgeSet`` of ``h``'s rows."""
+    return EdgeSet(h.ids, [(h.row_of[u], h.row_of[v]) for u, v in pairs])
+
+
 def brute_force_closure(h: Hierarchy) -> set:
     """Oracle: per-node BFS over the children relation."""
     out = set()
@@ -68,33 +73,28 @@ class TestStructure:
     def test_forest_allowed(self):
         nodes = [Node("a", 1, "a"), Node("b", 1, "b"), Node("c", 2, "c")]
         h = Hierarchy(nodes, [("a", "c")])
-        assert h.roots() == ("a", "b")
+        assert h.level_members(1) == ("a", "b")
 
     def test_edge_set_rejects_duplicates_and_loops(self):
         h = Hierarchy([Node(nid, 1, nid) for nid in "abcd"], [])
         with pytest.raises(HierarchyError, match=r"^duplicate edge \('a', 'b'\)$"):
-            EdgeSet.of(h, (("a", "b"), ("a", "b")))
+            id_edges(h, (("a", "b"), ("a", "b")))
         with pytest.raises(HierarchyError, match=r"^self-loop edge \('a', 'a'\)$"):
-            EdgeSet.of(h, (("a", "a"),))
+            id_edges(h, (("a", "a"),))
 
-    def test_edge_set_membership_is_built_once(self):
+    def test_edge_set_id_views_are_built_once(self):
         h = Hierarchy([Node(nid, 1, nid) for nid in "abcd"], [])
-        edges = EdgeSet.of(h, (("a", "b"), ("a", "c"), ("b", "d")))
+        edges = id_edges(h, (("a", "b"), ("a", "c"), ("b", "d")))
         assert edges.rows.tolist() == [[0, 1], [0, 2], [1, 3]]
         assert edges.rows.dtype == np.int64 and not edges.rows.flags.writeable
-        first = edges.to_set()
-        assert first == {("a", "b"), ("a", "c"), ("b", "d")}
+        first = edges.pairs
+        assert first == (("a", "b"), ("a", "c"), ("b", "d"))
         for _ in range(2):
-            assert ("a", "b") in edges and ["b", "d"] in edges
+            assert ("a", "b") in edges and ("b", "d") in edges
             assert ("b", "a") not in edges and ("a", "d") not in edges
-            assert edges.to_set() is first
+            assert edges.pairs is first and tuple(edges) == first
+        assert frozenset(edges) == {("a", "b"), ("a", "c"), ("b", "d")}
         assert EdgeSet(h.ids, [[0, 1], [0, 2], [1, 3]]).pairs == edges.pairs
-        assert "_set" not in repr(edges)
-
-    def test_leaf_descendants(self):
-        h = generate_synthetic_tree(3, 2)
-        assert len(h.leaf_descendants("r")) == 4
-        assert h.leaf_descendants("r.0") == ("r.0.0", "r.0.1")
 
 
 class TestClosure:
@@ -103,23 +103,23 @@ class TestClosure:
         h = generate_synthetic_tree(3, 7)
         closure = transitive_closure(h)
         assert len(closure) == 105
-        assert closure.to_set() == brute_force_closure(h)
+        assert frozenset(closure) == brute_force_closure(h)
 
     def test_single_edge(self):
         h = Hierarchy([Node("a", 1, "a"), Node("b", 2, "b")], [("a", "b")])
-        assert transitive_closure(h).to_set() == {("a", "b")}
+        assert frozenset(transitive_closure(h)) == {("a", "b")}
 
     def test_chain(self):
         h = Hierarchy(
             [Node("a", 1, "a"), Node("b", 2, "b"), Node("c", 3, "c")],
             [("a", "b"), ("b", "c")],
         )
-        assert transitive_closure(h).to_set() == {("a", "b"), ("b", "c"), ("a", "c")}
+        assert frozenset(transitive_closure(h)) == {("a", "b"), ("b", "c"), ("a", "c")}
 
     def test_idempotence(self):
         # closing an already-closed relation adds nothing
         h = generate_synthetic_tree(4, 2)
-        closure = h.closure().to_set()
+        closure = frozenset(h.closure())
         extended = set(closure)
         for u, v in closure:
             for v2, w in closure:
@@ -130,14 +130,14 @@ class TestClosure:
     def test_oracle_on_random_trees(self):
         for levels, branching in ((2, 5), (4, 2), (5, 1)):
             h = generate_synthetic_tree(levels, branching)
-            assert transitive_closure(h).to_set() == brute_force_closure(h)
+            assert frozenset(transitive_closure(h)) == brute_force_closure(h)
 
 
 class TestSplit:
     def test_fraction_zero_train_is_basic(self):
         h = generate_synthetic_tree(3, 7)
         split = split_edges(h, 0.0, 3)
-        assert split.train.to_set() == set(h.edges)
+        assert frozenset(split.train) == set(h.edges)
 
     def test_five_percent_each(self):
         h = generate_synthetic_tree(4, 3)  # 102 closure, 63 non-basic
@@ -157,8 +157,8 @@ class TestSplit:
     def test_partition_properties(self):
         h = generate_synthetic_tree(4, 3)
         split = split_edges(h, 1.0, 5)
-        closure = h.closure().to_set()
-        train, val, test = split.train.to_set(), split.val.to_set(), split.test.to_set()
+        closure = frozenset(h.closure())
+        train, val, test = frozenset(split.train), frozenset(split.val), frozenset(split.test)
         assert not val & test
         assert not train & val and not train & test
         assert train | val | test == closure  # fraction=1 keeps everything
@@ -182,7 +182,7 @@ class TestEvalNegatives:
     def test_absent_from_closure(self):
         h = generate_synthetic_tree(4, 3)
         split = augment_eval_negatives(split_edges(h, 0.0, 1), h.closure(), 1)
-        closure = h.closure().to_set()
+        closure = frozenset(h.closure())
         for pair in split.val_negatives:
             assert pair not in closure
         for pair in split.test_negatives:
@@ -293,6 +293,31 @@ class TestRoundTrip:
         with pytest.raises(FormatError) as err:
             load_split(path.parent, h)
         assert str(err.value) == f"{path}, line 6: pos_ref {ref} is no row of the 3 val positives"
+
+    @pytest.mark.parametrize("name", ["train_edges", "val_edges", "test_edges"])
+    def test_positive_that_is_no_closure_pair(self, negatives, name):
+        h, path, _ = negatives
+        path = path.parent / f"{name}.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join([*lines, "r.0\tr.1\n"]), encoding="utf-8")  # two siblings
+        with pytest.raises(FormatError) as err:
+            load_split(path.parent, h)
+        assert str(err.value) == (
+            f"{path}, line {len(lines) + 1}: positive ('r.0', 'r.1') is no closure pair"
+        )
+
+    def test_negative_that_keeps_neither_side_of_its_positive(self, negatives):
+        h, path, lines = negatives
+        u, v = (path.parent / "val_edges.tsv").read_text().split("\n")[0].split("\t")
+        assert lines[1].endswith("\t0\n")  # line 2 corrupts val positive 0
+        # the positive reversed: no closure pair, and the same labels on the other sides
+        path.write_text("".join([lines[0], f"val\t{v}\t{u}\t0\n", *lines[2:]]), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_split(path.parent, h)
+        assert str(err.value) == (
+            f"{path}, line 2: negative ({v!r}, {u!r}) keeps neither side of val positive 0, "
+            f"({u!r}, {v!r})"
+        )
 
     @pytest.mark.parametrize("name", ["train_edges", "val_edges", "test_edges", "eval_negatives"])
     def test_repeated_pair_names_both_lines(self, negatives, name):
@@ -446,7 +471,6 @@ class TestTreeTable:
                 h.level_count - len(path)
             )
             assert h.ancestors(nid) == ref_ancestors(h, nid)
-            assert h.leaf_descendants(nid) == ref_leaf_descendants(h, nid)
 
         levels, pos_in_level, parent_pos, leaf_path = ref_index_chain(h)
         for lvl, members in enumerate(levels, 1):
@@ -517,7 +541,7 @@ class TestTreeTable:
                 call(h, features, [0, 1])
             assert str(err.value) == message
         with pytest.raises(ValueError, match=message):
-            features.validate_against(h)
+            features.leaf_rows(h)
 
 
 # ---------------------------------------------------------------------------

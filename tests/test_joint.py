@@ -17,9 +17,7 @@ from hierembed.joint import (
     ReconstructionResult,
     classification_report,
     classify_and_report,
-    classify_instance,
     classify_levels,
-    embed_instance,
     embed_instances,
     instance_positive_rows,
     level_energies,
@@ -47,19 +45,19 @@ def tree():
 class TestEmbedInstance:
     def test_zero_map_gives_origin(self):
         row = np.ones(5)
-        out = embed_instance(row, np.zeros((5, 3)), "ec")
-        np.testing.assert_array_equal(out, np.zeros(3))
+        out = embed_instances(row[None], np.zeros((5, 3)), "ec")
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_hyperbolic_norm_is_tanh(self):
         w = np.zeros((4, 2))
         w[0, 0] = 0.5
-        out = embed_instance(np.array([1.0, 0, 0, 0]), w, "hc")
+        out = embed_instances(np.array([[1.0, 0, 0, 0]]), w, "hc")
         assert np.linalg.norm(out) == pytest.approx(math.tanh(0.5), abs=1e-12)
 
     def test_euclidean_identity_map(self):
         w = np.eye(3)
         row = np.array([0.3, -0.2, 0.9])
-        np.testing.assert_array_equal(embed_instance(row, w, "ec"), row)
+        np.testing.assert_array_equal(embed_instances(row[None], w, "ec"), row[None])
 
     def test_hyperbolic_always_in_ball(self):
         rng = np.random.default_rng(0)
@@ -68,10 +66,10 @@ class TestEmbedInstance:
         out = embed_instances(feats, w, "hc")
         assert np.all(np.linalg.norm(out, axis=1) < 1.0)
 
-    @pytest.mark.parametrize("kind", ["ec", "hc"])
-    def test_non_finite_rejected(self, kind):
-        with pytest.raises(ValueError):
-            embed_instance(np.array([np.nan, 1.0]), np.eye(2), kind)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="^features must be finite$"):
+            FeatureMatrix(("i",), np.array([[bad, 1.0]]), ("r.0.0",))
 
     def test_model_rejects_non_finite_map(self, tree):
         params = ConeParams("ec", 0.25)
@@ -196,10 +194,10 @@ class TestOverfitSingleInstance:
             val_idx=np.array([], dtype=int),
         )
         np.testing.assert_allclose(model.labels.coords, label_table.coords, atol=1e-12)
-        point = embed_instance(features.features[0], model.w, "ec")
+        point = embed_instances(features.features[:1], model.w, "ec")[0]
         leaf = features.leaf_labels[0]
         for anc in (leaf, *tree.ancestors(leaf)):
-            e = geometry.cone_energy(model.labels.point(anc), point, model.params)
+            e = geometry.cone_energy(model.labels.coords[tree.row_of[anc]], point, model.params)
             assert e < 1e-3
 
 
@@ -229,12 +227,11 @@ class TestClassification:
         params = ConeParams("ec", 0.25)
         table = radial_layout(tree, params)
         leaf = tree.level_members(3)[2]
-        point = table.point(leaf) * 1.15  # beyond the leaf on its axis
+        point = table.coords[tree.row_of[leaf]] * 1.15  # beyond the leaf on its axis
         w = np.eye(2)
         model = JointModel(table, w, params)
-        assert classify_instance(model, tree, point, 3) == leaf
-        assert classify_instance(model, tree, point, 2) == tree.parent(leaf)
-        assert classify_instance(model, tree, point, 1) == "r"
+        preds, _ = classify_levels(model, tree, point[None])
+        assert preds[0].tolist() == ["r", tree.parent(leaf), leaf]
 
     def test_levels_shape(self, tree):
         params = ConeParams("ec", 0.25)
@@ -245,20 +242,14 @@ class TestClassification:
         assert preds.shape == (3, tree.level_count)
         assert energies.shape == (3, tree.level_count)
 
-    def test_invalid_level(self, tree):
-        params = ConeParams("ec", 0.25)
-        model = JointModel(radial_layout(tree, params), np.eye(2), params)
-        with pytest.raises(ValueError):
-            classify_instance(model, tree, np.array([0.5, 0.1]), 9)
-
     def test_tie_breaks_to_lowest_node_id(self, tree):
         params = ConeParams("ec", 0.1)
         ids = tuple(sorted(n.node_id for n in tree.nodes))
         coords = np.full((len(ids), 2), 0.4)  # every label identical
         table = EmbeddingTable(ids, coords, params)
         model = JointModel(table, np.eye(2), params)
-        pred = classify_instance(model, tree, np.array([0.9, 0.9]), 3)
-        assert pred == tree.level_members(3)[0]
+        preds, _ = classify_levels(model, tree, np.array([[0.9, 0.9]]))
+        assert preds[0, 2] == tree.level_members(3)[0]
 
     def test_argmin_invariant_to_monotone_energy_transform(self, tree):
         # ranking by energy is what matters; a strictly increasing transform
@@ -306,7 +297,7 @@ class TestReport:
         model = JointModel(table, np.eye(2) * 1.1, params)
         feats = FeatureMatrix(
             ("a", "b"),
-            np.array([table.point(tree.level_members(3)[0]), table.point(tree.level_members(3)[3])]),
+            table.coords[table.rows([tree.level_members(3)[0], tree.level_members(3)[3]])],
             (tree.level_members(3)[0], tree.level_members(3)[3]),
         )
         rep = classification_report(model, tree, feats, [0, 1])
@@ -338,7 +329,7 @@ def loop_reconstruct_labels(table, h):
     """Reconstruction through n^2 x d coordinate copies and a loop over label pairs."""
     ids = table.node_ids
     n = len(ids)
-    closure = h.closure().to_set()
+    closure = frozenset(h.closure())
     X = np.repeat(table.coords, n, axis=0)
     Y = np.tile(table.coords, (n, 1))
     e = geometry.energies(X, Y, table.params).reshape(n, n)
@@ -361,7 +352,7 @@ def loop_reconstruct_labels(table, h):
 def column_level_energies(model, h, points, level):
     """Level energies with one kernel call per label column."""
     members = h.level_members(level)
-    rows = np.array([model.labels.row(m) for m in members])
+    rows = model.labels.rows(members)
     out = np.empty((points.shape[0], len(members)))
     for j, r in enumerate(rows):
         apex = np.broadcast_to(model.labels.coords[r], points.shape)

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from hierembed.storage import (
     FormatError,
-    load_embeddings,
     load_features,
-    load_joint_model,
     load_linear_classifier,
     load_model,
     read_tsv,
@@ -29,9 +27,8 @@ def test_embeddings_round_trip(tmp_path):
     coords = np.arange(12, dtype=float).reshape(4, 3) / 10
     ids = ("a", "b", "c", "d")
     save_embeddings(path, ids, coords, "hc")
-    ids2, coords2, kind = load_embeddings(path)
-    assert ids2 == ids
-    assert kind == "hc"
+    ids2, coords2, kind, w, header = load_model(path)
+    assert (ids2, kind, w, header) == (ids, "hc", None, {})
     np.testing.assert_array_equal(coords2, coords)
     assert sidecar_path(path).exists()
 
@@ -45,7 +42,6 @@ def test_embeddings_trailer_keeps_k_and_squared(tmp_path):
         ("a", "b", "c"), "oe", None, {"geometry": "oe", "k": 0.3, "squared": True}
     )
     np.testing.assert_array_equal(loaded, coords)
-    assert load_embeddings(path)[2] == "oe"
 
 
 def test_embeddings_without_trailer_load_as_before(tmp_path):
@@ -75,7 +71,7 @@ def test_embeddings_magic_enforced(tmp_path):
     path = tmp_path / "bad.emb"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(FormatError):
-        load_embeddings(path)
+        load_model(path)
 
 
 def test_features_round_trip(tmp_path):
@@ -104,8 +100,8 @@ def test_joint_model_round_trip(tmp_path):
     header = {"geometry": "ec", "k": 0.1, "margin": 1.0, "dim": 2,
               "lr_labels": 0.01, "lr_instances": 0.001, "split_seed": 3}
     save_joint_model(path, ("a", "b", "c"), coords, w, header)
-    ids, coords2, w2, header2 = load_joint_model(path)
-    assert ids == ("a", "b", "c")
+    ids, coords2, kind, w2, header2 = load_model(path)
+    assert (ids, kind) == (("a", "b", "c"), "ec")
     np.testing.assert_array_equal(coords2, coords)
     np.testing.assert_array_equal(w2, w)
     assert header2 == header
@@ -115,14 +111,6 @@ def test_joint_model_geometry_consistency(tmp_path):
     path = tmp_path / "model.bin"
     with pytest.raises(FormatError):
         save_joint_model(path, ("a",), np.zeros((1, 2)), np.zeros((2, 2)), {"geometry": "xx"})
-
-
-def test_embeddings_file_is_not_a_joint_model(tmp_path):
-    path = tmp_path / "table.emb"
-    save_embeddings(path, ("a",), np.zeros((1, 2)), "ec")
-    with pytest.raises(FormatError) as err:
-        load_joint_model(path)
-    assert str(err.value) == f"{path}: found EMB1, expected EMB1 LMAP HDR1"
 
 
 def write_layouts(root):
@@ -135,13 +123,13 @@ def write_layouts(root):
     save_features(root / "features.feat", ("i", "j"), np.ones((2, 3)), ("a", "b"))
 
 
-# each layout's file and the loaders that accept it
+# each layout's file and the loader that accepts it
 LAYOUT_LOADERS = {
-    "plain.emb": (load_embeddings, load_model),
-    "trailer.emb": (load_embeddings, load_model),
-    "model.bin": (load_joint_model, load_model),
-    "clf.bin": (load_linear_classifier,),
-    "features.feat": (load_features,),
+    "plain.emb": load_model,
+    "trailer.emb": load_model,
+    "model.bin": load_model,
+    "clf.bin": load_linear_classifier,
+    "features.feat": load_features,
 }
 EMB1_END = 4 + 9 + 8 * 2 * 2  # the end of the two-row EMB1 block of write_layouts
 
@@ -151,18 +139,17 @@ def test_every_proper_prefix_is_refused(tmp_path, name):
     write_layouts(tmp_path)
     path = tmp_path / name
     data = path.read_bytes()
-    for load in LAYOUT_LOADERS[name]:
-        load(path)
-        for cut in range(len(data)):
-            path.write_bytes(data[:cut])
-            if cut == EMB1_END and load in (load_embeddings, load_model):
-                # the EMB1 block alone is a whole label file without a trailer
-                assert load_model(path)[3:] == (None, {})
-                continue
-            with pytest.raises(FormatError) as err:
-                load(path)
-            assert str(err.value).startswith(f"{path}: ")
-        path.write_bytes(data)
+    load = LAYOUT_LOADERS[name]
+    load(path)
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        if cut == EMB1_END and load is load_model:
+            # the EMB1 block alone is a whole label file without a trailer
+            assert load_model(path)[3:] == (None, {})
+            continue
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("name", LAYOUT_LOADERS)
@@ -172,9 +159,8 @@ def test_bytes_after_a_whole_layout_are_refused(tmp_path, name):
     data = path.read_bytes()
     for extra in (b"\0", b"FEAT", data):
         path.write_bytes(data + extra)
-        for load in LAYOUT_LOADERS[name]:
-            with pytest.raises(FormatError, match="found .*, expected "):
-                load(path)
+        with pytest.raises(FormatError, match="found .*, expected "):
+            LAYOUT_LOADERS[name](path)
 
 
 def test_a_bad_block_is_refused(tmp_path):
@@ -189,13 +175,13 @@ def test_a_bad_block_is_refused(tmp_path):
     # a count past the end of the file fails before anything is allocated for it
     path.write_bytes(b"EMB1" + struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 1))
     with pytest.raises(FormatError) as err:
-        load_embeddings(path)
+        load_model(path)
     assert str(err.value) == (
         f"{path}: its EMB1 block is cut short: {8 * (2**32 - 1) ** 2} bytes wanted, 0 left"
     )
     path.write_bytes(emb[:12] + b"\x07" + emb[13:])
     with pytest.raises(FormatError, match="unknown geometry tag 7"):
-        load_embeddings(path)
+        load_model(path)
 
 
 @pytest.mark.parametrize("writer", ["embeddings", "joint model", "features"])
@@ -327,7 +313,7 @@ def test_sidecar_rows_checked(tmp_path, text, message):
     save_embeddings(path, ("r", "r.0", "r.0.0"), np.zeros((3, 2)), "ec")
     sidecar_path(path).write_text(text, encoding="utf-8")
     with pytest.raises(FormatError) as err:
-        load_embeddings(path)
+        load_model(path)
     assert str(err.value) == f"{sidecar_path(path)}{message}"
 
 
@@ -346,7 +332,7 @@ def test_permuted_sidecars_load_in_row_order(tmp_path):
     emb, feat = tmp_path / "table.emb", tmp_path / "features.feat"
     save_embeddings(emb, ("a", "b", "c"), np.zeros((3, 2)), "ec")
     sidecar_path(emb).write_text("c\t2\n\na\t0\nb\t1\n", encoding="utf-8")
-    assert load_embeddings(emb)[0] == ("a", "b", "c")
+    assert load_model(emb)[0] == ("a", "b", "c")
     save_features(feat, ("a", "b", "c"), np.zeros((3, 2)), ("x", "y", "z"))
     (tmp_path / "instances.tsv").write_text("b\t1\ty\nc\t2\tz\na\t0\tx\n", encoding="utf-8")
     ids, _, leaves = load_features(feat)

@@ -36,7 +36,6 @@ from hierembed.training import (
     _sample_negatives_rebalanced,
     adam_step,
     evaluate_edge_prediction,
-    max_margin_loss,
     optimizer_step,
     pair_energies,
     random_coords,
@@ -44,6 +43,7 @@ from hierembed.training import (
     train_graph_embedding,
     train_label_embeddings,
 )
+from test_hierarchy import id_edges
 
 
 class IdGraph(_Graph):
@@ -57,7 +57,7 @@ class IdGraph(_Graph):
         self.index = {nid: r for r, nid in enumerate(self.ids)}
         rows = np.array([(self.index[u], self.index[v]) for u, v in positives], dtype=np.int64)
         super().__init__(h, rows, len(instance_ids))
-        pairs = h.closure().to_set() | set(positives)
+        pairs = frozenset(h.closure()) | set(positives)
         self.forbidden = {(self.index[u], self.index[v]) for u, v in pairs}
 
     def is_instance(self, node):
@@ -85,12 +85,20 @@ def edge_set(*pairs):
     labels = sorted({nid for pair in pairs for nid in pair})
     if not labels:
         return EdgeSet((), ())
-    return EdgeSet.of(Hierarchy([Node(nid, 1, nid) for nid in labels], []), pairs)
+    return id_edges(Hierarchy([Node(nid, 1, nid) for nid in labels], []), pairs)
 
 
 def table_of(coords, kind="ec"):
     ids = tuple(f"n{i}" for i in range(len(coords)))
     return EmbeddingTable(ids, np.asarray(coords, dtype=float), ConeParams(kind, 0.1))
+
+
+def hinge_loss(emb, positives, negatives, margin):
+    """``_batch_step``'s loss and label gradient over id pairs of ``emb``'s labels."""
+    pos, neg = (emb.rows([nid for pair in pairs for nid in pair]).reshape(-1, 2)
+                for pairs in (positives, negatives))
+    pos_loss, neg_loss, grad, _ = training._batch_step(pos, neg, emb.coords, emb.params, margin)
+    return pos_loss + neg_loss, grad
 
 
 class TestMaxMarginLoss:
@@ -100,7 +108,7 @@ class TestMaxMarginLoss:
         e_pos = pair_energies(emb, edge_set(("n0", "n1")))
         e_neg = pair_energies(emb, edge_set(("n0", "n2")))
         assert e_pos[0] == 0.0 and e_neg[0] >= 0.5
-        loss, grad = max_margin_loss(edge_set(("n0", "n1")), edge_set(("n0", "n2")), emb, 0.5)
+        loss, grad = hinge_loss(emb, [("n0", "n1")], [("n0", "n2")], 0.5)
         assert loss == 0.0
         assert not grad.any()
 
@@ -109,20 +117,20 @@ class TestMaxMarginLoss:
         e_pos = pair_energies(emb, edge_set(("n0", "n1")))[0]
         e_neg = pair_energies(emb, edge_set(("n0", "n2")))[0]
         margin = 1.0
-        loss, _ = max_margin_loss(edge_set(("n0", "n1")), edge_set(("n0", "n2")), emb, margin)
+        loss, _ = hinge_loss(emb, [("n0", "n1")], [("n0", "n2")], margin)
         assert loss == pytest.approx(e_pos + max(0.0, margin - e_neg))
 
     def test_saturated_negative_no_gradient(self):
         emb = table_of([[0.2, 0.0], [-0.2, 0.1]])
         e = pair_energies(emb, edge_set(("n0", "n1")))[0]
         assert e > 0.3
-        loss, grad = max_margin_loss(edge_set(), edge_set(("n0", "n1")), emb, 0.3)
+        loss, grad = hinge_loss(emb, [], [("n0", "n1")], 0.3)
         assert loss == 0.0
         assert not grad.any()
 
     def test_empty_positive_set(self):
         emb = table_of([[0.2, 0.0], [0.5, 0.0]])
-        loss, _ = max_margin_loss(edge_set(), edge_set(("n0", "n1")), emb, 1.0)
+        loss, _ = hinge_loss(emb, [], [("n0", "n1")], 1.0)
         assert loss == pytest.approx(1.0)  # hinge on a zero-energy negative
 
 
@@ -483,7 +491,7 @@ class TestNegativeSamplingModes:
         # both corrupt each side once per level slot; uniform draws ignore levels
         assert len(uni) <= 2 * h.level_count
         assert len(ppl) <= 2 * h.level_count
-        closure = h.closure().to_set()
+        closure = frozenset(h.closure())
         ids = graph.ids
         for a, b in uni:
             assert (ids[a], ids[b]) not in closure
@@ -515,7 +523,7 @@ def pick_per_level_sides(h, positives, u, v, seed=0):
 class TestPickPerLevel:
     def test_one_per_level(self):
         h = generate_synthetic_tree(4, 3)
-        closure = h.closure().to_set()
+        closure = frozenset(h.closure())
         for seed in range(3):
             corrupt_u, corrupt_v = pick_per_level_sides(
                 h, list(h.closure()), "r.0", "r.0.1.2", seed
@@ -864,7 +872,7 @@ def forests_with_instances(draw):
     n_inst = draw(st.integers(1, 8))
     leaves = [draw(st.sampled_from(levels[-1])) for _ in range(n_inst)]
     inst_ids = [f"i{k}" for k in range(n_inst)]
-    closure = sorted(forest.closure().to_set())
+    closure = sorted(forest.closure())
     keep = draw(st.lists(st.booleans(), min_size=len(closure), max_size=len(closure)))
     positives = [e for e, k in zip(closure, keep) if k]
     positives += [
@@ -1555,7 +1563,5 @@ class TestEngineInSpans:
 
     def test_missing_label_is_named(self):
         emb = table_of([[0.2, 0.0], [0.5, 0.0]])
-        with pytest.raises(ValueError, match=r"lacks 1 .*'n7'"):
-            max_margin_loss(edge_set(("n0", "n1")), edge_set(("n0", "n7")), emb, 1.0)
         with pytest.raises(ValueError, match=r"lacks 1 .*'n9'"):
             pair_energies(emb, edge_set(("n9", "n1")))
