@@ -577,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: rsgd for hc, adam otherwise")
     p.add_argument("--squared", action="store_true", help="squared order-embedding energy")
     p.add_argument("--uniform-negatives", action="store_true",
-                   help="disable pick-per-level corruption")
+                   help="draw each corruption uniformly from the valid candidates among all "
+                   "labels, not one per level; skip a slot only when none is left")
     p.add_argument("--neg-passes", type=int, default=1)
     p.add_argument("--init-norm-hi", type=float, default=None,
                    help="upper bound for init norms (default 0.9 of the domain cap)")

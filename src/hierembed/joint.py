@@ -71,14 +71,11 @@ def embed_instances(features: np.ndarray, w: np.ndarray, kind: str) -> np.ndarra
     return geometry.exp_map_zero(z) if kind == "hc" else z
 
 
-def split_instances(
-    n: int, seed: int, val_frac: float = 0.1, test_frac: float = 0.1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_instances(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic train/val/test index split over instances (80/10/10)."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_val = int(n * val_frac)
-    n_test = int(n * test_frac)
+    n_val = n_test = int(n * 0.1)
     val = np.sort(order[:n_val])
     test = np.sort(order[n_val : n_val + n_test])
     train = np.sort(order[n_val + n_test :])

@@ -20,13 +20,13 @@ def gaussian_cluster_features(
     dim: int,
     seed: int,
     *,
-    root_scale: float = 8.0,
-    shrink: float = 0.4,
     noise: float = 0.25,
 ) -> FeatureMatrix:
     """One Gaussian cluster per deepest-level label, means nested by level.
 
     ``per_leaf`` instances per leaf, in leaf-id order, each ``dim`` wide.
+    A level-``l`` label's mean is its parent's plus a normal step of scale
+    ``8 * 0.4 ** (l - 1)``.
     """
     if per_leaf < 1:
         raise ValueError(f"per_leaf must be at least 1, got {per_leaf}")
@@ -35,7 +35,7 @@ def gaussian_cluster_features(
     rng = np.random.default_rng(seed)
     means: dict[str, np.ndarray] = {}
     for level in range(1, h.level_count + 1):
-        scale = root_scale * (shrink ** (level - 1))
+        scale = 8.0 * (0.4 ** (level - 1))
         for nid in h.level_members(level):
             parent = h.parent(nid)
             base = means[parent] if parent is not None else np.zeros(dim)

@@ -14,15 +14,18 @@ The engine works on graph rows: labels are the hierarchy's rows, instance
 The loss over a batch is ``sum_pos E + sum_neg max(0, margin - E)``.
 Negatives come from pick-per-level corruption by default: for each
 positive, one corrupted edge per level and per side (corrupt-u,
-corrupt-v), skipping corruptions that are true pairs. The engine calls the
-sampler once per span (the fewest whole consecutive batches holding at
+corrupt-v), skipping corruptions that are true pairs. That is the plain
+sampler's pinned stream, a scalar retry loop (``_retry_loop``) whose memory
+per call is bounded per generator word it reads, so a larger span costs no
+more peak memory. Uniform and rebalanced negatives take the exact sampler
+(``_sample_negatives_rebalanced``), which draws each corruption from the
+valid candidates and skips a slot only when none is left. The engine calls
+the sampler once per span (the fewest whole consecutive batches holding at
 least ``SPAN_POSITIVES`` = 1024 positives, or all that are left), with the
 span's parent and child rows; it returns the pairs the per-positive draws
 would give, in the same order and from the same random stream, and how many
 fall to each positive, so the engine cuts them into batches. Each batch
-then takes one kernel call and one gradient scatter (``_batch_step``). The
-plain sampler's memory per call is bounded per generator word it reads
-(``_retry_loop``), so a larger span costs no more peak memory.
+then takes one kernel call and one gradient scatter (``_batch_step``).
 """
 
 from __future__ import annotations
@@ -315,7 +318,13 @@ def _batch_step(
 # ---------------------------------------------------------------------------
 
 class _Graph:
-    """Integer-encoded training graph: labels first, then ``n_instances`` instances."""
+    """Integer-encoded training graph: labels first, then ``n_instances`` instances.
+
+    A pair ``(a, b)`` of rows is banned when it is a closure pair, a
+    positive or a self-pair, or when both are instances. ``banned`` holds
+    the keys ``a * n_total + b`` of those with a label side, for the retry
+    loop; ``valid`` and the banned-position CSR serve the exact sampler.
+    """
 
     def __init__(self, h: Hierarchy, positives: np.ndarray, n_instances: int = 0):
         self.n_labels = len(h.ids)
@@ -328,14 +337,15 @@ class _Graph:
         self.levels = [np.flatnonzero(h.level_of == l) for l in range(1, h.level_count + 1)]
         if n_instances:
             self.levels.append(np.arange(self.n_labels, n, dtype=np.int64))
-        # the banned pairs: closure pairs, positives and self-pairs, in key order
+        # the banned pairs' keys in key order; instance pairs are banned by rule
         pairs = np.concatenate([h.closure_rows, self.positives])
         keys = np.unique(
             np.concatenate([pairs[:, 0] * n + pairs[:, 1], np.arange(n, dtype=np.int64) * (n + 1)])
         )
         a, b = np.divmod(keys, n)
-        self._banned_tables(a, b)
-        self._ancestor_table(h, a, b)
+        label_side = (a < self.n_labels) | (b < self.n_labels)
+        self.banned = set(keys[label_side].tolist())
+        self._banned_tables(a[label_side], b[label_side])
 
     def _banned_tables(self, a: np.ndarray, b: np.ndarray) -> None:
         """Valid counts and banned positions per (side, node), from the banned pairs.
@@ -361,8 +371,6 @@ class _Graph:
         pos[self.order] = np.arange(n)
         sizes = np.array([len(pool) for pool in self.levels], dtype=np.int64)
         level_at = np.repeat(np.arange(len(sizes)), sizes)  # level of each position
-        keep = (a < self.n_labels) | (b < self.n_labels)
-        a, b = a[keep], b[keep]
         inst_per_level = np.array(
             [np.count_nonzero(pool >= self.n_labels) for pool in self.levels], dtype=np.int64
         )
@@ -383,42 +391,14 @@ class _Graph:
         gap = cand_pos - (np.arange(len(slot)) - self.banned_ptr[slot])
         self.banned_key = slot * (n + 1) + gap
 
-    def _ancestor_table(self, h: Hierarchy, a: np.ndarray, b: np.ndarray) -> None:
-        """Banned pairs ``(a, b)`` as one lookup: ``anc[b, col[a]] == a``.
-
-        ``col[x]`` is x's level less one, and ``h.level_count`` for
-        instances. A label's row is its ``Hierarchy.anc`` row, so a label is
-        banned with itself and its descendants. An instance's row holds
-        itself in the instance column and, in each label column, a label it
-        is banned with. Instance-instance pairs are banned by rule. The
-        banned pairs the table cannot hold (a second label of one level for
-        an instance, label-label positives outside the closure, pairs with
-        an instance first) are the sorted keys ``a * n_total + b`` of
-        ``extra_keys``.
-        """
-        n_levels, n_labels = h.level_count, self.n_labels
-        self.col = np.full(self.n_total, n_levels, dtype=np.int64)
-        self.col[:n_labels] = h.level_of - 1
-        anc = np.full((self.n_total, n_levels + 1), -1, dtype=np.int64)
-        anc[:n_labels, :n_levels] = h.anc
-        anc[n_labels:, n_levels] = np.arange(n_labels, self.n_total)
-        to_instance = (a < n_labels) & (b >= n_labels)
-        cell = b[to_instance] * (n_levels + 1) + self.col[a[to_instance]]
-        cell, first = np.unique(cell, return_index=True)  # the lowest key of each cell
-        anc.ravel()[cell] = a[to_instance][first]
-        held = (anc[b, self.col[a]] == a) | ((a >= n_labels) & (b >= n_labels))
-        self.anc = anc
-        self.extra_keys = a[~held] * self.n_total + b[~held]
-
 
 # The engine samples whole batches holding at least this many positives at
-# once. Each sampler call pays a fixed cost (the rebalanced sampler's
-# per-slot loop, the plain sampler's set-up, fresh per-call arrays). Against
-# 64, the `joint` benchmark makes 8 sampler calls per round instead of 116
-# and its wall_s falls by a quarter (BENCH_14.json). A call's memory grows
-# with the generator words it reads, so the plain sampler holds them as
-# uint32 and scans them for thrown-away words in fixed-size chunks
-# (``_retry_loop``); a larger span then costs no more peak memory per word.
+# once. Each sampler call pays a fixed cost (the exact sampler's per-slot
+# loop, the plain sampler's set-up, fresh per-call arrays). Against 64, the
+# `joint` benchmark makes 8 sampler calls per round instead of 116 and its
+# wall_s falls by a quarter (BENCH_14.json). The plain sampler holds its
+# generator words as uint32 and scans them in fixed-size chunks
+# (``_retry_loop``), so a larger span costs no more peak memory per word.
 SPAN_POSITIVES = 1024
 WORD = 2**32  # ``rng.integers(n)`` reads 32-bit generator words for any n <= 2**32
 
@@ -458,21 +438,20 @@ def _retry_loop(graph: _Graph, words: _Words, slots, dup: bool) -> tuple[list[in
     """The scalar retry loop over ``slots``, run on ``words``: each slot's pick
     (-1 for none) and the number of words read.
 
-    A slot is ``(n, start, fixed, corrupt_u, group, drawing)``; its pool is
-    ``order[start : start + n]``, ``n >= 2``. A draw ``rng.integers(n)`` is
-    NumPy's Lemire step on the next word ``w``: the index ``(w * n) >> 32``,
-    unless ``(w * n) mod 2**32 < (2**32 - n) mod n``, when the word is thrown
-    away and the next one read. A drawing slot draws until a candidate is
-    valid, for at most RETRY_CAP draws: not banned (the ancestor table,
-    instance pairs, ``extra_keys``) and, with ``dup``, not drawn before for
-    its ``group`` (its positive and side). An empty slot spends its RETRY_CAP
+    A slot is ``(n, start, fixed, corrupt_u, group, drawing)``; its pool, a
+    level, is ``order[start : start + n]``, ``n >= 2``. A draw
+    ``rng.integers(n)`` is NumPy's Lemire step on the next word ``w``: the
+    index ``(w * n) >> 32``, unless ``(w * n) mod 2**32 < (2**32 - n) mod n``,
+    when the word is thrown away and the next one read. A drawing slot draws until a candidate is
+    valid, for at most RETRY_CAP draws: not banned (a label side and a key
+    outside ``graph.banned``) and, with ``dup``, not drawn before for its
+    ``group`` (its positive and side). An empty slot spends its RETRY_CAP
     draws at once: a word each, and one more per word thrown away among
     them. Those are found per pool size, by scanning the block in chunks of
     2**14 words so that the scan's temporaries stay small.
     """
-    order, col, anc = (memoryview(a.reshape(-1)) for a in (graph.order, graph.col, graph.anc))
-    width, n_labels, n_total = graph.anc.shape[1], graph.n_labels, graph.n_total
-    extra = set(graph.extra_keys.tolist())
+    order, banned = memoryview(graph.order), graph.banned
+    n_labels, n_total = graph.n_labels, graph.n_total
     taken: dict[int, set[int]] = {}
     thrown: dict[int, tuple[list[int], int]] = {}  # pool size: thrown positions, end of scan
 
@@ -511,9 +490,8 @@ def _retry_loop(graph: _Graph, words: _Words, slots, dup: bool) -> tuple[list[in
                 cand = order[start + (m >> 32)]
                 a, b = (cand, fixed) if corrupt_u else (fixed, cand)
                 if (
-                    anc[b * width + col[a]] != a
-                    and (a < n_labels or b < n_labels)
-                    and a * n_total + b not in extra
+                    (a < n_labels or b < n_labels)
+                    and a * n_total + b not in banned
                     and cand not in seen
                 ):
                     pick = cand
@@ -533,18 +511,19 @@ def _sample_negatives_for(
     *,
     counts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Corruptions ``(k, 2)`` of the positives ``(u[i], v[i])``, listed per positive.
+    """Pick-per-level corruptions ``(k, 2)`` of the positives ``(u[i], v[i])``,
+    listed per positive; every other negative mode is
+    ``_sample_negatives_rebalanced``'s.
 
-    Per positive: one corruption per (pass, side, pool) slot, the first
-    valid candidate (not banned, not drawn before for this positive) of up
-    to RETRY_CAP scalar draws ``rng.integers(len(pool))``; the slot gives
-    up when none of them is. A slot in which no candidate is valid (its
-    ``_Graph.valid`` count, summed over the levels for a pool of all nodes,
-    is 0) still reads its RETRY_CAP draws, so that seeded runs
-    replay byte for byte; a one-member pool's draws read no words. The
-    loop runs on one block of generator words per call (``_retry_loop``),
-    with validity from the ancestor table, and the generator is left where
-    the scalar draws would leave it.
+    Per positive: one corruption per (pass, side, level) slot, the first
+    valid candidate (not banned, not drawn before for this positive and
+    side) of up to RETRY_CAP scalar draws ``rng.integers(len(level))``; the
+    slot gives up when none of them is. A slot in which no candidate is
+    valid (its ``_Graph.valid`` count is 0) still reads its RETRY_CAP
+    draws, so that seeded runs replay byte for byte; a one-member level's
+    draws read no words. The loop runs on one block of generator words per
+    call (``_retry_loop``), with validity from ``_Graph.banned``, and the
+    generator is left where the scalar draws would leave it.
 
     Called on the positives of several batches at once, it returns the
     concatenation of per-batch calls and leaves the same stream.
@@ -554,20 +533,14 @@ def _sample_negatives_for(
         if counts is not None:
             counts[:] = 0
         return np.zeros((0, 2), dtype=np.int64)
-    # one pool per level, or every level's slot drawing from all nodes
-    ppl = config.pick_per_level
-    sizes = np.array(
-        [len(level) if ppl else graph.n_total for level in graph.levels], dtype=np.int64
-    )
-    starts = np.cumsum(sizes) - sizes if ppl else np.zeros_like(sizes)
+    sizes = np.array([len(level) for level in graph.levels], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
     # one positive's slots in loop order (pass, side, pool)
     t, side, p = np.indices((config.neg_passes, 2, len(sizes))).reshape(3, -1)
     first = t == 0
     # (positive, slot) arrays, positives in call order
     fixed = np.where(side == 0, v[:, None], u[:, None])
-    # the levels partition the nodes: a pool of all nodes holds their valid sum
-    valid = graph.valid[side, p, fixed] if ppl else graph.valid[side, :, fixed].sum(axis=2)
-    empty = valid == 0
+    empty = graph.valid[side, p, fixed] == 0
     size = sizes[p]
     # a one-member pool's valid member, taken in the first pass; later ones repeat it
     got = np.where(~empty & (size == 1) & first, graph.order[starts[p]], -1)
@@ -578,7 +551,7 @@ def _sample_negatives_for(
         words = _Words(rng, int(np.where(drawing, 1.5, RETRY_CAP).sum()))
         columns = (size[slot], starts[p[slot]], fixed[pos, slot], side[slot] == 0,
                    2 * pos + side[slot], drawing)  # group: the positive and side
-        dup = config.neg_passes > 1 or not ppl
+        dup = config.neg_passes > 1  # a later pass may draw a candidate again
         picks, used = _retry_loop(graph, words, zip(*map(memoryview, columns)), dup)
         words.close(used)
         got[pos, slot] = picks
@@ -600,11 +573,15 @@ def _sample_negatives_rebalanced(
     *,
     counts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Corruptions ``(k, 2)`` drawn 50/50 from the instance pool vs a random label level.
+    """Corruptions ``(k, 2)`` drawn exactly from a proposal's valid candidates:
+    every negative mode but pick-per-level (``_sample_negatives_for``).
 
-    The proposal picks the instance pool (the last level) with probability
-    1/2, else one of the L label levels with 1/(2L), then a uniform member.
-    Each slot takes one draw from what a rejection loop over that proposal
+    The proposal is rebalanced when ``config.rebalance_images`` is set and
+    the graph holds instances: the instance pool (the last level) with
+    probability 1/2, else one of the L label levels with 1/(2L), then a
+    uniform member. Otherwise it is uniform over all nodes (uniform
+    negatives). Each side of a positive has one slot per level and pass.
+    Each slot takes one draw from what a rejection loop over the proposal
     accepts: a level with weight (proposal probability / level size) x its
     valid candidates not yet drawn for this positive, then a uniform one of
     those, found by index arithmetic over the banned positions. A side stops
@@ -619,8 +596,11 @@ def _sample_negatives_rebalanced(
     of positive ``i``.
     """
     levels = graph.levels
-    props = [0.5 / (len(levels) - 1)] * (len(levels) - 1) + [0.5] if len(levels) > 1 else [1.0]
-    unit = np.array([prop / len(pool) for prop, pool in zip(props, levels)])
+    if config.rebalance_images and graph.n_total > graph.n_labels:
+        props = [0.5 / (len(levels) - 1)] * (len(levels) - 1) + [0.5]
+        unit = np.array([prop / len(pool) for prop, pool in zip(props, levels)])
+    else:
+        unit = np.full(len(levels), 1.0 / graph.n_total)
     slots = len(levels) * config.neg_passes
     n = graph.n_total
     side = np.tile([0, 1], len(u))
@@ -707,9 +687,9 @@ def train_graph_embedding(
     graph = _Graph(h, positives, 0 if feats is None else len(feats))
     rebalance = config.rebalance_images and feats is not None
     # past the largest pool, some pass of every pool finds no distinct
-    # negative, and each such slot still reads RETRY_CAP draws
-    uniform = rebalance or not config.pick_per_level
-    pool = graph.n_total if uniform else max(len(level) for level in graph.levels)
+    # negative; under pick-per-level each such slot still reads RETRY_CAP draws
+    exact = rebalance or not config.pick_per_level
+    pool = graph.n_total if exact else max(len(level) for level in graph.levels)
     if config.neg_passes > pool:
         raise ValueError(
             f"neg_passes {config.neg_passes} exceeds the largest candidate pool, "
@@ -735,7 +715,7 @@ def train_graph_embedding(
     adam_labels = AdamState.like(coords) if config.optimizer == "adam" else None
     adam_w = AdamState.like(w) if w is not None else None
 
-    sampler = _sample_negatives_rebalanced if rebalance else _sample_negatives_for
+    sampler = _sample_negatives_rebalanced if exact else _sample_negatives_for
 
     history: list[dict] = []
     n_pos = len(graph.positives)

@@ -11,14 +11,12 @@ from hierembed.synth import gaussian_cluster_features
 from test_hierarchy import uneven_forests
 
 
-def loop_gaussian_cluster_features(
-    h, per_leaf, dim, seed, *, root_scale=8.0, shrink=0.4, noise=0.25
-):
+def loop_gaussian_cluster_features(h, per_leaf, dim, seed, *, noise=0.25):
     """One ``standard_normal(dim)`` draw per instance row."""
     rng = np.random.default_rng(seed)
     means = {}
     for level in range(1, h.level_count + 1):
-        scale = root_scale * (shrink ** (level - 1))
+        scale = 8.0 * (0.4 ** (level - 1))
         for nid in h.level_members(level):
             parent = h.parent(nid)
             base = means[parent] if parent is not None else np.zeros(dim)

@@ -487,7 +487,7 @@ class TestNegativeSamplingModes:
         cfg_uni = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, pick_per_level=False)
         u, v = map(int, graph.positives[0])
         ppl = one_positive(_sample_negatives_for, graph, u, v, rng, cfg_ppl)
-        uni = one_positive(_sample_negatives_for, graph, u, v, np.random.default_rng(0), cfg_uni)
+        uni = one_positive(_sample_negatives_rebalanced, graph, u, v, np.random.default_rng(0), cfg_uni)
         # both corrupt each side once per level slot; uniform draws ignore levels
         assert len(uni) <= 2 * h.level_count
         assert len(ppl) <= 2 * h.level_count
@@ -495,6 +495,27 @@ class TestNegativeSamplingModes:
         ids = graph.ids
         for a, b in uni:
             assert (ids[a], ids[b]) not in closure
+
+    def test_uniform_negatives_drop_no_slot_with_a_valid_candidate(self, monkeypatch):
+        # corrupt-v of n000 has one valid candidate, n299, among 300 labels
+        ids = [f"n{i:03d}" for i in range(300)]
+        flat = Hierarchy([Node(i, 1, i) for i in ids], [])
+        graph = IdGraph(flat, [("n000", i) for i in ids[1:-1]])
+        batches, real = [], training._batch_step
+
+        def recorded(pos, negs, *args):
+            batches.append((pos, negs))
+            return real(pos, negs, *args)
+
+        monkeypatch.setattr(training, "_batch_step", recorded)
+        cfg = TrainConfig(kind="ec", dim=2, epochs=2, batch_size=50, seed=0, pick_per_level=False)
+        train_graph_embedding(flat, graph.positives, cfg)
+        assert sum(len(pos) for pos, _ in batches) == 2 * len(graph.positives)
+        u, n299 = graph.index["n000"], graph.index["n299"]
+        for pos, negs in batches:
+            # one slot per side, and each side has a valid candidate
+            assert len(negs) == 2 * len(pos)
+            assert np.count_nonzero((negs == [u, n299]).all(axis=1)) == len(pos)
 
     def test_pick_per_level_covers_levels(self, trainer_setup):
         h, split = trainer_setup
@@ -585,13 +606,9 @@ def _seed_sample_negatives_for(graph, u, v, rng, config):
     """The retry loop as it stood before empty slots were skipped."""
     out = []
     seen = set()
-    if config.pick_per_level:
-        pools = graph.levels
-    else:
-        pools = [np.concatenate(graph.levels)] * len(graph.levels)
     for _ in range(config.neg_passes):
         for corrupt_u in (True, False):
-            for pool in pools:
+            for pool in graph.levels:
                 for _ in range(RETRY_CAP):
                     cand = int(pool[int(rng.integers(len(pool)))])
                     pair = (cand, v) if corrupt_u else (u, cand)
@@ -609,13 +626,13 @@ def _per_positive_sample_negatives_rebalanced(graph, u, v, rng, config):
     """The rejection-free rebalanced sampler as it stood with one call per positive.
 
     Only the banned-position lookup reads the current table (``banned_key``,
-    one CSR over ``side * n + node``), and the total mass is summed left to
-    right as Python 3.11's ``sum`` does (3.12's compensates); the arithmetic
-    is otherwise unchanged.
+    one CSR over ``side * n + node``), the total mass is summed left to
+    right as Python 3.11's ``sum`` does (3.12's compensates), and the
+    proposal is ``proposal_mass``'s; the arithmetic is otherwise unchanged.
     """
     levels = graph.levels
-    props = [0.5 / (len(levels) - 1)] * (len(levels) - 1) + [0.5] if len(levels) > 1 else [1.0]
-    unit = [prop / len(pool) for prop, pool in zip(props, levels)]
+    mass = proposal_mass(graph, config)
+    unit = [float(mass[pool[0]]) for pool in levels]
     slots = len(levels) * config.neg_passes
     draws = rng.random(2 * slots).tolist()
     n = graph.n_total
@@ -734,14 +751,10 @@ class TestEmptySlots:
         assert not empty[1, 0, child]  # the root itself is a valid corrupt-v
 
     @pytest.mark.parametrize("neg_passes", [1, 2])
-    @pytest.mark.parametrize("pick_per_level", [True, False])
     @pytest.mark.parametrize("name", ["single-root", "instances-extra"])
-    def test_same_pairs_and_stream_as_retry_loop(self, name, pick_per_level, neg_passes):
+    def test_same_pairs_and_stream_as_retry_loop(self, name, neg_passes):
         graph = GRAPHS[name]()
-        cfg = TrainConfig(
-            kind="ec", dim=2, epochs=1, seed=0,
-            pick_per_level=pick_per_level, neg_passes=neg_passes,
-        )
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes)
         order = np.random.default_rng(3).permutation(len(graph.positives))
         rng, ref = np.random.default_rng(11), np.random.default_rng(11)
         for u, v in graph.positives[order]:
@@ -798,17 +811,26 @@ class TestEmptySlots:
                 assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def rebalanced(graph, config):
+    """Whether the exact sampler proposes rebalanced: set in ``config`` and instances present."""
+    return config.rebalance_images and graph.n_total > graph.n_labels
+
+
 def ref_sample_negatives_rebalanced(graph, u, v, rng, config):
-    """The rebalanced sampler as a rejection loop with RETRY_CAP draws per slot."""
-    label_levels = [l for l in graph.levels[: -1]] or graph.levels
+    """The exact sampler as a rejection loop with RETRY_CAP draws per slot, over
+    the rebalanced proposal or the uniform one."""
+    label_levels = graph.levels[:-1]
     inst_pool = graph.levels[-1]
+    uniform = not rebalanced(graph, config)
     out = []
     seen = set()
     draws = 2 * len(graph.levels) * config.neg_passes
     for k in range(draws):
         corrupt_u = k % 2 == 0
         for _ in range(RETRY_CAP):
-            if rng.random() < 0.5:
+            if uniform:
+                pool = graph.order
+            elif rng.random() < 0.5:
                 pool = inst_pool
             else:
                 pool = label_levels[int(rng.integers(len(label_levels)))]
@@ -837,13 +859,16 @@ def valid_candidates(graph, side, node):
     return out
 
 
-def proposal_mass(graph):
-    """Per node: the rebalanced proposal's probability of drawing it."""
+def proposal_mass(graph, config):
+    """Per node: the proposal's probability of drawing it, rebalanced when
+    ``config.rebalance_images`` is set and the graph holds instances, else uniform."""
+    if not rebalanced(graph, config):
+        return np.full(graph.n_total, 1.0 / graph.n_total)
     levels = graph.levels
     mass = np.zeros(graph.n_total)
     for i, pool in enumerate(levels):
         prop = 0.5 if i == len(levels) - 1 else 0.5 / (len(levels) - 1)
-        mass[pool] += (prop if len(levels) > 1 else 1.0) / len(pool)
+        mass[pool] += prop / len(pool)
     return mass
 
 
@@ -909,10 +934,12 @@ def chi2_upper(df, z=4.0):
 
 
 class TestRebalancedSampler:
+    @pytest.mark.parametrize("rebalance", [True, False])
     @settings(max_examples=60, deadline=None)
     @given(forests_with_instances(), st.integers(1, 2), st.integers(0, 2**32 - 1))
-    def test_pairs_valid_distinct_and_slots_filled(self, graph, neg_passes, seed):
-        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes)
+    def test_pairs_valid_distinct_and_slots_filled(self, rebalance, graph, neg_passes, seed):
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes,
+                          rebalance_images=rebalance)
         slots = len(graph.levels) * neg_passes
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for u, v in graph.positives.tolist():
@@ -948,11 +975,12 @@ class TestRebalancedSampler:
                     below = np.searchsorted(graph.banned_key, queries, side="right") - ptr
                     assert (np.arange(len(valid)) + below).tolist() == expected
 
-    def test_candidate_frequencies_match_rejection_loop(self):
+    @pytest.mark.parametrize("rebalance", [True, False])
+    def test_candidate_frequencies_match_rejection_loop(self, rebalance):
         graph = _wide_instance_graph()
-        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, rebalance_images=rebalance)
         slots = len(graph.levels)
-        mass = proposal_mass(graph)
+        mass = proposal_mass(graph, cfg)
         root = graph.index["r"]
         picks = np.random.default_rng(2).permutation(len(graph.positives))
         chosen = [tuple(graph.positives[i].tolist()) for i in picks if graph.positives[i, 0] != root]
@@ -987,8 +1015,8 @@ class TestRebalancedSampler:
 
     def test_corrupt_parent_mix_is_half_instances(self):
         graph = _wide_instance_graph()
-        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0)
-        mass = proposal_mass(graph)
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, rebalance_images=True)
+        mass = proposal_mass(graph, cfg)
         leaves = {graph.index[n] for n in ("r.0.0", "r.1.2", "r.3.3")}
         positives = [(u, v) for u, v in graph.positives.tolist() if u in leaves]
         # the first corrupt-v draw's chance of an instance, from the valid masses
@@ -1026,10 +1054,11 @@ class TestBatchSamplersMatchPerPositiveCalls:
         st.integers(0, 2**32 - 1),
         st.data(),
     )
-    def test_same_pairs_and_stream(self, graph, neg_passes, pick_per_level, seed, data):
+    def test_same_pairs_and_stream(self, graph, neg_passes, rebalance, seed, data):
+        # the plain sampler is pick-per-level; the exact one takes either proposal
         cfg = TrainConfig(
             kind="ec", dim=2, epochs=1, seed=0,
-            neg_passes=neg_passes, pick_per_level=pick_per_level,
+            neg_passes=neg_passes, rebalance_images=rebalance,
         )
         n_pos = len(graph.positives)
         batch_size = data.draw(st.integers(1, n_pos + 1), label="batch_size")
@@ -1049,9 +1078,10 @@ class TestBatchSamplersMatchPerPositiveCalls:
                 assert [tuple(p) for p in got.tolist()] == expected
                 assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("rebalance", [True, False])
     @pytest.mark.parametrize("neg_passes", [1, 3])
     @pytest.mark.parametrize("make", [_instance_graph, _wide_instance_graph])
-    def test_rounding_past_the_last_mass(self, make, neg_passes):
+    def test_rounding_past_the_last_mass(self, make, neg_passes, rebalance):
         class TopDraws:
             """Every uniform is the largest double below 1, so x often rounds past the end."""
 
@@ -1059,7 +1089,8 @@ class TestBatchSamplersMatchPerPositiveCalls:
                 return np.full(size, np.nextafter(1.0, 0.0))
 
         graph = make()
-        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes)
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes,
+                          rebalance_images=rebalance)
         u, v = graph.positives[:, 0], graph.positives[:, 1]
         got = _sample_negatives_rebalanced(graph, u, v, TopDraws(), cfg)
         expected = [
@@ -1083,14 +1114,10 @@ class TestBatchSamplersMatchPerPositiveCalls:
         return expected
 
     @pytest.mark.parametrize("neg_passes", [1, 2, 3])
-    @pytest.mark.parametrize("pick_per_level", [True, False])
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_every_graph_and_batch_size(self, name, pick_per_level, neg_passes):
+    def test_every_graph_and_batch_size(self, name, neg_passes):
         graph = GRAPHS[name]()
-        cfg = TrainConfig(
-            kind="ec", dim=2, epochs=1, seed=0,
-            pick_per_level=pick_per_level, neg_passes=neg_passes,
-        )
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes)
         n_pos = len(graph.positives)
         order = np.random.default_rng(2).permutation(n_pos)
         for batch_size in sorted({1, 2, 5, 64, n_pos, n_pos + 1}):
@@ -1172,9 +1199,8 @@ class TestBatchSamplersMatchPerPositiveCalls:
 
         monkeypatch.setattr(training, "_Words", OneWordAhead)
         for name in sorted(GRAPHS):
-            for pick_per_level in (True, False):
-                for neg_passes in (1, 2, 3):
-                    self.test_every_graph_and_batch_size(name, pick_per_level, neg_passes)
+            for neg_passes in (1, 2, 3):
+                self.test_every_graph_and_batch_size(name, neg_passes)
         self.test_thrown_word_before_a_drawing_slot()
         for at in (0, 50, 98, 150):
             for neg_passes in (1, 3):
@@ -1218,16 +1244,12 @@ class TestBatchSamplersMatchPerPositiveCalls:
             assert sum(b == root for _, b in pairs) == len(batch)
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_ancestor_table_and_extra_keys_are_the_banned_pairs(self, name):
-        graph = GRAPHS[name]()
-        assert_banned_pairs(graph)
-        # the table holds every banned pair but the positives that no row can
-        expected = {"single-root": 0, "instances": 0, "instances-extra": 3, "forest-extra": 2}
-        assert len(graph.extra_keys) == expected[name]
+    def test_banned_set_is_the_banned_pairs(self, name):
+        assert_banned_pairs(GRAPHS[name]())
 
     @settings(max_examples=50, deadline=None)
     @given(forests_with_instances())
-    def test_ancestor_table_on_random_forests(self, graph):
+    def test_banned_set_on_random_forests(self, graph):
         assert_banned_pairs(graph)
 
 
@@ -1332,16 +1354,14 @@ class TestGraphRows:
 
 
 def assert_banned_pairs(graph):
-    """``anc``/``extra_keys`` ban exactly the forbidden pairs and self-pairs, bar instance pairs."""
+    """``banned`` holds the keys of exactly the forbidden pairs and self-pairs with a label side."""
     n = graph.n_total
-    keys = graph.extra_keys
-    assert np.all(np.diff(keys) > 0)
-    a, b = np.divmod(np.arange(n * n), n)
-    by_table = (graph.anc[b, graph.col[a]] == a) | np.isin(a * n + b, keys)
-    expected = np.array([x == y or (x, y) in graph.forbidden for x, y in zip(a.tolist(), b.tolist())])
-    labels = (a < graph.n_labels) | (b < graph.n_labels)
-    np.testing.assert_array_equal(by_table[labels], expected[labels])
-    assert not np.isin(keys, a[~labels] * n + b[~labels]).any()
+    assert graph.banned == {
+        a * n + b
+        for a in range(n)
+        for b in range(n)
+        if (a < graph.n_labels or b < graph.n_labels) and (a == b or (a, b) in graph.forbidden)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1363,11 +1383,8 @@ def _per_batch_train_graph_embedding(h, positives, config, *, features=None):
         w = rng.standard_normal((feats.shape[1], config.dim)) * 0.01
     adam_labels = AdamState.like(coords) if config.optimizer == "adam" else None
     adam_w = AdamState.like(w) if w is not None else None
-    sampler = (
-        _sample_negatives_rebalanced
-        if config.rebalance_images and features is not None
-        else _sample_negatives_for
-    )
+    exact = (config.rebalance_images and features is not None) or not config.pick_per_level
+    sampler = _sample_negatives_rebalanced if exact else _sample_negatives_for
     hc = config.kind == "hc"
 
     def embed(nodes):
@@ -1506,7 +1523,7 @@ class TestEngineInSpans:
     @pytest.mark.parametrize("rebalance", [False, True])
     def test_counts_cut_the_pairs_per_positive(self, rebalance):
         graph = _instance_graph()
-        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=2)
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=2, rebalance_images=rebalance)
         sampler = _sample_negatives_rebalanced if rebalance else _sample_negatives_for
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         counts = np.full(len(graph.positives), -1, dtype=np.int64)
