@@ -670,6 +670,14 @@ def _per_positive_sample_negatives_rebalanced(graph, u, v, rng, config):
     return out
 
 
+def engine_samplers(config):
+    """The batch sampler ``train_graph_embedding`` picks for ``config`` on a
+    graph without rebalancing, with its scalar per-positive reference."""
+    if config.pick_per_level:
+        return _sample_negatives_for, _seed_sample_negatives_for
+    return _sample_negatives_rebalanced, _per_positive_sample_negatives_rebalanced
+
+
 def _lemire(words, n):
     """What ``rng.integers(n)`` makes of each 32-bit word: ``(index, thrown_away)``.
 
@@ -751,15 +759,19 @@ class TestEmptySlots:
         assert not empty[1, 0, child]  # the root itself is a valid corrupt-v
 
     @pytest.mark.parametrize("neg_passes", [1, 2])
+    @pytest.mark.parametrize("pick_per_level", [True, False])
     @pytest.mark.parametrize("name", ["single-root", "instances-extra"])
-    def test_same_pairs_and_stream_as_retry_loop(self, name, neg_passes):
+    def test_same_pairs_and_stream_as_retry_loop(self, name, pick_per_level, neg_passes):
+        # uniform negatives take the exact sampler: its scalar reference is the loop
         graph = GRAPHS[name]()
-        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes)
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes,
+                          pick_per_level=pick_per_level)
+        sampler, scalar = engine_samplers(cfg)
         order = np.random.default_rng(3).permutation(len(graph.positives))
         rng, ref = np.random.default_rng(11), np.random.default_rng(11)
         for u, v in graph.positives[order]:
-            got = one_positive(_sample_negatives_for, graph, int(u), int(v), rng, cfg)
-            assert got == _seed_sample_negatives_for(graph, int(u), int(v), ref, cfg)
+            got = one_positive(sampler, graph, int(u), int(v), rng, cfg)
+            assert got == scalar(graph, int(u), int(v), ref, cfg)
             assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -1100,24 +1112,26 @@ class TestBatchSamplersMatchPerPositiveCalls:
         ]
         assert [tuple(p) for p in got.tolist()] == expected
 
-    # the plain sampler's word walk against the scalar retry loop, at its corner cases
+    # the plain sampler's word walk against the scalar retry loop, at its corner cases;
+    # with uniform negatives, the exact sampler against its per-positive reference
     @staticmethod
     def assert_matches_scalar_loop(graph, batch, rng, cfg):
+        sampler, scalar = engine_samplers(cfg)
         ref = np.random.default_rng()
         ref.bit_generator.state = rng.bit_generator.state
-        got = _sample_negatives_for(graph, batch[:, 0], batch[:, 1], rng, cfg)
-        expected = [
-            pair for u, v in batch.tolist() for pair in _seed_sample_negatives_for(graph, u, v, ref, cfg)
-        ]
+        got = sampler(graph, batch[:, 0], batch[:, 1], rng, cfg)
+        expected = [pair for u, v in batch.tolist() for pair in scalar(graph, u, v, ref, cfg)]
         assert [tuple(p) for p in got.tolist()] == expected
         assert rng.bit_generator.state == ref.bit_generator.state
         return expected
 
     @pytest.mark.parametrize("neg_passes", [1, 2, 3])
+    @pytest.mark.parametrize("pick_per_level", [True, False])
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_every_graph_and_batch_size(self, name, neg_passes):
+    def test_every_graph_and_batch_size(self, name, pick_per_level, neg_passes):
         graph = GRAPHS[name]()
-        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes)
+        cfg = TrainConfig(kind="ec", dim=2, epochs=1, seed=0, neg_passes=neg_passes,
+                          pick_per_level=pick_per_level)
         n_pos = len(graph.positives)
         order = np.random.default_rng(2).permutation(n_pos)
         for batch_size in sorted({1, 2, 5, 64, n_pos, n_pos + 1}):
@@ -1200,7 +1214,7 @@ class TestBatchSamplersMatchPerPositiveCalls:
         monkeypatch.setattr(training, "_Words", OneWordAhead)
         for name in sorted(GRAPHS):
             for neg_passes in (1, 2, 3):
-                self.test_every_graph_and_batch_size(name, neg_passes)
+                self.test_every_graph_and_batch_size(name, True, neg_passes)
         self.test_thrown_word_before_a_drawing_slot()
         for at in (0, 50, 98, 150):
             for neg_passes in (1, 3):
