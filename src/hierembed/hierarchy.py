@@ -20,6 +20,11 @@ hierarchy's ``ids``. Closures, splits and evaluation negatives are built,
 checked and scored as rows; id strings appear only in an ``EdgeSet``'s lazy
 id views, ``pairs`` and iteration, and where ``save_split``/``load_split``
 write and read the split files.
+
+``augment_eval_negatives`` draws its candidates with a generator private to
+the call. Every draw is ``rng.integers(n)`` for one ``n``, so the draws are
+computed from blocks of the generator's 32-bit words, one array step per
+block (``block_draws``); a block read ahead moves no output.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ import numpy as np
 from .storage import int_column, read_tsv, row_error, write_tsv
 
 RETRY_CAP = 100
+WORD = 2**32  # ``rng.integers(n)`` reads 32-bit generator words for any n <= 2**32
+DRAW_BLOCK = 2**12  # words read per array step of ``augment_eval_negatives``'s draws
 
 
 class HierarchyError(ValueError):
@@ -57,9 +64,35 @@ def name_some(names: Sequence[str], shown: int = 5) -> str:
     return ", ".join(repr(name) for name in names[:shown]) + more
 
 
+def block_draws(rng: np.random.Generator, n: int) -> Iterator[int]:
+    """The draws of ``rng.integers(n)``, ``2 <= n <= 2**32``, one after another,
+    computed from blocks of DRAW_BLOCK 32-bit words of ``rng``, one array step
+    per block. ``rng`` is read to the end of the block in use.
+
+    NumPy's Lemire step maps a word ``w`` to ``(w * n) >> 32``; it throws the
+    word away and reads the next one when ``(w * n) mod 2**32`` falls below
+    ``(2**32 - n) mod n``.
+    """
+    cut = (WORD - n) % n
+    while True:
+        m = rng.integers(0, WORD, size=DRAW_BLOCK, dtype=np.uint32).astype(np.uint64) * np.uint64(n)
+        yield from (m >> np.uint64(32))[m & np.uint64(WORD - 1) >= cut].tolist()
+
+
 def _first_fault(ids: Sequence[str], rows: np.ndarray) -> tuple[int, int | None, str] | None:
     """The first row of ``rows`` that is a self-loop or repeats an earlier row: its
-    index, the earlier row's (None for a self-loop) and the fault; None if none."""
+    index, the earlier row's (None for a self-loop) and the fault; None if none.
+
+    One array test clears a set without faults; the row loop names the first one.
+    """
+    keys = rows[:, 0] * len(ids) + rows[:, 1]
+    if not (rows[:, 0] == rows[:, 1]).any() and len(np.unique(keys)) == len(keys):
+        return None
+    return _first_fault_by_rows(ids, rows)
+
+
+def _first_fault_by_rows(ids: Sequence[str], rows: np.ndarray) -> tuple[int, int | None, str] | None:
+    """``_first_fault``, found by a loop over the rows."""
     seen: dict[tuple[int, int], int] = {}
     for i, (u, v) in enumerate(rows.tolist()):
         if u == v or (u, v) in seen:
@@ -275,20 +308,25 @@ def augment_eval_negatives(split: SplitResult, closure: EdgeSet, seed: int) -> S
     other side so that each positive still gets 10 negatives. Candidates
     are the closure's nodes; a pair of rows ``(a, b)`` is checked by its key
     ``a * n + b``, n the label count.
+
+    Each candidate is the draw ``rng.integers(len(nodes))`` of a generator
+    private to the call, seeded with ``seed``. ``block_draws`` computes the
+    draws from blocks of the generator's words; as no other caller reads the
+    generator, reading a block ahead changes no output.
     """
     ids, n = closure.ids, len(closure.ids)
     if split.val.ids != ids or split.test.ids != ids:
         raise ValueError("the split and the closure are over different hierarchies")
     closed = set((closure.rows[:, 0] * n + closure.rows[:, 1]).tolist())
     nodes = np.unique(closure.rows).tolist()
-    rng = np.random.default_rng(seed)
+    draws = block_draws(np.random.default_rng(seed), len(nodes))
 
     def corrupt(pos: list[int], corrupt_u: bool, taken: set[int], count: int) -> list[tuple[int, int]]:
         out: list[tuple[int, int]] = []
         u, v = pos
         for _ in range(count):
             for _ in range(RETRY_CAP):
-                cand = nodes[int(rng.integers(len(nodes)))]
+                cand = nodes[next(draws)]
                 a, b = (cand, v) if corrupt_u else (u, cand)
                 key = a * n + b
                 if a == b or key in closed or key in taken:

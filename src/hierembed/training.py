@@ -38,7 +38,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import ConeParams
-from .hierarchy import RETRY_CAP, EdgeSet, Hierarchy, SplitResult, name_some
+from .hierarchy import RETRY_CAP, WORD, EdgeSet, Hierarchy, SplitResult, name_some
 from .metrics import ConfusionCounts, accuracy, precision_recall_f1
 
 
@@ -400,7 +400,6 @@ class _Graph:
 # generator words as uint32 and scans them in fixed-size chunks
 # (``_retry_loop``), so a larger span costs no more peak memory per word.
 SPAN_POSITIVES = 1024
-WORD = 2**32  # ``rng.integers(n)`` reads 32-bit generator words for any n <= 2**32
 
 
 class _Words:

@@ -1107,9 +1107,10 @@ def test_golden_classify_digests_across_row_blocks(tmp_path):
 
 
 # sha256 of every other text table the CLI writes, from one fixed run of each
-# writer: gen-tree, split, a planted label file's sidecar, export-2d (raw2d and
-# pca) and convert-ethec. A change to one of these formats has to say so and
-# record the new digests here.
+# writer: gen-tree, split (also at the `labels` benchmark's 5x3 tree, fraction
+# 0.5, seed 1), a planted label file's sidecar, export-2d (raw2d and pca) and
+# convert-ethec. A change to one of these formats has to say so and record the
+# new digests here.
 GOLDEN_TABLES = {
     "tree/nodes.tsv": "daabfc083157281b847f31b67f32745550af04c3e9e19a379df2bc9f6ac52730",
     "tree/edges.tsv": "1cf3c49bb000db9c4aa2689845b8415e31aba060e053934468eb1fc24ff1eaf8",
@@ -1117,6 +1118,10 @@ GOLDEN_TABLES = {
     "split/val_edges.tsv": "59e2973bcd0f041fa91b32bc107dc98c632808187832d76c0824890552be90d6",
     "split/test_edges.tsv": "9cd4e4888e407d6358f923b84b8f093a304eca66f3389226ca0b42ca6ab0d617",
     "split/eval_negatives.tsv": "3bfdccebfa702ed6130c19b4bcbc3495f0e3600c76a615775b07ced18297a6b7",
+    "labels-split/train_edges.tsv": "3fce939711e75b3591b1ba2da0bef9183a1ef0b05efc6c236a1190226ebf5bfe",
+    "labels-split/val_edges.tsv": "c862d0db40b30c3e5df673810edb1e0cb71fb41c84b75c04bd0b0136c35ff7a6",
+    "labels-split/test_edges.tsv": "29b7787c8a4733f06077f23f61a62a484e652baca5c6a51a78d68230c4e0d51a",
+    "labels-split/eval_negatives.tsv": "7a55ea319e85b206f2bf8832fdc4d156ccda2874878f9a3a722e221dbed63eb6",
     "flat.emb.nodes.tsv": "d1fe9f26d83ae406b56f186bf0b078608dc74ae04e55c432c547c0a0c86a998d",
     "raw2d/coords.tsv": "e45fd366ec46880408261f631ce8a3afbe4352c5f9e72666ad088558dbcb95ee",
     "pca/coords.tsv": "836bff285619912f9aa5b3281d8b310d3ff20805710165cbaf8041085c72ec59",
@@ -1134,6 +1139,10 @@ def test_golden_text_table_digests(tmp_path):
     nodes, edges, _ = tree_files(tmp_path, 4, 2)
     base = ["--nodes", str(nodes), "--edges", str(edges)]
     run(["split", *base, "--fraction", "0.5", "--seed", "3", "--out", str(tmp_path / "split")])
+    labels = tmp_path / "labels-tree"
+    run(["gen-tree", "--levels", "5", "--branching", "3", "--out", str(labels)])
+    run(["split", "--nodes", str(labels / "nodes.tsv"), "--edges", str(labels / "edges.tsv"),
+         "--fraction", "0.5", "--seed", "1", "--out", str(tmp_path / "labels-split")])
     ids = sorted(line.split("\t")[0] for line in nodes.read_text().splitlines())
     rng = np.random.default_rng(5)
     storage.save_embeddings(tmp_path / "flat.emb", ids, rng.uniform(-0.5, 0.5, (len(ids), 2)), "ec")

@@ -16,6 +16,8 @@ from hierembed.hierarchy import (
     HierarchyError,
     Node,
     SamplingError,
+    _first_fault,
+    _first_fault_by_rows,
     augment_eval_negatives,
     generate_synthetic_tree,
     load_hierarchy,
@@ -95,6 +97,21 @@ class TestStructure:
             assert edges.pairs is first and tuple(edges) == first
         assert frozenset(edges) == {("a", "b"), ("a", "c"), ("b", "d")}
         assert EdgeSet(h.ids, [[0, 1], [0, 2], [1, 3]]).pairs == edges.pairs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_array_fault_check_matches_row_loop(self, data):
+        n = data.draw(st.integers(2, 12))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        rows = data.draw(st.lists(pair, max_size=20, unique=True))
+        for _ in range(data.draw(st.integers(0, 3))):  # plant self-loops and repeats anywhere
+            at = data.draw(st.integers(0, len(rows)))
+            if rows and data.draw(st.booleans()):
+                rows.insert(at, rows[data.draw(st.integers(0, len(rows) - 1))])
+            else:
+                rows.insert(at, (data.draw(st.integers(0, n - 1)),) * 2)
+        ids, rows = tuple(f"n{k}" for k in range(n)), np.array(rows, dtype=np.int64).reshape(-1, 2)
+        assert _first_fault(ids, rows) == _first_fault_by_rows(ids, rows)
 
 
 class TestClosure:

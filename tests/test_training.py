@@ -1,6 +1,7 @@
 """Max-margin loss, optimizer steps, trainer determinism, edge prediction."""
 
 import bisect
+import itertools
 import sys
 import tracemalloc
 from dataclasses import astuple
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 from hierembed import geometry, training
 from hierembed.geometry import ConeParams
 from hierembed.hierarchy import (
+    DRAW_BLOCK,
     EdgeSet,
     Hierarchy,
     Node,
     augment_eval_negatives,
+    block_draws,
     generate_synthetic_tree,
     split_edges,
 )
@@ -775,10 +778,11 @@ class TestEmptySlots:
             assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize(
-        "n", [1, 2, 3, 7, 27, 81, 100, 1000, 2**31 - 1, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**33]
+        "n", [1, 2, 3, 7, 27, 81, 100, 1000, 2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32,
+              2**32 + 1, 2**33]
     )
     def test_batched_draws_equal_scalar_draws(self, n):
-        # the samplers' byte-identical batching rests on these NumPy stream facts
+        # the samplers' and the split's byte-identical batching rests on these NumPy stream facts
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         rng.random(), ref.random()  # start away from a fresh state
         batched = rng.integers(n, size=RETRY_CAP)
@@ -803,8 +807,9 @@ class TestEmptySlots:
         assert rng.bit_generator.state == ref.bit_generator.state
         if not 2 <= n <= 2**32:
             return
-        # the plain sampler computes draws from a block of 32-bit words: Lemire's
-        # step, thrown-away words, PCG64's pending high half, then a re-read
+        # the plain sampler and the split's negatives compute draws from blocks of
+        # 32-bit words: Lemire's step, thrown-away words (a quarter of them for
+        # 3 * 2**30), PCG64's pending high half; the sampler then re-reads
         for pending in (False, True):
             for forced in (False, True):
                 rng, ref = np.random.default_rng(7), np.random.default_rng(7)
@@ -821,6 +826,11 @@ class TestEmptySlots:
                     draws_from_words(rng, n, RETRY_CAP), [ref.integers(n) for _ in range(RETRY_CAP)]
                 )
                 assert rng.bit_generator.state == ref.bit_generator.state
+                count = 2 * DRAW_BLOCK + 1  # past the end of the first block for any n
+                np.testing.assert_array_equal(
+                    list(itertools.islice(block_draws(rng, n), count)),
+                    [ref.integers(n) for _ in range(count)],
+                )
 
 
 def rebalanced(graph, config):
