@@ -4,7 +4,8 @@ Five formulations over a shared flat logit layout:
 
 - ``hab``: one-vs-rest over all labels jointly (multi-label soft margin),
   decided by a threshold on sigmoid scores (one shared threshold or one
-  per label).
+  per label), each the first best-F1 threshold of the one sweep that edge
+  prediction uses, mirrored for ``score >= t``.
 - ``plc``: an independent softmax cross-entropy per level.
 - ``mc``: softmax over the deepest level only; upper-level probabilities
   are marginals over leaf descendants, each level penalized.
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .hierarchy import Hierarchy
-from .metrics import level_accuracy, micro_f1
+from .metrics import best_f1_threshold, level_accuracy, micro_f1
 
 
 class HeadError(ValueError):
@@ -93,16 +94,16 @@ class HierarchyIndex:
         self.n_total = int(sum(self.level_sizes))
         # row_pos[r]: within-level position of hierarchy row r
         self.row_pos = np.empty(len(h.ids), dtype=np.int64)
-        for lvl, size in enumerate(self.level_sizes, 1):
-            self.row_pos[h.level_of == lvl] = np.arange(size)
+        for rows in h.level_rows:
+            self.row_pos[rows] = np.arange(len(rows))
         self.pos_in_level = dict(zip(h.ids, self.row_pos.tolist()))
         # parent_pos[i][c]: level-(i+1) position of the parent of the c-th
         # node at level i+2 (0-based level index i).
         self.parent_pos = [
-            self.row_pos[h.anc[h.level_of == i + 2, i]] for i in range(self.level_count - 1)
+            self.row_pos[h.anc[h.level_rows[i + 1], i]] for i in range(self.level_count - 1)
         ]
         # leaf_path[k, i]: level-(i+1) position of the k-th leaf's ancestor.
-        self.leaf_path = self.row_pos[h.anc[h.level_of == self.level_count]]
+        self.leaf_path = self.row_pos[h.anc[h.level_rows[-1]]]
         # leaf_dfs: leaf positions in DFS order, in which each node's leaves
         # form one run. run_start[i] and run_pos[i]: where each level-(i+1)
         # node's run starts and that node's position; a node with no leaf
@@ -452,25 +453,6 @@ def hs_predict(group_logits, index: HierarchyIndex) -> np.ndarray:
 # Decision thresholds (hab)
 # ---------------------------------------------------------------------------
 
-def _best_f1_threshold(scores: np.ndarray, truth: np.ndarray) -> float:
-    """Threshold (predict score >= t) maximizing F1; ties pick the largest t.
-
-    F1 is read only at the last index of each run of equal scores, where
-    the true-positive count does not depend on the order within the run;
-    so the sort need not be stable.
-    """
-    order = np.argsort(-scores)
-    s = scores[order]
-    y = truth[order].astype(np.int64)
-    total_pos = int(y.sum())
-    tp = np.cumsum(y)
-    k = np.arange(1, len(s) + 1)
-    f1 = 2.0 * tp / (k + total_pos) if total_pos else np.zeros(len(s))
-    boundary = np.flatnonzero(np.append(s[:-1] != s[1:], True))
-    best = boundary[np.argmax(f1[boundary])]
-    return float(s[best]) if f1[best] > 0 else float(s[0] + 1.0)  # else predict nothing
-
-
 def level_micro_f1(index: HierarchyIndex, pred: np.ndarray, truth: np.ndarray) -> list[float]:
     """Micro-F1 of multi-hot decisions (n, N_t) within each level's columns."""
     return [
@@ -480,11 +462,14 @@ def level_micro_f1(index: HierarchyIndex, pred: np.ndarray, truth: np.ndarray) -
 
 
 def select_thresholds(scores, targets, mode: str) -> np.ndarray:
-    """Decision boundaries for multi-label sigmoid scores.
+    """Decision boundaries for multi-label sigmoid scores, classified positive
+    when ``>=`` the threshold.
 
     ``ofadb`` returns a single shared threshold maximizing micro-F1 over all
-    (sample, label) scores; ``pcdb`` one threshold per label. Scores are
-    classified positive when >= the threshold.
+    (sample, label) scores; ``pcdb`` one threshold per label. Each is
+    ``metrics.best_f1_threshold`` mirrored, as ``score >= t`` exactly when
+    ``-score <= -t``: a midpoint of adjacent distinct scores, the min, or
+    max + 1 (nothing positive); of equal F1 the largest threshold wins.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=bool))
@@ -492,13 +477,10 @@ def select_thresholds(scores, targets, mode: str) -> np.ndarray:
         raise HeadError("threshold selection needs a non-empty validation set")
     if scores.shape != targets.shape:
         raise HeadError("scores and targets must align")
-    if mode == "ofadb":
-        return np.array([_best_f1_threshold(scores.ravel(), targets.ravel())])
-    if mode == "pcdb":
-        return np.array(
-            [_best_f1_threshold(scores[:, j], targets[:, j]) for j in range(scores.shape[1])]
-        )
-    raise HeadError(f"mode must be ofadb or pcdb, got {mode!r}")
+    if mode not in ("ofadb", "pcdb"):
+        raise HeadError(f"mode must be ofadb or pcdb, got {mode!r}")
+    pairs = [(scores, targets)] if mode == "ofadb" else zip(scores.T, targets.T)
+    return np.array([-best_f1_threshold(-s[y], -s[~y])[0] for s, y in pairs])
 
 
 # ---------------------------------------------------------------------------

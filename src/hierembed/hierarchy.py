@@ -7,13 +7,14 @@ families) are plain forests here; no virtual root node is materialized.
 
 ``Hierarchy`` also holds the tree in integer form, built once. Row ``r``
 is the node ``ids[r]``, the ids in sorted order, which is the row order
-of every label table. ``level_of[r]`` is the row's level and
-``anc[r, i]`` the row of its ancestor at level ``i + 1``: a node is its
-own entry at its own level, and ``-1`` fills the levels below it. The
-closure, label paths and within-level positions are read from these: the
-closure once, as ``closure_rows``, a read-only ``(P, 2)`` int64 array of
-(ancestor row, descendant row), sorted. Row order is id order, so its
-id pairs are sorted by id.
+of every label table. ``level_of[r]`` is the row's level,
+``level_rows[i]`` a read-only array of the rows at level ``i + 1`` in row
+order, and ``anc[r, i]`` the row of its ancestor at level ``i + 1``: a
+node is its own entry at its own level, and ``-1`` fills the levels below
+it. The closure, label paths and within-level positions are read from
+these: the closure once, as ``closure_rows``, a read-only ``(P, 2)`` int64
+array of (ancestor row, descendant row), sorted. Row order is id order, so
+its id pairs are sorted by id.
 
 An ``EdgeSet`` holds rows too: a read-only ``(k, 2)`` array into a
 hierarchy's ``ids``. Closures, splits and evaluation negatives are built,
@@ -195,9 +196,12 @@ class Hierarchy:
             self.anc[below, i - 1] = parent_row[self.anc[below, i]]
         self.level_of.setflags(write=False)
         self.anc.setflags(write=False)
+        self.level_rows = tuple(np.flatnonzero(self.level_of == lvl) for lvl in levels)
+        for rows in self.level_rows:
+            rows.setflags(write=False)
         self._level_members = {
-            lvl: tuple(self.ids[r] for r in np.flatnonzero(self.level_of == lvl).tolist())
-            for lvl in levels
+            lvl: tuple(self.ids[r] for r in rows.tolist())
+            for lvl, rows in zip(levels, self.level_rows)
         }
 
     # -- accessors ---------------------------------------------------------
@@ -216,7 +220,7 @@ class Hierarchy:
 
     @property
     def level_sizes(self) -> tuple[int, ...]:
-        return tuple(len(self._level_members[l]) for l in range(1, self._level_count + 1))
+        return tuple(len(rows) for rows in self.level_rows)
 
     @property
     def total_labels(self) -> int:
@@ -440,10 +444,12 @@ def load_split(split_dir, h: Hierarchy) -> SplitResult:
     for name, (file, lines, parents, children) in lists.items():
         rows = np.array([(h.row_of[u], h.row_of[v]) for u, v in zip(parents, children)],
                         dtype=np.int64).reshape(-1, 2)
-        if fault := _first_fault(h.ids, rows):
-            i, earlier, problem = fault
-            raise row_error(file, lines[i], problem, None if earlier is None else lines[earlier])
-        sets[name] = EdgeSet(h.ids, rows)
+        try:
+            sets[name] = EdgeSet(h.ids, rows)
+        except HierarchyError:  # a self-loop or a repeat: name its line
+            i, earlier, problem = _first_fault_by_rows(h.ids, rows)
+            earlier = None if earlier is None else lines[earlier]
+            raise row_error(file, lines[i], problem, earlier) from None
     n, closure = len(h.ids), h.closure_rows[:, 0] * len(h.ids) + h.closure_rows[:, 1]
 
     def closed(edges: EdgeSet) -> np.ndarray:

@@ -218,7 +218,6 @@ def _classify(
     preds = np.empty((n, levels), dtype=object)
     best = np.empty((n, levels))
     ranks = None if truth is None else np.empty((n, levels), dtype=np.int64)
-    level_rows = [np.flatnonzero(h.level_of == lvl + 1) for lvl in range(levels)]
     names = [np.asarray(h.level_members(lvl + 1), dtype=object) for lvl in range(levels)]
     labels = [model.labels.coords[model.labels.rows(m)] for m in names]  # names missing labels
     step = max(1, PAIR_CHUNK // max(h.level_sizes))
@@ -230,7 +229,7 @@ def _classify(
             preds[rows, lvl] = names[lvl][arg]
             best[rows, lvl] = np.take_along_axis(e, arg[:, None], 1)[:, 0]
             if ranks is not None:
-                col = np.searchsorted(level_rows[lvl], truth[rows, lvl])[:, None]
+                col = np.searchsorted(h.level_rows[lvl], truth[rows, lvl])[:, None]
                 et = np.take_along_axis(e, col, 1)
                 rank = np.count_nonzero(e < et, axis=1)
                 ties = e == et

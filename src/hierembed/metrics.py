@@ -48,6 +48,31 @@ def accuracy(c: ConfusionCounts) -> float:
     return _ratio(c.tp + c.tn, c.tp + c.fp + c.tn + c.fn)
 
 
+def best_f1_threshold(pos, neg) -> tuple[float, ConfusionCounts]:
+    """The first best-F1 threshold ``t`` of classifying ``x <= t`` as positive, and
+    the counts at it; ``pos`` and ``neg`` hold the scores of the two classes.
+
+    The candidates, in increasing order, are min - 1 (nothing positive), the
+    midpoints of adjacent distinct pooled scores and the max (all positive),
+    each counted at ``t`` itself: a midpoint of adjacent doubles can round to
+    the upper one. F1 is ``2tp / (k + P)``, with k the scores at or below
+    ``t`` and P the positives, one division of integer counts: equal F1 values
+    are equal floats, and unequal ones stay apart below 2**25 pooled scores.
+    """
+    pos, neg = np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)
+    ordered = np.concatenate([pos, neg])
+    ordered.sort()
+    t = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    t = np.concatenate([[t[0] - 1.0], 0.5 * (t[:-1] + t[1:]), [t[-1]]])
+    k = np.searchsorted(ordered, t, side="right")
+    del ordered
+    tp = np.searchsorted(np.sort(pos), t, side="right")
+    k += len(pos)  # the denominator k + P, in place; tp / (k + P) is F1 / 2 exactly
+    best = int(np.argmax(np.divide(tp, k, out=np.zeros(len(t)), where=k > 0)))
+    tp_at, fp_at = int(tp[best]), int(k[best]) - len(pos) - int(tp[best])
+    return float(t[best]), ConfusionCounts(tp_at, fp_at, len(neg) - fp_at, len(pos) - tp_at)
+
+
 def hit_at_k(rankings: Sequence[Sequence], truth: Sequence, k: int) -> float:
     """Fraction of samples whose true label is among the top-k predictions.
 

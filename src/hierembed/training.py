@@ -39,7 +39,7 @@ import numpy as np
 from . import geometry
 from .geometry import ConeParams
 from .hierarchy import RETRY_CAP, WORD, EdgeSet, Hierarchy, SplitResult, name_some
-from .metrics import ConfusionCounts, accuracy, precision_recall_f1
+from .metrics import ConfusionCounts, accuracy, best_f1_threshold, precision_recall_f1
 
 
 class TrainingError(RuntimeError):
@@ -334,7 +334,7 @@ class _Graph:
             raise ValueError(f"positive rows must lie in [0, {n})")
         # Levels available to the corruption sampler: label levels, then the
         # instance level (lowest) when present.
-        self.levels = [np.flatnonzero(h.level_of == l) for l in range(1, h.level_count + 1)]
+        self.levels = list(h.level_rows)
         if n_instances:
             self.levels.append(np.arange(self.n_labels, n, dtype=np.int64))
         # the banned pairs' keys in key order; instance pairs are banned by rule
@@ -806,25 +806,8 @@ class EdgePredictionResult:
 
 
 def _best_threshold(pos_e: np.ndarray, neg_e: np.ndarray) -> EdgePredictionResult:
-    """Metrics at the first best-F1 threshold of ``_sweep``; F1 as ``_metrics_at`` computes it."""
-    candidates, p, r = _sweep(pos_e, neg_e)
-    den = p + r
-    f1 = np.divide(2 * p * r, den, out=np.zeros(len(den)), where=den > 0)
-    return _metrics_at(pos_e, neg_e, float(candidates[np.argmax(f1)]))
-
-
-def _sweep(pos_e: np.ndarray, neg_e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate thresholds (min - 1, the midpoints of adjacent distinct energies,
-    the max) and the precision and recall of ``E <= t`` at each, from one sort."""
-    ordered = np.sort(np.concatenate([pos_e, neg_e]))
-    t = ordered[np.append(True, ordered[1:] != ordered[:-1])]
-    t = np.concatenate([[t[0] - 1.0], 0.5 * (t[:-1] + t[1:]), [t[-1]]])
-    # a midpoint of adjacent doubles can round to the upper one: count at t itself
-    k = np.searchsorted(ordered, t, side="right")
-    tp = np.searchsorted(np.sort(pos_e), t, side="right")
-    p = np.divide(tp, k, out=np.zeros(len(t)), where=k > 0)
-    r = tp / len(pos_e) if len(pos_e) else np.zeros(len(t))
-    return t, p, r
+    """Metrics at the first best-F1 threshold of ``E <= t`` (``best_f1_threshold``)."""
+    return _edge_result(*best_f1_threshold(pos_e, neg_e))
 
 
 def _confusion_at(pos_e: np.ndarray, neg_e: np.ndarray, t: float) -> ConfusionCounts:
@@ -834,9 +817,7 @@ def _confusion_at(pos_e: np.ndarray, neg_e: np.ndarray, t: float) -> ConfusionCo
     return ConfusionCounts(tp=tp, fp=fp, tn=len(neg_e) - fp, fn=len(pos_e) - tp)
 
 
-def _metrics_at(pos_e: np.ndarray, neg_e: np.ndarray, t: float) -> EdgePredictionResult:
-    """Metrics of classifying ``E <= t`` as positive."""
-    counts = _confusion_at(pos_e, neg_e, t)
+def _edge_result(t: float, counts: ConfusionCounts) -> EdgePredictionResult:
     return EdgePredictionResult(t, *precision_recall_f1(counts), accuracy(counts))
 
 
@@ -855,4 +836,5 @@ def edge_prediction_at_threshold(
     """Metrics of a fixed, externally chosen threshold (e.g. from val)."""
     if not len(positives) or not len(negatives):
         raise ValueError("edge prediction needs non-empty positive and negative sets")
-    return _metrics_at(pair_energies(emb, positives), pair_energies(emb, negatives), threshold)
+    counts = _confusion_at(pair_energies(emb, positives), pair_energies(emb, negatives), threshold)
+    return _edge_result(threshold, counts)

@@ -1247,13 +1247,14 @@ def test_golden_trained_output_digests(tmp_path):
 # sha256 of the outputs of small train-classifier runs: all five heads
 # unweighted and class-weighted, hab with per-class thresholds, one resampled
 # run, and all five heads on a tree whose sibling groups have sizes 1 to 10.
-# A change to the heads' losses, the classifier trainer or Adam changes them:
-# such a change has to say so and record the new digests here.
+# A change to the heads' losses, the hab decision thresholds, the classifier
+# trainer or Adam changes them: such a change has to say so and record the new
+# digests here.
 GOLDEN_CLASSIFIER = {
-    "hab-none/classifier.bin": "f5ffd8ee25ba06d26934712639318b2bab100d4c495ee9891da6077ae529f8cf",
+    "hab-none/classifier.bin": "7e0358d5f697c4e5ba23fdcfa8b97139ea0e51657c747ac964d479c7dac81a29",
     "hab-none/train_log.csv": "1811697d37efa8c79079bf6aa14316bcfeed99ea85b59362b7f8c6b5aa579766",
     "hab-none/metrics.csv": "781ae30eae15ee2895ac3a580b279840cddb5395aae5419c4074f313eccd297b",
-    "hab-class-weights/classifier.bin": "494e66fad627e327fa73753bb9e84f8c308eca774d17499aeafa68357ba1980f",
+    "hab-class-weights/classifier.bin": "23a55e0c9c8b4528567a9607cc6b7291da21f37ca51e3aef3d1aaf1e3147373a",
     "hab-class-weights/train_log.csv": "f5c675ad2087ae5a1850e0733ebcedf011e2c7888af519aa11deac20abe8108d",
     "hab-class-weights/metrics.csv": "b207b0512d41516c5a3cce62483139ec8bd36100f21488e360a72b07e459995b",
     "plc-none/classifier.bin": "663a1db6764462a595cf359267ed004f0707d83c8d5853472a9c4a83cdeb592c",
@@ -1280,13 +1281,13 @@ GOLDEN_CLASSIFIER = {
     "hs-class-weights/classifier.bin": "7e817a928ef348f89a17604fbddd11a5b94ab291e97f2c2a2275b206e065ad00",
     "hs-class-weights/train_log.csv": "9c7aa46c2a26061b076a9032efcfdcc72c509ecfe2b7ea0bba2d2e335eff7a0d",
     "hs-class-weights/metrics.csv": "d133241ea7b5dc542056434fcf4a5928a687e6e04bc0cd1bc6d756746ecfa5e2",
-    "hab-pcdb/classifier.bin": "252d351ebc27f0c59aa4888630186ca0337c6aae7e1ebefa388d3728049f4ab0",
+    "hab-pcdb/classifier.bin": "19c924fce5f3a90a5834f38c28c21355683947b98570bf133cb6eb191ca87144",
     "hab-pcdb/train_log.csv": "ad3db6e9dd6b4ff1adaa8081190203381a46ce9e0a874c3645247278d9dc4be8",
-    "hab-pcdb/metrics.csv": "d04db07aba1a9a8e6199d4378d89dae82ffff65ca8e21d4122a76b6b988220a5",
+    "hab-pcdb/metrics.csv": "2df6ab27a9fc849c336f25a18408531d92b15644c0305ad89cc668f2532ef4b9",
     "hs-resample/classifier.bin": "17b4a7edf606fe5204464a84840e65a3800b11c73c2a6439fcff01047b0641a3",
     "hs-resample/train_log.csv": "3cfae3fcf3bc54346f41faa73384ee3cd058799fca55f4c0e1547229170e2ed2",
     "hs-resample/metrics.csv": "2bf10b74ab270feb7dd667733f4f6091ce4c7a375458d1f1560de5f663bca328",
-    "uneven-hab/classifier.bin": "7a07e9a9234fad80323fcc6488ae4e92f8458d005bda6fea7c7ca986e6e6d70e",
+    "uneven-hab/classifier.bin": "4198067fdfcb6216a2439746f4e5d352b22613965aecb1ee8766ca23acc75d07",
     "uneven-hab/train_log.csv": "5a9f5a79d3bacddf7707c29217cb23f16097bb8acabcf13894b97f636b71bc69",
     "uneven-hab/metrics.csv": "180e767bf20f1207023c4db981f325515ee3ed8b0a3f236aca537e8a94fb6552",
     "uneven-plc/classifier.bin": "8d193a129f116f58410b7d77d27ad9361cbb0750427f693d8105ba5c306414b2",

@@ -42,6 +42,7 @@ from hierembed.heads import (
 )
 from hierembed.hierarchy import Hierarchy, Node, generate_synthetic_tree
 from test_hierarchy import ref_leaf_descendants, uneven_forests
+from test_training import scan_best_threshold
 
 
 @pytest.fixture(scope="module")
@@ -407,60 +408,49 @@ class TestThresholds:
             assert micro_f1(scores >= cand, targets) <= best + 1e-12
 
 
-def loop_best_f1_threshold(scores, truth):
-    """Reference: the tie-boundary loop the argmax replaced."""
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = truth[order].astype(np.int64)
-    total_pos = int(y.sum())
-    tp = np.cumsum(y)
-    k = np.arange(1, len(s) + 1)
-    f1 = 2.0 * tp / (k + total_pos) if total_pos else np.zeros(len(s))
-    boundary = np.ones(len(s), dtype=bool)
-    boundary[:-1] = s[:-1] != s[1:]
-    best_t = float(s[0] + 1.0)  # predict nothing
-    best_f1 = 0.0
-    for i in np.flatnonzero(boundary):
-        if f1[i] > best_f1:
-            best_f1 = float(f1[i])
-            best_t = float(s[i])
-    return best_t
+def scan_select_thresholds(scores, targets, mode):
+    """Reference: the edge-prediction scan, mirrored (``s >= t`` is ``-s <= -t``)."""
+    def mirrored(s, y):
+        return -scan_best_threshold(-s[y], -s[~y])[0]
 
-
-def loop_select_thresholds(scores, targets, mode):
     if mode == "ofadb":
-        return np.array([loop_best_f1_threshold(scores.ravel(), targets.ravel())])
-    return np.array(
-        [loop_best_f1_threshold(scores[:, j], targets[:, j]) for j in range(scores.shape[1])]
-    )
+        return np.array([mirrored(scores, targets)])
+    return np.array([mirrored(scores[:, j], targets[:, j]) for j in range(scores.shape[1])])
 
 
-class TestThresholdsMatchLoop:
+@st.composite
+def scored_targets(draw):
+    """Scores (n, m) on a few values (long tie runs) or all distinct, and targets."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    tied = draw(st.booleans())
+    pool = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) if tied else st.floats(0.0, 1.0)
+    scores = draw(st.lists(pool, min_size=n * m, max_size=n * m, unique=not tied))
+    targets = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    return np.reshape(scores, (n, m)), np.reshape(targets, (n, m))
+
+
+class TestThresholdsMatchScan:
     @pytest.mark.parametrize("mode", ["ofadb", "pcdb"])
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_bit_identical(self, mode, seed, tied):
-        rng = np.random.default_rng(seed)
-        scores = rng.random((40, 7))
-        if tied:  # few distinct values: long runs of equal scores
-            scores = np.round(scores * 3) / 3
-        targets = rng.random((40, 7)) < [0.0, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0]
+    @settings(max_examples=200, deadline=None)
+    @given(scored_targets())
+    def test_mirrored_scan(self, mode, case):
+        scores, targets = case
         got = select_thresholds(scores, targets, mode)
-        assert got.tobytes() == loop_select_thresholds(scores, targets, mode).tobytes()
+        assert got.tobytes() == scan_select_thresholds(scores, targets, mode).tobytes()
 
     def test_equal_f1_picks_the_largest_threshold(self):
         scores = np.array([0.9, 0.8, 0.7, 0.6])
-        truth = np.array([True, False, False, True])  # F1 2/3 at 0.9 and at 0.6
+        truth = np.array([True, False, False, True])  # F1 2/3 above 0.8 and at 0.6
         got = select_thresholds(scores[:, None], truth[:, None], "pcdb")
-        assert got.tobytes() == loop_select_thresholds(scores[:, None], truth[:, None], "pcdb").tobytes()
-        assert got[0] == 0.9
+        assert got.tobytes() == scan_select_thresholds(scores[:, None], truth[:, None], "pcdb").tobytes()
+        assert got[0] == 0.5 * (0.9 + 0.8)
 
     @pytest.mark.parametrize("mode", ["ofadb", "pcdb"])
     def test_single_value_and_no_positives(self, mode):
         scores = np.full((5, 3), 0.5)
         for targets in (np.zeros((5, 3), bool), np.ones((5, 3), bool)):
             got = select_thresholds(scores, targets, mode)
-            assert got.tobytes() == loop_select_thresholds(scores, targets, mode).tobytes()
+            assert got.tobytes() == scan_select_thresholds(scores, targets, mode).tobytes()
         # no positives: predict nothing, above every score
         assert np.all(select_thresholds(scores, np.zeros((5, 3), bool), mode) == 1.5)
 
@@ -1179,18 +1169,6 @@ class TestFewerPassesMatchTheOldForms:
             assert_close(got, ref_weighted_head_loss("mc", x, tau, None, index, weights), x, weights)
         truth = [p[np.arange(40), tau[:, i]] for i, p in enumerate(ref_mc_probabilities(x, index))]
         assert (np.minimum(truth[0], truth[1]) == 0).sum() >= 2
-
-    @pytest.mark.parametrize("mode", ["ofadb", "pcdb"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_thresholds_equal_the_stable_sort_on_long_ties(self, mode, seed):
-        # 22 608 scores on 9 values: the unstable sort reorders every tie run
-        rng = np.random.default_rng(seed)
-        scores = np.round(rng.random((144, 157)) * 8) / 8
-        targets = rng.random((144, 157)) < 0.3
-        flat = -scores.ravel()
-        assert not np.array_equal(np.argsort(flat), np.argsort(flat, kind="stable"))
-        got = select_thresholds(scores, targets, mode)
-        assert got.tobytes() == loop_select_thresholds(scores, targets, mode).tobytes()
 
 
 class TestMplcIsHsOverSiblingGroups:

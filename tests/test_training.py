@@ -5,6 +5,7 @@ import itertools
 import sys
 import tracemalloc
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -408,7 +409,8 @@ class TestEdgePrediction:
 
 
 def scan_best_threshold(pos_e, neg_e):
-    """Reference sweep: one pass over the pooled energies per candidate."""
+    """Reference sweep: one pass over the pooled energies per candidate; the
+    first candidate of highest F1 wins, F1 compared as exact fractions."""
     energies = np.concatenate([pos_e, neg_e])
     labels = np.concatenate([np.ones(len(pos_e), bool), np.zeros(len(neg_e), bool)])
     uniq = np.unique(energies)
@@ -426,9 +428,10 @@ def scan_best_threshold(pos_e, neg_e):
         r = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * p * r / (p + r) if p + r else 0.0
         acc = (tp + tn) / len(labels) if len(labels) else 0.0
-        if best is None or f1 > best[3]:
-            best = (float(t), p, r, f1, acc)
-    return best
+        exact = Fraction(2 * tp, tp + fp + len(pos_e)) if tp else Fraction(0)
+        if best is None or exact > best[0]:
+            best = (exact, (float(t), p, r, f1, acc))
+    return best[1]
 
 
 def assert_sweep_matches_scan(pos_e, neg_e):
@@ -459,6 +462,13 @@ class TestSweepMatchesScan:
         rng = np.random.default_rng(seed)
         pos = np.where(rng.random(200) < 0.8, 0.0, rng.random(200))
         neg = np.where(rng.random(2000) < 0.5, 0.0, np.round(rng.random(2000), 2))
+        assert_sweep_matches_scan(pos, neg)
+
+    def test_exact_f1_tie_picks_the_first_threshold(self):
+        # F1 2/3 at 0.5 (6 of 11 predicted) and at 1.0 (all 14); the float
+        # 2pr/(p + r) rounds the second above the first
+        pos, neg = [0.0] * 6 + [1.0], [0.0] * 5 + [1.0, 1.0]
+        assert _best_threshold(np.array(pos), np.array(neg)).threshold == 0.5
         assert_sweep_matches_scan(pos, neg)
 
     def test_single_distinct_value(self):
