@@ -429,7 +429,19 @@ def scored_targets(draw):
     return np.reshape(scores, (n, m)), np.reshape(targets, (n, m))
 
 
-class TestThresholdsMatchScan:
+class TestThresholdsMatchLoop:
+    @pytest.mark.parametrize("mode", ["ofadb", "pcdb"])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_bit_identical(self, mode, seed, tied):
+        rng = np.random.default_rng(seed)
+        scores = rng.random((40, 7))
+        if tied:  # few distinct values: long runs of equal scores
+            scores = np.round(scores * 3) / 3
+        targets = rng.random((40, 7)) < [0.0, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0]
+        got = select_thresholds(scores, targets, mode)
+        assert got.tobytes() == scan_select_thresholds(scores, targets, mode).tobytes()
+
     @pytest.mark.parametrize("mode", ["ofadb", "pcdb"])
     @settings(max_examples=200, deadline=None)
     @given(scored_targets())
@@ -1169,6 +1181,19 @@ class TestFewerPassesMatchTheOldForms:
             assert_close(got, ref_weighted_head_loss("mc", x, tau, None, index, weights), x, weights)
         truth = [p[np.arange(40), tau[:, i]] for i, p in enumerate(ref_mc_probabilities(x, index))]
         assert (np.minimum(truth[0], truth[1]) == 0).sum() >= 2
+
+    @pytest.mark.parametrize("mode", ["ofadb", "pcdb"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_thresholds_equal_the_stable_sort_on_long_ties(self, mode, seed):
+        # 22 608 scores on 9 values: the unstable sort reorders every tie run,
+        # and the thresholds still equal the order-free mirrored scan
+        rng = np.random.default_rng(seed)
+        scores = np.round(rng.random((144, 157)) * 8) / 8
+        targets = rng.random((144, 157)) < 0.3
+        flat = -scores.ravel()
+        assert not np.array_equal(np.argsort(flat), np.argsort(flat, kind="stable"))
+        got = select_thresholds(scores, targets, mode)
+        assert got.tobytes() == scan_select_thresholds(scores, targets, mode).tobytes()
 
 
 class TestMplcIsHsOverSiblingGroups:
